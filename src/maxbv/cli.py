@@ -2,14 +2,15 @@
 
 Subcommands: eval, var, profile, e-set, check, experiment, counterexample.
 All numeric output is exact ('p/q') or an enclosure ('lo..hi'); --decimal
-adds a fixed-point rendering column for human reading.  Exit codes: 0 pass,
-1 a check failed, 2 bad input.
+on eval and var adds a fixed-point rendering column for human reading.
+Exit codes: 0 pass, 1 a check failed, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,27 @@ def _parse_precision(text: str) -> Fraction:
     if value <= 0:
         raise InputError("precision must be positive")
     return value
+
+
+def _parse_int(text: str, name: str, minimum: Optional[int] = None) -> int:
+    if not re.fullmatch(r"-?\d+", text):
+        raise InputError(f"{name} must be an integer, not {text!r}")
+    value = int(text)
+    if minimum is not None and value < minimum:
+        raise InputError(f"{name} must be at least {minimum}")
+    return value
+
+
+def _option(parse, *extra):
+    """An argparse type= converter from a parser that raises InputError."""
+
+    def convert(text: str):
+        try:
+            return parse(text, *extra)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _load(path: str) -> StepFunction:
@@ -104,21 +126,14 @@ def cmd_var(args) -> int:
 def cmd_profile(args) -> int:
     f = _load(args.file)
     profile = env.build_profile(f)
-    _emit(profile.dump(args.decimal), args.out)
+    _emit(profile.dump(), args.out)
     return PASS
 
 
 def _region_bound_text(bound, direction: int) -> str:
     if bound is None:
         return "-inf" if direction < 0 else "inf"
-    if bound.is_rational:
-        return format_rat(bound.rational_value)
-    tight = bound.refine(30)  # width below 1e-9
-    a, b, c = tight.poly
-    return (
-        f"quad({format_rat(a)},{format_rat(b)},{format_rat(c)})"
-        f"[{format_rat(tight.lo)}..{format_rat(tight.hi)}]"
-    )
+    return format_rat(bound)
 
 
 def cmd_e_set(args) -> int:
@@ -193,10 +208,16 @@ def cmd_experiment(args) -> int:
         raise InputError(f"bad scales: {exc}") from None
     if not scales:
         scales = [Fraction(1, 2**j) for j in range(15)]
+    if min(scales) <= 0 or any(second >= first for first, second in zip(scales, scales[1:])):
+        raise InputError("bad scales: they must be positive and strictly decreasing")
     precision = _parse_precision(config.get("precision", "1/1000000000"))
     threshold = _parse_precision(config.get("threshold", "1/1000"))
     variation_gap = _parse_precision(config.get("variation_gap", "1/1000"))
-    tail_count = int(config.get("tail_count", "5"))
+    tail_count = _parse_int(config.get("tail_count", "5"), "tail_count", minimum=1)
+    seed = _parse_int(config.get("seed", "0"), "seed")
+    pairs = _parse_int(config.get("pairs", "1"), "pairs", minimum=1)
+    norm_text = config.get("perturbation_norm", "1/8")
+    target_norm = None if norm_text == "raw" else _parse_precision(norm_text)
 
     runs = []
     if "file" in config:
@@ -204,10 +225,6 @@ def cmd_experiment(args) -> int:
             raise InputError("config with file= also needs perturbation=")
         runs.append(("file", _load(config["file"]), _load(config["perturbation"])))
     else:
-        seed = int(config.get("seed", "0"))
-        pairs = int(config.get("pairs", "1"))
-        norm_text = config.get("perturbation_norm", "1/4")
-        target_norm = None if norm_text == "raw" else _parse_precision(norm_text)
         for i in range(pairs):
             f = verify.random_stepfn(seed + 2 * i)
             g = verify.random_stepfn(seed + 2 * i + 1)
@@ -250,21 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_file:
             p.add_argument("--file", required=True, help="step-function file (stepfn/1 format)")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--decimal", type=int, metavar="K",
-                       help="add a K-digit decimal rendering column")
+
+    def add_decimal(p):
+        p.add_argument("--decimal", type=_option(_parse_int, "K", 1), metavar="K",
+                       help="add a K-digit decimal rendering column (K >= 1)")
+
+    precision = _option(_parse_precision)
 
     p = sub.add_parser("eval", help="maximal-function value and witness at a point")
     add_common(p)
+    add_decimal(p)
     p.add_argument("--x", required=True, help="query point (rational)")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("var", help="total variation over an interval")
     add_common(p)
+    add_decimal(p)
     p.add_argument("--from", default="-inf", help="left endpoint (rational or -inf)")
     p.add_argument("--to", default="inf", help="right endpoint (rational or inf)")
     p.add_argument("--maximal", action="store_true",
                    help="variation of the maximal function instead of the function")
-    p.add_argument("--precision", type=_parse_precision, default=Fraction(1, 10**9))
+    p.add_argument("--precision", type=precision, default=Fraction(1, 10**9))
     p.set_defaults(handler=cmd_var)
 
     p = sub.add_parser("profile", help="dump the piecewise-Moebius maximal profile")
@@ -280,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="directory of step-function files")
     p.add_argument("--seeds", default="100", help="seed count N or range A:B")
     p.add_argument("--suite-seed", type=int, default=0)
-    p.add_argument("--precision", type=_parse_precision, default=Fraction(1, 10**9))
+    p.add_argument("--precision", type=precision, default=Fraction(1, 10**9))
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("experiment", help="run a continuity experiment from a config file")

@@ -4,20 +4,24 @@ Between consecutive breakpoints of f, the maximal function is the upper
 envelope of finitely many candidate functions of the query point x: averages
 of |f| anchored at a breakpoint on one side with x as the other endpoint
 (Moebius functions of x), plus constants (averages over fixed spanning
-intervals, the two tail limits, and the local value).  Envelope crossings
-solve quadratics with rational coefficients, so every junction is rational
-or a quadratic surd; both are carried exactly.
+intervals, the two tail limits, and the local value).  On a segment where
+|f| = l, every anchored candidate normalizes to (alpha + l*x)/(gamma + x) and
+every constant to (c + 0*x)/(1 + 0*x), so the x^2 terms of any crossing
+equation cancel: crossings solve linear equations and every junction, piece
+endpoint and endpoint value is a plain rational.
 
 Because each non-constant piece is a Moebius function with its pole strictly
-outside the closed piece domain, every piece is monotone, and variation
-computations reduce to telescoping endpoint values.  Sums involving surds
-from different quadratics are reported as certified rational enclosures of
-arbitrary requested precision rather than symbolic closed forms.
+outside the closed piece domain, every piece is monotone, and the variation
+of a profile is an exact telescoping sum of endpoint values.  Only the
+difference of two profiles has irrational critical points (roots of genuine
+quadratics); its variation is reported as a certified rational enclosure of
+arbitrary requested precision.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,11 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact import (
     AlgebraicValue,
     Rat,
-    compare,
     compare_with_rat,
     format_rat,
     isolate_quadratic_roots,
-    moebius_of_algebraic,
     rat,
     rational_between,
     sign,
@@ -82,10 +84,10 @@ class MoebiusPiece:
     beta: Rat
     gamma: Rat
     delta: Rat
-    lo: Optional[AlgebraicValue]
-    hi: Optional[AlgebraicValue]
-    lo_value: Optional[AlgebraicValue]
-    hi_value: Optional[AlgebraicValue]
+    lo: Optional[Rat]
+    hi: Optional[Rat]
+    lo_value: Optional[Rat]
+    hi_value: Optional[Rat]
     provenance: Provenance
 
     @property
@@ -112,9 +114,6 @@ class MoebiusPiece:
             raise ZeroDivisionError("evaluation at the pole of a profile piece")
         return (self.alpha + self.beta * x) / den
 
-    def value_at_algebraic(self, v: AlgebraicValue) -> AlgebraicValue:
-        return moebius_of_algebraic(self.alpha, self.beta, self.gamma, self.delta, v)
-
     def derivative_at(self, x) -> Rat:
         x = rat(x)
         den = self.gamma + self.delta * x
@@ -128,10 +127,10 @@ class MoebiusPiece:
             raise ArithmeticError("affine piece is unbounded; no limit at infinity")
         return self.alpha / self.gamma
 
-    def dump_line(self, decimal: Optional[int] = None) -> str:
+    def dump_line(self) -> str:
         cells = [
-            _bound_text(self.lo, -1, decimal),
-            _bound_text(self.hi, +1, decimal),
+            "-inf" if self.lo is None else format_rat(self.lo),
+            "inf" if self.hi is None else format_rat(self.hi),
             format_rat(self.alpha),
             format_rat(self.beta),
             format_rat(self.gamma),
@@ -139,18 +138,6 @@ class MoebiusPiece:
             self.provenance.tag(),
         ]
         return "\t".join(cells)
-
-
-def _bound_text(bound: Optional[AlgebraicValue], direction: int, decimal: Optional[int]) -> str:
-    if bound is None:
-        return "-inf" if direction < 0 else "inf"
-    if bound.is_rational:
-        return format_rat(bound.rational_value)
-    tight = bound.refine(30)
-    from .exact import decimal_str
-
-    digits = decimal if decimal else 9
-    return f"{decimal_str(tight.midpoint, digits)}±{float(tight.width / 2):.1e}"
 
 
 @dataclass(frozen=True)
@@ -161,11 +148,9 @@ class MaximalProfile:
     pieces: Tuple[MoebiusPiece, ...]
 
     def piece_containing(self, x) -> MoebiusPiece:
-        x = rat(x)
-        for piece in self.pieces:
-            if piece.hi is None or compare_with_rat(piece.hi, x) >= 0:
-                return piece
-        raise AssertionError("profile does not cover the line")
+        """The piece whose closed domain holds x (the left one at a junction)."""
+        index = bisect_left(self.pieces, rat(x), hi=len(self.pieces) - 1, key=lambda p: p.hi)
+        return self.pieces[index]
 
     def value(self, x) -> Rat:
         return self.piece_containing(x).value_at(x)
@@ -174,11 +159,11 @@ class MaximalProfile:
         piece = self.pieces[0] if direction < 0 else self.pieces[-1]
         return piece.limit_at(direction)
 
-    def junctions(self) -> List[AlgebraicValue]:
+    def junctions(self) -> List[Rat]:
         return [piece.hi for piece in self.pieces[:-1]]
 
-    def dump(self, decimal: Optional[int] = None) -> str:
-        return "\n".join(piece.dump_line(decimal) for piece in self.pieces) + "\n"
+    def dump(self) -> str:
+        return "\n".join(piece.dump_line() for piece in self.pieces) + "\n"
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ class RegionSet:
     closed intervals, possibly degenerate (single touch points).
     """
 
-    intervals: Tuple[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue]], ...]
+    intervals: Tuple[Tuple[Optional[Rat], Optional[Rat]], ...]
     closed: bool = False
 
     @property
@@ -199,14 +184,11 @@ class RegionSet:
     def contains(self, x) -> bool:
         x = rat(x)
         for lo, hi in self.intervals:
-            lo_cmp = 1 if lo is None else compare_with_rat(lo, x) * -1
-            hi_cmp = 1 if hi is None else compare_with_rat(hi, x)
             if self.closed:
-                if lo_cmp >= 0 and hi_cmp >= 0:
+                if (lo is None or lo <= x) and (hi is None or x <= hi):
                     return True
-            else:
-                if lo_cmp > 0 and hi_cmp > 0:
-                    return True
+            elif (lo is None or lo < x) and (hi is None or x < hi):
+                return True
         return False
 
 
@@ -262,14 +244,15 @@ class _Candidate:
         return (self.alpha + self.beta * x) / (self.gamma + self.delta * x)
 
 
-def _sample_between(lo: Optional[AlgebraicValue], hi: Optional[AlgebraicValue]) -> Rat:
+def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
+    """A rational inside the open interval (lo, hi); None means infinite."""
     if lo is None and hi is None:
         return Fraction(0)
     if lo is None:
-        return hi.lo - 1
+        return hi - 1
     if hi is None:
-        return lo.hi + 1
-    return rational_between(lo, hi)
+        return lo + 1
+    return (lo + hi) / 2
 
 
 def _cross_quadratic(c1: _Candidate, c2: _Candidate):
@@ -284,36 +267,35 @@ def _cross_quadratic(c1: _Candidate, c2: _Candidate):
 
 def _upper_envelope(
     candidates: Sequence[_Candidate], u: Optional[Rat], v: Optional[Rat]
-) -> List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], _Candidate]]:
+) -> List[Tuple[Optional[Rat], Optional[Rat], _Candidate]]:
     """Envelope of distinct candidates over the open segment (u, v).
 
     All pairwise crossings inside the segment partition it into cells on
     which the candidate order is fixed; the winner of each cell is read off
     at an interior rational sample, which cannot tie (a tie would be a
-    crossing, and those are cell boundaries).
+    crossing, and those are cell boundaries).  Every candidate has
+    beta = l*delta (l = |f| on the segment), so the x^2 coefficient of each
+    crossing equation cancels and every crossing is rational.
     """
-    lo_av = None if u is None else AlgebraicValue.from_rat(u)
-    hi_av = None if v is None else AlgebraicValue.from_rat(v)
     if len(candidates) == 1:
-        return [(lo_av, hi_av, candidates[0])]
-    splits: List[AlgebraicValue] = []
+        return [(u, v, candidates[0])]
+    splits = set()
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             quad = _cross_quadratic(candidates[i], candidates[j])
             if not any(quad):
                 continue
+            if quad[0]:
+                raise AssertionError("envelope crossing is not linear")
             for root in isolate_quadratic_roots(quad):
-                if u is not None and compare_with_rat(root, u) <= 0:
-                    continue
-                if v is not None and compare_with_rat(root, v) >= 0:
-                    continue
-                splits.append(root)
-    splits = sort_values(splits)
-    bounds: List[Optional[AlgebraicValue]] = [lo_av, *splits, hi_av]
+                x = root.rational_value
+                if (u is None or u < x) and (v is None or x < v):
+                    splits.add(x)
+    bounds: List[Optional[Rat]] = [u, *sorted(splits), v]
     cells = []
     for idx in range(len(bounds) - 1):
         s, t = bounds[idx], bounds[idx + 1]
-        x = _sample_between(s, t)
+        x = _midpoint(s, t)
         values = [(c.value_at(x), pos) for pos, c in enumerate(candidates)]
         best = max(val for val, _ in values)
         winners = [pos for val, pos in values if val == best]
@@ -327,12 +309,6 @@ def _upper_envelope(
         else:
             merged.append(cell)
     return [(c[0], c[1], c[2]) for c in merged]
-
-
-def _value_at_bound(cand: _Candidate, bound: AlgebraicValue) -> AlgebraicValue:
-    if bound.is_rational:
-        return AlgebraicValue.from_rat(cand.value_at(bound.rational_value))
-    return moebius_of_algebraic(cand.alpha, cand.beta, cand.gamma, cand.delta, bound)
 
 
 def build_profile(f: StepFunction) -> MaximalProfile:
@@ -350,7 +326,7 @@ def build_profile(f: StepFunction) -> MaximalProfile:
     n = f.n
     abs_consts = [abs(c) for c in f.constants]
 
-    cells_in_order: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], _Candidate]] = []
+    cells_in_order: List[Tuple[Optional[Rat], Optional[Rat], _Candidate]] = []
     for k in range(n + 1):
         u = bps[k - 1] if k >= 1 else None
         v = bps[k] if k <= n - 1 else None
@@ -402,9 +378,9 @@ def build_profile(f: StepFunction) -> MaximalProfile:
             merged.append([lo, hi, cand])
 
     pieces: List[MoebiusPiece] = []
-    prev_value: Optional[AlgebraicValue] = None
+    prev_value: Optional[Rat] = None
     for lo, hi, cand in merged:
-        hi_value = None if hi is None else _value_at_bound(cand, hi)
+        hi_value = None if hi is None else cand.value_at(hi)
         pieces.append(
             MoebiusPiece(*cand.coefficients, lo, hi, prev_value, hi_value, cand.provenance)
         )
@@ -412,13 +388,11 @@ def build_profile(f: StepFunction) -> MaximalProfile:
 
     profile = MaximalProfile(tuple(pieces))
 
-    # Internal consistency: adjacent pieces agree at rational junctions and
-    # the profile matches the pointwise engine at every breakpoint.
+    # Internal consistency: adjacent pieces agree at every junction and the
+    # profile matches the pointwise engine at every breakpoint.
     for left, right in zip(pieces, pieces[1:]):
-        if left.hi.is_rational:
-            x0 = left.hi.rational_value
-            if right.value_at(x0) != left.hi_value.rational_value:
-                raise AssertionError("profile pieces disagree at a junction")
+        if right.value_at(left.hi) != left.hi_value:
+            raise AssertionError("profile pieces disagree at a junction")
     for x0 in bps:
         if profile.value(x0) != maximal_value(f, x0).value:
             raise AssertionError("profile disagrees with the pointwise engine")
@@ -431,17 +405,15 @@ def build_profile(f: StepFunction) -> MaximalProfile:
 def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[RegionSet, RegionSet]:
     """Split the line into the open set where the profile strictly exceeds
     the adjusted modulus and its closed complement (touch set)."""
-    bound_values: List[AlgebraicValue] = list(profile.junctions())
-    bound_values.extend(AlgebraicValue.from_rat(x) for x in f.breakpoints)
-    bounds = sort_values(bound_values)
+    bounds = sorted({*profile.junctions(), *f.breakpoints})
     if not bounds:
         only = profile.pieces[0]
         if only.is_constant and only.value_at(0) == abs(f.value(0)):
             return RegionSet((), closed=False), RegionSet(((None, None),), closed=True)
         return RegionSet(((None, None),), closed=False), RegionSet((), closed=True)
 
-    items: List[Tuple[str, Optional[AlgebraicValue], Optional[AlgebraicValue]]] = []
-    previous: Optional[AlgebraicValue] = None
+    items: List[Tuple[str, Optional[Rat], Optional[Rat]]] = []
+    previous: Optional[Rat] = None
     for b in bounds:
         items.append(("interval", previous, b))
         items.append(("point", b, None))
@@ -451,21 +423,15 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
     flags: List[bool] = []
     for kind, first, second in items:
         if kind == "interval":
-            x = _sample_between(first, second)
+            x = _midpoint(first, second)
             piece = profile.piece_containing(x)
             in_e = not (piece.is_constant and piece.value_at(x) == abs(f.value(x)))
         else:
-            if first.is_rational:
-                x0 = first.rational_value
-                adjusted = max(abs(f.left_limit(x0)), abs(f.right_limit(x0)))
-                in_e = profile.value(x0) != adjusted
-            else:
-                # Surd junctions join two strictly monotone pieces whose common
-                # value is irrational, while the adjusted modulus is rational.
-                in_e = True
+            adjusted = max(abs(f.left_limit(first)), abs(f.right_limit(first)))
+            in_e = profile.value(first) != adjusted
         flags.append(in_e)
 
-    runs: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue]]] = []
+    runs: List[Tuple[Optional[Rat], Optional[Rat]]] = []
     run_start: object = _UNSET
     for (kind, first, second), in_e in zip(items, flags):
         if kind == "interval":
@@ -483,7 +449,7 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
     if run_start is not _UNSET:
         runs.append((run_start, None))  # type: ignore[arg-type]
 
-    complement: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue]]] = []
+    complement: List[Tuple[Optional[Rat], Optional[Rat]]] = []
     if not runs:
         complement.append((None, None))
     else:
@@ -516,17 +482,10 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
     (|f|(x) - value)/(x - a); constant pieces are flat.
     """
     x = rat(x)
-    for piece in profile.pieces:
-        hi_cmp = 1 if piece.hi is None else compare_with_rat(piece.hi, x)
-        if hi_cmp < 0:
-            continue
-        lo_cmp = -1 if piece.lo is None else compare_with_rat(piece.lo, x)
-        if lo_cmp == 0 or hi_cmp == 0:
-            raise ValueError("derivative is one-sided at piece junctions")
-        if lo_cmp < 0 < hi_cmp:
-            return piece.derivative_at(x)
-        raise AssertionError("piece lookup failed")
-    raise AssertionError("profile does not cover the line")
+    piece = profile.piece_containing(x)
+    if piece.hi == x:
+        raise ValueError("derivative is one-sided at piece junctions")
+    return piece.derivative_at(x)
 
 
 # --- certified variation ---------------------------------------------------
@@ -543,12 +502,10 @@ def _is_pos_inf(x) -> bool:
 def variation_of_profile(
     profile: MaximalProfile, a=NEG_INF, b=POS_INF, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
-    """Certified total variation of the profile over the open interval (a, b).
+    """Total variation of the profile over the open interval (a, b).
 
-    Each piece is monotone, so the variation telescopes over piece endpoint
-    values; surd junction values are refined until the enclosure meets the
-    requested precision.  All-rational junctions give an exact (width-zero)
-    answer.
+    Each piece is monotone, so the variation telescopes over rational piece
+    endpoint values: the answer is exact, an enclosure of width zero.
     """
     precision = rat(precision)
     if precision <= 0:
@@ -557,49 +514,28 @@ def variation_of_profile(
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
 
-    terms: List[Tuple[AlgebraicValue, AlgebraicValue, int]] = []
+    total = Fraction(0)
     for piece in profile.pieces:
-        if not _is_neg_inf(a) and piece.hi is not None and compare_with_rat(piece.hi, a) <= 0:
+        if not _is_neg_inf(a) and piece.hi is not None and piece.hi <= a:
             continue
-        if not _is_pos_inf(b) and piece.lo is not None and compare_with_rat(piece.lo, b) >= 0:
+        if not _is_pos_inf(b) and piece.lo is not None and piece.lo >= b:
             continue
         if piece.direction == 0:
             continue
-        if not _is_neg_inf(a) and (piece.lo is None or compare_with_rat(piece.lo, a) < 0):
-            start = AlgebraicValue.from_rat(piece.value_at(a))
+        if not _is_neg_inf(a) and (piece.lo is None or piece.lo < a):
+            start = piece.value_at(a)
         elif piece.lo is None:
-            start = AlgebraicValue.from_rat(piece.limit_at(-1))
+            start = piece.limit_at(-1)
         else:
             start = piece.lo_value
-        if not _is_pos_inf(b) and (piece.hi is None or compare_with_rat(piece.hi, b) > 0):
-            end = AlgebraicValue.from_rat(piece.value_at(b))
+        if not _is_pos_inf(b) and (piece.hi is None or piece.hi > b):
+            end = piece.value_at(b)
         elif piece.hi is None:
-            end = AlgebraicValue.from_rat(piece.limit_at(+1))
+            end = piece.limit_at(+1)
         else:
             end = piece.hi_value
-        terms.append((start, end, piece.direction))
-
-    surds: Dict[int, AlgebraicValue] = {}
-    for start, end, _ in terms:
-        for av in (start, end):
-            if not av.is_rational:
-                surds[id(av)] = av
-    if surds:
-        per_value = precision / (4 * len(surds))
-        surds = {key: av.refine_below(per_value) for key, av in surds.items()}
-
-    lo_sum = Fraction(0)
-    hi_sum = Fraction(0)
-    for start, end, direction in terms:
-        start = surds.get(id(start), start)
-        end = surds.get(id(end), end)
-        if direction > 0:
-            term_lo, term_hi = end.lo - start.hi, end.hi - start.lo
-        else:
-            term_lo, term_hi = start.lo - end.hi, start.hi - end.lo
-        lo_sum += max(term_lo, Fraction(0))
-        hi_sum += max(term_hi, Fraction(0))
-    return VariationEnclosure(lo_sum, hi_sum, precision)
+        total += abs(end - start)
+    return VariationEnclosure(total, total, precision)
 
 
 def _difference_critical_quadratic(p1: MoebiusPiece, p2: MoebiusPiece):
@@ -611,6 +547,13 @@ def _difference_critical_quadratic(p1: MoebiusPiece, p2: MoebiusPiece):
         2 * (d1 * g2 * dl2 - d2 * g1 * dl1),
         d1 * g2 * g2 - d2 * g1 * g1,
     )
+
+
+def _sample_between(lo: Optional[AlgebraicValue], hi: Optional[AlgebraicValue]) -> Rat:
+    """A rational strictly between two stretch ends (None means infinite)."""
+    if lo is None or hi is None:
+        return _midpoint(None if lo is None else lo.hi, None if hi is None else hi.lo)
+    return rational_between(lo, hi)
 
 
 def _difference_enclosure(
@@ -659,12 +602,10 @@ def variation_of_difference(
     if precision <= 0:
         raise ValueError("precision must be positive")
 
-    bounds = sort_values([j for p in (p1, p2) for j in p.junctions()])
-    cells: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], MoebiusPiece, MoebiusPiece]] = []
-    walk: List[Optional[AlgebraicValue]] = [None, *bounds, None]
-    for idx in range(len(walk) - 1):
-        s, t = walk[idx], walk[idx + 1]
-        x = _sample_between(s, t)
+    walk: List[Optional[Rat]] = [None, *sorted({*p1.junctions(), *p2.junctions()}), None]
+    cells = []
+    for s, t in zip(walk, walk[1:]):
+        x = _midpoint(s, t)
         cells.append((s, t, p1.piece_containing(x), p2.piece_containing(x)))
 
     monotone: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], MoebiusPiece, MoebiusPiece, int]] = []
@@ -673,13 +614,14 @@ def variation_of_difference(
         splits: List[AlgebraicValue] = []
         if any(quad):
             for root in isolate_quadratic_roots(quad):
-                if s is not None and compare(root, s) <= 0:
+                if s is not None and compare_with_rat(root, s) <= 0:
                     continue
-                if t is not None and compare(root, t) >= 0:
+                if t is not None and compare_with_rat(root, t) >= 0:
                     continue
                 splits.append(root)
             splits = sort_values(splits)
-        subwalk: List[Optional[AlgebraicValue]] = [s, *splits, t]
+        ends = [None if e is None else AlgebraicValue.from_rat(e) for e in (s, t)]
+        subwalk: List[Optional[AlgebraicValue]] = [ends[0], *splits, ends[1]]
         for idx in range(len(subwalk) - 1):
             u, w = subwalk[idx], subwalk[idx + 1]
             x = _sample_between(u, w)

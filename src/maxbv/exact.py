@@ -311,47 +311,3 @@ def rational_between(a: AlgebraicValue, b: AlgebraicValue) -> Rat:
     """An exact rational strictly between two values with a < b."""
     a, b = separate(a, b)
     return (a.hi + b.lo) / 2
-
-
-def moebius_of_algebraic(alpha, beta, gamma, delta, value: AlgebraicValue) -> AlgebraicValue:
-    """Image of ``value`` under x -> (alpha + beta*x)/(gamma + delta*x).
-
-    The caller guarantees the pole lies outside the represented number's
-    bracket neighbourhood; the bracket is narrowed here until the denominator
-    has constant sign on it.  Rational inputs map exactly; an irrational
-    input's image is a root of the transformed quadratic, selected by the
-    bracket image.  Degenerate (constant) maps return their constant.
-    """
-    alpha, beta, gamma, delta = (Fraction(v) for v in (alpha, beta, gamma, delta))
-    if beta * gamma - alpha * delta == 0:
-        constant = beta / delta if delta else alpha / gamma
-        return AlgebraicValue.from_rat(constant)
-    if value.is_rational:
-        x = value.lo
-        return AlgebraicValue.from_rat((alpha + beta * x) / (gamma + delta * x))
-    k = 8
-    while True:
-        s_lo = sign(gamma + delta * value.lo)
-        s_hi = sign(gamma + delta * value.hi)
-        if s_lo == s_hi and s_lo != 0:
-            break
-        value = value.refine(k)
-        k += 8
-    q2, q1, q0 = value.poly
-    # Substitute the inverse map x = (alpha - gamma*y)/(delta*y - beta) into
-    # the defining quadratic; the image satisfies the transformed quadratic.
-    c2 = q2 * gamma * gamma - q1 * gamma * delta + q0 * delta * delta
-    c1 = -2 * q2 * alpha * gamma + q1 * (alpha * delta + beta * gamma) - 2 * q0 * beta * delta
-    c0 = q2 * alpha * alpha - q1 * alpha * beta + q0 * beta * beta
-    roots = isolate_quadratic_roots((c2, c1, c0))
-    while True:
-        img_a = (alpha + beta * value.lo) / (gamma + delta * value.lo)
-        img_b = (alpha + beta * value.hi) / (gamma + delta * value.hi)
-        img_lo, img_hi = min(img_a, img_b), max(img_a, img_b)
-        hits = [r for r in roots if not (r.hi < img_lo or img_hi < r.lo)]
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            raise ArithmeticError("Moebius image lost its defining root; invalid input bracket")
-        value = value.refine(k)
-        k += 8

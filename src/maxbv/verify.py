@@ -27,7 +27,7 @@ from . import envelope as env
 from . import maximal as mx
 from . import stepfn as sf
 from .envelope import MaximalProfile, VariationEnclosure
-from .exact import AlgebraicValue, Rat, compare, compare_with_rat, format_rat, rat, separate
+from .exact import Rat, format_rat, rat
 from .stepfn import AbsIntegral, Partition, StepFunction
 
 
@@ -206,34 +206,8 @@ def alternating_partition(target: Union[StepFunction, MaximalProfile], a, b, eps
         return Partition(tuple(chosen))
 
     profile = target
-    junctions = [
-        j
-        for j in profile.junctions()
-        if compare_with_rat(j, a) > 0 and compare_with_rat(j, b) < 0
-    ]
+    junctions = [j for j in profile.junctions() if a < j < b]
     tolerance = eps / (4 * (len(junctions) + 2))
-
-    # Refine until consecutive brackets (including the endpoints) are disjoint;
-    # nesting keeps earlier separations valid while later ones are enforced.
-    chain = [AlgebraicValue.from_rat(a), *junctions, AlgebraicValue.from_rat(b)]
-    for i in range(len(chain) - 1):
-        chain[i], chain[i + 1] = separate(chain[i], chain[i + 1])
-    junctions = chain[1:-1]
-
-    proxies: List[Rat] = []
-    for j in junctions:
-        proxy = j.hi
-        while True:
-            piece = profile.piece_containing(proxy)
-            try:
-                drift = abs(piece.value_at(j.hi) - piece.value_at(j.lo))
-            except ZeroDivisionError:
-                drift = None
-            if drift is not None and drift <= tolerance:
-                break
-            j = j.refine_below(j.width / 4)
-            proxy = j.hi
-        proxies.append(proxy)
 
     def edge_offset(base: Rat, inward: int, barrier: Rat) -> Rat:
         eta = (b - a) / 8
@@ -245,9 +219,9 @@ def alternating_partition(target: Union[StepFunction, MaximalProfile], a, b, eps
             eta /= 2
         return base + inward * eta
 
-    start = edge_offset(a, +1, proxies[0] if proxies else b)
-    end = edge_offset(b, -1, proxies[-1] if proxies else start)
-    points = [start, *proxies, end]
+    start = edge_offset(a, +1, junctions[0] if junctions else b)
+    end = edge_offset(b, -1, junctions[-1] if junctions else start)
+    points = [start, *junctions, end]
     values = [profile.value(p) for p in points]
     chosen = _alternating_subsequence(points, values)
     if len(chosen) < 2:
@@ -651,13 +625,9 @@ def _check_local_variation_bound(f, ctx):
 
 def _overlap_interior(piece, lo, hi):
     """Does (piece.lo, piece.hi) meet (lo, hi) in a set with interior?"""
-    left = piece.lo if lo is None else (lo if piece.lo is None else
-                                        (piece.lo if compare(piece.lo, lo) >= 0 else lo))
-    right = piece.hi if hi is None else (hi if piece.hi is None else
-                                         (piece.hi if compare(piece.hi, hi) <= 0 else hi))
-    if left is None or right is None:
-        return True
-    return compare(left, right) < 0
+    lows = [v for v in (piece.lo, lo) if v is not None]
+    highs = [v for v in (piece.hi, hi) if v is not None]
+    return not lows or not highs or max(lows) < min(highs)
 
 
 def _check_flat_on_touch(f, ctx):

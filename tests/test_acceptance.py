@@ -15,7 +15,6 @@ from maxbv.envelope import (
     profile_derivative,
     variation_of_profile,
 )
-from maxbv.exact import compare
 from maxbv.maximal import maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import (
     StepFunction,
@@ -235,12 +234,12 @@ def test_c08_derivative_formula_and_flatness():
                     flatness_violations += 1
                     continue
                 left = piece.lo if lo is None else (
-                    lo if piece.lo is None else (piece.lo if compare(piece.lo, lo) >= 0 else lo)
+                    lo if piece.lo is None else max(piece.lo, lo)
                 )
                 right = piece.hi if hi is None else (
-                    hi if piece.hi is None else (piece.hi if compare(piece.hi, hi) <= 0 else hi)
+                    hi if piece.hi is None else min(piece.hi, hi)
                 )
-                if left is None or right is None or compare(left, right) < 0:
+                if left is None or right is None or left < right:
                     flatness_violations += 1
     ok = formula_violations == 0 and flatness_violations == 0 and checked >= 2000
     report(8, "derivative formula exact on detachment set; flat elsewhere", ok,

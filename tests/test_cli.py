@@ -166,3 +166,69 @@ def test_round_trip_through_cli_formats(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text(serialize(f), encoding="utf-8")
     assert load(str(path)) == f
+
+
+def _experiment(tmp_path, text):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text, encoding="utf-8")
+    return main(["experiment", "--config", str(config)])
+
+
+def _assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["seed", "pairs", "tail_count"])
+def test_experiment_rejects_non_integer_keys(tmp_path, capsys, key):
+    assert _experiment(tmp_path, f"{key}=abc\nscales=1,1/2\n") == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("scales", ["1,1", "1/2,1", "1,0", "-1"])
+def test_experiment_rejects_bad_scales(tmp_path, capsys, scales):
+    assert _experiment(tmp_path, f"scales={scales}\n") == 2
+    _assert_one_line_error(capsys)
+
+
+def test_experiment_rejects_zero_pairs(tmp_path, capsys):
+    assert _experiment(tmp_path, "pairs=0\nscales=1,1/2\n") == 2
+    _assert_one_line_error(capsys)
+
+
+def test_experiment_rejects_zero_tail_count(tmp_path, capsys):
+    assert _experiment(tmp_path, "tail_count=0\nscales=1,1/2\n") == 2
+    _assert_one_line_error(capsys)
+
+
+def test_experiment_default_perturbation_norm_is_one_eighth(tmp_path, capsys):
+    keys = "seed=3\npairs=2\nscales=1,1/2,1/4\nthreshold=1/4\nvariation_gap=1/4\ntail_count=2\n"
+    implicit = _experiment(tmp_path, keys)
+    implicit_out = capsys.readouterr().out
+    explicit = _experiment(tmp_path, keys + "perturbation_norm=1/8\n")
+    assert implicit == explicit
+    assert implicit_out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["var", "check"])
+def test_zero_precision_is_bad_input(chi_file, capsys, command):
+    args = [command, "--precision", "0"]
+    if command == "var":
+        args += ["--file", chi_file, "--maximal"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "precision must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_decimal_needs_a_positive_digit_count(chi_file, capsys, digits):
+    assert main(["eval", "--file", chi_file, "--x", "2", "--decimal", digits]) == 2
+    assert "--decimal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["profile", "e-set", "check", "counterexample"])
+def test_decimal_only_on_eval_and_var(chi_file, capsys, command):
+    args = {"check": ["--seeds", "1"], "counterexample": ["--n", "3"]}.get(command, ["--file", chi_file])
+    assert main([command, *args, "--decimal", "3"]) == 2
+    assert "unrecognized arguments: --decimal 3" in capsys.readouterr().err

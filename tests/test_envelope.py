@@ -11,18 +11,9 @@ from maxbv.envelope import (
     variation_of_difference,
     variation_of_profile,
 )
-from maxbv.exact import compare
 from maxbv.maximal import maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import StepFunction, adjusted_modulus, combine, modulus, variation_on
 from conftest import rand_stepfn
-
-
-def _max(a, b):
-    return a if compare(a, b) >= 0 else b
-
-
-def _min(a, b):
-    return a if compare(a, b) <= 0 else b
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -45,7 +36,7 @@ def test_profile_of_indicator_has_three_pieces():
     assert middle.is_constant and middle.value_at(Fraction(1, 2)) == 1
     assert right.value_at(2) == Fraction(1, 2)
     assert coeffs(right) == (1, 0, 0, 1) or right.value_at(4) == Fraction(1, 4)
-    assert middle.lo.rational_value == 0 and middle.hi.rational_value == 1
+    assert middle.lo == 0 and middle.hi == 1
 
 
 def test_profile_of_constant():
@@ -89,10 +80,10 @@ def test_detachment_regions_indicator():
     regions, touch = detachment_regions(f, build_profile(f))
     assert len(regions.intervals) == 2
     (l1, h1), (l2, h2) = regions.intervals
-    assert l1 is None and h1.rational_value == 0
-    assert l2.rational_value == 1 and h2 is None
-    assert touch.intervals[0][0].rational_value == 0
-    assert touch.intervals[0][1].rational_value == 1
+    assert l1 is None and h1 == 0
+    assert l2 == 1 and h2 is None
+    assert touch.intervals[0][0] == 0
+    assert touch.intervals[0][1] == 1
     assert touch.contains(Fraction(1, 2)) and not regions.contains(Fraction(1, 2))
     assert regions.contains(-5) and not touch.contains(-5)
 
@@ -106,7 +97,7 @@ def test_detachment_regions_constant_and_two_bump():
     regions, _ = detachment_regions(TWO_BUMP, build_profile(TWO_BUMP))
     assert len(regions.intervals) == 3
     middle = regions.intervals[1]
-    assert middle[0].rational_value == 1 and middle[1].rational_value == 2
+    assert middle[0] == 1 and middle[1] == 2
 
 
 def test_profile_derivative_examples():
@@ -222,12 +213,12 @@ def test_flat_on_touch_set():
                 continue
             for lo, hi in touch.intervals:
                 # overlap of (piece.lo, piece.hi) with [lo, hi] must have no interior
-                left = piece.lo if lo is None else (lo if piece.lo is None else _max(piece.lo, lo))
-                right = piece.hi if hi is None else (hi if piece.hi is None else _min(piece.hi, hi))
+                left = piece.lo if lo is None else (lo if piece.lo is None else max(piece.lo, lo))
+                right = piece.hi if hi is None else (hi if piece.hi is None else min(piece.hi, hi))
                 if left is None or right is None:
                     assert not (left is None and right is None)
                     continue
-                assert compare(left, right) >= 0
+                assert left >= right
 
 
 def test_no_interior_local_maximum_in_detachment_set():
@@ -239,9 +230,9 @@ def test_no_interior_local_maximum_in_detachment_set():
         for lo, hi in regions.intervals:
             directions = []
             for piece in profile.pieces:
-                left = piece.lo if lo is None else (lo if piece.lo is None else _max(piece.lo, lo))
-                right = piece.hi if hi is None else (hi if piece.hi is None else _min(piece.hi, hi))
-                if left is not None and right is not None and compare(left, right) >= 0:
+                left = piece.lo if lo is None else (lo if piece.lo is None else max(piece.lo, lo))
+                right = piece.hi if hi is None else (hi if piece.hi is None else min(piece.hi, hi))
+                if left is not None and right is not None and left >= right:
                     continue
                 directions.append(piece.direction)
             trimmed = [d for d in directions if d != 0]
@@ -289,7 +280,7 @@ def test_profile_junctions_are_rational():
     rng = random.Random(101)
     for _ in range(50):
         profile = build_profile(rand_stepfn(rng))
-        assert all(j.is_rational for j in profile.junctions())
+        assert all(isinstance(j, Fraction) for j in profile.junctions())
 
 
 def test_bv_distance_examples():

@@ -13,7 +13,6 @@ from maxbv.exact import (
     decimal_str,
     format_rat,
     isolate_quadratic_roots,
-    moebius_of_algebraic,
     parse_rat,
     poly_eval,
     rat,
@@ -148,15 +147,3 @@ def test_rational_between():
     mid = rational_between(sqrt2, sqrt3)
     assert compare_with_rat(sqrt2, mid) == LT
     assert compare_with_rat(sqrt3, mid) == GT
-
-
-def test_moebius_image_rational_and_surd():
-    assert moebius_of_algebraic(1, 2, 1, 0, AlgebraicValue.from_rat(3)).rational_value == 7
-    sqrt2 = isolate_quadratic_roots((1, 0, -2))[1]
-    # x -> 1/x maps sqrt(2) to sqrt(2)/2, a root of 2y^2 - 1.
-    image = moebius_of_algebraic(1, 0, 0, 1, sqrt2)
-    expected = isolate_quadratic_roots((2, 0, -1))[1]
-    assert compare(image, expected) == EQ
-    # Constant maps collapse exactly.
-    const = moebius_of_algebraic(2, 4, 1, 2, sqrt2)
-    assert const.rational_value == 2
