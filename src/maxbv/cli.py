@@ -9,6 +9,7 @@ Exit codes: 0 pass, 1 a check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -256,7 +257,11 @@ def cmd_counterexample(args) -> int:
     return PASS if report.passed else CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and rebuilding it on every in-process ``main`` call would
+    cost about as much as a whole ``eval`` query (about 1 ms each)."""
     parser = argparse.ArgumentParser(
         prog="maxbv",
         description="Exact maximal-function computations on rational step functions.",

@@ -3,12 +3,25 @@
 Between consecutive breakpoints of f, the maximal function is the upper
 envelope of finitely many candidate functions of the query point x: averages
 of |f| anchored at a breakpoint on one side with x as the other endpoint
-(Moebius functions of x), plus constants (averages over fixed spanning
-intervals, the two tail limits, and the local value).  On a segment where
-|f| = l, every anchored candidate normalizes to (alpha + l*x)/(gamma + x) and
-every constant to (c + 0*x)/(1 + 0*x), so the x^2 terms of any crossing
-equation cancel: crossings solve linear equations and every junction, piece
-endpoint and endpoint value is a plain rational.
+(Moebius functions of x), plus one constant, the largest of the local value
+and the two tail limits.  Intervals spanning the whole segment are averages
+of two anchored ones, so they never win by value; they only name the
+constant's provenance (``const(a,b)``) where it wins a piece.  On a segment
+where |f| = l, every anchored candidate normalizes to (alpha + l*x)/(gamma + x)
+and the constant to (c + 0*x)/(1 + 0*x), so the x^2 terms of any crossing
+equation cancel: two distinct candidates meet at most once, crossings solve
+linear equations, and every junction, piece endpoint and endpoint value is a
+plain rational.
+
+With F the antiderivative of |f|, an anchored average is the slope from
+(a, F(a)) to (x, F(x)), so only vertices of the lower convex hull of the
+points left of the segment (upper hull for those to the right) can carry a
+piece; one Andrew monotone-chain pass in each direction yields every
+segment's hull.  The envelope is then a left-to-right walk: from the current
+winner, the next piece starts at the earliest crossing where another
+candidate overtakes it.  The candidate-set maximum of ``maximal.candidate_set``
+stays the oracle the tests compare profiles with, and every build checks
+itself against the pointwise engine at each breakpoint.
 
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed piece domain, every piece is monotone, and the variation
@@ -59,16 +72,6 @@ class Provenance:
             a, b = self.interval
             return f"const({format_rat(a)},{format_rat(b)})"
         return f"const:{self.source}"
-
-
-def _normalize(alpha, beta, gamma, delta) -> Tuple[Rat, Rat, Rat, Rat]:
-    alpha, beta, gamma, delta = (Fraction(v) for v in (alpha, beta, gamma, delta))
-    if beta * gamma - alpha * delta == 0:
-        constant = beta / delta if delta else alpha / gamma
-        return (constant, Fraction(0), Fraction(1), Fraction(0))
-    if delta:
-        return (alpha / delta, beta / delta, gamma / delta, Fraction(1))
-    return (alpha / gamma, beta / gamma, Fraction(1), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,10 @@ class VariationEnclosure:
         return f"{format_rat(self.lo)}..{format_rat(self.hi)}"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class _Candidate:
     alpha: Rat
@@ -255,14 +262,24 @@ def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     return (lo + hi) / 2
 
 
-def _cross_quadratic(c1: _Candidate, c2: _Candidate):
+def _crossing(c1: _Candidate, c2: _Candidate) -> Optional[Rat]:
+    """The one point where two distinct candidates of a segment meet, if any.
+
+    Every candidate has beta = l*delta (l = |f| on the segment), so the x^2
+    coefficient of the crossing equation cancels and it is linear.
+    """
     a1, b1, g1, d1 = c1.coefficients
     a2, b2, g2, d2 = c2.coefficients
-    return (
-        b1 * d2 - b2 * d1,
-        a1 * d2 + b1 * g2 - a2 * d1 - b2 * g1,
-        a1 * g2 - a2 * g1,
-    )
+    if b1 * d2 - b2 * d1:
+        raise AssertionError("envelope crossing is not linear")
+    slope = a1 * d2 + b1 * g2 - a2 * d1 - b2 * g1
+    if not slope:
+        return None
+    return (a2 * g1 - a1 * g2) / slope
+
+
+def _inside(x: Rat, u: Optional[Rat], v: Optional[Rat]) -> bool:
+    return (u is None or u < x) and (v is None or x < v)
 
 
 def _upper_envelope(
@@ -270,45 +287,107 @@ def _upper_envelope(
 ) -> List[Tuple[Optional[Rat], Optional[Rat], _Candidate]]:
     """Envelope of distinct candidates over the open segment (u, v).
 
-    All pairwise crossings inside the segment partition it into cells on
-    which the candidate order is fixed; the winner of each cell is read off
-    at an interior rational sample, which cannot tie (a tie would be a
-    crossing, and those are cell boundaries).  Every candidate has
-    beta = l*delta (l = |f| on the segment), so the x^2 coefficient of each
-    crossing equation cancels and every crossing is rational.
+    Two distinct candidates meet at most once (their crossing equation is
+    linear), and their difference changes sign there, because no candidate
+    has a pole on the closed segment.  So the walk starts from the candidate
+    that is largest just right of u, and each next piece starts at the
+    earliest crossing where another candidate overtakes the current winner;
+    of several candidates overtaking at the same point, the one that is
+    larger just to its right wins (they all meet there, so their order is
+    fixed up to v).  Candidates tied at a finite u likewise keep one order
+    on all of (u, v).
     """
-    if len(candidates) == 1:
-        return [(u, v, candidates[0])]
-    splits = set()
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            quad = _cross_quadratic(candidates[i], candidates[j])
-            if not any(quad):
-                continue
-            if quad[0]:
-                raise AssertionError("envelope crossing is not linear")
-            for root in isolate_quadratic_roots(quad):
-                x = root.rational_value
-                if (u is None or u < x) and (v is None or x < v):
-                    splits.add(x)
-    bounds: List[Optional[Rat]] = [u, *sorted(splits), v]
+    if u is None:
+        winner = candidates[0]
+        for cand in candidates[1:]:
+            x = _crossing(cand, winner)
+            sample = (x if x is not None and x < v else v) - 1
+            if cand.value_at(sample) > winner.value_at(sample):
+                winner = cand
+    else:
+        at_u = [cand.value_at(u) for cand in candidates]
+        top = max(at_u)
+        sample = _midpoint(u, v)
+        tied = [cand for cand, value in zip(candidates, at_u) if value == top]
+        winner = max(tied, key=lambda c: c.value_at(sample))
+    # A candidate that does not cross the winner after the current start
+    # stays below it, and so below the envelope, up to v: it is dropped.
+    alive = [cand for cand in candidates if cand is not winner]
     cells = []
-    for idx in range(len(bounds) - 1):
-        s, t = bounds[idx], bounds[idx + 1]
-        x = _midpoint(s, t)
-        values = [(c.value_at(x), pos) for pos, c in enumerate(candidates)]
-        best = max(val for val, _ in values)
-        winners = [pos for val, pos in values if val == best]
-        if len(winners) != 1:
-            raise AssertionError("envelope sample hit a tie; crossing enumeration incomplete")
-        cells.append([s, t, candidates[winners[0]]])
-    merged = [cells[0]]
-    for cell in cells[1:]:
-        if cell[2] is merged[-1][2]:
-            merged[-1][1] = cell[1]
-        else:
-            merged.append(cell)
-    return [(c[0], c[1], c[2]) for c in merged]
+    start = u
+    while True:
+        ahead = []
+        for cand in alive:
+            x = _crossing(winner, cand)
+            if x is not None and _inside(x, start, v):
+                ahead.append((x, cand))
+        if not ahead:
+            cells.append((start, v, winner))
+            return cells
+        nearest = min(x for x, _ in ahead)
+        cells.append((start, nearest, winner))
+        sample = _midpoint(nearest, v)
+        # The old winner and the rivals not chosen meet the new winner at
+        # `nearest` and stay below it from there on.
+        winner = max((cand for x, cand in ahead if x == nearest), key=lambda c: c.value_at(sample))
+        alive = [cand for x, cand in ahead if x != nearest]
+        start = nearest
+
+
+def _hull_links(points: Sequence[Tuple[Rat, Rat]]) -> List[int]:
+    """One Andrew monotone-chain pass over points taken in the given order.
+
+    Returns, for each point, the chain vertex it was pushed onto (-1 for
+    the first): the hull of points[0..i] is the chain i, links[i],
+    links[links[i]], ...  A chain turns strictly left at every vertex, so
+    collinear middle points drop out.  Points in increasing x give lower
+    hulls of prefixes; in decreasing x, upper hulls of suffixes.
+    """
+    links: List[int] = []
+    chain: List[int] = []
+    for i, (x, y) in enumerate(points):
+        while len(chain) >= 2:
+            ox, oy = points[chain[-2]]
+            ax, ay = points[chain[-1]]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        links.append(chain[-1] if chain else -1)
+        chain.append(i)
+    return links
+
+
+def _hull_from(links: List[int], i: int) -> List[int]:
+    """Chain vertices after the point i itself, nearest first."""
+    vertices = []
+    i = links[i]
+    while i >= 0:
+        vertices.append(i)
+        i = links[i]
+    return vertices
+
+
+def _constant_provenance(f: StepFunction, k: int, prefix: Sequence[Rat], value: Rat) -> Provenance:
+    """Tag of the constant `value` on segment k: the shortest, then leftmost,
+    interval between breakpoints that straddles the segment and averages
+    exactly `value`, else the first of the tails and the local value equal
+    to it."""
+    bps = f.breakpoints
+    first_right: Dict[Rat, Rat] = {}
+    for j in range(len(bps) - 1, k - 1, -1):
+        first_right[prefix[j] - value * bps[j]] = bps[j]
+    best: Optional[Tuple[Rat, Rat, Rat]] = None
+    for i in range(k):
+        b = first_right.get(prefix[i] - value * bps[i])
+        if b is not None and (best is None or (b - bps[i], bps[i]) < best[:2]):
+            best = (b - bps[i], bps[i], b)
+    if best is not None:
+        return Provenance("constant", source="interval", interval=best[1:])
+    consts = f.constants
+    for source, c in (("tail_left", consts[0]), ("tail_right", consts[-1]), ("local", consts[k])):
+        if abs(c) == value:
+            return Provenance("constant", source=source)
+    raise AssertionError("segment constant matches no candidate")
 
 
 def build_profile(f: StepFunction) -> MaximalProfile:
@@ -321,52 +400,43 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         )
         return MaximalProfile((piece,))
 
-    integ = AbsIntegral(f)
     bps = f.breakpoints
     n = f.n
+    prefix = AbsIntegral(f).prefix  # F at each breakpoint
     abs_consts = [abs(c) for c in f.constants]
+    points = list(zip(bps, prefix))
+    lower = _hull_links(points)
+    upper = _hull_links(points[::-1])
+    tails = max(abs_consts[0], abs_consts[-1])
 
     cells_in_order: List[Tuple[Optional[Rat], Optional[Rat], _Candidate]] = []
     for k in range(n + 1):
         u = bps[k - 1] if k >= 1 else None
         v = bps[k] if k <= n - 1 else None
         ell = abs_consts[k]
-        x_ref = bps[k - 1] if k >= 1 else bps[0]
-        f_ref = integ.at(x_ref)
-
-        # Constants: only the largest can appear on an upper envelope.
-        const_options = [
-            (abs_consts[0], (1, 0, 0), Provenance("constant", source="tail_left")),
-            (abs_consts[-1], (1, 1, 0), Provenance("constant", source="tail_right")),
-            (ell, (1, 2, 0), Provenance("constant", source="local")),
-        ]
-        for i in range(0, k):
-            for j in range(k, n):
-                value = integ.average(bps[i], bps[j])
-                prov = Provenance("constant", source="interval", interval=(bps[i], bps[j]))
-                const_options.append((value, (0, bps[j] - bps[i], bps[i]), prov))
-        best_value = max(option[0] for option in const_options)
-        best = min((o for o in const_options if o[0] == best_value), key=lambda o: o[1])
-        candidates = [_Candidate(*_normalize(best_value, 0, 1, 0), provenance=best[2])]
-
-        # Anchored families; anchors at the segment boundary degenerate to the
-        # local constant (already included) and are skipped.
-        for i in range(0, k - 1):
-            a = bps[i]
-            alpha = f_ref - ell * x_ref - integ.at(a)
-            coeffs = _normalize(alpha, ell, -a, 1)
-            if coeffs[1] == 0 and coeffs[3] == 0:
+        # F(x) = y0 + ell*x on the segment, so the average over the interval
+        # between x and an anchor q is (y0 - F(q) + ell*x)/(x - q).
+        ref = max(k - 1, 0)
+        y0 = prefix[ref] - ell * bps[ref]
+        constant = _Candidate(max(ell, tails), _ZERO, _ONE, _ZERO, None)
+        candidates = [constant]
+        left = [(i, "left") for i in _hull_from(lower, k - 1)] if k >= 1 else []
+        right = [(n - 1 - j, "right") for j in _hull_from(upper, n - 1 - k)] if k <= n - 1 else []
+        for i, side in left + right:
+            q = bps[i]
+            alpha = y0 - prefix[i]
+            # Anchors whose average with the segment is the local constant
+            # (the segment ends among them) are already covered.
+            if alpha + ell * q == 0:
                 continue
-            candidates.append(_Candidate(*coeffs, provenance=Provenance("left", anchor=a)))
-        for j in range(k + 1, n):
-            b = bps[j]
-            alpha = integ.at(b) - f_ref + ell * x_ref
-            coeffs = _normalize(alpha, -ell, b, -1)
-            if coeffs[1] == 0 and coeffs[3] == 0:
-                continue
-            candidates.append(_Candidate(*coeffs, provenance=Provenance("right", anchor=b)))
+            candidates.append(_Candidate(alpha, ell, -q, _ONE, Provenance(side, anchor=q)))
 
-        cells_in_order.extend(_upper_envelope(candidates, u, v))
+        for lo, hi, cand in _upper_envelope(candidates, u, v):
+            if cand is constant:
+                cand = _Candidate(
+                    *cand.coefficients, _constant_provenance(f, k, prefix, cand.alpha)
+                )
+            cells_in_order.append((lo, hi, cand))
 
     # Merge adjacent cells with identical coefficients (continuity across
     # breakpoints makes the shared function one piece).

@@ -136,7 +136,7 @@ class AlgebraicValue:
             if self.lo != self.hi:
                 raise ValueError("rational AlgebraicValue needs a width-zero bracket")
         else:
-            object.__setattr__(self, "poly", tuple(Fraction(c) for c in self.poly))
+            object.__setattr__(self, "poly", tuple([Fraction(c) for c in self.poly]))
             if not self.lo < self.hi:
                 raise ValueError("bracketed AlgebraicValue needs lo < hi")
             if sign(poly_eval(self.poly, self.lo)) * sign(poly_eval(self.poly, self.hi)) >= 0:

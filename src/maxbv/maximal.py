@@ -7,10 +7,17 @@ breakpoints.  The supremum over all finite intervals containing x is
 therefore attained on the finite grid whose endpoints are breakpoints or x
 itself, or approached in one of four limit regimes: the interval shrinking
 onto x from the left or right (yielding the one-sided limits of |f|), or an
-endpoint escaping to -oo / +oo (yielding the tail limits of |f|).  The
-evaluator below takes an exact maximum over that candidate set; the verify
-module stress-tests the claim against a randomized interval oracle, and the
-envelope module reuses the same families to build the global profile.
+endpoint escaping to -oo / +oo (yielding the tail limits of |f|).
+``candidate_set`` lists that whole family; it is the slow oracle that the
+tests and the verify module hold the fast evaluator to.
+
+Anchored intervals.  An interval (a, b) straddling x averages (a, x) and
+(x, b) with positive weights, so it never beats both halves, and ties only
+when both halves tie it.  ``maximal_value`` therefore scans just the finite
+intervals with one endpoint at x, plus the four limits: O(n) per query
+instead of O(n^2), with the same value, the same "finite, then shorter, then
+leftmost" witness (a best straddling interval always has a strictly shorter
+best half), and the same one-sided witness.
 
 Queries are rational only.  Between-breakpoint structure at irrational
 points is answered symbolically by the envelope module instead.
@@ -18,6 +25,7 @@ points is answered symbolically by the envelope module instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -107,21 +115,45 @@ def maximal_value(f: StepFunction, x) -> MaximalValue:
     Whenever the value strictly exceeds both the adjusted modulus at x and
     the limit at infinity, a finite witness with one endpoint at x attains
     the same value (splitting a straddling witness at x can only increase
-    one side); the preferred such witness is recorded separately.
+    one side); the preferred such witness is recorded separately.  Only the
+    anchored intervals are scanned, so that witness is the witness itself.
     """
     x = rat(x)
-    candidates = candidate_set(f, x)
-    best = max(c.value for c in candidates)
-    witness = min((c for c in candidates if c.value == best), key=WitnessInterval.sort_key)
+    bps = f.breakpoints
+    abs_consts = [abs(c) for c in f.constants]
+    finite = None  # (average, -length, -left end, left end, right end)
+    # Walk outward from x, accumulating the integral of |f| over (bp, x) and
+    # then over (x, bp); constant k lies between breakpoints k - 1 and k.
+    area, edge = 0, x
+    for k in range(bisect_left(bps, x) - 1, -1, -1):
+        area += abs_consts[k + 1] * (edge - bps[k])
+        edge = bps[k]
+        key = (area / (x - edge), edge - x, -edge, edge, x)
+        if finite is None or key > finite:
+            finite = key
+    area, edge = 0, x
+    for k in range(bisect_right(bps, x), len(bps)):
+        area += abs_consts[k] * (bps[k] - edge)
+        edge = bps[k]
+        key = (area / (edge - x), x - edge, -x, x, edge)
+        if finite is None or key > finite:
+            finite = key
+    shrink_left, shrink_right = abs(f.left_limit(x)), abs(f.right_limit(x))
+    limits = (
+        ("tail_left", abs_consts[0]),
+        ("tail_right", abs_consts[-1]),
+        ("shrink_left", shrink_left),
+        ("shrink_right", shrink_right),
+    )
+    best = max(value for _, value in limits)
+    if finite is not None and finite[0] >= best:
+        best = finite[0]
+        witness = WitnessInterval("finite", best, finite[3], finite[4])
+    else:
+        witness = WitnessInterval(next(kind for kind, value in limits if value == best), best)
     one_sided = None
-    adjusted_at_x = max(abs(f.left_limit(x)), abs(f.right_limit(x)))
-    if best > adjusted_at_x and best > maximal_limit_at_infinity(f):
-        sided = [
-            c
-            for c in candidates
-            if c.kind == "finite" and c.value == best and (c.a == x or c.b == x)
-        ]
-        if not sided:
+    if best > max(shrink_left, shrink_right) and best > maximal_limit_at_infinity(f):
+        if witness.kind != "finite":
             raise AssertionError("candidate family lost its one-sided witness")
-        one_sided = min(sided, key=WitnessInterval.sort_key)
+        one_sided = witness
     return MaximalValue(best, witness, one_sided)

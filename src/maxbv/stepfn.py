@@ -52,9 +52,13 @@ class StepFunction:
 
     def __post_init__(self):
         tail = rat(self.tail_left)
-        bps = tuple(rat(x) for x in self.breakpoints)
-        vals = tuple(rat(v) for v in self.point_values)
-        cons = tuple(rat(c) for c in self.right_constants)
+        # Tuples here and below are built from lists: tuple() of a generator
+        # resizes a tuple of guessed length, which moves it between CPython's
+        # per-size tuple free lists, and over many calls those fill up to
+        # megabytes of resident memory.
+        bps = tuple([rat(x) for x in self.breakpoints])
+        vals = tuple([rat(v) for v in self.point_values])
+        cons = tuple([rat(c) for c in self.right_constants])
         if not (len(bps) == len(vals) == len(cons)):
             raise ValueError("breakpoints, point_values and right_constants must align")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
@@ -133,8 +137,8 @@ def combine(f: StepFunction, g: StepFunction, alpha=1, beta=1) -> StepFunction:
     """Pointwise alpha*f + beta*g on the merged breakpoints, canonicalized."""
     alpha, beta = rat(alpha), rat(beta)
     merged = sorted(set(f.breakpoints) | set(g.breakpoints))
-    values = tuple(alpha * f.value(x) + beta * g.value(x) for x in merged)
-    constants = tuple(alpha * f.right_limit(x) + beta * g.right_limit(x) for x in merged)
+    values = tuple([alpha * f.value(x) + beta * g.value(x) for x in merged])
+    constants = tuple([alpha * f.right_limit(x) + beta * g.right_limit(x) for x in merged])
     return StepFunction(alpha * f.tail_left + beta * g.tail_left, tuple(merged), values, constants)
 
 
@@ -143,8 +147,8 @@ def modulus(f: StepFunction) -> StepFunction:
     return StepFunction(
         abs(f.tail_left),
         f.breakpoints,
-        tuple(abs(v) for v in f.point_values),
-        tuple(abs(c) for c in f.right_constants),
+        tuple([abs(v) for v in f.point_values]),
+        tuple([abs(c) for c in f.right_constants]),
     )
 
 
@@ -163,7 +167,7 @@ def adjusted_modulus(f: StepFunction) -> StepFunction:
         abs(f.tail_left),
         f.breakpoints,
         values,
-        tuple(abs(c) for c in f.right_constants),
+        tuple([abs(c) for c in f.right_constants]),
     )
 
 
@@ -197,7 +201,7 @@ class Partition:
     points: Tuple[Rat, ...]
 
     def __post_init__(self):
-        pts = tuple(rat(x) for x in self.points)
+        pts = tuple([rat(x) for x in self.points])
         if len(pts) < 2:
             raise ValueError("a partition needs at least two points")
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
@@ -215,7 +219,7 @@ class Partition:
 
 def variation_on_partition(f: StepFunction, partition) -> Rat:
     """Sum of |f(a_i) - f(a_{i-1})| over consecutive partition points."""
-    pts = partition.points if isinstance(partition, Partition) else tuple(rat(x) for x in partition)
+    pts = partition.points if isinstance(partition, Partition) else tuple([rat(x) for x in partition])
     return sum(
         (abs(f.value(pts[i]) - f.value(pts[i - 1])) for i in range(1, len(pts))),
         Fraction(0),
@@ -270,7 +274,7 @@ class AbsIntegral:
 
     def __init__(self, f: StepFunction):
         self.breakpoints = f.breakpoints
-        self.abs_constants = tuple(abs(c) for c in f.constants)
+        self.abs_constants = tuple([abs(c) for c in f.constants])
         prefix = [Fraction(0)]
         for k in range(len(self.breakpoints) - 1):
             width = self.breakpoints[k + 1] - self.breakpoints[k]

@@ -107,6 +107,18 @@ def test_check_seed_range(tmp_path):
     assert code == 0 and "# verdict\tPASS" in out
 
 
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        "300042:300044",  # finite_difference: x = 38/7 lies 43/3052 < 2^-6 left of the junction 2373/436
+        "100095:100097",  # local_variation_bound: the window (-15/4, 23/4) ends on a breakpoint
+    ],
+)
+def test_check_has_no_false_fail_near_junctions_and_breakpoints(seeds, capsys):
+    assert main(["check", "--seeds", seeds]) == 0
+    assert capsys.readouterr().out.endswith("# verdict\tPASS\n")
+
+
 def test_experiment_fixed_file_mode(tmp_path, capsys):
     fpath = tmp_path / "f.txt"
     gpath = tmp_path / "g.txt"
