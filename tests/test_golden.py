@@ -3,8 +3,11 @@
 A fixed list of command lines runs in-process on seeded inputs (random
 step functions with up to 9 breakpoints, so profile junctions fall away
 from breakpoints too).  Their full text, the serialized inputs included, is
-compared byte for byte with ``tests/golden/cli.txt``.  Refresh the file only
-when an output change is intended:
+compared byte for byte with ``tests/golden/cli.txt``.  A second list runs
+``experiment`` on fixed pairs whose BV distances have irrational critical
+points, so their ``lo..hi`` enclosures hold the certified-variation path
+byte for byte; it is compared with ``tests/golden/distances.txt``.  Refresh
+the files only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -21,6 +24,13 @@ from maxbv.stepfn import serialize
 from maxbv.verify import random_stepfn
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+DISTANCES = Path(__file__).parent / "golden" / "distances.txt"
+
+# Seeds of random_stepfn(seed, n_max=9) paired with random_stepfn(seed + 1000,
+# n_max=9): 3 (seed 10, a FAIL verdict) and 4 (seed 30) of the six distances
+# per run are non-degenerate enclosures.
+DISTANCE_SEEDS = (10, 30)
+DISTANCE_PRECISIONS = ("1/1000000000", "1/1000000000000000")
 
 # Seeds of random_stepfn(seed, n_max=9) whose profiles have several pieces,
 # most of them with junctions strictly between breakpoints; 69 is constant.
@@ -84,17 +94,47 @@ def transcript(workdir: Path) -> str:
     return "".join(blocks)
 
 
-def _fresh_transcript() -> str:
+def distance_transcript(workdir: Path) -> str:
+    blocks = []
+    labels = {}
+    for seed in DISTANCE_SEEDS:
+        paths = []
+        for name, offset in ((f"f{seed}", 0), (f"g{seed}", 1000)):
+            f = random_stepfn(seed + offset, n_max=9)
+            path = workdir / f"{name}.txt"
+            path.write_text(serialize(f), encoding="utf-8")
+            labels[str(path)] = name
+            paths.append(path)
+            blocks.append(f"# input {name}\n{serialize(f)}")
+        for precision in DISTANCE_PRECISIONS:
+            config = workdir / f"distance-{seed}-{len(precision)}.cfg"
+            config.write_text(
+                f"file={paths[0]}\nperturbation={paths[1]}\n"
+                "scales=1,1/2,1/4,1/8,1/16,1/32\n"
+                f"precision={precision}\nthreshold=1/2\nvariation_gap=1/2\ntail_count=3\n",
+                encoding="utf-8",
+            )
+            labels[str(config)] = f"f{seed}+g{seed}@{precision}"
+            blocks.append(_run(("experiment", "--config", str(config)), labels)[0])
+    return "".join(blocks)
+
+
+def _fresh(make) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        return transcript(Path(tmp))
+        return make(Path(tmp))
 
 
 def test_cli_outputs_match_golden():
-    assert _fresh_transcript() == GOLDEN.read_text(encoding="utf-8")
+    assert _fresh(transcript) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_irrational_distances_match_golden():
+    assert _fresh(distance_transcript) == DISTANCES.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(_fresh_transcript(), encoding="utf-8")
+    GOLDEN.write_text(_fresh(transcript), encoding="utf-8")
+    DISTANCES.write_text(_fresh(distance_transcript), encoding="utf-8")
