@@ -1,6 +1,6 @@
 """Exact analysis of the uncentered maximal operator on rational step functions."""
 
-from .exact import AlgebraicValue, Rat, compare, format_rat, isolate_quadratic_roots, parse_rat, rat
+from .exact import AlgebraicValue, Rat, format_rat, isolate_quadratic_roots, parse_rat, rat
 from .stepfn import (
     NEG_INF,
     POS_INF,

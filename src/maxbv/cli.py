@@ -76,15 +76,20 @@ def _option(parse, *extra):
 def _load(path: str) -> StepFunction:
     try:
         return sf.load(path)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     except StepFunctionParseError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"{out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -178,8 +183,10 @@ def cmd_check(args) -> int:
 def _read_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     config = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

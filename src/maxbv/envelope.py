@@ -39,17 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import (
-    AlgebraicValue,
-    Rat,
-    compare_with_rat,
-    format_rat,
-    isolate_quadratic_roots,
-    rat,
-    rational_between,
-    sign,
-    sort_values,
-)
+from .exact import AlgebraicValue, Rat, format_rat, isolate_quadratic_roots, rat, sign
 from .maximal import maximal_limit_at_infinity, maximal_value
 from .stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, _endpoint
 
@@ -219,9 +209,6 @@ class VariationEnclosure:
     @property
     def midpoint(self) -> Rat:
         return (self.lo + self.hi) / 2
-
-    def intersects(self, other: "VariationEnclosure") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
 
     def gap_to(self, other: "VariationEnclosure") -> Rat:
         """Distance between the two intervals (zero when they intersect)."""
@@ -619,11 +606,19 @@ def _difference_critical_quadratic(p1: MoebiusPiece, p2: MoebiusPiece):
     )
 
 
-def _sample_between(lo: Optional[AlgebraicValue], hi: Optional[AlgebraicValue]) -> Rat:
-    """A rational strictly between two stretch ends (None means infinite)."""
-    if lo is None or hi is None:
-        return _midpoint(None if lo is None else lo.hi, None if hi is None else hi.lo)
-    return rational_between(lo, hi)
+def _root_inside(root: AlgebraicValue, s: Optional[Rat], t: Optional[Rat]) -> Optional[AlgebraicValue]:
+    """A copy of root whose bracket lies inside (s, t), or None if root is outside.
+
+    An irrational root equals neither end, so narrowing its bracket settles
+    both comparisons; the original object is left as it is.
+    """
+    near = root
+    while True:
+        if (s is not None and near.hi <= s) or (t is not None and near.lo >= t):
+            return None
+        if _inside(near.lo, s, t) and _inside(near.hi, s, t):
+            return near
+        near = near.refine_below(near.width / 2**8)
 
 
 def _difference_enclosure(
@@ -664,41 +659,43 @@ def variation_of_difference(
 ) -> VariationEnclosure:
     """Certified total variation of (p1 - p2) over the whole line.
 
-    The piece grids are merged; on each common cell the difference of two
-    Moebius functions has a derivative whose zeros solve a quadratic, so the
-    cell splits into monotone stretches whose endpoint differences telescope.
+    The piece grids are merged.  On a common cell (s, t) the derivative of
+    m1 - m2 has the sign of the critical quadratic
+    q = det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2.  Neither
+    piece has its pole on the closed cell, so the ratio
+    r = (gamma1 + delta1*x)/(gamma2 + delta2*x) keeps one sign there and is
+    monotone; q vanishes exactly where r**2 = det1/det2, and r meets the one
+    square root of that ratio with its own sign at most once (a constant r
+    makes q vanish everywhere or nowhere on the cell).  Hence q has at most
+    one root on the closed cell and changes sign there: the cell splits into
+    at most two monotone stretches, whose endpoint differences telescope.
     """
     precision = rat(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
 
     walk: List[Optional[Rat]] = [None, *sorted({*p1.junctions(), *p2.junctions()}), None]
-    cells = []
+    monotone: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], MoebiusPiece, MoebiusPiece, int]] = []
     for s, t in zip(walk, walk[1:]):
         x = _midpoint(s, t)
-        cells.append((s, t, p1.piece_containing(x), p2.piece_containing(x)))
-
-    monotone: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], MoebiusPiece, MoebiusPiece, int]] = []
-    for s, t, m1, m2 in cells:
+        m1, m2 = p1.piece_containing(x), p2.piece_containing(x)
+        start, end = (None if e is None else AlgebraicValue.from_rat(e) for e in (s, t))
+        stretches = [(start, end, x)]
         quad = _difference_critical_quadratic(m1, m2)
-        splits: List[AlgebraicValue] = []
         if any(quad):
             for root in isolate_quadratic_roots(quad):
-                if s is not None and compare_with_rat(root, s) <= 0:
+                near = _root_inside(root, s, t)
+                if near is None:
                     continue
-                if t is not None and compare_with_rat(root, t) >= 0:
-                    continue
-                splits.append(root)
-            splits = sort_values(splits)
-        ends = [None if e is None else AlgebraicValue.from_rat(e) for e in (s, t)]
-        subwalk: List[Optional[AlgebraicValue]] = [ends[0], *splits, ends[1]]
-        for idx in range(len(subwalk) - 1):
-            u, w = subwalk[idx], subwalk[idx + 1]
-            x = _sample_between(u, w)
-            trend = sign(m1.derivative_at(x) - m2.derivative_at(x))
-            if trend == 0:
-                continue
-            monotone.append((u, w, m1, m2, trend))
+                if len(stretches) > 1:
+                    raise AssertionError("two critical points of a profile difference in one cell")
+                # Split at the original root: _difference_enclosure keys its
+                # cache on that object and narrows it from its first bracket.
+                stretches = [(start, root, _midpoint(s, near.lo)), (root, end, _midpoint(near.hi, t))]
+        for u, w, sample in stretches:
+            trend = sign(m1.derivative_at(sample) - m2.derivative_at(sample))
+            if trend:
+                monotone.append((u, w, m1, m2, trend))
 
     cache: Dict[int, AlgebraicValue] = {}
     width = Fraction(1, 2**40)

@@ -4,9 +4,11 @@ Rationals are ``fractions.Fraction``: canonical form (positive denominator,
 reduced), exact total arithmetic, arbitrary-precision integers.
 ``AlgebraicValue`` adds the real roots of quadratics with rational
 coefficients, carried as a defining polynomial plus a rational bracket that
-can be narrowed on demand.  Comparison is decided exactly: brackets are
-refined until they separate, and equality is settled through a shared-root
-test on the defining polynomials, never by bracket width alone.
+can be narrowed on demand.  The only such roots the package meets are the
+critical points of a difference of two profiles, and all it ever compares
+them with are rationals: ``compare_with_rat`` narrows the bracket until it
+excludes the rational, and settles equality by evaluating the defining
+polynomial, never by bracket width alone.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 Rat = Fraction
 
@@ -73,48 +74,6 @@ def poly_eval(poly: Poly, x) -> Rat:
     return (a * x + b) * x + c
 
 
-def poly_degree(poly: Poly) -> int:
-    a, b, c = poly
-    if a:
-        return 2
-    if b:
-        return 1
-    if c:
-        return 0
-    return -1
-
-
-def _desc_coeffs(poly: Poly) -> List[Rat]:
-    coeffs = [Fraction(v) for v in poly]
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-    return coeffs
-
-
-def _poly_rem(num: List[Rat], den: List[Rat]) -> List[Rat]:
-    num = list(num)
-    while len(num) >= len(den) and num:
-        factor = num[0] / den[0]
-        for i, d in enumerate(den):
-            num[i] -= factor * d
-        num.pop(0)
-        while num and not num[0]:
-            num.pop(0)
-    return num
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of two quadratics over the rationals (zero poly if both zero)."""
-    a, b = _desc_coeffs(p), _desc_coeffs(q)
-    while b:
-        a, b = b, _poly_rem(a, b)
-    if not a:
-        return (Fraction(0), Fraction(0), Fraction(0))
-    a = [c / a[0] for c in a]
-    padded = [Fraction(0)] * (3 - len(a)) + a
-    return (padded[0], padded[1], padded[2])
-
-
 @dataclass(frozen=True)
 class AlgebraicValue:
     """A real number with a rational bracket [lo, hi].
@@ -160,14 +119,6 @@ class AlgebraicValue:
     @property
     def width(self) -> Rat:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
-
-    def approx(self) -> float:
-        """Float estimate for display and sanity checks only."""
-        return float(self.midpoint)
 
     def refine(self, k: int) -> "AlgebraicValue":
         """Return the same value with bracket width at most 2**-k."""
@@ -231,83 +182,19 @@ def isolate_quadratic_roots(poly: Poly) -> List[AlgebraicValue]:
     return [low_root, high_root]
 
 
-def _is_root(poly: Poly, x: Rat) -> bool:
-    return poly_eval(poly, x) == 0
-
-
-def _same_value(a: AlgebraicValue, b: AlgebraicValue) -> bool:
-    if a.is_rational and b.is_rational:
-        return a.lo == b.lo
-    if a.is_rational:
-        return b.lo <= a.lo <= b.hi and _is_root(b.poly, a.lo)
-    if b.is_rational:
-        return a.lo <= b.lo <= a.hi and _is_root(a.poly, b.lo)
-    common = poly_gcd(a.poly, b.poly)
-    if poly_degree(common) <= 0:
-        return False
-    for root in isolate_quadratic_roots(common):
-        if _contains(a, root) and _contains(b, root):
-            return True
-    return False
-
-
-def _contains(value: AlgebraicValue, candidate: AlgebraicValue) -> bool:
-    return (
-        compare(candidate, AlgebraicValue.from_rat(value.lo)) >= 0
-        and compare(candidate, AlgebraicValue.from_rat(value.hi)) <= 0
-    )
-
-
-def compare(a: AlgebraicValue, b: AlgebraicValue) -> int:
-    """Exact three-way comparison of represented real numbers."""
-    if a.is_rational and b.is_rational:
-        return sign(a.lo - b.lo)
-    if a.hi < b.lo:
-        return LT
-    if b.hi < a.lo:
-        return GT
-    if _same_value(a, b):
-        return EQ
-    k = 8
-    while True:
-        a = a.refine(k)
-        b = b.refine(k)
-        if a.hi < b.lo:
-            return LT
-        if b.hi < a.lo:
-            return GT
-        if a.is_rational and b.is_rational:
-            return sign(a.lo - b.lo)
-        k += 8
-
-
 def compare_with_rat(a: AlgebraicValue, q) -> int:
-    return compare(a, AlgebraicValue.from_rat(q))
+    """Exact three-way comparison of a represented real number with a rational.
 
-
-def sort_values(values: Iterable[AlgebraicValue]) -> List[AlgebraicValue]:
-    """Sort and deduplicate AlgebraicValues by represented number."""
-    ordered = sorted(values, key=cmp_to_key(compare))
-    out: List[AlgebraicValue] = []
-    for v in ordered:
-        if not out or compare(out[-1], v) != EQ:
-            out.append(v)
-    return out
-
-
-def separate(a: AlgebraicValue, b: AlgebraicValue) -> Tuple[AlgebraicValue, AlgebraicValue]:
-    """Refine two values known to satisfy a < b until their brackets split."""
-    k = 8
-    while not a.hi < b.lo:
-        a = a.refine(k)
-        b = b.refine(k)
-        k += 8
-        if k > 8 * 300:
-            raise ArithmeticError("separate() failed to split brackets; values may be equal")
-    return a, b
-
-
-def rational_between(a: AlgebraicValue, b: AlgebraicValue) -> Rat:
-    """An exact rational strictly between two values with a < b."""
-    a, b = separate(a, b)
-    return (a.hi + b.lo) / 2
+    The bracket is narrowed until it excludes q.  Inside the bracket, q can
+    only equal the one root it holds, so q is equal exactly when it is a root
+    of the defining polynomial.
+    """
+    q = Fraction(q)
+    while True:
+        if a.hi < q:
+            return LT
+        if q < a.lo:
+            return GT
+        if a.is_rational or poly_eval(a.poly, q) == 0:
+            return EQ
+        a = a.refine_below(a.width / 2**8)

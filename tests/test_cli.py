@@ -51,6 +51,25 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--file", "{chi}", "--out", "{tmp}/missing/dir/x"],
+        ["eval", "--file", "{tmp}", "--x", "0"],
+        ["experiment", "--config", "{tmp}"],
+        ["eval", "--file", "{binary}", "--x", "0"],
+        ["experiment", "--config", "{binary}"],
+    ],
+    ids=["unwritable-out", "directory-file", "directory-config", "binary-file", "binary-config"],
+)
+def test_unreadable_files_are_bad_input(argv, chi_file, tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"stepfn/1\ntail \xff\n")
+    args = [arg.format(chi=chi_file, tmp=tmp_path, binary=binary) for arg in argv]
+    assert main(args) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_var_command(chi_file, capsys):
     assert main(["var", "--file", chi_file, "--from", "-inf", "--to", "inf"]) == 0
     assert capsys.readouterr().out == "2\n"

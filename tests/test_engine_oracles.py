@@ -5,6 +5,10 @@ walks hull-restricted anchors; ``candidate_set`` lists every finite interval
 with endpoints on the breakpoint grid plus the four limits, so its maximum
 is the maximal value by definition.  Points checked: breakpoints, profile
 junctions, the midpoints between them, and one point beyond each end.
+
+``bv_distance`` certifies the limit gap plus the variation of a difference
+of two profiles; the pointwise engine, which builds no profile, gives a
+lower bound for it through the variation over a finite partition.
 """
 
 import random
@@ -13,16 +17,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxbv.envelope import build_profile
+from maxbv.envelope import build_profile, bv_distance
 from maxbv.maximal import WitnessInterval, candidate_set, maximal_limit_at_infinity, maximal_value
-from maxbv.stepfn import StepFunction
+from maxbv.stepfn import StepFunction, combine
 
 values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
 
 
 @st.composite
-def step_functions(draw, n_max=7):
-    grid = draw(st.lists(st.integers(-40, 40), unique=True, max_size=n_max))
+def step_functions(draw, n_min=0, n_max=7):
+    grid = draw(st.lists(st.integers(-40, 40), unique=True, min_size=n_min, max_size=n_max))
     n = len(grid)
     return StepFunction(
         draw(values),
@@ -87,3 +91,25 @@ def test_profile_matches_candidate_set_maximum_up_to_n_40():
             points.append(s + 1 if t is None else t - 1 if s is None else (s + t) / 2)
         for x in points:
             assert profile.value(x) == max(c.value for c in candidate_set(f, x))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    step_functions(n_min=2),
+    step_functions(n_min=2),
+    st.sampled_from([1, Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]),
+)
+def test_bv_distance_dominates_pointwise_partition_variation(f, g, scale):
+    """bv_distance (and so variation_of_difference, which must not raise)
+    against the partition variation of the pointwise difference over the
+    merged junctions of both profiles and the midpoints between them."""
+    fj = combine(f, g, 1, scale)
+    profile_f, profile_j = build_profile(f), build_profile(fj)
+    marks = sorted({*profile_f.junctions(), *profile_j.junctions()}) or [Fraction(0)]
+    mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
+    points = [marks[0] - 1, *sorted([*marks, *mids]), marks[-1] + 1]
+    diff = [maximal_value(fj, x).value - maximal_value(f, x).value for x in points]
+    partition = sum(abs(b - a) for a, b in zip(diff, diff[1:]))
+    gap = abs(maximal_limit_at_infinity(fj) - maximal_limit_at_infinity(f))
+    enclosure = bv_distance(f, fj, Fraction(1, 10**9), profile_f, profile_j)
+    assert enclosure.hi >= gap + partition

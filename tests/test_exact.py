@@ -8,7 +8,6 @@ from maxbv.exact import (
     GT,
     LT,
     AlgebraicValue,
-    compare,
     compare_with_rat,
     decimal_str,
     format_rat,
@@ -16,8 +15,6 @@ from maxbv.exact import (
     parse_rat,
     poly_eval,
     rat,
-    rational_between,
-    sort_values,
 )
 
 
@@ -66,7 +63,7 @@ def test_isolate_sqrt2():
     roots = isolate_quadratic_roots((1, 0, -2))
     assert len(roots) == 2
     lo, hi = roots
-    assert compare(lo, hi) == LT
+    assert lo.hi < hi.lo
     tight = hi.refine(30)
     assert tight.width <= Fraction(1, 10**9)
     assert tight.lo * tight.lo <= 2 <= tight.hi * tight.hi
@@ -100,16 +97,19 @@ def test_refine_is_monotone_nesting():
 def test_compare_examples():
     sqrt2 = isolate_quadratic_roots((1, 0, -2))[1]
     assert compare_with_rat(sqrt2, Fraction(3, 2)) == LT
-    other = isolate_quadratic_roots((2, 0, -4))[1]
-    assert compare(sqrt2, other) == EQ
-    assert compare(AlgebraicValue.from_rat(0), sqrt2) == LT
-    assert compare(sqrt2, AlgebraicValue.from_rat(0)) == GT
-
-
-def test_compare_conjugate_roots_of_shared_poly():
-    minus, plus = isolate_quadratic_roots((1, 0, -2))
-    assert compare(minus, plus) == LT
-    assert compare(plus, minus) == GT
+    assert compare_with_rat(sqrt2, Fraction(7, 5)) == GT
+    assert compare_with_rat(sqrt2, 0) == GT
+    # 99/70 and 140/99 are continued-fraction convergents of sqrt(2) inside
+    # its first bracket, so only narrowing can decide them.
+    assert compare_with_rat(sqrt2, Fraction(99, 70)) == LT
+    assert compare_with_rat(sqrt2, Fraction(140, 99)) == GT
+    assert compare_with_rat(AlgebraicValue.from_rat(Fraction(5, 3)), Fraction(5, 3)) == EQ
+    assert compare_with_rat(AlgebraicValue.from_rat(Fraction(5, 3)), 2) == LT
+    # A bracket around the rational root 2 of x^2 - 4: equal without narrowing.
+    two = AlgebraicValue(0, 3, (1, 0, -4))
+    assert compare_with_rat(two, 2) == EQ
+    assert compare_with_rat(two, Fraction(2001, 1000)) == LT
+    assert compare_with_rat(two, Fraction(1999, 1000)) == GT
 
 
 def test_compare_matches_float_when_gap_is_visible():
@@ -124,26 +124,11 @@ def test_compare_matches_float_when_gap_is_visible():
         except ValueError:
             continue
     for _ in range(400):
-        x, y = rng.choice(values), rng.choice(values)
-        fx, fy = x.refine(40).approx(), y.refine(40).approx()
-        if abs(fx - fy) > 1e-6:
-            expected = LT if fx < fy else GT
-            assert compare(x, y) == expected
-
-
-def test_sort_values_dedupes_equal_reals():
-    sqrt2_a = isolate_quadratic_roots((1, 0, -2))[1]
-    sqrt2_b = isolate_quadratic_roots((3, 0, -6))[1]
-    ordered = sort_values([sqrt2_a, AlgebraicValue.from_rat(1), sqrt2_b, AlgebraicValue.from_rat(2)])
-    assert len(ordered) == 3
-    assert ordered[0].rational_value == 1
-    assert compare(ordered[1], sqrt2_a) == EQ
-    assert ordered[2].rational_value == 2
-
-
-def test_rational_between():
-    sqrt2 = isolate_quadratic_roots((1, 0, -2))[1]
-    sqrt3 = isolate_quadratic_roots((1, 0, -3))[1]
-    mid = rational_between(sqrt2, sqrt3)
-    assert compare_with_rat(sqrt2, mid) == LT
-    assert compare_with_rat(sqrt3, mid) == GT
+        x = rng.choice(values)
+        q = Fraction(rng.randint(-13000, 13000), rng.choice((999, 1000, 1024)))
+        fx = float(x.refine(40).lo)
+        if abs(fx - float(q)) > 1e-6:
+            assert compare_with_rat(x, q) == (LT if fx < q else GT)
+    for x in values:
+        if x.is_rational:
+            assert compare_with_rat(x, x.rational_value) == EQ
