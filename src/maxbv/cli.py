@@ -3,7 +3,9 @@
 Subcommands: eval, var, profile, e-set, check, experiment, counterexample.
 All numeric output is exact ('p/q') or an enclosure ('lo..hi'); --decimal
 on eval and var adds a fixed-point rendering column for human reading.
-Exit codes: 0 pass, 1 a check failed, 2 bad input.
+Exit codes: 0 pass, 1 a check failed, 2 bad input, 3 internal error (any
+other exception, reported as one ``internal error:`` line on stderr, so that
+a crash never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .exact import decimal_str, format_rat, parse_rat
 from .maximal import maximal_value
 from .stepfn import StepFunction, StepFunctionParseError
 
-PASS, CHECK_FAILED, BAD_INPUT = 0, 1, 2
+PASS, CHECK_FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class InputError(Exception):
@@ -363,6 +365,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def entry_point():

@@ -6,12 +6,14 @@ of |f| anchored at a breakpoint on one side with x as the other endpoint
 (Moebius functions of x), plus one constant, the largest of the local value
 and the two tail limits.  Intervals spanning the whole segment are averages
 of two anchored ones, so they never win by value; they only name the
-constant's provenance (``const(a,b)``) where it wins a piece.  On a segment
-where |f| = l, every anchored candidate normalizes to (alpha + l*x)/(gamma + x)
+constant's tag (``const(a,b)``) where it wins a piece.  On a segment where
+|f| = l, every anchored candidate normalizes to (alpha + l*x)/(gamma + x)
 and the constant to (c + 0*x)/(1 + 0*x), so the x^2 terms of any crossing
 equation cancel: two distinct candidates meet at most once, crossings solve
 linear equations, and every junction, piece endpoint and endpoint value is a
-plain rational.
+plain rational.  A candidate is just its coefficient tuple: an anchored
+piece's anchor is its pole q = -gamma, tagged ``left(q)`` when q lies left of
+the segment and ``right(q)`` otherwise.
 
 With F the antiderivative of |f|, an anchored average is the slope from
 (a, F(a)) to (x, F(x)), so only vertices of the lower convex hull of the
@@ -25,15 +27,16 @@ itself against the pointwise engine at each breakpoint.
 
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed piece domain, every piece is monotone, and the variation
-of a profile is an exact telescoping sum of endpoint values.  Only the
-difference of two profiles has irrational critical points (roots of genuine
-quadratics); its variation is reported as a certified rational enclosure of
-arbitrary requested precision.
+of a profile is an exact telescoping sum of endpoint values.  The
+difference of two profiles has at most one critical point per common cell;
+its variation is an exact sum over the junctions of cells without one, and
+only the critical points (peaks) are narrowed, to a certified rational
+enclosure of any requested precision; a rational critical point's bracket
+is the point itself, so its peak is exact.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,32 +48,14 @@ from .stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, _endpoint
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Which candidate family a piece came from."""
-
-    kind: str  # 'left' | 'right' | 'constant'
-    anchor: Optional[Rat] = None  # fixed endpoint a (left) or b (right)
-    source: Optional[str] = None  # constants: 'interval' | 'tail_left' | 'tail_right' | 'local'
-    interval: Optional[Tuple[Rat, Rat]] = None
-
-    def tag(self) -> str:
-        if self.kind == "left":
-            return f"left({format_rat(self.anchor)})"
-        if self.kind == "right":
-            return f"right({format_rat(self.anchor)})"
-        if self.source == "interval":
-            a, b = self.interval
-            return f"const({format_rat(a)},{format_rat(b)})"
-        return f"const:{self.source}"
-
-
-@dataclass(frozen=True)
 class MoebiusPiece:
     """x -> (alpha + beta*x)/(gamma + delta*x) on a domain with exact ends.
 
     ``lo``/``hi`` are domain endpoints (None for the infinities) and
     ``lo_value``/``hi_value`` the profile values there.  The denominator has
     no zero on the closed domain, so the piece is monotone throughout.
+    ``tag`` names the candidate that carries the piece: ``left(a)``,
+    ``right(b)``, ``const(a,b)`` or ``const:<tail_left|tail_right|local>``.
     """
 
     alpha: Rat
@@ -81,11 +66,7 @@ class MoebiusPiece:
     hi: Optional[Rat]
     lo_value: Optional[Rat]
     hi_value: Optional[Rat]
-    provenance: Provenance
-
-    @property
-    def coefficients(self) -> Tuple[Rat, Rat, Rat, Rat]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
+    tag: str
 
     @property
     def det(self) -> Rat:
@@ -128,7 +109,7 @@ class MoebiusPiece:
             format_rat(self.beta),
             format_rat(self.gamma),
             format_rat(self.delta),
-            self.provenance.tag(),
+            self.tag,
         ]
         return "\t".join(cells)
 
@@ -222,20 +203,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    alpha: Rat
-    beta: Rat
-    gamma: Rat
-    delta: Rat
-    provenance: Provenance
+# A candidate is its coefficient tuple (alpha, beta, gamma, delta).
+Candidate = Tuple[Rat, Rat, Rat, Rat]
 
-    @property
-    def coefficients(self):
-        return (self.alpha, self.beta, self.gamma, self.delta)
 
-    def value_at(self, x: Rat) -> Rat:
-        return (self.alpha + self.beta * x) / (self.gamma + self.delta * x)
+def _value(c: Candidate, x: Rat) -> Rat:
+    return (c[0] + c[1] * x) / (c[2] + c[3] * x)
 
 
 def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
@@ -249,14 +222,14 @@ def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     return (lo + hi) / 2
 
 
-def _crossing(c1: _Candidate, c2: _Candidate) -> Optional[Rat]:
+def _crossing(c1: Candidate, c2: Candidate) -> Optional[Rat]:
     """The one point where two distinct candidates of a segment meet, if any.
 
     Every candidate has beta = l*delta (l = |f| on the segment), so the x^2
     coefficient of the crossing equation cancels and it is linear.
     """
-    a1, b1, g1, d1 = c1.coefficients
-    a2, b2, g2, d2 = c2.coefficients
+    a1, b1, g1, d1 = c1
+    a2, b2, g2, d2 = c2
     if b1 * d2 - b2 * d1:
         raise AssertionError("envelope crossing is not linear")
     slope = a1 * d2 + b1 * g2 - a2 * d1 - b2 * g1
@@ -270,8 +243,8 @@ def _inside(x: Rat, u: Optional[Rat], v: Optional[Rat]) -> bool:
 
 
 def _upper_envelope(
-    candidates: Sequence[_Candidate], u: Optional[Rat], v: Optional[Rat]
-) -> List[Tuple[Optional[Rat], Optional[Rat], _Candidate]]:
+    candidates: Sequence[Candidate], u: Optional[Rat], v: Optional[Rat]
+) -> List[Tuple[Optional[Rat], Optional[Rat], Candidate]]:
     """Envelope of distinct candidates over the open segment (u, v).
 
     Two distinct candidates meet at most once (their crossing equation is
@@ -289,14 +262,14 @@ def _upper_envelope(
         for cand in candidates[1:]:
             x = _crossing(cand, winner)
             sample = (x if x is not None and x < v else v) - 1
-            if cand.value_at(sample) > winner.value_at(sample):
+            if _value(cand, sample) > _value(winner, sample):
                 winner = cand
     else:
-        at_u = [cand.value_at(u) for cand in candidates]
+        at_u = [_value(cand, u) for cand in candidates]
         top = max(at_u)
         sample = _midpoint(u, v)
         tied = [cand for cand, value in zip(candidates, at_u) if value == top]
-        winner = max(tied, key=lambda c: c.value_at(sample))
+        winner = max(tied, key=lambda c: _value(c, sample))
     # A candidate that does not cross the winner after the current start
     # stays below it, and so below the envelope, up to v: it is dropped.
     alive = [cand for cand in candidates if cand is not winner]
@@ -316,7 +289,7 @@ def _upper_envelope(
         sample = _midpoint(nearest, v)
         # The old winner and the rivals not chosen meet the new winner at
         # `nearest` and stay below it from there on.
-        winner = max((cand for x, cand in ahead if x == nearest), key=lambda c: c.value_at(sample))
+        winner = max((cand for x, cand in ahead if x == nearest), key=lambda c: _value(c, sample))
         alive = [cand for x, cand in ahead if x != nearest]
         start = nearest
 
@@ -354,7 +327,7 @@ def _hull_from(links: List[int], i: int) -> List[int]:
     return vertices
 
 
-def _constant_provenance(f: StepFunction, k: int, prefix: Sequence[Rat], value: Rat) -> Provenance:
+def _constant_tag(f: StepFunction, k: int, prefix: Sequence[Rat], value: Rat) -> str:
     """Tag of the constant `value` on segment k: the shortest, then leftmost,
     interval between breakpoints that straddles the segment and averages
     exactly `value`, else the first of the tails and the local value equal
@@ -369,11 +342,11 @@ def _constant_provenance(f: StepFunction, k: int, prefix: Sequence[Rat], value: 
         if b is not None and (best is None or (b - bps[i], bps[i]) < best[:2]):
             best = (b - bps[i], bps[i], b)
     if best is not None:
-        return Provenance("constant", source="interval", interval=best[1:])
+        return f"const({format_rat(best[1])},{format_rat(best[2])})"
     consts = f.constants
     for source, c in (("tail_left", consts[0]), ("tail_right", consts[-1]), ("local", consts[k])):
         if abs(c) == value:
-            return Provenance("constant", source=source)
+            return f"const:{source}"
     raise AssertionError("segment constant matches no candidate")
 
 
@@ -382,8 +355,7 @@ def build_profile(f: StepFunction) -> MaximalProfile:
     if f.n == 0:
         c = abs(f.tail_left)
         piece = MoebiusPiece(
-            c, Fraction(0), Fraction(1), Fraction(0), None, None, None, None,
-            Provenance("constant", source="tail_left"),
+            c, Fraction(0), Fraction(1), Fraction(0), None, None, None, None, "const:tail_left"
         )
         return MaximalProfile((piece,))
 
@@ -396,7 +368,7 @@ def build_profile(f: StepFunction) -> MaximalProfile:
     upper = _hull_links(points[::-1])
     tails = max(abs_consts[0], abs_consts[-1])
 
-    cells_in_order: List[Tuple[Optional[Rat], Optional[Rat], _Candidate]] = []
+    cells_in_order: List[Tuple[Optional[Rat], Optional[Rat], Candidate, str]] = []
     for k in range(n + 1):
         u = bps[k - 1] if k >= 1 else None
         v = bps[k] if k <= n - 1 else None
@@ -405,42 +377,43 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         # between x and an anchor q is (y0 - F(q) + ell*x)/(x - q).
         ref = max(k - 1, 0)
         y0 = prefix[ref] - ell * bps[ref]
-        constant = _Candidate(max(ell, tails), _ZERO, _ONE, _ZERO, None)
+        constant = (max(ell, tails), _ZERO, _ONE, _ZERO)
         candidates = [constant]
-        left = [(i, "left") for i in _hull_from(lower, k - 1)] if k >= 1 else []
-        right = [(n - 1 - j, "right") for j in _hull_from(upper, n - 1 - k)] if k <= n - 1 else []
-        for i, side in left + right:
+        left = _hull_from(lower, k - 1) if k >= 1 else []
+        right = [n - 1 - j for j in _hull_from(upper, n - 1 - k)] if k <= n - 1 else []
+        for i in left + right:
             q = bps[i]
             alpha = y0 - prefix[i]
             # Anchors whose average with the segment is the local constant
             # (the segment ends among them) are already covered.
             if alpha + ell * q == 0:
                 continue
-            candidates.append(_Candidate(alpha, ell, -q, _ONE, Provenance(side, anchor=q)))
+            candidates.append((alpha, ell, -q, _ONE))
 
         for lo, hi, cand in _upper_envelope(candidates, u, v):
             if cand is constant:
-                cand = _Candidate(
-                    *cand.coefficients, _constant_provenance(f, k, prefix, cand.alpha)
-                )
-            cells_in_order.append((lo, hi, cand))
+                tag = _constant_tag(f, k, prefix, cand[0])
+            else:
+                # The anchor is the pole; left anchors lie at or before u.
+                q = -cand[2]
+                side = "left" if u is not None and q <= u else "right"
+                tag = f"{side}({format_rat(q)})"
+            cells_in_order.append((lo, hi, cand, tag))
 
     # Merge adjacent cells with identical coefficients (continuity across
     # breakpoints makes the shared function one piece).
     merged = [list(cells_in_order[0])]
-    for lo, hi, cand in cells_in_order[1:]:
-        if cand.coefficients == merged[-1][2].coefficients:
+    for lo, hi, cand, tag in cells_in_order[1:]:
+        if cand == merged[-1][2]:
             merged[-1][1] = hi
         else:
-            merged.append([lo, hi, cand])
+            merged.append([lo, hi, cand, tag])
 
     pieces: List[MoebiusPiece] = []
     prev_value: Optional[Rat] = None
-    for lo, hi, cand in merged:
-        hi_value = None if hi is None else cand.value_at(hi)
-        pieces.append(
-            MoebiusPiece(*cand.coefficients, lo, hi, prev_value, hi_value, cand.provenance)
-        )
+    for lo, hi, cand, tag in merged:
+        hi_value = None if hi is None else _value(cand, hi)
+        pieces.append(MoebiusPiece(*cand, lo, hi, prev_value, hi_value, tag))
         prev_value = hi_value
 
     profile = MaximalProfile(tuple(pieces))
@@ -463,67 +436,33 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
     """Split the line into the open set where the profile strictly exceeds
     the adjusted modulus and its closed complement (touch set)."""
     bounds = sorted({*profile.junctions(), *f.breakpoints})
-    if not bounds:
-        only = profile.pieces[0]
-        if only.is_constant and only.value_at(0) == abs(f.value(0)):
-            return RegionSet((), closed=False), RegionSet(((None, None),), closed=True)
-        return RegionSet(((None, None),), closed=False), RegionSet((), closed=True)
+    ends = [None, *bounds, None]
+    detached = []  # per open interval between consecutive bounds
+    for s, t in zip(ends, ends[1:]):
+        x = _midpoint(s, t)
+        piece = profile.piece_containing(x)
+        detached.append(not (piece.is_constant and piece.value_at(x) == abs(f.value(x))))
 
-    items: List[Tuple[str, Optional[Rat], Optional[Rat]]] = []
-    previous: Optional[Rat] = None
-    for b in bounds:
-        items.append(("interval", previous, b))
-        items.append(("point", b, None))
-        previous = b
-    items.append(("interval", previous, None))
-
-    flags: List[bool] = []
-    for kind, first, second in items:
-        if kind == "interval":
-            x = _midpoint(first, second)
-            piece = profile.piece_containing(x)
-            in_e = not (piece.is_constant and piece.value_at(x) == abs(f.value(x)))
-        else:
-            adjusted = max(abs(f.left_limit(first)), abs(f.right_limit(first)))
-            in_e = profile.value(first) != adjusted
-        flags.append(in_e)
-
+    # A run of detached intervals goes on through detached bounds and closes
+    # at each bound where the profile touches the adjusted modulus.
     runs: List[Tuple[Optional[Rat], Optional[Rat]]] = []
-    run_start: object = _UNSET
-    for (kind, first, second), in_e in zip(items, flags):
-        if kind == "interval":
-            if in_e:
-                if run_start is _UNSET:
-                    run_start = first
-            elif run_start is not _UNSET:
-                raise AssertionError("open detachment run hit a touching interval directly")
-        else:
-            if not in_e and run_start is not _UNSET:
-                runs.append((run_start, first))  # type: ignore[arg-type]
-                run_start = _UNSET
-            elif in_e and run_start is _UNSET:
-                raise AssertionError("isolated detachment point; the set must be open")
-    if run_start is not _UNSET:
-        runs.append((run_start, None))  # type: ignore[arg-type]
+    start: Optional[Rat] = None
+    for i, b in enumerate(bounds):
+        adjusted = max(abs(f.left_limit(b)), abs(f.right_limit(b)))
+        if profile.value(b) != adjusted:
+            if not (detached[i] and detached[i + 1]):
+                raise AssertionError("detached bound next to a touching interval")
+            continue
+        if detached[i]:
+            runs.append((start, b))
+        start = b
+    if detached[-1]:
+        runs.append((start, None))
 
-    complement: List[Tuple[Optional[Rat], Optional[Rat]]] = []
-    if not runs:
-        complement.append((None, None))
-    else:
-        if runs[0][0] is not None:
-            complement.append((None, runs[0][0]))
-        for (_, e1), (s2, _) in zip(runs, runs[1:]):
-            complement.append((e1, s2))
-        if runs[-1][1] is not None:
-            complement.append((runs[-1][1], None))
+    edges = [None, *[e for run in runs for e in run], None]
+    gaps = list(zip(edges[::2], edges[1::2]))
+    complement = [gap for gap in gaps if gap != (None, None)] if runs else gaps
     return RegionSet(tuple(runs), closed=False), RegionSet(tuple(complement), closed=True)
-
-
-class _Unset:
-    pass
-
-
-_UNSET = _Unset()
 
 
 # --- derivative ------------------------------------------------------------
@@ -548,14 +487,6 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
 # --- certified variation ---------------------------------------------------
 
 
-def _is_neg_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x) and x < 0
-
-
-def _is_pos_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x) and x > 0
-
-
 def variation_of_profile(
     profile: MaximalProfile, a=NEG_INF, b=POS_INF, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
@@ -573,19 +504,17 @@ def variation_of_profile(
 
     total = Fraction(0)
     for piece in profile.pieces:
-        if not _is_neg_inf(a) and piece.hi is not None and piece.hi <= a:
+        lo = NEG_INF if piece.lo is None else piece.lo
+        hi = POS_INF if piece.hi is None else piece.hi
+        if hi <= a or lo >= b or piece.direction == 0:
             continue
-        if not _is_pos_inf(b) and piece.lo is not None and piece.lo >= b:
-            continue
-        if piece.direction == 0:
-            continue
-        if not _is_neg_inf(a) and (piece.lo is None or piece.lo < a):
+        if lo < a:
             start = piece.value_at(a)
         elif piece.lo is None:
             start = piece.limit_at(-1)
         else:
             start = piece.lo_value
-        if not _is_pos_inf(b) and (piece.hi is None or piece.hi > b):
+        if hi > b:
             end = piece.value_at(b)
         elif piece.hi is None:
             end = piece.limit_at(+1)
@@ -621,46 +550,13 @@ def _root_inside(root: AlgebraicValue, s: Optional[Rat], t: Optional[Rat]) -> Op
         near = near.refine_below(near.width / 2**8)
 
 
-def _difference_enclosure(
-    m1: MoebiusPiece,
-    m2: MoebiusPiece,
-    bound: Optional[AlgebraicValue],
-    direction: int,
-    cache: Dict[int, AlgebraicValue],
-    width: Rat,
-) -> Tuple[Rat, Rat]:
-    """Enclosure of (m1 - m2) at a cell endpoint (None = infinity)."""
-    if bound is None:
-        v = m1.limit_at(direction) - m2.limit_at(direction)
-        return (v, v)
-    if bound.is_rational:
-        x0 = bound.rational_value
-        v = m1.value_at(x0) - m2.value_at(x0)
-        return (v, v)
-    key = id(bound)
-    av = cache.get(key, bound).refine_below(width)
-    while True:
-        signs = [
-            sign(m.gamma + m.delta * edge)
-            for m in (m1, m2)
-            for edge in (av.lo, av.hi)
-        ]
-        if 0 not in signs and signs[0] == signs[1] and signs[2] == signs[3]:
-            break
-        av = av.refine_below(av.width / 4)
-    cache[key] = av
-    vals1 = sorted((m1.value_at(av.lo), m1.value_at(av.hi)))
-    vals2 = sorted((m2.value_at(av.lo), m2.value_at(av.hi)))
-    return (vals1[0] - vals2[1], vals1[1] - vals2[0])
-
-
 def variation_of_difference(
     p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
     """Certified total variation of (p1 - p2) over the whole line.
 
     The piece grids are merged.  On a common cell (s, t) the derivative of
-    m1 - m2 has the sign of the critical quadratic
+    d = m1 - m2 has the sign of the critical quadratic
     q = det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2.  Neither
     piece has its pole on the closed cell, so the ratio
     r = (gamma1 + delta1*x)/(gamma2 + delta2*x) keeps one sign there and is
@@ -669,48 +565,67 @@ def variation_of_difference(
     makes q vanish everywhere or nowhere on the cell).  Hence q has at most
     one root on the closed cell and changes sign there: the cell splits into
     at most two monotone stretches, whose endpoint differences telescope.
+    Profiles are continuous, so d is exact at every junction.  A cell with a
+    critical point keeps it as a peak; each round narrows the peaks'
+    brackets, which encloses d there.  A rational root's bracket is the
+    point itself, so its peak term is exact from the first round on.
     """
     precision = rat(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
 
     walk: List[Optional[Rat]] = [None, *sorted({*p1.junctions(), *p2.junctions()}), None]
-    monotone: List[Tuple[Optional[AlgebraicValue], Optional[AlgebraicValue], MoebiusPiece, MoebiusPiece, int]] = []
+    exact = Fraction(0)
+    # (root, m1, m2, d(s), d(t), sign of d' left of the root)
+    peaks: List[list] = []
+    d_s = p1.limit_at(-1) - p2.limit_at(-1)
     for s, t in zip(walk, walk[1:]):
         x = _midpoint(s, t)
         m1, m2 = p1.piece_containing(x), p2.piece_containing(x)
-        start, end = (None if e is None else AlgebraicValue.from_rat(e) for e in (s, t))
-        stretches = [(start, end, x)]
+        if t is None:
+            d_t = p1.limit_at(+1) - p2.limit_at(+1)
+        else:
+            d_t = m1.value_at(t) - m2.value_at(t)
+        inside = []
         quad = _difference_critical_quadratic(m1, m2)
         if any(quad):
             for root in isolate_quadratic_roots(quad):
                 near = _root_inside(root, s, t)
-                if near is None:
-                    continue
-                if len(stretches) > 1:
-                    raise AssertionError("two critical points of a profile difference in one cell")
-                # Split at the original root: _difference_enclosure keys its
-                # cache on that object and narrows it from its first bracket.
-                stretches = [(start, root, _midpoint(s, near.lo)), (root, end, _midpoint(near.hi, t))]
-        for u, w, sample in stretches:
-            trend = sign(m1.derivative_at(sample) - m2.derivative_at(sample))
-            if trend:
-                monotone.append((u, w, m1, m2, trend))
+                if near is not None:
+                    inside.append((root, near))
+        if len(inside) > 1:
+            raise AssertionError("two critical points of a profile difference in one cell")
+        if not inside:
+            exact += abs(d_t - d_s)
+        else:
+            # Narrowing starts from the original root's bracket, which fixes
+            # the printed endpoints.
+            root, near = inside[0]
+            x = _midpoint(s, near.lo)
+            rise = sign(m1.derivative_at(x) - m2.derivative_at(x))
+            peaks.append([root, m1, m2, d_s, d_t, rise])
+        d_s = d_t
 
-    cache: Dict[int, AlgebraicValue] = {}
     width = Fraction(1, 2**40)
     while True:
-        lo_sum = Fraction(0)
-        hi_sum = Fraction(0)
-        for u, w, m1, m2, trend in monotone:
-            du = _difference_enclosure(m1, m2, u, -1, cache, width)
-            dw = _difference_enclosure(m1, m2, w, +1, cache, width)
-            if trend > 0:
-                term_lo, term_hi = dw[0] - du[1], dw[1] - du[0]
-            else:
-                term_lo, term_hi = du[0] - dw[1], du[1] - dw[0]
-            lo_sum += max(term_lo, Fraction(0))
-            hi_sum += max(term_hi, Fraction(0))
+        lo_sum = hi_sum = exact
+        for peak in peaks:
+            av, m1, m2, d_s, d_t, rise = peak
+            av = av.refine_below(width)
+            while True:
+                signs = [sign(m.gamma + m.delta * edge) for m in (m1, m2) for edge in (av.lo, av.hi)]
+                if 0 not in signs and signs[0] == signs[1] and signs[2] == signs[3]:
+                    break
+                av = av.refine_below(av.width / 4)
+            peak[0] = av
+            vals1 = sorted((m1.value_at(av.lo), m1.value_at(av.hi)))
+            vals2 = sorted((m2.value_at(av.lo), m2.value_at(av.hi)))
+            top_lo, top_hi = vals1[0] - vals2[1], vals1[1] - vals2[0]
+            if rise < 0:  # a valley: mirror it into a peak
+                top_lo, top_hi, d_s, d_t = -top_hi, -top_lo, -d_s, -d_t
+            for d in (d_s, d_t):
+                lo_sum += max(top_lo - d, _ZERO)
+                hi_sum += max(top_hi - d, _ZERO)
         if hi_sum - lo_sum <= precision:
             return VariationEnclosure(lo_sum, hi_sum, precision)
         width /= 2**16

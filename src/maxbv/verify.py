@@ -640,7 +640,7 @@ def _check_flat_on_touch(f, ctx):
             if lo is None and hi is None:
                 return False, "whole line touches but piece is not constant"
             if _overlap_interior(piece, lo, hi):
-                return False, f"piece {piece.provenance.tag()}"
+                return False, f"piece {piece.tag}"
     return True, ""
 
 
@@ -780,13 +780,32 @@ _PROFILE_CHECKS = {
 }
 
 
+def _run_check(name: str, check, subject, ctx: Dict[str, object]) -> Tuple[bool, str]:
+    """Run one check, first adding the profile and its regions to the context
+    if the check needs them and they are not there yet.  A crash, in the
+    check or in building its context, is a failure that names the exception."""
+    try:
+        if name in _PROFILE_CHECKS and "profile" not in ctx:
+            profile = env.build_profile(subject)
+            ctx["profile"] = profile
+            ctx["regions"] = env.detachment_regions(subject, profile)
+        return check(subject, ctx)
+    except Exception as exc:
+        return False, f"raised {type(exc).__name__}: {exc}"
+
+
+def _single_context(seed: int, index: int, precision) -> Dict[str, object]:
+    return {"rng": random.Random(seed * 1_000_003 + index), "precision": precision}
+
+
 def invariant_suite(corpus: Sequence[StepFunction], precision=Fraction(1, 10**9),
                 seed: int = 0) -> InvariantSuiteReport:
     """Run every structural invariant over the corpus, shrinking failures.
 
     Execution is sequential with deterministic ordering (corpus order, then
     check registration order); the arithmetic is pure CPython, so threads
-    would serialize on the interpreter lock anyway.
+    would serialize on the interpreter lock anyway.  A check that raises is
+    reported as a failure, and the remaining checks still run.
     """
     if not corpus:
         raise ValueError("invariant_suite needs a nonempty corpus")
@@ -794,15 +813,10 @@ def invariant_suite(corpus: Sequence[StepFunction], precision=Fraction(1, 10**9)
     results: List[CheckResult] = []
 
     def run_single(index: int, f: StepFunction):
-        ctx: Dict[str, object] = {
-            "rng": random.Random(seed * 1_000_003 + index),
-            "precision": precision,
-        }
-        profile = env.build_profile(f)
-        ctx["profile"] = profile
-        ctx["regions"] = env.detachment_regions(f, profile)
+        # One context, and so one random stream, serves all checks of f.
+        ctx = _single_context(seed, index, precision)
         for name, check in _SINGLE_CHECKS:
-            ok, detail = check(f, ctx)
+            ok, detail = _run_check(name, check, f, ctx)
             witness = None
             if not ok:
                 witness = sf.serialize(_shrink_single(f, name, seed, index, precision))
@@ -811,7 +825,7 @@ def invariant_suite(corpus: Sequence[StepFunction], precision=Fraction(1, 10**9)
     def run_pair(index: int, f: StepFunction, g: StepFunction):
         ctx = {"rng": random.Random(seed * 2_000_003 + index), "precision": precision}
         for name, check in _PAIR_CHECKS:
-            ok, detail = check((f, g), ctx)
+            ok, detail = _run_check(name, check, (f, g), ctx)
             witness = sf.serialize(f) if not ok else None
             results.append(CheckResult(f"pair[{index},{index + 1}]", name, ok, detail, witness))
 
@@ -826,18 +840,7 @@ def _shrink_single(f: StepFunction, check_name: str, seed: int, index: int, prec
     check = dict(_SINGLE_CHECKS)[check_name]
 
     def still_fails(candidate: StepFunction) -> bool:
-        ctx: Dict[str, object] = {
-            "rng": random.Random(seed * 1_000_003 + index),
-            "precision": precision,
-        }
-        try:
-            if check_name in _PROFILE_CHECKS:
-                profile = env.build_profile(candidate)
-                ctx["profile"] = profile
-                ctx["regions"] = env.detachment_regions(candidate, profile)
-            ok, _ = check(candidate, ctx)
-        except Exception:
-            return True
+        ok, _ = _run_check(check_name, check, candidate, _single_context(seed, index, precision))
         return not ok
 
     return shrink_failure(f, still_fails)

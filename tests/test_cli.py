@@ -263,3 +263,17 @@ def test_decimal_only_on_eval_and_var(chi_file, capsys, command):
     args = {"check": ["--seeds", "1"], "counterexample": ["--n", "3"]}.get(command, ["--file", chi_file])
     assert main([command, *args, "--decimal", "3"]) == 2
     assert "unrecognized arguments: --decimal 3" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_with_one_line(chi_file, capsys, monkeypatch):
+    import maxbv.envelope
+
+    def broken(f):
+        raise RuntimeError("profile engine broke")
+
+    monkeypatch.setattr(maxbv.envelope, "build_profile", broken)
+    assert main(["profile", "--file", chi_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: profile engine broke\n"
+    assert "Traceback" not in captured.err

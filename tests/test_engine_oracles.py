@@ -14,7 +14,7 @@ lower bound for it through the variation over a finite partition.
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from maxbv.envelope import build_profile, bv_distance
@@ -93,7 +93,12 @@ def test_profile_matches_candidate_set_maximum_up_to_n_40():
             assert profile.value(x) == max(c.value for c in candidate_set(f, x))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
 @given(
     step_functions(n_min=2),
     step_functions(n_min=2),

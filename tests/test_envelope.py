@@ -274,6 +274,27 @@ def test_variation_of_difference_with_irrational_critical_point():
     assert enc.lo != enc.hi  # the value is irrational, so the width is positive
 
 
+def test_variation_of_difference_with_rational_critical_point():
+    # On the cell (2, oo) the difference is 16/(9x) - 1/(x-1); its critical
+    # quadratic 9x^2 - 16(x-1)^2 has the rational root x = 4, where the
+    # difference peaks at 1/9.  The variation is exact and must count the
+    # rise to that peak and the fall after it.
+    p1 = build_profile(StepFunction.indicator(0, 1, value=Fraction(16, 9), closed=False))
+    p2 = build_profile(StepFunction.indicator(1, 2, closed=False))
+    enc = variation_of_difference(p1, p2, PRECISION)
+    assert str(enc) == "3..3"
+
+    def partition_variation(points):
+        diffs = [p1.limit_at(-1) - p2.limit_at(-1)]
+        diffs += [p1.value(x) - p2.value(x) for x in points]
+        diffs.append(p1.limit_at(+1) - p2.limit_at(+1))
+        return sum(abs(b - a) for a, b in zip(diffs, diffs[1:]))
+
+    junctions = sorted({*p1.junctions(), *p2.junctions()})
+    assert partition_variation(sorted({*junctions, Fraction(4)})) == 3
+    assert partition_variation(junctions) < 3
+
+
 def test_profile_junctions_are_rational():
     # Candidates on one segment share their leading coefficient, so envelope
     # crossings always solve linear equations: junctions stay rational.

@@ -230,3 +230,30 @@ def test_shrink_preserves_failure():
     small = shrink_failure(target, fails)
     assert small.n == 1
     assert fails(small)
+
+
+def test_invariant_suite_reports_a_crashing_check_as_fail(monkeypatch):
+    import maxbv.envelope
+
+    original = maxbv.envelope.variation_of_profile
+
+    def crashing(profile, *args, **kwargs):
+        if len(profile.pieces) >= 3:
+            raise RuntimeError("variation engine broke")
+        return original(profile, *args, **kwargs)
+
+    monkeypatch.setattr(maxbv.envelope, "variation_of_profile", crashing)
+    # Profiles with 1, 4 and 9 pieces; the last function has 5 breakpoints.
+    corpus = [random_stepfn(seed) for seed in (0, 9, 20)]
+    report = invariant_suite(corpus, seed=3)
+    contraction = [r for r in report.results if r.check == "contraction"]
+    assert [r.passed for r in contraction] == [True, False, False]
+    failure = contraction[-1]
+    assert failure.detail == "raised RuntimeError: variation engine broke"
+    assert failure.witness is not None and failure.witness.startswith("stepfn/1")
+    assert sf.parse(failure.witness).n < corpus[-1].n
+    assert "raised RuntimeError: variation engine broke witness=" in report.to_tsv()
+    identity = [r for r in report.results if r.check == "modulus_identity"]
+    assert len(identity) == len(corpus) and all(r.passed for r in identity)
+    # The checks registered after the crashing one still ran.
+    assert sum(r.check == "no_interior_max" for r in report.results) == len(corpus)
