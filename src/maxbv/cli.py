@@ -183,6 +183,7 @@ def cmd_check(args) -> int:
 
 
 def _read_config(path: str) -> dict:
+    """key -> (line number, value text) from a line-oriented key=value file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -197,8 +198,24 @@ def _read_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise InputError(f"{path}:{line_no}: expected key=value")
-        config[key.strip()] = value.strip()
+        config[key.strip()] = (line_no, value.strip())
     return config
+
+
+def _parse_scales(text: str) -> List[Fraction]:
+    try:
+        scales = [parse_rat(s) for s in text.split(",") if s]
+    except ValueError as exc:
+        raise InputError(f"bad scales: {exc}") from None
+    if not scales:
+        return [Fraction(1, 2**j) for j in range(15)]
+    if min(scales) <= 0 or any(second >= first for first, second in zip(scales, scales[1:])):
+        raise InputError("bad scales: they must be positive and strictly decreasing")
+    return scales
+
+
+def _parse_norm(text: str) -> Optional[Fraction]:
+    return None if text == "raw" else _parse_precision(text)
 
 
 _CONFIG_KEYS = {
@@ -208,32 +225,36 @@ _CONFIG_KEYS = {
 
 
 def cmd_experiment(args) -> int:
-    config = _read_config(args.config)
+    path = args.config
+    config = _read_config(path)
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    try:
-        scales = [parse_rat(s) for s in config.get("scales", "").split(",") if s]
-    except ValueError as exc:
-        raise InputError(f"bad scales: {exc}") from None
-    if not scales:
-        scales = [Fraction(1, 2**j) for j in range(15)]
-    if min(scales) <= 0 or any(second >= first for first, second in zip(scales, scales[1:])):
-        raise InputError("bad scales: they must be positive and strictly decreasing")
-    precision = _parse_precision(config.get("precision", "1/1000000000"))
-    threshold = _parse_precision(config.get("threshold", "1/1000"))
-    variation_gap = _parse_precision(config.get("variation_gap", "1/1000"))
-    tail_count = _parse_int(config.get("tail_count", "5"), "tail_count", minimum=1)
-    seed = _parse_int(config.get("seed", "0"), "seed")
-    pairs = _parse_int(config.get("pairs", "1"), "pairs", minimum=1)
-    norm_text = config.get("perturbation_norm", "1/8")
-    target_norm = None if norm_text == "raw" else _parse_precision(norm_text)
+
+    def value(key: str, default: Optional[str], parse, *extra):
+        """The parsed value of key; an error names the line it came from."""
+        if key not in config:
+            return parse(default, *extra)
+        line_no, text = config[key]
+        try:
+            return parse(text, *extra)
+        except InputError as exc:
+            raise InputError(f"{path}:{line_no}: {exc}") from None
+
+    scales = value("scales", "", _parse_scales)
+    precision = value("precision", "1/1000000000", _parse_precision)
+    threshold = value("threshold", "1/1000", _parse_precision)
+    variation_gap = value("variation_gap", "1/1000", _parse_precision)
+    tail_count = value("tail_count", "5", _parse_int, "tail_count", 1)
+    seed = value("seed", "0", _parse_int, "seed")
+    pairs = value("pairs", "1", _parse_int, "pairs", 1)
+    target_norm = value("perturbation_norm", "1/8", _parse_norm)
 
     runs = []
     if "file" in config:
         if "perturbation" not in config:
             raise InputError("config with file= also needs perturbation=")
-        runs.append(("file", _load(config["file"]), _load(config["perturbation"])))
+        runs.append(("file", value("file", None, _load), value("perturbation", None, _load)))
     else:
         for i in range(pairs):
             f = verify.random_stepfn(seed + 2 * i)

@@ -22,8 +22,11 @@ piece; one Andrew monotone-chain pass in each direction yields every
 segment's hull.  The envelope is then a left-to-right walk: from the current
 winner, the next piece starts at the earliest crossing where another
 candidate overtakes it.  The candidate-set maximum of ``maximal.candidate_set``
-stays the oracle the tests compare profiles with, and every build checks
-itself against the pointwise engine at each breakpoint.
+and the pointwise engine ``maximal.maximal_value`` stay the oracles the tests
+compare profiles with.  Every build checks itself at each breakpoint against
+values read off the same two chains without the walk: the vertex a
+breakpoint's point was pushed onto is its best anchor on that side, so one
+O(n) sweep gives the maximal function at every breakpoint.
 
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed piece domain, every piece is monotone, and the variation
@@ -43,7 +46,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import AlgebraicValue, Rat, format_rat, isolate_quadratic_roots, rat, sign
-from .maximal import maximal_limit_at_infinity, maximal_value
+from .maximal import maximal_limit_at_infinity
 from .stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, _endpoint
 
 
@@ -302,6 +305,13 @@ def _hull_links(points: Sequence[Tuple[Rat, Rat]]) -> List[int]:
     links[links[i]], ...  A chain turns strictly left at every vertex, so
     collinear middle points drop out.  Points in increasing x give lower
     hulls of prefixes; in decreasing x, upper hulls of suffixes.
+
+    The link is the tangent vertex from point i to the hull of the points
+    before it: all of them lie on or above (lower hull) or on or below
+    (upper hull) the line through point i and its link.  With the points
+    (b, F(b)) of the antiderivative F of |f|, the slope to the link is
+    therefore the largest average of |f| over an interval between point i
+    and an earlier point.
     """
     links: List[int] = []
     chain: List[int] = []
@@ -325,6 +335,33 @@ def _hull_from(links: List[int], i: int) -> List[int]:
         vertices.append(i)
         i = links[i]
     return vertices
+
+
+def _breakpoint_values(
+    bps: Sequence[Rat], prefix: Sequence[Rat], abs_consts: Sequence[Rat],
+    lower: List[int], upper: List[int],
+) -> List[Rat]:
+    """The maximal function at every breakpoint, read off the hull links.
+
+    At a breakpoint only the anchored intervals and the four limits count
+    (see ``maximal``): the one-sided limits |c_i| and |c_{i+1}|, the tails,
+    and the best interval ending at each side, whose average is the slope
+    from the breakpoint's point to its link in that direction's chain.
+    """
+    n = len(bps)
+    tails = max(abs_consts[0], abs_consts[-1])
+    values = []
+    for i in range(n):
+        best = max(abs_consts[i], abs_consts[i + 1], tails)
+        j = lower[i]
+        if j >= 0:
+            best = max(best, (prefix[i] - prefix[j]) / (bps[i] - bps[j]))
+        j = upper[n - 1 - i]
+        if j >= 0:
+            j = n - 1 - j
+            best = max(best, (prefix[j] - prefix[i]) / (bps[j] - bps[i]))
+        values.append(best)
+    return values
 
 
 def _constant_tag(f: StepFunction, k: int, prefix: Sequence[Rat], value: Rat) -> str:
@@ -419,12 +456,13 @@ def build_profile(f: StepFunction) -> MaximalProfile:
     profile = MaximalProfile(tuple(pieces))
 
     # Internal consistency: adjacent pieces agree at every junction and the
-    # profile matches the pointwise engine at every breakpoint.
+    # profile matches, at every breakpoint, the maximal function read off the
+    # hull chains without the walk.
     for left, right in zip(pieces, pieces[1:]):
         if right.value_at(left.hi) != left.hi_value:
             raise AssertionError("profile pieces disagree at a junction")
-    for x0 in bps:
-        if profile.value(x0) != maximal_value(f, x0).value:
+    for x0, value in zip(bps, _breakpoint_values(bps, prefix, abs_consts, lower, upper)):
+        if profile.value(x0) != value:
             raise AssertionError("profile disagrees with the pointwise engine")
     return profile
 

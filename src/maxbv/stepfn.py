@@ -123,12 +123,6 @@ class StepFunction:
             return self.right_limit(x)
         raise ValueError(f"unknown side {side!r}")
 
-    def limit_at_neg_inf(self) -> Rat:
-        return self.tail_left
-
-    def limit_at_pos_inf(self) -> Rat:
-        return self.right_constants[-1] if self.n else self.tail_left
-
     def __call__(self, x) -> Rat:
         return self.value(x)
 

@@ -115,15 +115,23 @@ def oracle_maximal(f: StepFunction, x, grid: GridSpec) -> Rat:
     best_finite: Optional[Tuple[Rat, Rat]] = None
     best_finite_value = None
 
-    def consider(a: Rat, b: Rat):
+    def consider(lefts: Sequence[Rat], rights: Sequence[Rat]):
+        """Every interval (a, b) around x with a in lefts and b in rights, in
+        that order; the antiderivative is evaluated once per endpoint."""
         nonlocal best, best_finite, best_finite_value
-        if a < b and a <= x <= b:
-            value = integ.average(a, b)
-            if best_finite_value is None or value > best_finite_value:
-                best_finite_value = value
-                best_finite = (a, b)
-            if value > best:
-                best = value
+        right_ends = [(b, integ.at(b)) for b in rights if x <= b]
+        for a in lefts:
+            if x < a:
+                continue
+            at_a = integ.at(a)
+            for b, at_b in right_ends:
+                if a < b:
+                    value = (at_b - at_a) / (b - a)
+                    if best_finite_value is None or value > best_finite_value:
+                        best_finite_value = value
+                        best_finite = (a, b)
+                    if value > best:
+                        best = value
 
     span = rat(grid.span)
     step = None
@@ -133,23 +141,20 @@ def oracle_maximal(f: StepFunction, x, grid: GridSpec) -> Rat:
         points = [x - span + i * step + shift for i in range(grid.endpoint_count + 1)]
         lefts = [p for p in points if p <= x] + [x]
         rights = [p for p in points if p >= x] + [x]
-        for a in lefts:
-            for b in rights:
-                consider(a, b)
+        consider(lefts, rights)
     rng = random.Random(grid.seed)
     for _ in range(grid.random_count):
         a = x - span * Fraction(rng.randint(0, 4096), 4096)
         b = x + span * Fraction(rng.randint(0, 4096), 4096)
-        consider(a, b)
+        consider((a,), (b,))
     spacing = step if step is not None else span / 8
     for _ in range(grid.zoom_rounds):
         if best_finite is None:
             break
         spacing = spacing / 4
         a0, b0 = best_finite
-        for i in range(-5, 6):
-            for j in range(-5, 6):
-                consider(a0 + i * spacing, b0 + j * spacing)
+        offsets = [i * spacing for i in range(-5, 6)]
+        consider([a0 + d for d in offsets], [b0 + d for d in offsets])
     return best
 
 

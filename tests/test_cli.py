@@ -223,6 +223,28 @@ def test_experiment_rejects_bad_scales(tmp_path, capsys, scales):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", "abc", "seed must be an integer, not 'abc'"),
+        ("pairs", "0", "pairs must be at least 1"),
+        ("tail_count", "1.5", "tail_count must be an integer, not '1.5'"),
+        ("precision", "abc", "malformed rational 'abc' (expected 'p' or 'p/q', q > 0)"),
+        ("threshold", "0", "precision must be positive"),
+        ("variation_gap", "-1/2", "precision must be positive"),
+        ("perturbation_norm", "1/0", "malformed rational '1/0' (expected 'p' or 'p/q', q > 0)"),
+        ("scales", "1,1", "bad scales: they must be positive and strictly decreasing"),
+    ],
+)
+def test_experiment_value_errors_name_the_line(tmp_path, capsys, key, value, message):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"# a comment\n{key}={value}\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:2: {message}\n"
+
+
 def test_experiment_rejects_zero_pairs(tmp_path, capsys):
     assert _experiment(tmp_path, "pairs=0\nscales=1,1/2\n") == 2
     _assert_one_line_error(capsys)

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from maxbv import envelope
 from maxbv.envelope import (
+    _breakpoint_values,
+    _hull_links,
     build_profile,
     bv_distance,
     detachment_regions,
@@ -12,8 +15,8 @@ from maxbv.envelope import (
     variation_of_profile,
 )
 from maxbv.maximal import maximal_limit_at_infinity, maximal_value
-from maxbv.stepfn import StepFunction, adjusted_modulus, combine, modulus, variation_on
-from conftest import rand_stepfn
+from maxbv.stepfn import AbsIntegral, StepFunction, adjusted_modulus, combine, modulus, variation_on
+from conftest import rand_fraction, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -63,6 +66,59 @@ def test_profile_agrees_with_engine_on_dense_samples():
         samples |= {x + Fraction(1, 17) for x in f.breakpoints}
         for x in samples:
             assert profile.value(x) == maximal_value(f, x).value
+
+
+def exact_n_stepfn(rng, n):
+    """A step function with exactly n breakpoints, one per 4-wide slot, and
+    tails of size at most 1 below interior values of size up to 3, so that
+    long intervals often carry the maximal function."""
+    bps = [4 * k + Fraction(rng.randrange(16), 4) for k in range(n)]
+    tail = rand_fraction(rng, bound=1)
+    constants = []
+    for k in range(n):
+        previous = constants[-1] if constants else tail
+        c = previous
+        while c == previous:  # keeps every breakpoint
+            c = rand_fraction(rng, bound=1 if k == n - 1 else 3)
+        constants.append(c)
+    values = [rand_fraction(rng) for _ in range(n)]
+    return StepFunction(tail, bps, values, constants)
+
+
+def sweep(f):
+    prefix = AbsIntegral(f).prefix
+    points = list(zip(f.breakpoints, prefix))
+    abs_consts = [abs(c) for c in f.constants]
+    lower, upper = _hull_links(points), _hull_links(points[::-1])
+    return _breakpoint_values(f.breakpoints, prefix, abs_consts, lower, upper)
+
+
+@pytest.mark.parametrize("n", [10, 40, 160])
+def test_breakpoint_sweep_matches_pointwise_engine(n):
+    rng = random.Random(n)
+    from_hull = 0
+    for _ in range(3):
+        f = exact_n_stepfn(rng, n)
+        assert f.n == n
+        values = sweep(f)
+        assert values == [maximal_value(f, b).value for b in f.breakpoints]
+        c = [abs(constant) for constant in f.constants]
+        from_hull += sum(v > max(c[i], c[i + 1], c[0], c[-1]) for i, v in enumerate(values))
+    assert from_hull > 0  # some values beat every limit, so a chain link carries them
+
+
+def test_self_check_catches_a_walk_that_drops_a_hull_anchor(monkeypatch):
+    # At -6 the best interval runs to the last breakpoint.  A walk without
+    # the farthest vertex of each hull (the first breakpoint as a left
+    # anchor, the last as a right anchor) loses it on both sides of -6 alike,
+    # so adjacent pieces still agree there: only the breakpoint values see it.
+    f = StepFunction(0, (-6, 1, 3, 8), (-1, -3, -3, -3), (0, -3, Fraction(-7, 3), -1))
+    assert str(maximal_value(f, -6).witness) == "finite(-6,8)"
+    build_profile(f)
+    hull_from = envelope._hull_from
+    monkeypatch.setattr(envelope, "_hull_from", lambda links, i: hull_from(links, i)[:-1])
+    with pytest.raises(AssertionError, match="profile disagrees with the pointwise engine"):
+        build_profile(f)
 
 
 def test_profile_dominates_adjusted_modulus():
