@@ -28,6 +28,18 @@ values read off the same two chains without the walk: the vertex a
 breakpoint's point was pushed onto is its best anchor on that side, so one
 O(n) sweep gives the maximal function at every breakpoint.
 
+The build runs on an integer lattice.  With D the lcm of the breakpoint
+denominators and E that of the |constant| denominators, the points
+X = D*b, the levels L = E*|c| and the antiderivative values P = D*E*F(b)
+are ints; a candidate is an int coefficient tuple in the coordinate X,
+valued in units of 1/E, a crossing is a pair of ints, and the walk compares
+by cross-multiplication.  The scaling is positive in both coordinates, so
+every orientation test, and with it every hull link, and every comparison
+of the walk come out as they would on the rationals.  Fractions come back
+once per merged piece (alpha = A/(D*E), beta = L/E, gamma = -X/D, its
+endpoints and end values), and the self-checks read f's own rationals, so
+they check that way back as well.
+
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed piece domain, every piece is monotone, and the variation
 of a profile is an exact telescoping sum of endpoint values.  The
@@ -40,6 +52,7 @@ is the point itself, so its peak is exact.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,14 +219,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-# A candidate is its coefficient tuple (alpha, beta, gamma, delta).
-Candidate = Tuple[Rat, Rat, Rat, Rat]
-
-
-def _value(c: Candidate, x: Rat) -> Rat:
-    return (c[0] + c[1] * x) / (c[2] + c[3] * x)
-
-
 def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     """A rational inside the open interval (lo, hi); None means infinite."""
     if lo is None and hi is None:
@@ -225,11 +230,24 @@ def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     return (lo + hi) / 2
 
 
-def _crossing(c1: Candidate, c2: Candidate) -> Optional[Rat]:
+def _inside(x: Rat, u: Optional[Rat], v: Optional[Rat]) -> bool:
+    return (u is None or u < x) and (v is None or x < v)
+
+
+# --- the build, on the integer lattice --------------------------------------
+
+# A candidate is its coefficient tuple (alpha, beta, gamma, delta) of ints: a
+# Moebius function of the lattice coordinate X = D*x, valued in units of 1/E.
+# A lattice point is a pair (p, q) of ints with q > 0, standing for X = p/q.
+Candidate = Tuple[int, int, int, int]
+Point = Tuple[int, int]
+
+
+def _crossing(c1: Candidate, c2: Candidate) -> Optional[Point]:
     """The one point where two distinct candidates of a segment meet, if any.
 
-    Every candidate has beta = l*delta (l = |f| on the segment), so the x^2
-    coefficient of the crossing equation cancels and it is linear.
+    Every candidate has beta = L*delta (L = E*|f| on the segment), so the
+    X^2 coefficient of the crossing equation cancels and it is linear.
     """
     a1, b1, g1, d1 = c1
     a2, b2, g2, d2 = c2
@@ -238,17 +256,40 @@ def _crossing(c1: Candidate, c2: Candidate) -> Optional[Rat]:
     slope = a1 * d2 + b1 * g2 - a2 * d1 - b2 * g1
     if not slope:
         return None
-    return (a2 * g1 - a1 * g2) / slope
+    num = a2 * g1 - a1 * g2
+    return (num, slope) if slope > 0 else (-num, -slope)
 
 
-def _inside(x: Rat, u: Optional[Rat], v: Optional[Rat]) -> bool:
-    return (u is None or u < x) and (v is None or x < v)
+def _order(c1: Candidate, c2: Candidate, x: Point) -> int:
+    """The sign of c1 - c2 at the lattice point x (no pole there)."""
+    p, q = x
+    n1, d1 = c1[0] * q + c1[1] * p, c1[2] * q + c1[3] * p
+    n2, d2 = c2[0] * q + c2[1] * p, c2[2] * q + c2[3] * p
+    diff = n1 * d2 - n2 * d1
+    if (d1 > 0) != (d2 > 0):
+        diff = -diff
+    return (diff > 0) - (diff < 0)
+
+
+def _after(x: Point, v: Optional[int]) -> Point:
+    """A lattice point inside (x, v); None means +oo."""
+    p, q = x
+    return (p + q, q) if v is None else (p + v * q, 2 * q)
+
+
+def _largest(candidates: Sequence[Candidate], x: Point) -> Candidate:
+    """The first of the candidates largest at x."""
+    winner = candidates[0]
+    for cand in candidates[1:]:
+        if _order(cand, winner, x) > 0:
+            winner = cand
+    return winner
 
 
 def _upper_envelope(
-    candidates: Sequence[Candidate], u: Optional[Rat], v: Optional[Rat]
-) -> List[Tuple[Optional[Rat], Optional[Rat], Candidate]]:
-    """Envelope of distinct candidates over the open segment (u, v).
+    candidates: Sequence[Candidate], u: Optional[int], v: Optional[int]
+) -> List[Tuple[Optional[Point], Optional[Point], Candidate]]:
+    """Envelope of distinct candidates over the open lattice segment (u, v).
 
     Two distinct candidates meet at most once (their crossing equation is
     linear), and their difference changes sign there, because no candidate
@@ -264,36 +305,47 @@ def _upper_envelope(
         winner = candidates[0]
         for cand in candidates[1:]:
             x = _crossing(cand, winner)
-            sample = (x if x is not None and x < v else v) - 1
-            if _value(cand, sample) > _value(winner, sample):
+            sample = (x[0] - x[1], x[1]) if x is not None and x[0] < v * x[1] else (v - 1, 1)
+            if _order(cand, winner, sample) > 0:
                 winner = cand
+        start = None
     else:
-        at_u = [_value(cand, u) for cand in candidates]
-        top = max(at_u)
-        sample = _midpoint(u, v)
-        tied = [cand for cand, value in zip(candidates, at_u) if value == top]
-        winner = max(tied, key=lambda c: _value(c, sample))
+        start = (u, 1)
+        tied = [candidates[0]]
+        for cand in candidates[1:]:
+            order = _order(cand, tied[0], start)
+            if order > 0:
+                tied = [cand]
+            elif order == 0:
+                tied.append(cand)
+        winner = _largest(tied, _after(start, v))
     # A candidate that does not cross the winner after the current start
     # stays below it, and so below the envelope, up to v: it is dropped.
     alive = [cand for cand in candidates if cand is not winner]
     cells = []
-    start = u
     while True:
         ahead = []
         for cand in alive:
             x = _crossing(winner, cand)
-            if x is not None and _inside(x, start, v):
+            if (
+                x is not None
+                and (start is None or start[0] * x[1] < x[0] * start[1])
+                and (v is None or x[0] < v * x[1])
+            ):
                 ahead.append((x, cand))
         if not ahead:
-            cells.append((start, v, winner))
+            cells.append((start, None if v is None else (v, 1), winner))
             return cells
-        nearest = min(x for x, _ in ahead)
+        nearest = ahead[0][0]
+        for x, _ in ahead[1:]:
+            if x[0] * nearest[1] < nearest[0] * x[1]:
+                nearest = x
         cells.append((start, nearest, winner))
-        sample = _midpoint(nearest, v)
         # The old winner and the rivals not chosen meet the new winner at
         # `nearest` and stay below it from there on.
-        winner = max((cand for x, cand in ahead if x == nearest), key=lambda c: _value(c, sample))
-        alive = [cand for x, cand in ahead if x != nearest]
+        at_nearest = [x[0] * nearest[1] == nearest[0] * x[1] for x, _ in ahead]
+        winner = _largest([cand for (_, cand), hit in zip(ahead, at_nearest) if hit], _after(nearest, v))
+        alive = [cand for (_, cand), hit in zip(ahead, at_nearest) if not hit]
         start = nearest
 
 
@@ -364,25 +416,25 @@ def _breakpoint_values(
     return values
 
 
-def _constant_tag(f: StepFunction, k: int, prefix: Sequence[Rat], value: Rat) -> str:
-    """Tag of the constant `value` on segment k: the shortest, then leftmost,
-    interval between breakpoints that straddles the segment and averages
-    exactly `value`, else the first of the tails and the local value equal
-    to it."""
-    bps = f.breakpoints
-    first_right: Dict[Rat, Rat] = {}
-    for j in range(len(bps) - 1, k - 1, -1):
-        first_right[prefix[j] - value * bps[j]] = bps[j]
-    best: Optional[Tuple[Rat, Rat, Rat]] = None
+def _constant_tag(
+    xs: Sequence[int], ps: Sequence[int], ls: Sequence[int], k: int, c: int, scale: int
+) -> str:
+    """Tag of the lattice constant c on segment k: the shortest, then
+    leftmost, interval between breakpoints that straddles the segment and
+    averages exactly c, else the first of the tails and the local value
+    equal to it.  Breakpoints print at X/scale."""
+    first_right: Dict[int, int] = {}
+    for j in range(len(xs) - 1, k - 1, -1):
+        first_right[ps[j] - c * xs[j]] = xs[j]
+    best: Optional[Tuple[int, int, int]] = None
     for i in range(k):
-        b = first_right.get(prefix[i] - value * bps[i])
-        if b is not None and (best is None or (b - bps[i], bps[i]) < best[:2]):
-            best = (b - bps[i], bps[i], b)
+        b = first_right.get(ps[i] - c * xs[i])
+        if b is not None and (best is None or (b - xs[i], xs[i]) < best[:2]):
+            best = (b - xs[i], xs[i], b)
     if best is not None:
-        return f"const({format_rat(best[1])},{format_rat(best[2])})"
-    consts = f.constants
-    for source, c in (("tail_left", consts[0]), ("tail_right", consts[-1]), ("local", consts[k])):
-        if abs(c) == value:
+        return f"const({format_rat(Fraction(best[1], scale))},{format_rat(Fraction(best[2], scale))})"
+    for source, ell in (("tail_left", ls[0]), ("tail_right", ls[-1]), ("local", ls[k])):
+        if ell == c:
             return f"const:{source}"
     raise AssertionError("segment constant matches no candidate")
 
@@ -398,69 +450,80 @@ def build_profile(f: StepFunction) -> MaximalProfile:
 
     bps = f.breakpoints
     n = f.n
-    prefix = AbsIntegral(f).prefix  # F at each breakpoint
     abs_consts = [abs(c) for c in f.constants]
-    points = list(zip(bps, prefix))
+    # The lattice: X = scale*x and averages in units of 1/unit (scale = D,
+    # unit = E), so P = D*E*F at the breakpoints.
+    scale = math.lcm(*[b.denominator for b in bps])
+    unit = math.lcm(*[c.denominator for c in abs_consts])
+    xs = [b.numerator * (scale // b.denominator) for b in bps]
+    ls = [c.numerator * (unit // c.denominator) for c in abs_consts]
+    ps = [0]
+    for k in range(1, n):
+        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
+    points = list(zip(xs, ps))
     lower = _hull_links(points)
     upper = _hull_links(points[::-1])
-    tails = max(abs_consts[0], abs_consts[-1])
+    tails = max(ls[0], ls[-1])
 
-    cells_in_order: List[Tuple[Optional[Rat], Optional[Rat], Candidate, str]] = []
+    # [lo, hi, candidate, segment of the first cell]; adjacent cells with
+    # identical coefficients merge (continuity across breakpoints makes the
+    # shared function one piece).
+    cells: List[list] = []
     for k in range(n + 1):
-        u = bps[k - 1] if k >= 1 else None
-        v = bps[k] if k <= n - 1 else None
-        ell = abs_consts[k]
-        # F(x) = y0 + ell*x on the segment, so the average over the interval
-        # between x and an anchor q is (y0 - F(q) + ell*x)/(x - q).
+        u = xs[k - 1] if k >= 1 else None
+        v = xs[k] if k <= n - 1 else None
+        ell = ls[k]
+        # P(X) = y0 + ell*X on the segment, so the lattice average over the
+        # interval between X and an anchor Q is (y0 - P(Q) + ell*X)/(X - Q).
         ref = max(k - 1, 0)
-        y0 = prefix[ref] - ell * bps[ref]
-        constant = (max(ell, tails), _ZERO, _ONE, _ZERO)
-        candidates = [constant]
+        y0 = ps[ref] - ell * xs[ref]
+        candidates = [(max(ell, tails), 0, 1, 0)]
         left = _hull_from(lower, k - 1) if k >= 1 else []
         right = [n - 1 - j for j in _hull_from(upper, n - 1 - k)] if k <= n - 1 else []
         for i in left + right:
-            q = bps[i]
-            alpha = y0 - prefix[i]
+            alpha = y0 - ps[i]
             # Anchors whose average with the segment is the local constant
             # (the segment ends among them) are already covered.
-            if alpha + ell * q == 0:
+            if alpha + ell * xs[i] == 0:
                 continue
-            candidates.append((alpha, ell, -q, _ONE))
-
+            candidates.append((alpha, ell, -xs[i], 1))
         for lo, hi, cand in _upper_envelope(candidates, u, v):
-            if cand is constant:
-                tag = _constant_tag(f, k, prefix, cand[0])
+            if cells and cand == cells[-1][2]:
+                cells[-1][1] = hi
             else:
-                # The anchor is the pole; left anchors lie at or before u.
-                q = -cand[2]
-                side = "left" if u is not None and q <= u else "right"
-                tag = f"{side}({format_rat(q)})"
-            cells_in_order.append((lo, hi, cand, tag))
+                cells.append([lo, hi, cand, k])
 
-    # Merge adjacent cells with identical coefficients (continuity across
-    # breakpoints makes the shared function one piece).
-    merged = [list(cells_in_order[0])]
-    for lo, hi, cand, tag in cells_in_order[1:]:
-        if cand == merged[-1][2]:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi, cand, tag])
+    def position(x: Optional[Point]) -> Optional[Rat]:
+        return None if x is None else Fraction(x[0], x[1] * scale)
 
     pieces: List[MoebiusPiece] = []
     prev_value: Optional[Rat] = None
-    for lo, hi, cand, tag in merged:
-        hi_value = None if hi is None else _value(cand, hi)
-        pieces.append(MoebiusPiece(*cand, lo, hi, prev_value, hi_value, tag))
+    for lo, hi, (a, b, g, d), k in cells:
+        if d:
+            # The anchor is the pole; left anchors lie at or before u.
+            q = Fraction(-g, scale)
+            side = "left" if k >= 1 and -g <= xs[k - 1] else "right"
+            tag = f"{side}({format_rat(q)})"
+            coeffs = (Fraction(a, scale * unit), Fraction(b, unit), -q, _ONE)
+        else:
+            tag = _constant_tag(xs, ps, ls, k, a, scale)
+            coeffs = (Fraction(a, unit), _ZERO, _ONE, _ZERO)
+        hi_value = None
+        if hi is not None:
+            hi_value = Fraction(a * hi[1] + b * hi[0], (g * hi[1] + d * hi[0]) * unit)
+        pieces.append(MoebiusPiece(*coeffs, position(lo), position(hi), prev_value, hi_value, tag))
         prev_value = hi_value
 
     profile = MaximalProfile(tuple(pieces))
 
-    # Internal consistency: adjacent pieces agree at every junction and the
-    # profile matches, at every breakpoint, the maximal function read off the
-    # hull chains without the walk.
+    # Internal consistency, in the rationals of f itself (so the way back
+    # from the lattice is checked too): adjacent pieces agree at every
+    # junction and the profile matches, at every breakpoint, the maximal
+    # function read off the hull chains without the walk.
     for left, right in zip(pieces, pieces[1:]):
         if right.value_at(left.hi) != left.hi_value:
             raise AssertionError("profile pieces disagree at a junction")
+    prefix = AbsIntegral(f).prefix
     for x0, value in zip(bps, _breakpoint_values(bps, prefix, abs_consts, lower, upper)):
         if profile.value(x0) != value:
             raise AssertionError("profile disagrees with the pointwise engine")

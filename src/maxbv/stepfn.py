@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exact import Rat, format_rat, parse_rat, rat, sign
+from .exact import Rat, format_rat, parse_rat, rat
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -114,26 +114,41 @@ class StepFunction:
     def right_limit(self, x) -> Rat:
         return self.constants[bisect_right(self.breakpoints, rat(x))]
 
-    def eval(self, x, side: str = "point") -> Rat:
-        if side == "point":
-            return self.value(x)
-        if side == "left_limit":
-            return self.left_limit(x)
-        if side == "right_limit":
-            return self.right_limit(x)
-        raise ValueError(f"unknown side {side!r}")
-
     def __call__(self, x) -> Rat:
         return self.value(x)
 
 
 def combine(f: StepFunction, g: StepFunction, alpha=1, beta=1) -> StepFunction:
-    """Pointwise alpha*f + beta*g on the merged breakpoints, canonicalized."""
+    """Pointwise alpha*f + beta*g on the merged breakpoints, canonicalized.
+
+    One pass over both breakpoint lists: with i breakpoints of f behind x,
+    f is constants[i] just right of x, and also at x unless x is its own
+    breakpoint i.
+    """
     alpha, beta = rat(alpha), rat(beta)
-    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
-    values = tuple([alpha * f.value(x) + beta * g.value(x) for x in merged])
-    constants = tuple([alpha * f.right_limit(x) + beta * g.right_limit(x) for x in merged])
-    return StepFunction(alpha * f.tail_left + beta * g.tail_left, tuple(merged), values, constants)
+    fb, gb = f.breakpoints, g.breakpoints
+    fc, gc = f.constants, g.constants
+    merged: List[Rat] = []
+    values: List[Rat] = []
+    constants: List[Rat] = []
+    i = j = 0
+    while i < len(fb) or j < len(gb):
+        if j == len(gb) or (i < len(fb) and fb[i] <= gb[j]):
+            x = fb[i]
+        else:
+            x = gb[j]
+        fx = gx = None
+        if i < len(fb) and fb[i] == x:
+            fx = f.point_values[i]
+            i += 1
+        if j < len(gb) and gb[j] == x:
+            gx = g.point_values[j]
+            j += 1
+        merged.append(x)
+        values.append(alpha * (fc[i] if fx is None else fx) + beta * (gc[j] if gx is None else gx))
+        constants.append(alpha * fc[i] + beta * gc[j])
+    tail = alpha * f.tail_left + beta * g.tail_left
+    return StepFunction(tail, tuple(merged), tuple(values), tuple(constants))
 
 
 def modulus(f: StepFunction) -> StepFunction:
@@ -201,14 +216,6 @@ class Partition:
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("partition points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    def property_v(self, fn) -> bool:
-        """Alternating-increment check relative to an evaluable function."""
-        values = [fn(x) for x in self.points]
-        for i in range(len(values) - 2):
-            if sign(values[i + 1] - values[i]) * sign(values[i + 2] - values[i + 1]) >= 0:
-                return False
-        return True
 
 
 def variation_on_partition(f: StepFunction, partition) -> Rat:

@@ -26,9 +26,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from . import envelope as env
 from . import maximal as mx
 from . import stepfn as sf
-from .envelope import MaximalProfile, VariationEnclosure
+from .envelope import VariationEnclosure
 from .exact import Rat, format_rat, rat
-from .stepfn import AbsIntegral, Partition, StepFunction
+from .stepfn import AbsIntegral, StepFunction
 
 
 # --- randomized corpus -----------------------------------------------------
@@ -156,82 +156,6 @@ def oracle_maximal(f: StepFunction, x, grid: GridSpec) -> Rat:
         offsets = [i * spacing for i in range(-5, 6)]
         consider([a0 + d for d in offsets], [b0 + d for d in offsets])
     return best
-
-
-# --- alternating partitions ------------------------------------------------
-
-
-def _alternating_subsequence(points: Sequence[Rat], values: Sequence[Rat]) -> List[Rat]:
-    """Thread the local extrema: the kept points alternate strictly and keep
-    the full partition variation of the input sample."""
-    pts: List[Rat] = []
-    vals: List[Rat] = []
-    for p, v in zip(points, values):
-        if vals and v == vals[-1]:
-            continue
-        pts.append(p)
-        vals.append(v)
-    if len(pts) < 2:
-        return list(points[:1]) + [points[-1]] if len(points) >= 2 else list(points)
-    keep = [0]
-    for i in range(1, len(pts) - 1):
-        if (vals[i] - vals[i - 1] > 0) != (vals[i + 1] - vals[i] > 0):
-            keep.append(i)
-    keep.append(len(pts) - 1)
-    return [pts[i] for i in keep]
-
-
-def alternating_partition(target: Union[StepFunction, MaximalProfile], a, b, eps) -> Partition:
-    """A partition inside (a, b) that is either two points or alternates
-    against the target, with partition variation within eps of the true
-    variation over (a, b)."""
-    a, b, eps = rat(a), rat(b), rat(eps)
-    if not a < b:
-        raise ValueError("alternating_partition needs a < b")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    if isinstance(target, StepFunction):
-        inner = [x for x in target.breakpoints if a < x < b]
-        if not inner:
-            third = (b - a) / 3
-            return Partition((a + third, b - third))
-        gaps = [second - first for first, second in zip(inner, inner[1:])]
-        gaps.append(inner[0] - a)
-        gaps.append(b - inner[-1])
-        delta = min(gaps) / 4
-        points: List[Rat] = []
-        for x in inner:
-            points.extend((x - delta, x, x + delta))
-        points = sorted(set(points))
-        values = [target.value(p) for p in points]
-        chosen = _alternating_subsequence(points, values)
-        if len(chosen) < 2:
-            chosen = [points[0], points[-1]]
-        return Partition(tuple(chosen))
-
-    profile = target
-    junctions = [j for j in profile.junctions() if a < j < b]
-    tolerance = eps / (4 * (len(junctions) + 2))
-
-    def edge_offset(base: Rat, inward: int, barrier: Rat) -> Rat:
-        eta = (b - a) / 8
-        while not (a < base + inward * eta < b) or not (
-            (base + inward * eta - barrier) * inward < 0
-        ):
-            eta /= 2
-        while abs(profile.value(base + inward * eta) - profile.value(base)) > tolerance:
-            eta /= 2
-        return base + inward * eta
-
-    start = edge_offset(a, +1, junctions[0] if junctions else b)
-    end = edge_offset(b, -1, junctions[-1] if junctions else start)
-    points = [start, *junctions, end]
-    values = [profile.value(p) for p in points]
-    chosen = _alternating_subsequence(points, values)
-    if len(chosen) < 2:
-        chosen = [points[0], points[-1]]
-    return Partition(tuple(chosen))
 
 
 # --- divergence construction -----------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +300,14 @@ def test_internal_error_exits_3_with_one_line(chi_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: profile engine broke\n"
     assert "Traceback" not in captured.err
+
+
+def test_readme_experiment_config_runs_as_written(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config", 1)[1]
+    block = section.split("```\n", 2)[1]
+    config = tmp_path / "exp.cfg"
+    config.write_text(block, encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# verdict")]
+    assert verdicts and verdicts == ["# verdict\tPASS"] * len(verdicts)

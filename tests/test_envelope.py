@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from maxbv.envelope import (
     variation_of_difference,
     variation_of_profile,
 )
+from maxbv.exact import format_rat, parse_rat
 from maxbv.maximal import maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import AbsIntegral, StepFunction, adjusted_modulus, combine, modulus, variation_on
 from conftest import rand_fraction, rand_stepfn
@@ -119,6 +121,76 @@ def test_self_check_catches_a_walk_that_drops_a_hull_anchor(monkeypatch):
     monkeypatch.setattr(envelope, "_hull_from", lambda links, i: hull_from(links, i)[:-1])
     with pytest.raises(AssertionError, match="profile disagrees with the pointwise engine"):
         build_profile(f)
+
+
+def _shift_tag(tag, t):
+    match = re.fullmatch(r"(left|right|const)\((.*)\)", tag)
+    if match is None:
+        return tag  # const:<tail_left|tail_right|local> has no position
+    kind, body = match.groups()
+    return f"{kind}({','.join(format_rat(parse_rat(q) + t) for q in body.split(','))})"
+
+
+def test_translated_input_translates_the_profile():
+    # M(f(. - t)) = (Mf)(. - t): every piece moves by t, so on it
+    # (alpha + beta*(x - t))/(gamma + delta*(x - t)) gives alpha - beta*t and
+    # gamma - delta*t, and every position in a tag moves by t.  A shift by
+    # 1/7 also changes the common denominator of the breakpoints.
+    t = Fraction(1, 7)
+    rng = random.Random(103)
+    for n in (1, 3, 8, 20):
+        f = exact_n_stepfn(rng, n)
+        moved = StepFunction(
+            f.tail_left, [b + t for b in f.breakpoints], f.point_values, f.right_constants
+        )
+        before, after = build_profile(f).pieces, build_profile(moved).pieces
+        assert len(before) == len(after)
+        for p, q in zip(before, after):
+            assert coeffs(q) == (p.alpha - p.beta * t, p.beta, p.gamma - p.delta * t, p.delta)
+            assert (q.lo, q.hi) == tuple(None if e is None else e + t for e in (p.lo, p.hi))
+            assert (q.lo_value, q.hi_value) == (p.lo_value, p.hi_value)
+            assert q.tag == _shift_tag(p.tag, t)
+
+
+def test_scaled_input_scales_the_profile():
+    # M(lambda*f) = |lambda|*Mf: alpha and beta scale, the poles and tags stay.
+    lam = Fraction(-3, 5)
+    rng = random.Random(107)
+    for n in (1, 4, 12):
+        f = exact_n_stepfn(rng, n)
+        scaled = combine(f, StepFunction.constant(0), lam, 0)
+        for p, q in zip(build_profile(f).pieces, build_profile(scaled).pieces, strict=True):
+            assert coeffs(q) == (p.alpha * -lam, p.beta * -lam, p.gamma, p.delta)
+            assert (q.lo, q.hi, q.tag) == (p.lo, p.hi, p.tag)
+
+
+def test_profile_of_finely_perturbed_inputs_matches_the_engine():
+    # f + 2^-14 * g with g on a grid of odd denominators: the breakpoints and
+    # the constants have large common denominators.
+    rng = random.Random(109)
+    for _ in range(6):
+        f = exact_n_stepfn(rng, 5)
+        g = exact_n_stepfn(rng, 5)
+        g = StepFunction(
+            g.tail_left / 3,
+            [b + Fraction(1, 7 * 11 * 13) for b in g.breakpoints],
+            [v / 17 for v in g.point_values],
+            [c / 19 for c in g.right_constants],
+        )
+        h = combine(f, g, 1, Fraction(1, 2**14))
+        profile = build_profile(h)
+        points = list(h.breakpoints)
+        points += [Fraction(rng.randint(-40 * 97, 40 * 97), 97) for _ in range(20)]
+        for x in points:
+            assert profile.value(x) == maximal_value(h, x).value
+
+
+def test_profile_of_an_all_integer_input_matches_the_engine():
+    f = StepFunction(1, (-3, 0, 2, 5, 9), (4, -2, 0, 3, 1), (3, -2, 5, 1, 0))
+    profile = build_profile(f)
+    assert len(profile.pieces) > 3
+    for x in [Fraction(k, 2) for k in range(-14, 24)]:
+        assert profile.value(x) == maximal_value(f, x).value
 
 
 def test_profile_dominates_adjusted_modulus():

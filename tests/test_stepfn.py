@@ -29,16 +29,6 @@ TWO_BUMP = combine(
 )
 
 
-def test_eval_sides_on_indicator():
-    assert CHI_01.eval(0, "left_limit") == 0
-    assert CHI_01.eval(0, "point") == 1
-    assert CHI_01.eval(Fraction(1, 2), "point") == 1
-    assert CHI_01.eval(1, "right_limit") == 0
-    assert CHI_01.eval(2, "point") == 0
-    with pytest.raises(ValueError):
-        CHI_01.eval(0, "sideways")
-
-
 def test_canonicalization_drops_invisible_breakpoints():
     f = StepFunction(1, (0,), (1,), (1,))
     assert f.n == 0 and f.tail_left == 1
@@ -72,6 +62,31 @@ def test_combine_is_pointwise_exact():
         for x in samples:
             assert h.value(x) == alpha * f.value(x) + beta * g.value(x)
             assert h.left_limit(x) == alpha * f.left_limit(x) + beta * g.left_limit(x)
+
+
+def test_combine_matches_pointwise_at_merged_breakpoints_and_midpoints():
+    # A point value that both sides share and sum to the constant around it
+    # is dropped by canonical form: [0, 1] + [1, 2] is the indicator of [0, 2].
+    left = StepFunction(0, (0, 1), (1, 1), (1, 0))
+    right = StepFunction(0, (1, 2), (0, 1), (1, 0))
+    assert combine(left, right) == StepFunction.indicator(0, 2)
+    rng = random.Random(17)
+    shared = dropped = 0
+    for trial in range(200):
+        f = rand_stepfn(rng, n_max=6, span=4)
+        g = rand_stepfn(rng, n_max=6, span=4) if trial % 4 else f
+        alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        beta = -alpha if trial % 4 == 0 else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        h = combine(f, g, alpha, beta)
+        merged = sorted({*f.breakpoints, *g.breakpoints})
+        shared += len(set(f.breakpoints) & set(g.breakpoints))
+        dropped += len(merged) - h.n
+        assert set(h.breakpoints) <= set(merged)
+        ends = [merged[0] - 1, merged[-1] + 1] if merged else [Fraction(0)]
+        midpoints = [(a + b) / 2 for a, b in zip(merged, merged[1:])]
+        for x in merged + midpoints + ends:
+            assert h(x) == alpha * f(x) + beta * g(x)
+    assert shared and dropped
 
 
 def test_modulus_examples():
@@ -115,14 +130,14 @@ def test_variation_on_partition_examples():
     assert variation_on_partition(staircase, (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))) == 2
 
 
-def test_partition_validation_and_property_v():
+def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((1,))
     with pytest.raises(ValueError):
         Partition((1, 1))
-    zigzag = Partition((0, 1, 2, 3))
-    assert zigzag.property_v(lambda x: x if int(x) % 2 else -x)
-    assert not zigzag.property_v(lambda x: x)
+    with pytest.raises(ValueError):
+        Partition((2, 1))
+    assert Partition((0, Fraction(1, 2), 3)).points == (0, Fraction(1, 2), 3)
 
 
 def test_partition_bound_property():

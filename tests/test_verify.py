@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 import maxbv.stepfn as sf
-from maxbv.envelope import build_profile, bv_distance, variation_of_profile
+from maxbv.envelope import bv_distance
 from maxbv.maximal import maximal_value
-from maxbv.stepfn import StepFunction, combine, variation_on, variation_on_partition
+from maxbv.stepfn import StepFunction
 from maxbv.verify import (
     GridSpec,
-    alternating_partition,
     continuity_experiment,
     counterexample,
     counterexample_functions,
@@ -73,44 +72,6 @@ def test_random_stepfn_stratification():
         if saw_sign_change and saw_point_jump:
             break
     assert saw_sign_change and saw_point_jump
-
-
-def test_alternating_partition_monotone_profile_piece():
-    staircase = StepFunction(0, (0, 1), (0, 1), (1, 2))
-    partition = alternating_partition(staircase, Fraction(-1), Fraction(3), Fraction(1, 1000))
-    assert variation_on_partition(staircase, partition) >= variation_on(staircase, -1, 3) - Fraction(1, 1000)
-
-    profile = build_profile(CHI_01)
-    monotone = alternating_partition(profile, Fraction(2), Fraction(5), Fraction(1, 1000))
-    assert len(monotone.points) == 2
-    drop = profile.value(Fraction(2)) - profile.value(Fraction(5))
-    got = abs(profile.value(monotone.points[1]) - profile.value(monotone.points[0]))
-    assert got >= drop - Fraction(1, 1000)
-
-
-def test_alternating_partition_two_bump_profile():
-    two_bump = combine(
-        StepFunction.indicator(0, 1, closed=False), StepFunction.indicator(2, 3, closed=False)
-    )
-    profile = build_profile(two_bump)
-    eps = Fraction(1, 1000)
-    partition = alternating_partition(profile, Fraction(-1), Fraction(4), eps)
-    sampled = sum(
-        abs(profile.value(partition.points[i + 1]) - profile.value(partition.points[i]))
-        for i in range(len(partition.points) - 1)
-    )
-    true_var = variation_of_profile(profile, -1, 4, PRECISION)
-    assert sampled >= true_var.lo - eps
-    assert len(partition.points) == 2 or partition.property_v(profile.value)
-
-
-def test_alternating_partition_constant():
-    constant = StepFunction.constant(2)
-    partition = alternating_partition(constant, Fraction(0), Fraction(1), Fraction(1, 10))
-    assert len(partition.points) == 2
-    assert variation_on_partition(constant, partition) == 0
-    with pytest.raises(ValueError):
-        alternating_partition(constant, 0, 1, 0)
 
 
 def test_counterexample_rejects_small_n():
