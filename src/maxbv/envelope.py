@@ -43,11 +43,13 @@ they check that way back as well.
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed piece domain, every piece is monotone, and the variation
 of a profile is an exact telescoping sum of endpoint values.  The
-difference of two profiles has at most one critical point per common cell;
-its variation is an exact sum over the junctions of cells without one, and
-only the critical points (peaks) are narrowed, to a certified rational
-enclosure of any requested precision; a rational critical point's bracket
-is the point itself, so its peak is exact.
+difference of two profiles has at most one critical point per common cell,
+and exact signs locate it: its derivative has the sign of an int quadratic,
+which changes sign across the cell exactly when the cell holds a critical
+point.  The variation is an exact sum over the junctions of cells without
+one; only the critical points (peaks) get brackets, narrowed to a certified
+rational enclosure of any requested precision.  A rational critical point's
+bracket is the point itself, so its peak is exact.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import AlgebraicValue, Rat, format_rat, isolate_quadratic_roots, rat, sign
+from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
 from .maximal import maximal_limit_at_infinity
 from .stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, _endpoint
 
@@ -167,10 +169,6 @@ class RegionSet:
     intervals: Tuple[Tuple[Optional[Rat], Optional[Rat]], ...]
     closed: bool = False
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def contains(self, x) -> bool:
         x = rat(x)
         for lo, hi in self.intervals:
@@ -228,10 +226,6 @@ def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     if hi is None:
         return lo + 1
     return (lo + hi) / 2
-
-
-def _inside(x: Rat, u: Optional[Rat], v: Optional[Rat]) -> bool:
-    return (u is None or u < x) and (v is None or x < v)
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -636,19 +630,29 @@ def _difference_critical_quadratic(p1: MoebiusPiece, p2: MoebiusPiece):
     )
 
 
-def _root_inside(root: AlgebraicValue, s: Optional[Rat], t: Optional[Rat]) -> Optional[AlgebraicValue]:
-    """A copy of root whose bracket lies inside (s, t), or None if root is outside.
+def _sign_at(q: Tuple[int, int, int], x: Optional[Rat], toward: int) -> int:
+    """Sign of the int quadratic q at the rational x; when x is None, its sign
+    toward ``toward``*oo, where its leading term decides it."""
+    a, b, c = q
+    if x is None:
+        return sign(a) or toward * sign(b) or sign(c)
+    n, d = x.numerator, x.denominator
+    return sign((a * n + b * d) * n + c * d * d)
 
-    An irrational root equals neither end, so narrowing its bracket settles
-    both comparisons; the original object is left as it is.
-    """
-    near = root
-    while True:
-        if (s is not None and near.hi <= s) or (t is not None and near.lo >= t):
-            return None
-        if _inside(near.lo, s, t) and _inside(near.hi, s, t):
-            return near
-        near = near.refine_below(near.width / 2**8)
+
+def _both_roots_within(q: Tuple[int, int, int], s: Optional[Rat], t: Optional[Rat]) -> bool:
+    """Whether the int quadratic q has both its roots (a double root counts
+    twice) in the closed cell [s, t]: q is real-rooted, not on its inner
+    branch at either end, and its vertex lies between them."""
+    a, b, c = q
+    slope = (0, 2 * a, b)
+    return (
+        a != 0
+        and b * b >= 4 * a * c
+        and _sign_at(q, s, -1) * a >= 0
+        and _sign_at(q, t, +1) * a >= 0
+        and _sign_at(slope, s, -1) * a <= 0 <= _sign_at(slope, t, +1) * a
+    )
 
 
 def variation_of_difference(
@@ -666,10 +670,15 @@ def variation_of_difference(
     makes q vanish everywhere or nowhere on the cell).  Hence q has at most
     one root on the closed cell and changes sign there: the cell splits into
     at most two monotone stretches, whose endpoint differences telescope.
-    Profiles are continuous, so d is exact at every junction.  A cell with a
-    critical point keeps it as a peak; each round narrows the peaks'
-    brackets, which encloses d there.  A rational root's bracket is the
-    point itself, so its peak term is exact from the first round on.
+    Profiles are continuous, so d is exact at every junction.
+
+    The critical point is located by sign, without narrowing: with q scaled
+    to ints, the cell holds one exactly when q has opposite nonzero signs at
+    its ends (at an infinite end, the sign of q's leading term there), and
+    the sign at s is the sign of d' left of it.  Only such a cell isolates
+    the roots of q and keeps the one inside as a peak; each round narrows
+    the peaks' brackets, which encloses d there.  A rational root's bracket
+    is the point itself, so its peak term is exact from the first round on.
     """
     precision = rat(precision)
     if precision <= 0:
@@ -687,24 +696,18 @@ def variation_of_difference(
             d_t = p1.limit_at(+1) - p2.limit_at(+1)
         else:
             d_t = m1.value_at(t) - m2.value_at(t)
-        inside = []
-        quad = _difference_critical_quadratic(m1, m2)
-        if any(quad):
-            for root in isolate_quadratic_roots(quad):
-                near = _root_inside(root, s, t)
-                if near is not None:
-                    inside.append((root, near))
-        if len(inside) > 1:
+        q = integer_quadratic(_difference_critical_quadratic(m1, m2))
+        rise = _sign_at(q, s, -1)
+        if rise * _sign_at(q, t, +1) < 0:
+            # One root lies inside.  Left of the low root q has the sign of its
+            # leading coefficient, between the roots the other sign; a linear
+            # q has a single root.
+            roots = isolate_quadratic_roots(q)
+            peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
+        elif _both_roots_within(q, s, t):
             raise AssertionError("two critical points of a profile difference in one cell")
-        if not inside:
-            exact += abs(d_t - d_s)
         else:
-            # Narrowing starts from the original root's bracket, which fixes
-            # the printed endpoints.
-            root, near = inside[0]
-            x = _midpoint(s, near.lo)
-            rise = sign(m1.derivative_at(x) - m2.derivative_at(x))
-            peaks.append([root, m1, m2, d_s, d_t, rise])
+            exact += abs(d_t - d_s)
         d_s = d_t
 
     width = Fraction(1, 2**40)

@@ -5,10 +5,10 @@ reduced), exact total arithmetic, arbitrary-precision integers.
 ``AlgebraicValue`` adds the real roots of quadratics with rational
 coefficients, carried as a defining polynomial plus a rational bracket that
 can be narrowed on demand.  The only such roots the package meets are the
-critical points of a difference of two profiles, and all it ever compares
-them with are rationals: ``compare_with_rat`` narrows the bracket until it
-excludes the rational, and settles equality by evaluating the defining
-polynomial, never by bracket width alone.
+critical points of a difference of two profiles.  Where such a root lies is
+never asked of its bracket: ``integer_quadratic`` scales the quadratic to
+ints, whose exact signs at the ends of a cell settle it.  Brackets are
+narrowed only to enclose a value at the root.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 Rat = Fraction
-
-LT, EQ, GT = -1, 0, 1
 
 _RAT_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -111,12 +109,6 @@ class AlgebraicValue:
         return self.poly is None
 
     @property
-    def rational_value(self) -> Rat:
-        if self.poly is not None:
-            raise ValueError("value is not known to be rational")
-        return self.lo
-
-    @property
     def width(self) -> Rat:
         return self.hi - self.lo
 
@@ -141,10 +133,13 @@ class AlgebraicValue:
                 hi = mid
         return AlgebraicValue(lo, hi, self.poly)
 
-    def __str__(self):
-        if self.poly is None:
-            return format_rat(self.lo)
-        return f"[{format_rat(self.lo)}..{format_rat(self.hi)}]"
+
+def integer_quadratic(poly: Poly) -> Tuple[int, int, int]:
+    """A rational quadratic times the lcm of its denominators: int
+    coefficients, and the same sign as the quadratic at every point."""
+    a, b, c = (Fraction(v) for v in poly)
+    scale = math.lcm(a.denominator, b.denominator, c.denominator)
+    return int(a * scale), int(b * scale), int(c * scale)
 
 
 def isolate_quadratic_roots(poly: Poly) -> List[AlgebraicValue]:
@@ -154,15 +149,13 @@ def isolate_quadratic_roots(poly: Poly) -> List[AlgebraicValue]:
     pairs are bracketed via the integer square root of the discriminant so
     each bracket contains exactly one root.
     """
-    a, b, c = (Fraction(v) for v in poly)
-    if not (a or b or c):
+    ai, bi, ci = integer_quadratic(poly)
+    if not (ai or bi or ci):
         raise ValueError("the zero polynomial has no isolated roots")
-    if a == 0:
-        if b == 0:
+    if ai == 0:
+        if bi == 0:
             return []
-        return [AlgebraicValue.from_rat(-c / b)]
-    scale = math.lcm(a.denominator, b.denominator, c.denominator)
-    ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
+        return [AlgebraicValue.from_rat(Fraction(-ci, bi))]
     if ai < 0:
         ai, bi, ci = -ai, -bi, -ci
     disc = bi * bi - 4 * ai * ci
@@ -180,21 +173,3 @@ def isolate_quadratic_roots(poly: Poly) -> List[AlgebraicValue]:
     low_root = AlgebraicValue(Fraction(-bi - root - 1, 2 * ai), Fraction(-bi - root, 2 * ai), defining)
     high_root = AlgebraicValue(Fraction(-bi + root, 2 * ai), Fraction(-bi + root + 1, 2 * ai), defining)
     return [low_root, high_root]
-
-
-def compare_with_rat(a: AlgebraicValue, q) -> int:
-    """Exact three-way comparison of a represented real number with a rational.
-
-    The bracket is narrowed until it excludes q.  Inside the bracket, q can
-    only equal the one root it holds, so q is equal exactly when it is a root
-    of the defining polynomial.
-    """
-    q = Fraction(q)
-    while True:
-        if a.hi < q:
-            return LT
-        if q < a.lo:
-            return GT
-        if a.is_rational or poly_eval(a.poly, q) == 0:
-            return EQ
-        a = a.refine_below(a.width / 2**8)

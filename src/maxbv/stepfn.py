@@ -294,9 +294,6 @@ class AbsIntegral:
         i = bisect_right(self.breakpoints, t) - 1
         return self.prefix[i] + self.abs_constants[i + 1] * (t - self.breakpoints[i])
 
-    def integral(self, a, b) -> Rat:
-        return self.at(b) - self.at(a)
-
     def average(self, a, b) -> Rat:
         a, b = rat(a), rat(b)
         if not a < b:
@@ -358,11 +355,6 @@ def parse(text: str) -> StepFunction:
         vals.append(read_rat(tokens[3], offset))
         cons.append(read_rat(tokens[5], offset))
     return StepFunction(tail, tuple(bps), tuple(vals), tuple(cons))
-
-
-def save(f: StepFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize(f))
 
 
 def load(path) -> StepFunction:

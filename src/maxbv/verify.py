@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import envelope as env
 from . import maximal as mx
@@ -160,6 +160,10 @@ def oracle_maximal(f: StepFunction, x, grid: GridSpec) -> Rat:
 
 # --- divergence construction -----------------------------------------------
 
+# Points on which the report checks that the base function's maximal
+# function is identically 1.
+SAMPLE_COUNT = 50
+
 
 def counterexample_functions(n: int, K: int) -> Tuple[StepFunction, StepFunction]:
     """Base function (left tail 1, K humps of height 1 on (4k-2, 4k)) and its
@@ -199,7 +203,7 @@ class CounterexampleReport:
         return [
             f"n={self.n} K={self.K}",
             f"bv_norm(perturbed - base) = {format_rat(self.norm_delta)} == 2/{self.n} : {verdict(self.norm_ok)}",
-            f"maximal(base) == 1 at 50 sample points : {verdict(self.base_maximal_ok)}",
+            f"maximal(base) == 1 at {SAMPLE_COUNT} sample points : {verdict(self.base_maximal_ok)}",
             f"maximal(perturbed)(4k-1) == 1 + 1/{self.n} for k <= {self.n} : {verdict(self.bump_ok)}",
             f"maximal(perturbed)(4k+1) <= 1 for k <= {self.n} : {verdict(self.gap_ok)}",
             f"Var(P_{self.n}) >= 2 : {verdict(self.partition_ok)}",
@@ -209,7 +213,7 @@ class CounterexampleReport:
         return "\n".join(self.lines()) + "\n"
 
 
-def counterexample(n: int, K: Optional[int] = None, sample_count: int = 50) -> CounterexampleReport:
+def counterexample(n: int, K: Optional[int] = None) -> CounterexampleReport:
     """Exact reproduction of the divergence family at truncation K >= n+1."""
     if n < 3:
         raise ValueError("the gap bound max{1, 2/3 + 1/n} = 1 needs n >= 3")
@@ -224,7 +228,7 @@ def counterexample(n: int, K: Optional[int] = None, sample_count: int = 50) -> C
 
     hi = Fraction(4 * K + 10)
     lo = Fraction(-10)
-    samples = [lo + (hi - lo) * Fraction(i, sample_count - 1) for i in range(sample_count)]
+    samples = [lo + (hi - lo) * Fraction(i, SAMPLE_COUNT - 1) for i in range(SAMPLE_COUNT)]
     base_maximal_ok = all(mx.maximal_value(base, x).value == 1 for x in samples)
 
     bump_ok = all(
@@ -335,16 +339,16 @@ class ContinuityReport:
 
 def continuity_experiment(
     f: StepFunction,
-    perturbations: Union[StepFunction, Sequence[StepFunction]],
+    perturbation: StepFunction,
     scales: Sequence[Rat],
     precision=Fraction(1, 10**9),
     threshold=Fraction(1, 1000),
     variation_gap=Fraction(1, 1000),
     tail_count: int = 5,
 ) -> ContinuityReport:
-    """Drive f_j = f + scale_j * perturbation_j and record BV behaviour.
+    """Drive f_j = f + scale_j * perturbation and record BV behaviour.
 
-    Scales must decrease strictly toward zero and each perturbation is a
+    Scales must decrease strictly toward zero and the perturbation is a
     fixed BV function, so the perturbed family converges to f in BV norm:
     the hypotheses under which distances must vanish.
     """
@@ -353,17 +357,13 @@ def continuity_experiment(
         raise ValueError("scales must be positive")
     if any(second >= first for first, second in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
-    if isinstance(perturbations, StepFunction):
-        perturbations = [perturbations] * len(scales)
-    if len(perturbations) != len(scales):
-        raise ValueError("need one perturbation per scale")
     precision = rat(precision)
 
     profile_f = env.build_profile(f)
     base_variation = env.variation_of_profile(profile_f, precision=precision)
     rows = []
-    for index, (scale, bump) in enumerate(zip(scales, perturbations), start=1):
-        f_j = sf.combine(f, bump, 1, scale)
+    for index, scale in enumerate(scales, start=1):
+        f_j = sf.combine(f, perturbation, 1, scale)
         delta_norm = sf.bv_norm(sf.combine(f_j, f, 1, -1))
         profile_j = env.build_profile(f_j)
         distance = env.bv_distance(f_j, f, precision, profile_f=profile_j, profile_g=profile_f)

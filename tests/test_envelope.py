@@ -219,7 +219,7 @@ def test_detachment_regions_indicator():
 def test_detachment_regions_constant_and_two_bump():
     f = StepFunction.constant(4)
     regions, touch = detachment_regions(f, build_profile(f))
-    assert regions.is_empty
+    assert regions.intervals == ()
     assert touch.intervals == ((None, None),)
 
     regions, _ = detachment_regions(TWO_BUMP, build_profile(TWO_BUMP))
@@ -394,12 +394,18 @@ def test_variation_of_difference_with_irrational_critical_point():
     precision = Fraction(1, 10**12)
     enc = variation_of_difference(p1, p2, precision)
     assert enc.width <= precision
-    from maxbv.exact import compare_with_rat, isolate_quadratic_roots
-
-    expected = isolate_quadratic_roots((1, -18, 49))[0]  # 9 - 4*sqrt(2)
-    assert compare_with_rat(expected, enc.lo) >= 0
-    assert compare_with_rat(expected, enc.hi) <= 0
+    # lo <= 9 - 4*sqrt(2) <= hi, decided on rationals: 9 - lo >= sqrt(32) >= 9 - hi.
+    assert 9 - enc.lo >= 0 and (9 - enc.lo) ** 2 >= 32
+    assert 9 - enc.hi >= 0 and (9 - enc.hi) ** 2 <= 32
     assert enc.lo != enc.hi  # the value is irrational, so the width is positive
+
+
+def partition_variation(p1, p2, points):
+    """Variation of p1 - p2 sampled at the limits and the sorted points."""
+    diffs = [p1.limit_at(-1) - p2.limit_at(-1)]
+    diffs += [p1.value(x) - p2.value(x) for x in points]
+    diffs.append(p1.limit_at(+1) - p2.limit_at(+1))
+    return sum(abs(b - a) for a, b in zip(diffs, diffs[1:]))
 
 
 def test_variation_of_difference_with_rational_critical_point():
@@ -412,15 +418,53 @@ def test_variation_of_difference_with_rational_critical_point():
     enc = variation_of_difference(p1, p2, PRECISION)
     assert str(enc) == "3..3"
 
-    def partition_variation(points):
-        diffs = [p1.limit_at(-1) - p2.limit_at(-1)]
-        diffs += [p1.value(x) - p2.value(x) for x in points]
-        diffs.append(p1.limit_at(+1) - p2.limit_at(+1))
-        return sum(abs(b - a) for a, b in zip(diffs, diffs[1:]))
+    junctions = sorted({*p1.junctions(), *p2.junctions()})
+    assert partition_variation(p1, p2, sorted({*junctions, Fraction(4)})) == 3
+    assert partition_variation(p1, p2, junctions) < 3
+
+
+def test_variation_of_difference_with_rational_critical_point_left_of_the_junctions():
+    # The mirror image (x -> -x) of the test above: the peak sits at x = -4
+    # in the unbounded cell (-oo, -2), where the sign of the critical
+    # quadratic is read off its leading term.
+    p1 = build_profile(StepFunction.indicator(-1, 0, value=Fraction(16, 9), closed=False))
+    p2 = build_profile(StepFunction.indicator(-2, -1, closed=False))
+    enc = variation_of_difference(p1, p2, PRECISION)
+    assert str(enc) == "3..3"
 
     junctions = sorted({*p1.junctions(), *p2.junctions()})
-    assert partition_variation(sorted({*junctions, Fraction(4)})) == 3
-    assert partition_variation(junctions) < 3
+    assert partition_variation(p1, p2, sorted({*junctions, Fraction(-4)})) == 3
+    assert partition_variation(p1, p2, junctions) < 3
+
+
+def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cells():
+    # Translated bumps: on (-oo, 0) the difference is 1/(1-x) - 1/(2-x) and on
+    # (2, oo) it is 1/x - 1/(x-1).  Both critical quadratics are linear with
+    # their root outside the cell, so toward -oo the sign is -sign(slope) and
+    # there is no peak: each of the four cells is monotone and adds 1/2.
+    p1 = build_profile(StepFunction.indicator(0, 1, closed=False))
+    p2 = build_profile(StepFunction.indicator(1, 2, closed=False))
+    for first, second in ((p1, p2), (p2, p1)):
+        assert str(variation_of_difference(first, second, PRECISION)) == "2..2"
+        junctions = sorted({*first.junctions(), *second.junctions()})
+        assert partition_variation(first, second, junctions) == 2
+
+
+def test_both_roots_within_the_closed_cell():
+    within = envelope._both_roots_within
+    # x^2 - 1 has roots -1 and 1.
+    assert within((1, 0, -1), Fraction(-1), Fraction(1))
+    assert within((-1, 0, 1), None, Fraction(3))
+    assert within((1, 0, -1), None, None)
+    assert not within((1, 0, -1), Fraction(-1), Fraction(1, 2))
+    assert not within((1, 0, -1), Fraction(0), None)
+    assert not within((1, 0, -1), Fraction(2), Fraction(3))
+    assert not within((1, 0, -1), None, Fraction(-2))
+    # a double root counts twice; no real roots, a linear or a zero q none
+    assert within((1, -2, 1), Fraction(0), Fraction(2))
+    assert not within((1, 0, 1), None, None)
+    assert not within((0, 1, -1), None, None)
+    assert not within((0, 0, 0), None, None)
 
 
 def test_profile_junctions_are_rational():

@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from maxbv.exact import (
-    EQ,
-    GT,
-    LT,
-    AlgebraicValue,
-    compare_with_rat,
     decimal_str,
     format_rat,
+    integer_quadratic,
     isolate_quadratic_roots,
     parse_rat,
     poly_eval,
@@ -71,13 +67,15 @@ def test_isolate_sqrt2():
 
 def test_isolate_rational_roots():
     roots = isolate_quadratic_roots((1, 0, -1))
-    assert [r.rational_value for r in roots] == [-1, 1]
+    assert all(r.is_rational for r in roots)
+    assert [r.lo for r in roots] == [-1, 1]
     assert all(r.width == 0 for r in roots)
 
 
 def test_isolate_no_real_roots_and_degenerate():
     assert isolate_quadratic_roots((1, 0, 1)) == []
-    assert isolate_quadratic_roots((0, 2, -3))[0].rational_value == Fraction(3, 2)
+    (root,) = isolate_quadratic_roots((0, 2, -3))
+    assert root.is_rational and root.lo == Fraction(3, 2)
     assert isolate_quadratic_roots((0, 0, 5)) == []
     with pytest.raises(ValueError):
         isolate_quadratic_roots((0, 0, 0))
@@ -94,41 +92,15 @@ def test_refine_is_monotone_nesting():
         prev = cur
 
 
-def test_compare_examples():
-    sqrt2 = isolate_quadratic_roots((1, 0, -2))[1]
-    assert compare_with_rat(sqrt2, Fraction(3, 2)) == LT
-    assert compare_with_rat(sqrt2, Fraction(7, 5)) == GT
-    assert compare_with_rat(sqrt2, 0) == GT
-    # 99/70 and 140/99 are continued-fraction convergents of sqrt(2) inside
-    # its first bracket, so only narrowing can decide them.
-    assert compare_with_rat(sqrt2, Fraction(99, 70)) == LT
-    assert compare_with_rat(sqrt2, Fraction(140, 99)) == GT
-    assert compare_with_rat(AlgebraicValue.from_rat(Fraction(5, 3)), Fraction(5, 3)) == EQ
-    assert compare_with_rat(AlgebraicValue.from_rat(Fraction(5, 3)), 2) == LT
-    # A bracket around the rational root 2 of x^2 - 4: equal without narrowing.
-    two = AlgebraicValue(0, 3, (1, 0, -4))
-    assert compare_with_rat(two, 2) == EQ
-    assert compare_with_rat(two, Fraction(2001, 1000)) == LT
-    assert compare_with_rat(two, Fraction(1999, 1000)) == GT
-
-
-def test_compare_matches_float_when_gap_is_visible():
-    rng = random.Random(7)
-    values = []
+def test_integer_quadratic_keeps_the_sign_everywhere():
+    assert integer_quadratic((Fraction(1, 2), Fraction(-1, 3), 1)) == (3, -2, 6)
+    assert integer_quadratic((0, 0, 0)) == (0, 0, 0)
+    rng = random.Random(11)
     for _ in range(200):
-        a = rng.randint(1, 9)
-        b = rng.randint(-12, 12)
-        c = rng.randint(-12, 12)
-        try:
-            values.extend(isolate_quadratic_roots((a, b, c)))
-        except ValueError:
-            continue
-    for _ in range(400):
-        x = rng.choice(values)
-        q = Fraction(rng.randint(-13000, 13000), rng.choice((999, 1000, 1024)))
-        fx = float(x.refine(40).lo)
-        if abs(fx - float(q)) > 1e-6:
-            assert compare_with_rat(x, q) == (LT if fx < q else GT)
-    for x in values:
-        if x.is_rational:
-            assert compare_with_rat(x, x.rational_value) == EQ
+        poly = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
+        ints = integer_quadratic(poly)
+        assert all(isinstance(v, int) for v in ints)
+        for _ in range(5):
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+            assert (poly_eval(poly, x) > 0) == (poly_eval(ints, x) > 0)
+            assert (poly_eval(poly, x) == 0) == (poly_eval(ints, x) == 0)
