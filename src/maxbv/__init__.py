@@ -5,7 +5,6 @@ from .stepfn import (
     NEG_INF,
     POS_INF,
     JumpRecord,
-    Partition,
     StepFunction,
     StepFunctionParseError,
     adjusted_modulus,

@@ -2,26 +2,26 @@
 
 Rationals are ``fractions.Fraction``: canonical form (positive denominator,
 reduced), exact total arithmetic, arbitrary-precision integers.
-``AlgebraicValue`` adds the real roots of quadratics with rational
-coefficients, carried as a defining polynomial plus a rational bracket that
-can be narrowed on demand.  The only such roots the package meets are the
-critical points of a difference of two profiles.  Where such a root lies is
-never asked of its bracket: ``integer_quadratic`` scales the quadratic to
-ints, whose exact signs at the ends of a cell settle it.  Brackets are
-narrowed only to enclose a value at the root.
+``AlgebraicValue`` adds the real roots of int quadratics, the critical
+points of a difference of two profiles, with a dyadic bracket that one
+``math.isqrt`` gives in closed form.  Where a root lies is never asked of
+its bracket: ``integer_quadratic`` scales a quadratic to ints, whose exact
+signs at the ends of a cell settle it.  Brackets are narrowed only to
+enclose a value at the root.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 
 
 def rat(numerator, denominator=1) -> Rat:
@@ -35,7 +35,7 @@ def rat(numerator, denominator=1) -> Rat:
 
 def parse_rat(text: str) -> Rat:
     """Parse the canonical text form 'p' or 'p/q' with q > 0."""
-    if not _RAT_RE.match(text):
+    if not _RAT_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r} (expected 'p' or 'p/q', q > 0)")
     return Fraction(text)
 
@@ -67,71 +67,64 @@ def sign(q) -> int:
 Poly = Tuple[Rat, Rat, Rat]
 
 
-def poly_eval(poly: Poly, x) -> Rat:
-    a, b, c = poly
-    return (a * x + b) * x + c
-
-
 @dataclass(frozen=True)
 class AlgebraicValue:
-    """A real number with a rational bracket [lo, hi].
+    """A real root of an int quadratic, with a rational bracket [lo, hi].
 
-    Rational values carry no polynomial and a width-zero bracket.  Irrational
-    values carry a quadratic with rational coefficients whose sign differs at
-    lo and hi, so exactly one root lies inside; that root is the value.
-    Instances are immutable: ``refine`` returns a new, narrower value.
+    A rational root is its ``value``, with a width-zero bracket.  An
+    irrational root (-b + branch*sqrt(disc))/(2a), a > 0, branch = +-1, has
+    the bracket that ``level`` bisections of its level-0 one reach (no
+    midpoint is ever the root): with S = 2**level and T = isqrt(disc*S**2),
+    lo = (-b*S + T)/(2a*S) on the high branch, (-b*S - T - 1)/(2a*S) on the
+    low one, and hi = lo + 1/(2a*S).
     """
 
-    lo: Rat
-    hi: Rat
-    poly: Optional[Poly] = None
+    value: Optional[Rat] = None
+    a: int = 0
+    b: int = 0
+    disc: int = 0
+    branch: int = 0
+    level: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.poly is None:
-            if self.lo != self.hi:
-                raise ValueError("rational AlgebraicValue needs a width-zero bracket")
-        else:
-            object.__setattr__(self, "poly", tuple([Fraction(c) for c in self.poly]))
-            if not self.lo < self.hi:
-                raise ValueError("bracketed AlgebraicValue needs lo < hi")
-            if sign(poly_eval(self.poly, self.lo)) * sign(poly_eval(self.poly, self.hi)) >= 0:
-                raise ValueError("defining polynomial must change sign across the bracket")
-
-    @staticmethod
-    def from_rat(value) -> "AlgebraicValue":
-        value = Fraction(value)
-        return AlgebraicValue(value, value, None)
+        if self.value is not None:
+            object.__setattr__(self, "value", Fraction(self.value))
+        elif self.a <= 0 or self.branch not in (-1, 1) or math.isqrt(self.disc) ** 2 == self.disc:
+            raise ValueError("a surd needs a > 0, branch +-1 and a discriminant that is not a square")
 
     @property
     def is_rational(self) -> bool:
-        return self.poly is None
+        return self.value is not None
 
     @property
     def width(self) -> Rat:
-        return self.hi - self.lo
+        return Fraction(0) if self.value is not None else Fraction(1, 2 * self.a << self.level)
+
+    @cached_property
+    def lo(self) -> Rat:
+        if self.value is not None:
+            return self.value
+        scale = 1 << self.level
+        t = math.isqrt(self.disc * scale * scale)
+        return Fraction(-self.b * scale + (t if self.branch > 0 else -t - 1), 2 * self.a * scale)
+
+    @cached_property
+    def hi(self) -> Rat:
+        return self.lo + self.width
 
     def refine(self, k: int) -> "AlgebraicValue":
         """Return the same value with bracket width at most 2**-k."""
         return self.refine_below(Fraction(1, 2**k))
 
     def refine_below(self, width: Rat) -> "AlgebraicValue":
-        if self.poly is None or self.width <= width:
+        """The first level, not above this one, with 1/(2a*2**level) <= width."""
+        if self.value is not None:
             return self
-        lo, hi = self.lo, self.hi
-        sign_lo = sign(poly_eval(self.poly, lo))
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            sign_mid = sign(poly_eval(self.poly, mid))
-            if sign_mid == 0:
-                # The bracketed root turned out rational; collapse to it.
-                return AlgebraicValue(mid, mid, None)
-            if sign_mid == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return AlgebraicValue(lo, hi, self.poly)
+        if width <= 0:
+            raise ValueError("an irrational root has no bracket of width <= 0")
+        least = -(-width.denominator // (2 * self.a * width.numerator))  # 2**level >= least
+        level = max(self.level, (least - 1).bit_length())
+        return self if level == self.level else replace(self, level=level)
 
 
 def integer_quadratic(poly: Poly) -> Tuple[int, int, int]:
@@ -143,33 +136,20 @@ def integer_quadratic(poly: Poly) -> Tuple[int, int, int]:
 
 
 def isolate_quadratic_roots(poly: Poly) -> List[AlgebraicValue]:
-    """All distinct real roots of a degree <= 2 rational polynomial, sorted.
-
-    Rational roots come back as exact width-zero values; irrational root
-    pairs are bracketed via the integer square root of the discriminant so
-    each bracket contains exactly one root.
-    """
+    """All distinct real roots of a degree <= 2 rational polynomial, sorted:
+    exact values when the discriminant is a square (0 included), else the
+    two surds at level 0."""
     ai, bi, ci = integer_quadratic(poly)
     if not (ai or bi or ci):
         raise ValueError("the zero polynomial has no isolated roots")
     if ai == 0:
-        if bi == 0:
-            return []
-        return [AlgebraicValue.from_rat(Fraction(-ci, bi))]
+        return [AlgebraicValue(Fraction(-ci, bi))] if bi else []
     if ai < 0:
         ai, bi, ci = -ai, -bi, -ci
     disc = bi * bi - 4 * ai * ci
     if disc < 0:
         return []
-    if disc == 0:
-        return [AlgebraicValue.from_rat(Fraction(-bi, 2 * ai))]
     root = math.isqrt(disc)
     if root * root == disc:
-        pair = sorted((Fraction(-bi - root, 2 * ai), Fraction(-bi + root, 2 * ai)))
-        return [AlgebraicValue.from_rat(v) for v in pair]
-    # sqrt(disc) lies strictly in (root, root + 1); the brackets below are
-    # narrower than the root gap sqrt(disc)/ai, so each holds one root.
-    defining = (Fraction(ai), Fraction(bi), Fraction(ci))
-    low_root = AlgebraicValue(Fraction(-bi - root - 1, 2 * ai), Fraction(-bi - root, 2 * ai), defining)
-    high_root = AlgebraicValue(Fraction(-bi + root, 2 * ai), Fraction(-bi + root + 1, 2 * ai), defining)
-    return [low_root, high_root]
+        return [AlgebraicValue(Fraction(-bi + r, 2 * ai)) for r in sorted({-root, root})]
+    return [AlgebraicValue(a=ai, b=bi, disc=disc, branch=branch) for branch in (-1, 1)]

@@ -203,24 +203,9 @@ def bv_norm(f: StepFunction) -> Rat:
     return abs(f.tail_left) + variation_on(f)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing finite rational points, at least two of them."""
-
-    points: Tuple[Rat, ...]
-
-    def __post_init__(self):
-        pts = tuple([rat(x) for x in self.points])
-        if len(pts) < 2:
-            raise ValueError("a partition needs at least two points")
-        if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
-            raise ValueError("partition points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-
 def variation_on_partition(f: StepFunction, partition) -> Rat:
     """Sum of |f(a_i) - f(a_{i-1})| over consecutive partition points."""
-    pts = partition.points if isinstance(partition, Partition) else tuple([rat(x) for x in partition])
+    pts = tuple([rat(x) for x in partition])
     return sum(
         (abs(f.value(pts[i]) - f.value(pts[i - 1])) for i in range(1, len(pts))),
         Fraction(0),

@@ -44,6 +44,12 @@ def test_eval_decimal_column(chi_file, capsys):
     assert capsys.readouterr().out == "1/2 finite(0,2)\t0.500\n"
 
 
+@pytest.mark.parametrize("x", ["1/3\n", "3\n"])
+def test_eval_point_with_a_trailing_newline_is_bad_input(chi_file, capsys, x):
+    assert main(["eval", "--file", chi_file, "--x", x]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("stepfn/1\ntail 0\nbp x value 0 right 0\n", encoding="utf-8")

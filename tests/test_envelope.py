@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 
 from maxbv import envelope
 from maxbv.envelope import (
+    MaximalProfile,
+    MoebiusPiece,
     _breakpoint_values,
     _hull_links,
     build_profile,
@@ -435,6 +438,34 @@ def test_variation_of_difference_with_rational_critical_point_left_of_the_juncti
     junctions = sorted({*p1.junctions(), *p2.junctions()})
     assert partition_variation(p1, p2, sorted({*junctions, Fraction(-4)})) == 3
     assert partition_variation(p1, p2, junctions) < 3
+
+
+def moebius_profile(alpha, gamma, s, t):
+    """The profile alpha/(gamma + x) on [s, t], constant at its end values
+    outside; a hand-built profile, not the maximal function of a step function."""
+    piece = MoebiusPiece(alpha, 0, gamma, 1, s, t, alpha / (gamma + s), alpha / (gamma + t), "hand-built")
+    left = MoebiusPiece(piece.lo_value, 0, 1, 0, None, s, piece.lo_value, piece.lo_value, "hand-built")
+    right = MoebiusPiece(piece.hi_value, 0, 1, 0, t, None, piece.hi_value, piece.hi_value, "hand-built")
+    return MaximalProfile((left, piece, right))
+
+
+def test_variation_of_difference_narrows_a_bracket_off_the_poles():
+    # -1/x and -(1 + 2^-60)/(x - 2^-42) on [2^-44, 3*2^-44]: the poles 0 and
+    # 2^-42 are far closer to the irrational critical point
+    # x* = 2^-42/(1 + sqrt(1 + 2^-60)) than the first round's bracket width
+    # 2^-40, so the bracket is narrowed in quarter steps until neither piece
+    # has its pole in it.
+    s, t, pole = Fraction(1, 2**44), Fraction(3, 2**44), Fraction(1, 2**42)
+    p1 = moebius_profile(Fraction(-1), Fraction(0), s, t)
+    p2 = moebius_profile(-(1 + Fraction(1, 2**60)), -pole, s, t)
+    enc = variation_of_difference(p1, p2, PRECISION)
+    assert enc.width <= PRECISION
+    # x* = pole*2^30/(2^30 + sqrt(2^60 + 1)), with sqrt(2^60 + 1) between R/2^K and (R + 1)/2^K
+    k = 100
+    r = math.isqrt((2**60 + 1) << 2 * k)
+    around = [pole * 2**(30 + k) / (2**(30 + k) + r + e) for e in (1, 0)]
+    assert s < around[0] < around[1] < t
+    assert enc.lo <= partition_variation(p1, p2, [s, *around, t]) <= enc.hi
 
 
 def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cells():

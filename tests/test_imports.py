@@ -1,4 +1,5 @@
-"""Every import in the package modules is used (``__init__`` re-exports aside)."""
+"""Every import in the package modules is used (``__init__`` re-exports
+aside), and so is every module-level private name."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,26 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(source: str):
+    """Module-level ``_name`` defs, classes and assignments never loaded in
+    the module itself."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        (line, name) for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    )
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
@@ -37,3 +58,26 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_private_names_are_found():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED, public = 2, 3\n"
+        "_typed: int = 4\n"
+        "__dunder__ = 5\n"
+        "def _helper():\n"
+        "    _local = _USED\n"
+        "    return _local\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def run():\n"
+        "    _Gone = None\n"
+        "    return _helper()\n"
+    )
+    assert unused_private_names(source) == [(2, "_UNUSED"), (3, "_typed"), (8, "_Gone")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []

@@ -7,7 +7,6 @@ from maxbv.stepfn import (
     NEG_INF,
     POS_INF,
     AbsIntegral,
-    Partition,
     StepFunction,
     StepFunctionParseError,
     adjusted_modulus,
@@ -128,16 +127,6 @@ def test_variation_on_partition_examples():
     assert variation_on_partition(CHI_01, (-3, -2)) == 0
     staircase = StepFunction(0, (0, 1), (0, 1), (1, 2))
     assert variation_on_partition(staircase, (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))) == 2
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1,))
-    with pytest.raises(ValueError):
-        Partition((1, 1))
-    with pytest.raises(ValueError):
-        Partition((2, 1))
-    assert Partition((0, Fraction(1, 2), 3)).points == (0, Fraction(1, 2), 3)
 
 
 def test_partition_bound_property():
