@@ -13,6 +13,7 @@ from maxbv.envelope import (
     profile_derivative,
     variation_of_profile,
 )
+from maxbv.exact import format_rat
 from maxbv.stepfn import StepFunction, variation_on
 
 chi = StepFunction.indicator(0, 1)
@@ -27,8 +28,8 @@ print("derivative at 2:", profile_derivative(profile, 2))
 regions, touch = detachment_regions(chi, profile)
 print("\ndetachment set (maximal > adjusted modulus):")
 for lo, hi in regions.intervals:
-    print("  (", lo if lo is not None else "-inf", ",", hi if hi is not None else "inf", ")")
-print("touch set:", [(str(lo), str(hi)) for lo, hi in touch.intervals])
+    print("  (", format_rat(lo), ",", format_rat(hi), ")")
+print("touch set:", [(format_rat(lo), format_rat(hi)) for lo, hi in touch.intervals])
 
 enclosure = variation_of_profile(profile, precision=Fraction(1, 10**9))
 print("\nVar(maximal) =", enclosure, " vs Var(f) =", variation_on(chi), "(contraction)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from fractions import Fraction
@@ -35,9 +34,9 @@ class InputError(Exception):
 
 def _parse_endpoint(text: str):
     if text == "-inf":
-        return -math.inf
+        return sf.NEG_INF
     if text == "inf":
-        return math.inf
+        return sf.POS_INF
     try:
         return parse_rat(text)
     except ValueError as exc:
@@ -55,7 +54,7 @@ def _parse_precision(text: str) -> Fraction:
 
 
 def _parse_int(text: str, name: str, minimum: Optional[int] = None) -> int:
-    if not re.fullmatch(r"-?\d+", text):
+    if not re.fullmatch(r"-?[0-9]+", text):
         raise InputError(f"{name} must be an integer, not {text!r}")
     value = int(text)
     if minimum is not None and value < minimum:
@@ -138,21 +137,14 @@ def cmd_profile(args) -> int:
     return PASS
 
 
-def _region_bound_text(bound, direction: int) -> str:
-    if bound is None:
-        return "-inf" if direction < 0 else "inf"
-    return format_rat(bound)
-
-
 def cmd_e_set(args) -> int:
     f = _load(args.file)
     profile = env.build_profile(f)
     detached, touching = env.detachment_regions(f, profile)
     lines = ["set\tlo\thi"]
-    for lo, hi in detached.intervals:
-        lines.append(f"E\t{_region_bound_text(lo, -1)}\t{_region_bound_text(hi, +1)}")
-    for lo, hi in touching.intervals:
-        lines.append(f"C\t{_region_bound_text(lo, -1)}\t{_region_bound_text(hi, +1)}")
+    for name, regions in (("E", detached), ("C", touching)):
+        for lo, hi in regions.intervals:
+            lines.append(f"{name}\t{format_rat(lo)}\t{format_rat(hi)}")
     _emit("\n".join(lines) + "\n", args.out)
     return PASS
 
@@ -171,8 +163,9 @@ def cmd_check(args) -> int:
     else:
         lo, _, hi = args.seeds.partition(":")
         try:
-            first, last = (int(lo), int(hi)) if hi else (0, int(lo))
-        except ValueError:
+            first = _parse_int(lo, "seed") if hi else 0
+            last = _parse_int(hi or lo, "seed")
+        except InputError:
             raise InputError(f"bad --seeds {args.seeds!r}; expected N or A:B") from None
         if last <= first:
             raise InputError("empty seed range")
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_file=False)
     p.add_argument("--corpus", help="directory of step-function files")
     p.add_argument("--seeds", default="100", help="seed count N or range A:B")
-    p.add_argument("--suite-seed", type=int, default=0)
+    p.add_argument("--suite-seed", type=_option(_parse_int, "suite seed"), default=0)
     p.add_argument("--precision", type=precision, default=Fraction(1, 10**9))
     p.set_defaults(handler=cmd_check)
 
@@ -348,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="exact divergence-family reproduction")
     add_common(p, needs_file=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--n", type=_option(_parse_int, "n"), required=True)
+    p.add_argument("--K", type=_option(_parse_int, "K"), default=None)
     p.set_defaults(handler=cmd_counterexample)
 
     return parser

@@ -40,6 +40,13 @@ once per merged piece (alpha = A/(D*E), beta = L/E, gamma = -X/D, its
 endpoints and end values), and the self-checks read f's own rationals, so
 they check that way back as well.
 
+An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
+lattice walk (where an unbounded end is None): piece domains, region
+intervals and the difference walk, compared exactly and never computed
+with.  The first piece starts at NEG_INF and the last ends at POS_INF, and
+their end values there are their limits, the maximal function's limits at
+infinity, so variations read them like any other end value.
+
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed piece domain, every piece is monotone, and the variation
 of a profile is an exact telescoping sum of endpoint values.  The
@@ -58,20 +65,27 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
 from .maximal import maximal_limit_at_infinity
 from .stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, _endpoint
+
+# An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
+# with).  The infinities are the only floats, so the hot loops tell an infinite
+# end by its type: comparing a Fraction with a float costs about 1 us.
+End = Union[Rat, float]
 
 
 @dataclass(frozen=True)
 class MoebiusPiece:
     """x -> (alpha + beta*x)/(gamma + delta*x) on a domain with exact ends.
 
-    ``lo``/``hi`` are domain endpoints (None for the infinities) and
-    ``lo_value``/``hi_value`` the profile values there.  The denominator has
-    no zero on the closed domain, so the piece is monotone throughout.
+    ``lo``/``hi`` are domain endpoints (NEG_INF/POS_INF for the infinities)
+    and ``lo_value``/``hi_value`` the profile values there; at an infinite
+    end, the limit of the piece there (beta/delta, or alpha/gamma for a
+    constant).  The denominator has no zero on the closed domain, so the
+    piece is monotone throughout.
     ``tag`` names the candidate that carries the piece: ``left(a)``,
     ``right(b)``, ``const(a,b)`` or ``const:<tail_left|tail_right|local>``.
     """
@@ -80,10 +94,10 @@ class MoebiusPiece:
     beta: Rat
     gamma: Rat
     delta: Rat
-    lo: Optional[Rat]
-    hi: Optional[Rat]
-    lo_value: Optional[Rat]
-    hi_value: Optional[Rat]
+    lo: End
+    hi: End
+    lo_value: Rat
+    hi_value: Rat
     tag: str
 
     @property
@@ -111,18 +125,10 @@ class MoebiusPiece:
         den = self.gamma + self.delta * x
         return self.det / (den * den)
 
-    def limit_at(self, direction: int) -> Rat:
-        """Value limit toward -oo (direction < 0) or +oo (direction > 0)."""
-        if self.delta:
-            return self.beta / self.delta
-        if self.beta:
-            raise ArithmeticError("affine piece is unbounded; no limit at infinity")
-        return self.alpha / self.gamma
-
     def dump_line(self) -> str:
         cells = [
-            "-inf" if self.lo is None else format_rat(self.lo),
-            "inf" if self.hi is None else format_rat(self.hi),
+            format_rat(self.lo),
+            format_rat(self.hi),
             format_rat(self.alpha),
             format_rat(self.beta),
             format_rat(self.gamma),
@@ -148,8 +154,8 @@ class MaximalProfile:
         return self.piece_containing(x).value_at(x)
 
     def limit_at(self, direction: int) -> Rat:
-        piece = self.pieces[0] if direction < 0 else self.pieces[-1]
-        return piece.limit_at(direction)
+        """Value limit toward -oo (direction < 0) or +oo (direction > 0)."""
+        return self.pieces[0].lo_value if direction < 0 else self.pieces[-1].hi_value
 
     def junctions(self) -> List[Rat]:
         return [piece.hi for piece in self.pieces[:-1]]
@@ -160,24 +166,21 @@ class MaximalProfile:
 
 @dataclass(frozen=True)
 class RegionSet:
-    """Disjoint sorted intervals with exact endpoints (None = infinity).
+    """Disjoint sorted intervals with exact endpoints (NEG_INF/POS_INF at
+    the infinite ends).
 
     Open intervals for the detachment set; its complement is reported as
     closed intervals, possibly degenerate (single touch points).
     """
 
-    intervals: Tuple[Tuple[Optional[Rat], Optional[Rat]], ...]
+    intervals: Tuple[Tuple[End, End], ...]
     closed: bool = False
 
     def contains(self, x) -> bool:
         x = rat(x)
-        for lo, hi in self.intervals:
-            if self.closed:
-                if (lo is None or lo <= x) and (hi is None or x <= hi):
-                    return True
-            elif (lo is None or lo < x) and (hi is None or x < hi):
-                return True
-        return False
+        if self.closed:
+            return any(lo <= x <= hi for lo, hi in self.intervals)
+        return any(lo < x < hi for lo, hi in self.intervals)
 
 
 @dataclass(frozen=True)
@@ -217,15 +220,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _midpoint(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
-    """A rational inside the open interval (lo, hi); None means infinite."""
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
+def _midpoint(lo: End, hi: End) -> Rat:
+    """A rational inside the open interval (lo, hi), whose ends may be infinite."""
+    if isinstance(lo, float):  # NEG_INF
+        return Fraction(0) if isinstance(hi, float) else hi - 1
+    return lo + 1 if isinstance(hi, float) else (lo + hi) / 2
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -437,9 +436,7 @@ def build_profile(f: StepFunction) -> MaximalProfile:
     """Assemble the exact global profile of the maximal function of f."""
     if f.n == 0:
         c = abs(f.tail_left)
-        piece = MoebiusPiece(
-            c, Fraction(0), Fraction(1), Fraction(0), None, None, None, None, "const:tail_left"
-        )
+        piece = MoebiusPiece(c, _ZERO, _ONE, _ZERO, NEG_INF, POS_INF, c, c, "const:tail_left")
         return MaximalProfile((piece,))
 
     bps = f.breakpoints
@@ -487,11 +484,17 @@ def build_profile(f: StepFunction) -> MaximalProfile:
             else:
                 cells.append([lo, hi, cand, k])
 
-    def position(x: Optional[Point]) -> Optional[Rat]:
-        return None if x is None else Fraction(x[0], x[1] * scale)
+    def position(x: Optional[Point], infinity: float) -> End:
+        return infinity if x is None else Fraction(x[0], x[1] * scale)
+
+    def value(x: Optional[Point], a: int, b: int, g: int, d: int) -> Rat:
+        """The candidate at x; at an infinite end (None), its limit there:
+        beta/delta (delta = 1) or the constant."""
+        if x is None:
+            return Fraction(b if d else a, unit)
+        return Fraction(a * x[1] + b * x[0], (g * x[1] + d * x[0]) * unit)
 
     pieces: List[MoebiusPiece] = []
-    prev_value: Optional[Rat] = None
     for lo, hi, (a, b, g, d), k in cells:
         if d:
             # The anchor is the pole; left anchors lie at or before u.
@@ -502,11 +505,10 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         else:
             tag = _constant_tag(xs, ps, ls, k, a, scale)
             coeffs = (Fraction(a, unit), _ZERO, _ONE, _ZERO)
-        hi_value = None
-        if hi is not None:
-            hi_value = Fraction(a * hi[1] + b * hi[0], (g * hi[1] + d * hi[0]) * unit)
-        pieces.append(MoebiusPiece(*coeffs, position(lo), position(hi), prev_value, hi_value, tag))
-        prev_value = hi_value
+        lo_value = pieces[-1].hi_value if pieces else value(lo, a, b, g, d)
+        pieces.append(MoebiusPiece(
+            *coeffs, position(lo, NEG_INF), position(hi, POS_INF), lo_value, value(hi, a, b, g, d), tag
+        ))
 
     profile = MaximalProfile(tuple(pieces))
 
@@ -531,7 +533,7 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
     """Split the line into the open set where the profile strictly exceeds
     the adjusted modulus and its closed complement (touch set)."""
     bounds = sorted({*profile.junctions(), *f.breakpoints})
-    ends = [None, *bounds, None]
+    ends = [NEG_INF, *bounds, POS_INF]
     detached = []  # per open interval between consecutive bounds
     for s, t in zip(ends, ends[1:]):
         x = _midpoint(s, t)
@@ -540,8 +542,8 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
 
     # A run of detached intervals goes on through detached bounds and closes
     # at each bound where the profile touches the adjusted modulus.
-    runs: List[Tuple[Optional[Rat], Optional[Rat]]] = []
-    start: Optional[Rat] = None
+    runs: List[Tuple[End, End]] = []
+    start: End = NEG_INF
     for i, b in enumerate(bounds):
         adjusted = max(abs(f.left_limit(b)), abs(f.right_limit(b)))
         if profile.value(b) != adjusted:
@@ -552,11 +554,12 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
             runs.append((start, b))
         start = b
     if detached[-1]:
-        runs.append((start, None))
+        runs.append((start, POS_INF))
 
-    edges = [None, *[e for run in runs for e in run], None]
-    gaps = list(zip(edges[::2], edges[1::2]))
-    complement = [gap for gap in gaps if gap != (None, None)] if runs else gaps
+    # A run from -oo or to +oo leaves an empty gap at that end.
+    edges = [NEG_INF, *[e for run in runs for e in run], POS_INF]
+    gaps = zip(edges[::2], edges[1::2])
+    complement = [gap for gap in gaps if gap not in ((NEG_INF, NEG_INF), (POS_INF, POS_INF))]
     return RegionSet(tuple(runs), closed=False), RegionSet(tuple(complement), closed=True)
 
 
@@ -599,22 +602,10 @@ def variation_of_profile(
 
     total = Fraction(0)
     for piece in profile.pieces:
-        lo = NEG_INF if piece.lo is None else piece.lo
-        hi = POS_INF if piece.hi is None else piece.hi
-        if hi <= a or lo >= b or piece.direction == 0:
+        if piece.hi <= a or piece.lo >= b or piece.direction == 0:
             continue
-        if lo < a:
-            start = piece.value_at(a)
-        elif piece.lo is None:
-            start = piece.limit_at(-1)
-        else:
-            start = piece.lo_value
-        if hi > b:
-            end = piece.value_at(b)
-        elif piece.hi is None:
-            end = piece.limit_at(+1)
-        else:
-            end = piece.hi_value
+        start = piece.value_at(a) if piece.lo < a else piece.lo_value
+        end = piece.value_at(b) if piece.hi > b else piece.hi_value
         total += abs(end - start)
     return VariationEnclosure(total, total, precision)
 
@@ -630,17 +621,17 @@ def _difference_critical_quadratic(p1: MoebiusPiece, p2: MoebiusPiece):
     )
 
 
-def _sign_at(q: Tuple[int, int, int], x: Optional[Rat], toward: int) -> int:
-    """Sign of the int quadratic q at the rational x; when x is None, its sign
-    toward ``toward``*oo, where its leading term decides it."""
+def _sign_at(q: Tuple[int, int, int], x: End) -> int:
+    """Sign of the int quadratic q at x; at NEG_INF/POS_INF, its sign toward
+    that infinity, where its leading term decides it."""
     a, b, c = q
-    if x is None:
-        return sign(a) or toward * sign(b) or sign(c)
+    if isinstance(x, float):  # NEG_INF or POS_INF
+        return sign(a) or sign(x) * sign(b) or sign(c)
     n, d = x.numerator, x.denominator
     return sign((a * n + b * d) * n + c * d * d)
 
 
-def _both_roots_within(q: Tuple[int, int, int], s: Optional[Rat], t: Optional[Rat]) -> bool:
+def _both_roots_within(q: Tuple[int, int, int], s: End, t: End) -> bool:
     """Whether the int quadratic q has both its roots (a double root counts
     twice) in the closed cell [s, t]: q is real-rooted, not on its inner
     branch at either end, and its vertex lies between them."""
@@ -649,9 +640,9 @@ def _both_roots_within(q: Tuple[int, int, int], s: Optional[Rat], t: Optional[Ra
     return (
         a != 0
         and b * b >= 4 * a * c
-        and _sign_at(q, s, -1) * a >= 0
-        and _sign_at(q, t, +1) * a >= 0
-        and _sign_at(slope, s, -1) * a <= 0 <= _sign_at(slope, t, +1) * a
+        and _sign_at(q, s) * a >= 0
+        and _sign_at(q, t) * a >= 0
+        and _sign_at(slope, s) * a <= 0 <= _sign_at(slope, t) * a
     )
 
 
@@ -684,7 +675,7 @@ def variation_of_difference(
     if precision <= 0:
         raise ValueError("precision must be positive")
 
-    walk: List[Optional[Rat]] = [None, *sorted({*p1.junctions(), *p2.junctions()}), None]
+    walk: List[End] = [NEG_INF, *sorted({*p1.junctions(), *p2.junctions()}), POS_INF]
     exact = Fraction(0)
     # (root, m1, m2, d(s), d(t), sign of d' left of the root)
     peaks: List[list] = []
@@ -692,13 +683,13 @@ def variation_of_difference(
     for s, t in zip(walk, walk[1:]):
         x = _midpoint(s, t)
         m1, m2 = p1.piece_containing(x), p2.piece_containing(x)
-        if t is None:
+        if isinstance(t, float):  # POS_INF
             d_t = p1.limit_at(+1) - p2.limit_at(+1)
         else:
             d_t = m1.value_at(t) - m2.value_at(t)
         q = integer_quadratic(_difference_critical_quadratic(m1, m2))
-        rise = _sign_at(q, s, -1)
-        if rise * _sign_at(q, t, +1) < 0:
+        rise = _sign_at(q, s)
+        if rise * _sign_at(q, t) < 0:
             # One root lies inside.  Left of the low root q has the sign of its
             # leading coefficient, between the roots the other sign; a linear
             # q has a single root.

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+_RAT_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def rat(numerator, denominator=1) -> Rat:
@@ -41,7 +41,12 @@ def parse_rat(text: str) -> Rat:
 
 
 def format_rat(value) -> str:
-    """Canonical text form: 'p' or 'p/q' with q > 0."""
+    """Canonical text form: 'p' or 'p/q' with q > 0, and '-inf'/'inf' for
+    the two infinities; finite floats are rejected."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        raise TypeError("refusing float input; exact arithmetic only")
     return str(Fraction(value))
 
 

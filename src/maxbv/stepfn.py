@@ -6,9 +6,10 @@ and several identities checked by this package live exactly in that gap.
 Functions are immutable and always held in canonical form (no breakpoint
 whose point value equals both adjacent constants).
 
-Interval endpoints may be ``-math.inf`` / ``math.inf``; comparisons between
-``Fraction`` and the float infinities are exact, and no arithmetic is ever
-performed on them.
+Interval endpoints may be ``NEG_INF`` / ``POS_INF`` (``-math.inf`` /
+``math.inf``), the one encoding of an infinite end across the package;
+comparisons between ``Fraction`` and the float infinities are exact, and no
+arithmetic is ever performed on them.
 """
 
 from __future__ import annotations

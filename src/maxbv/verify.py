@@ -554,9 +554,7 @@ def _check_local_variation_bound(f, ctx):
 
 def _overlap_interior(piece, lo, hi):
     """Does (piece.lo, piece.hi) meet (lo, hi) in a set with interior?"""
-    lows = [v for v in (piece.lo, lo) if v is not None]
-    highs = [v for v in (piece.hi, hi) if v is not None]
-    return not lows or not highs or max(lows) < min(highs)
+    return max(piece.lo, lo) < min(piece.hi, hi)
 
 
 def _check_flat_on_touch(f, ctx):
@@ -566,8 +564,6 @@ def _check_flat_on_touch(f, ctx):
         if piece.is_constant:
             continue
         for lo, hi in touch.intervals:
-            if lo is None and hi is None:
-                return False, "whole line touches but piece is not constant"
             if _overlap_interior(piece, lo, hi):
                 return False, f"piece {piece.tag}"
     return True, ""
@@ -620,7 +616,7 @@ def _check_finite_difference(f, ctx):
         steps: List[Fraction] = []
         h = Fraction(1, 2**6)
         while len(steps) < 3:
-            if (piece.lo is None or piece.lo <= x - h) and (piece.hi is None or x + h <= piece.hi):
+            if piece.lo <= x - h and x + h <= piece.hi:
                 steps.append(h)
             h /= 2
         for h in steps:

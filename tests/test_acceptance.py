@@ -230,16 +230,7 @@ def test_c08_derivative_formula_and_flatness():
             if piece.is_constant:
                 continue
             for lo, hi in touch.intervals:
-                if lo is None and hi is None:
-                    flatness_violations += 1
-                    continue
-                left = piece.lo if lo is None else (
-                    lo if piece.lo is None else max(piece.lo, lo)
-                )
-                right = piece.hi if hi is None else (
-                    hi if piece.hi is None else min(piece.hi, hi)
-                )
-                if left is None or right is None or left < right:
+                if max(piece.lo, lo) < min(piece.hi, hi):
                     flatness_violations += 1
     ok = formula_violations == 0 and flatness_violations == 0 and checked >= 2000
     report(8, "derivative formula exact on detachment set; flat elsewhere", ok,

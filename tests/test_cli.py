@@ -50,6 +50,12 @@ def test_eval_point_with_a_trailing_newline_is_bad_input(chi_file, capsys, x):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("x", ["\u0663", "1/1\u0663"])  # the Arabic-Indic digit three
+def test_eval_point_with_a_non_ascii_digit_is_bad_input(chi_file, capsys, x):
+    assert main(["eval", "--file", chi_file, "--x", x]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("stepfn/1\ntail 0\nbp x value 0 right 0\n", encoding="utf-8")
@@ -177,6 +183,26 @@ def test_counterexample_bad_n(capsys):
     assert main(["counterexample", "--n", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["counterexample", "--n", "1_0"], "argument --n: n must be an integer, not '1_0'"),
+        (["counterexample", "--n", " 5"], "argument --n: n must be an integer, not ' 5'"),
+        (["counterexample", "--n", "\u0663"], "argument --n: n must be an integer, not '\u0663'"),
+        (["counterexample", "--n", "4", "--K", "1_0"], "argument --K: K must be an integer, not '1_0'"),
+        (["check", "--suite-seed", "1_0"], "argument --suite-seed: suite seed must be an integer, not '1_0'"),
+        (["check", "--seeds", "1_0"], "bad --seeds '1_0'; expected N or A:B"),
+        (["check", "--seeds", "0: 5"], "bad --seeds '0: 5'; expected N or A:B"),
+        (["check", "--seeds", "\u0663"], "bad --seeds '\u0663'; expected N or A:B"),
+    ],
+)
+def test_integer_options_take_only_ascii_digits(args, message, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_experiment_from_config(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(
@@ -221,6 +247,12 @@ def _assert_one_line_error(capsys):
 @pytest.mark.parametrize("key", ["seed", "pairs", "tail_count"])
 def test_experiment_rejects_non_integer_keys(tmp_path, capsys, key):
     assert _experiment(tmp_path, f"{key}=abc\nscales=1,1/2\n") == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["seed", "pairs", "tail_count"])
+def test_experiment_rejects_non_ascii_digits(tmp_path, capsys, key):
+    assert _experiment(tmp_path, f"{key}=\u0663\nscales=1,1/2\n") == 2
     _assert_one_line_error(capsys)
 
 

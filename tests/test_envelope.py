@@ -20,7 +20,16 @@ from maxbv.envelope import (
 )
 from maxbv.exact import format_rat, parse_rat
 from maxbv.maximal import maximal_limit_at_infinity, maximal_value
-from maxbv.stepfn import AbsIntegral, StepFunction, adjusted_modulus, combine, modulus, variation_on
+from maxbv.stepfn import (
+    NEG_INF,
+    POS_INF,
+    AbsIntegral,
+    StepFunction,
+    adjusted_modulus,
+    combine,
+    modulus,
+    variation_on,
+)
 from conftest import rand_fraction, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
@@ -150,7 +159,7 @@ def test_translated_input_translates_the_profile():
         assert len(before) == len(after)
         for p, q in zip(before, after):
             assert coeffs(q) == (p.alpha - p.beta * t, p.beta, p.gamma - p.delta * t, p.delta)
-            assert (q.lo, q.hi) == tuple(None if e is None else e + t for e in (p.lo, p.hi))
+            assert (q.lo, q.hi) == tuple(e if e in (NEG_INF, POS_INF) else e + t for e in (p.lo, p.hi))
             assert (q.lo_value, q.hi_value) == (p.lo_value, p.hi_value)
             assert q.tag == _shift_tag(p.tag, t)
 
@@ -211,8 +220,8 @@ def test_detachment_regions_indicator():
     regions, touch = detachment_regions(f, build_profile(f))
     assert len(regions.intervals) == 2
     (l1, h1), (l2, h2) = regions.intervals
-    assert l1 is None and h1 == 0
-    assert l2 == 1 and h2 is None
+    assert l1 == NEG_INF and h1 == 0
+    assert l2 == 1 and h2 == POS_INF
     assert touch.intervals[0][0] == 0
     assert touch.intervals[0][1] == 1
     assert touch.contains(Fraction(1, 2)) and not regions.contains(Fraction(1, 2))
@@ -223,7 +232,7 @@ def test_detachment_regions_constant_and_two_bump():
     f = StepFunction.constant(4)
     regions, touch = detachment_regions(f, build_profile(f))
     assert regions.intervals == ()
-    assert touch.intervals == ((None, None),)
+    assert touch.intervals == ((NEG_INF, POS_INF),)
 
     regions, _ = detachment_regions(TWO_BUMP, build_profile(TWO_BUMP))
     assert len(regions.intervals) == 3
@@ -308,6 +317,35 @@ def test_variation_of_profile_windows():
         variation_of_profile(profile, 0, 1, Fraction(0))
 
 
+def test_profile_end_values_are_the_limits_at_infinity():
+    # The end pieces reach NEG_INF and POS_INF, and their end values there
+    # are their limits (beta/delta, or alpha/gamma for a constant), both
+    # the limit of the maximal function at infinity.
+    rng = random.Random(211)
+    inputs = [rand_stepfn(rng) for _ in range(60)] + [exact_n_stepfn(rng, n) for n in range(21)]
+    for f in inputs:
+        profile = build_profile(f)
+        first, last = profile.pieces[0], profile.pieces[-1]
+        assert first.lo == NEG_INF and last.hi == POS_INF
+        limit = maximal_limit_at_infinity(f)
+        assert first.lo_value == last.hi_value == limit
+        assert profile.limit_at(-1) == profile.limit_at(+1) == limit
+        for piece in (first, last):
+            assert limit == (piece.beta / piece.delta if piece.delta else piece.alpha / piece.gamma)
+        # An end piece is monotone, so a window reaching an infinity adds the
+        # gap between the limit and the value at a finite cut inside that piece.
+        for _ in range(3):
+            c = Fraction(rng.randint(-40, 90), 4)
+            a = min(c, first.hi) - 1
+            whole = variation_of_profile(profile, NEG_INF, c, PRECISION)
+            part = variation_of_profile(profile, a, c, PRECISION)
+            assert whole.lo == whole.hi == part.lo + abs(profile.value(a) - limit)
+            b = max(c, last.lo) + 1
+            whole = variation_of_profile(profile, c, POS_INF, PRECISION)
+            part = variation_of_profile(profile, c, b, PRECISION)
+            assert whole.lo == whole.hi == part.lo + abs(profile.value(b) - limit)
+
+
 def test_contraction_property():
     rng = random.Random(73)
     for _ in range(60):
@@ -344,12 +382,7 @@ def test_flat_on_touch_set():
                 continue
             for lo, hi in touch.intervals:
                 # overlap of (piece.lo, piece.hi) with [lo, hi] must have no interior
-                left = piece.lo if lo is None else (lo if piece.lo is None else max(piece.lo, lo))
-                right = piece.hi if hi is None else (hi if piece.hi is None else min(piece.hi, hi))
-                if left is None or right is None:
-                    assert not (left is None and right is None)
-                    continue
-                assert left >= right
+                assert max(piece.lo, lo) >= min(piece.hi, hi)
 
 
 def test_no_interior_local_maximum_in_detachment_set():
@@ -361,9 +394,7 @@ def test_no_interior_local_maximum_in_detachment_set():
         for lo, hi in regions.intervals:
             directions = []
             for piece in profile.pieces:
-                left = piece.lo if lo is None else (lo if piece.lo is None else max(piece.lo, lo))
-                right = piece.hi if hi is None else (hi if piece.hi is None else min(piece.hi, hi))
-                if left is not None and right is not None and left >= right:
+                if max(piece.lo, lo) >= min(piece.hi, hi):
                     continue
                 directions.append(piece.direction)
             trimmed = [d for d in directions if d != 0]
@@ -444,8 +475,8 @@ def moebius_profile(alpha, gamma, s, t):
     """The profile alpha/(gamma + x) on [s, t], constant at its end values
     outside; a hand-built profile, not the maximal function of a step function."""
     piece = MoebiusPiece(alpha, 0, gamma, 1, s, t, alpha / (gamma + s), alpha / (gamma + t), "hand-built")
-    left = MoebiusPiece(piece.lo_value, 0, 1, 0, None, s, piece.lo_value, piece.lo_value, "hand-built")
-    right = MoebiusPiece(piece.hi_value, 0, 1, 0, t, None, piece.hi_value, piece.hi_value, "hand-built")
+    left = MoebiusPiece(piece.lo_value, 0, 1, 0, NEG_INF, s, piece.lo_value, piece.lo_value, "hand-built")
+    right = MoebiusPiece(piece.hi_value, 0, 1, 0, t, POS_INF, piece.hi_value, piece.hi_value, "hand-built")
     return MaximalProfile((left, piece, right))
 
 
@@ -485,17 +516,17 @@ def test_both_roots_within_the_closed_cell():
     within = envelope._both_roots_within
     # x^2 - 1 has roots -1 and 1.
     assert within((1, 0, -1), Fraction(-1), Fraction(1))
-    assert within((-1, 0, 1), None, Fraction(3))
-    assert within((1, 0, -1), None, None)
+    assert within((-1, 0, 1), NEG_INF, Fraction(3))
+    assert within((1, 0, -1), NEG_INF, POS_INF)
     assert not within((1, 0, -1), Fraction(-1), Fraction(1, 2))
-    assert not within((1, 0, -1), Fraction(0), None)
+    assert not within((1, 0, -1), Fraction(0), POS_INF)
     assert not within((1, 0, -1), Fraction(2), Fraction(3))
-    assert not within((1, 0, -1), None, Fraction(-2))
+    assert not within((1, 0, -1), NEG_INF, Fraction(-2))
     # a double root counts twice; no real roots, a linear or a zero q none
     assert within((1, -2, 1), Fraction(0), Fraction(2))
-    assert not within((1, 0, 1), None, None)
-    assert not within((0, 1, -1), None, None)
-    assert not within((0, 0, 0), None, None)
+    assert not within((1, 0, 1), NEG_INF, POS_INF)
+    assert not within((0, 1, -1), NEG_INF, POS_INF)
+    assert not within((0, 0, 0), NEG_INF, POS_INF)
 
 
 def test_profile_junctions_are_rational():

@@ -51,9 +51,18 @@ def test_field_axioms_on_sampled_triples():
 def test_parse_and_format_round_trip():
     for text in ["0", "-7", "3/4", "-22/7"]:
         assert format_rat(parse_rat(text)) == text
-    for bad in ["1.5", "3/-4", "1/0", "x", "", "+3", "2 /3", "3\n", "1/3\n"]:
+    # Only ASCII digits: Fraction would read the Arabic-Indic three as 3.
+    for bad in ["1.5", "3/-4", "1/0", "x", "", "+3", "2 /3", "3\n", "1/3\n", "\u0663", "1/1\u0663"]:
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+
+def test_format_rat_prints_the_infinities_and_rejects_finite_floats():
+    assert format_rat(-math.inf) == "-inf"
+    assert format_rat(math.inf) == "inf"
+    for value in (0.1, 0.0, math.nan):
+        with pytest.raises(TypeError):
+            format_rat(value)
 
 
 def test_decimal_rendering():
