@@ -161,10 +161,10 @@ def cmd_check(args) -> int:
         for path in files:
             corpus.append(_load(str(path)))
     else:
-        lo, _, hi = args.seeds.partition(":")
+        lo, colon, hi = args.seeds.partition(":")
         try:
-            first = _parse_int(lo, "seed") if hi else 0
-            last = _parse_int(hi or lo, "seed")
+            first = _parse_int(lo, "seed") if colon else 0
+            last = _parse_int(hi if colon else lo, "seed")
         except InputError:
             raise InputError(f"bad --seeds {args.seeds!r}; expected N or A:B") from None
         if last <= first:

@@ -53,10 +53,17 @@ of a profile is an exact telescoping sum of endpoint values.  The
 difference of two profiles has at most one critical point per common cell,
 and exact signs locate it: its derivative has the sign of an int quadratic,
 which changes sign across the cell exactly when the cell holds a critical
-point.  The variation is an exact sum over the junctions of cells without
-one; only the critical points (peaks) get brackets, narrowed to a certified
-rational enclosure of any requested precision.  A rational critical point's
-bracket is the point itself, so its peak is exact.
+point.  The difference walk is one two-pointer merge of the two piece
+lists, and it decides every sign on ints: each profile caches the int form
+of its pieces (coefficients times the lcm of their denominators), so the
+critical quadratic and its signs at the cell ends are int expressions and d
+at a junction is one Fraction.  The variation is an exact sum over the
+junctions of cells without a critical point; only the critical points
+(peaks) get brackets, narrowed to a certified rational enclosure of any
+requested precision.  A peak cell still takes ``integer_quadratic`` of its
+pieces' rational quadratic, since a surd's bracket is sized by that int
+scaling; so every enclosure stays the same until peaks are exact.  A
+rational critical point's bracket is the point itself, so its peak is exact.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
@@ -99,6 +107,10 @@ class MoebiusPiece:
     lo_value: Rat
     hi_value: Rat
     tag: str
+
+    @property
+    def coefficients(self) -> Tuple[Rat, Rat, Rat, Rat]:
+        return (self.alpha, self.beta, self.gamma, self.delta)
 
     @property
     def det(self) -> Rat:
@@ -144,6 +156,18 @@ class MaximalProfile:
     construction (adjacent pieces agree at junctions)."""
 
     pieces: Tuple[MoebiusPiece, ...]
+
+    @cached_property
+    def int_forms(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Each piece's (alpha, beta, gamma, delta) times the lcm k of their
+        denominators: an int tuple for the same Moebius function, whose det
+        is k**2 times the piece's."""
+        forms = []
+        for piece in self.pieces:
+            coeffs = piece.coefficients
+            k = math.lcm(*[v.denominator for v in coeffs])
+            forms.append(tuple(v.numerator * (k // v.denominator) for v in coeffs))
+        return tuple(forms)
 
     def piece_containing(self, x) -> MoebiusPiece:
         """The piece whose closed domain holds x (the left one at a junction)."""
@@ -610,14 +634,18 @@ def variation_of_profile(
     return VariationEnclosure(total, total, precision)
 
 
-def _difference_critical_quadratic(p1: MoebiusPiece, p2: MoebiusPiece):
-    d1, d2 = p1.det, p2.det
-    g1, dl1 = p1.gamma, p1.delta
-    g2, dl2 = p2.gamma, p2.delta
+def _difference_critical_quadratic(c1: Sequence, c2: Sequence) -> Tuple:
+    """det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2 for two
+    coefficient tuples (alpha, beta, gamma, delta), ints or rationals.  Off
+    the poles, the derivative of the difference has its sign; scaling the
+    tuples by k1, k2 > 0 scales it by k1**2 * k2**2."""
+    a1, b1, g1, e1 = c1
+    a2, b2, g2, e2 = c2
+    det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
     return (
-        d1 * dl2 * dl2 - d2 * dl1 * dl1,
-        2 * (d1 * g2 * dl2 - d2 * g1 * dl1),
-        d1 * g2 * g2 - d2 * g1 * g1,
+        det1 * e2 * e2 - det2 * e1 * e1,
+        2 * (det1 * g2 * e2 - det2 * g1 * e1),
+        det1 * g2 * g2 - det2 * g1 * g1,
     )
 
 
@@ -651,8 +679,10 @@ def variation_of_difference(
 ) -> VariationEnclosure:
     """Certified total variation of (p1 - p2) over the whole line.
 
-    The piece grids are merged.  On a common cell (s, t) the derivative of
-    d = m1 - m2 has the sign of the critical quadratic
+    The two piece lists are merged with one pointer each: a common cell
+    (s, t) ends at the nearer of the current pieces' right ends, and each
+    piece that ends there steps on (both, at a shared junction).  On the cell
+    the derivative of d = m1 - m2 has the sign of the critical quadratic
     q = det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2.  Neither
     piece has its pole on the closed cell, so the ratio
     r = (gamma1 + delta1*x)/(gamma2 + delta2*x) keeps one sign there and is
@@ -663,43 +693,74 @@ def variation_of_difference(
     at most two monotone stretches, whose endpoint differences telescope.
     Profiles are continuous, so d is exact at every junction.
 
-    The critical point is located by sign, without narrowing: with q scaled
-    to ints, the cell holds one exactly when q has opposite nonzero signs at
-    its ends (at an infinite end, the sign of q's leading term there), and
+    The walk reads each piece through its profile's int form, the piece's
+    coefficients times k > 0: q from the int forms is k1**2 * k2**2 times
+    the pieces' q, with the same sign everywhere, and d at a junction is one
+    Fraction of ints.  The critical point is located by sign, without
+    narrowing: the cell holds one exactly when q has opposite nonzero signs
+    at its ends (at an infinite end, the sign of q's leading term there), and
     the sign at s is the sign of d' left of it.  Only such a cell isolates
-    the roots of q and keeps the one inside as a peak; each round narrows
-    the peaks' brackets, which encloses d there.  A rational root's bracket
-    is the point itself, so its peak term is exact from the first round on.
+    the roots of q and keeps the one inside as a peak.  It takes q from the
+    pieces' rationals, scaled to ints by ``integer_quadratic``: a surd's
+    bracket width is 1/(2a), so that scaling fixes every enclosure end.  Each
+    round narrows the peaks' brackets, which encloses d there.  A rational
+    root's bracket is the point itself, so its peak term is exact from the
+    first round on.
     """
     precision = rat(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
 
-    walk: List[End] = [NEG_INF, *sorted({*p1.junctions(), *p2.junctions()}), POS_INF]
+    pieces1, pieces2 = p1.pieces, p2.pieces
+    forms1, forms2 = p1.int_forms, p2.int_forms
+    last1, last2 = len(pieces1) - 1, len(pieces2) - 1
+    i = j = 0
+    s: End = NEG_INF
     exact = Fraction(0)
     # (root, m1, m2, d(s), d(t), sign of d' left of the root)
     peaks: List[list] = []
     d_s = p1.limit_at(-1) - p2.limit_at(-1)
-    for s, t in zip(walk, walk[1:]):
-        x = _midpoint(s, t)
-        m1, m2 = p1.piece_containing(x), p2.piece_containing(x)
-        if isinstance(t, float):  # POS_INF
-            d_t = p1.limit_at(+1) - p2.limit_at(+1)
+    while True:
+        m1, m2 = pieces1[i], pieces2[j]
+        if i < last1 and j < last2:
+            h1, h2 = m1.hi, m2.hi
+            order = h1.numerator * h2.denominator - h2.numerator * h1.denominator
+            step1, step2 = order <= 0, order >= 0
+            t = h1 if step1 else h2
+        elif i < last1 or j < last2:
+            step1, step2 = i < last1, j < last2
+            t = m1.hi if step1 else m2.hi
         else:
-            d_t = m1.value_at(t) - m2.value_at(t)
-        q = integer_quadratic(_difference_critical_quadratic(m1, m2))
+            step1 = step2 = False
+            t = POS_INF
+        form1, form2 = forms1[i], forms2[j]
+        if step1 or step2:
+            a1, b1, g1, e1 = form1
+            a2, b2, g2, e2 = form2
+            n, d = t.numerator, t.denominator
+            num1, den1 = a1 * d + b1 * n, g1 * d + e1 * n
+            num2, den2 = a2 * d + b2 * n, g2 * d + e2 * n
+            d_t = Fraction(num1 * den2 - num2 * den1, den1 * den2)
+        else:
+            d_t = p1.limit_at(+1) - p2.limit_at(+1)
+        q = _difference_critical_quadratic(form1, form2)
         rise = _sign_at(q, s)
         if rise * _sign_at(q, t) < 0:
             # One root lies inside.  Left of the low root q has the sign of its
             # leading coefficient, between the roots the other sign; a linear
             # q has a single root.
+            q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
             roots = isolate_quadratic_roots(q)
             peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
         elif _both_roots_within(q, s, t):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
             exact += abs(d_t - d_s)
-        d_s = d_t
+        if not (step1 or step2):
+            break
+        s, d_s = t, d_t
+        i += step1
+        j += step2
 
     width = Fraction(1, 2**40)
     while True:

@@ -5,9 +5,9 @@ reduced), exact total arithmetic, arbitrary-precision integers.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
 points of a difference of two profiles, with a dyadic bracket that one
 ``math.isqrt`` gives in closed form.  Where a root lies is never asked of
-its bracket: ``integer_quadratic`` scales a quadratic to ints, whose exact
-signs at the ends of a cell settle it.  Brackets are narrowed only to
-enclose a value at the root.
+its bracket: the exact signs of an int quadratic at the ends of a cell
+settle it.  ``integer_quadratic`` scales a rational quadratic to ints, and
+brackets are narrowed only to enclose a value at the root.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ maximal values by maximizing averages over sampled intervals.
 import random
 from fractions import Fraction
 
-from maxbv.stepfn import AbsIntegral, StepFunction, variation_on_partition
+from hypothesis import strategies as st
+
+from maxbv.envelope import MaximalProfile, MoebiusPiece
+from maxbv.stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, variation_on_partition
 
 
 def rand_fraction(rng, bound=3, denom=4):
@@ -76,3 +79,28 @@ def interval_average_oracle(f, x, rng, count=300, span=12):
         if a < b:
             best = max(best, integ.average(a, b))
     return best
+
+
+def moebius_profile(alpha, gamma, s, t):
+    """The profile alpha/(gamma + x) on [s, t], constant at its end values
+    outside; a hand-built profile, not the maximal function of a step function."""
+    piece = MoebiusPiece(alpha, 0, gamma, 1, s, t, alpha / (gamma + s), alpha / (gamma + t), "hand-built")
+    left = MoebiusPiece(piece.lo_value, 0, 1, 0, NEG_INF, s, piece.lo_value, piece.lo_value, "hand-built")
+    right = MoebiusPiece(piece.hi_value, 0, 1, 0, t, POS_INF, piece.hi_value, piece.hi_value, "hand-built")
+    return MaximalProfile((left, piece, right))
+
+
+values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def step_functions(draw, n_min=0, n_max=7):
+    """Step functions on a quarter grid of [-10, 10] with small values."""
+    grid = draw(st.lists(st.integers(-40, 40), unique=True, min_size=n_min, max_size=n_max))
+    n = len(grid)
+    return StepFunction(
+        draw(values),
+        tuple(Fraction(g, 4) for g in sorted(grid)),
+        tuple(draw(st.lists(values, min_size=n, max_size=n))),
+        tuple(draw(st.lists(values, min_size=n, max_size=n))),
+    )

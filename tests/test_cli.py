@@ -144,6 +144,7 @@ def test_check_seed_range(tmp_path):
     [
         "300042:300044",  # finite_difference: x = 38/7 lies 43/3052 < 2^-6 left of the junction 2373/436
         "100095:100097",  # local_variation_bound: the window (-15/4, 23/4) ends on a breakpoint
+        "180358:180360",  # derivative_formula: f(6) = -5/3 at the breakpoint 6, but f = 1 on both sides
     ],
 )
 def test_check_has_no_false_fail_near_junctions_and_breakpoints(seeds, capsys):
@@ -194,6 +195,9 @@ def test_counterexample_bad_n(capsys):
         (["check", "--seeds", "1_0"], "bad --seeds '1_0'; expected N or A:B"),
         (["check", "--seeds", "0: 5"], "bad --seeds '0: 5'; expected N or A:B"),
         (["check", "--seeds", "\u0663"], "bad --seeds '\u0663'; expected N or A:B"),
+        # A range names both ends: "3:" is not the count form "3".
+        (["check", "--seeds", "3:"], "bad --seeds '3:'; expected N or A:B"),
+        (["check", "--seeds", ":3"], "bad --seeds ':3'; expected N or A:B"),
     ],
 )
 def test_integer_options_take_only_ascii_digits(args, message, capsys):

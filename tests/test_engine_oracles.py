@@ -20,21 +20,7 @@ from hypothesis import strategies as st
 from maxbv.envelope import build_profile, bv_distance
 from maxbv.maximal import WitnessInterval, candidate_set, maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import StepFunction, combine
-
-values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
-
-
-@st.composite
-def step_functions(draw, n_min=0, n_max=7):
-    grid = draw(st.lists(st.integers(-40, 40), unique=True, min_size=n_min, max_size=n_max))
-    n = len(grid)
-    return StepFunction(
-        draw(values),
-        tuple(Fraction(g, 4) for g in sorted(grid)),
-        tuple(draw(st.lists(values, min_size=n, max_size=n))),
-        tuple(draw(st.lists(values, min_size=n, max_size=n))),
-    )
-
+from conftest import step_functions
 
 def probe_points(f, profile):
     marks = sorted({*f.breakpoints, *profile.junctions()})

@@ -30,7 +30,7 @@ from maxbv.stepfn import (
     modulus,
     variation_on,
 )
-from conftest import rand_fraction, rand_stepfn
+from conftest import moebius_profile, rand_fraction, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -471,15 +471,6 @@ def test_variation_of_difference_with_rational_critical_point_left_of_the_juncti
     assert partition_variation(p1, p2, junctions) < 3
 
 
-def moebius_profile(alpha, gamma, s, t):
-    """The profile alpha/(gamma + x) on [s, t], constant at its end values
-    outside; a hand-built profile, not the maximal function of a step function."""
-    piece = MoebiusPiece(alpha, 0, gamma, 1, s, t, alpha / (gamma + s), alpha / (gamma + t), "hand-built")
-    left = MoebiusPiece(piece.lo_value, 0, 1, 0, NEG_INF, s, piece.lo_value, piece.lo_value, "hand-built")
-    right = MoebiusPiece(piece.hi_value, 0, 1, 0, t, POS_INF, piece.hi_value, piece.hi_value, "hand-built")
-    return MaximalProfile((left, piece, right))
-
-
 def test_variation_of_difference_narrows_a_bracket_off_the_poles():
     # -1/x and -(1 + 2^-60)/(x - 2^-42) on [2^-44, 3*2^-44]: the poles 0 and
     # 2^-42 are far closer to the irrational critical point
@@ -527,6 +518,62 @@ def test_both_roots_within_the_closed_cell():
     assert not within((1, 0, 1), NEG_INF, POS_INF)
     assert not within((0, 1, -1), NEG_INF, POS_INF)
     assert not within((0, 0, 0), NEG_INF, POS_INF)
+
+
+def skewed_profile():
+    """Hand-built pieces whose deltas are neither 0 nor 1, each with its
+    pole outside its closed domain."""
+    inner = [
+        (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), Fraction(3, 2), Fraction(0), Fraction(2)),
+        (Fraction(-5, 4), Fraction(2, 9), Fraction(5), Fraction(-2, 3), Fraction(2), Fraction(5)),
+    ]
+    pieces = []
+    for a, b, g, d, lo, hi in inner:
+        pieces.append(MoebiusPiece(a, b, g, d, lo, hi, (a + b * lo) / (g + d * lo), (a + b * hi) / (g + d * hi), "hand-built"))
+    first, last = pieces[0].lo_value, pieces[-1].hi_value
+    return MaximalProfile((
+        MoebiusPiece(first, 0, 1, 0, NEG_INF, Fraction(0), first, first, "hand-built"),
+        *pieces,
+        MoebiusPiece(last, 0, 1, 0, Fraction(5), POS_INF, last, last, "hand-built"),
+    ))
+
+
+def int_form_profiles():
+    rng = random.Random(23)
+    built = [build_profile(rand_stepfn(rng)) for _ in range(30)]
+    hand = [
+        skewed_profile(),
+        moebius_profile(Fraction(-1), Fraction(0), Fraction(1, 2**44), Fraction(3, 2**44)),
+        moebius_profile(Fraction(2, 3), Fraction(5, 7), Fraction(1, 2), Fraction(9, 4)),
+    ]
+    return built + hand
+
+
+def test_int_forms_are_positive_int_multiples_with_the_same_end_values():
+    for profile in int_form_profiles():
+        assert len(profile.int_forms) == len(profile.pieces)
+        for piece, form in zip(profile.pieces, profile.int_forms):
+            assert all(type(v) is int for v in form)
+            k = next(v / c for v, c in zip(form, coeffs(piece)) if c)
+            assert k > 0 and form == tuple(k * c for c in coeffs(piece))
+            a, b, g, d = form
+            for end in (piece.lo, piece.hi):
+                if end not in (NEG_INF, POS_INF):
+                    assert Fraction(a + b * end) / (g + d * end) == piece.value_at(end)
+    assert any(piece.delta not in (0, 1) for piece in skewed_profile().pieces)
+
+
+def test_int_critical_quadratic_has_the_sign_of_the_fraction_one():
+    profiles = int_form_profiles()
+    for p1, p2 in zip(profiles, profiles[1:] + profiles[:1]):
+        ends = [NEG_INF, *sorted({*p1.junctions(), *p2.junctions()}), POS_INF]
+        for m1, form1 in zip(p1.pieces, p1.int_forms):
+            for m2, form2 in zip(p2.pieces, p2.int_forms):
+                q = envelope._difference_critical_quadratic(form1, form2)
+                exact = envelope._difference_critical_quadratic(coeffs(m1), coeffs(m2))
+                assert all(type(v) is int for v in q)
+                for x in ends:
+                    assert envelope._sign_at(q, x) == envelope._sign_at(exact, x)
 
 
 def test_profile_junctions_are_rational():

@@ -156,6 +156,16 @@ def test_invariant_suite_passes_on_random_corpus():
     assert "# verdict\tPASS" in tsv
 
 
+def test_derivative_formula_reads_f_on_the_witness_side_of_a_breakpoint():
+    # The shrunk witness of `maxbv check --seeds 180358:180360`.  At the
+    # breakpoint x = 6, f(6) = -5/3 but f = 1 on both sides; the derivative
+    # of the maximal function there follows the one-sided value |f(6+)| = 1.
+    f = sf.parse("stepfn/1\ntail -3/4\nbp -15/2 value 3 right 3\nbp 0 value 3 right 1\nbp 6 value -5/3 right 1\n")
+    report = invariant_suite([f])
+    result = next(r for r in report.results if r.check == "derivative_formula")
+    assert result.passed, result.detail
+
+
 def test_invariant_suite_rejects_empty_corpus():
     with pytest.raises(ValueError):
         invariant_suite([])
