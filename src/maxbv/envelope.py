@@ -26,7 +26,8 @@ and the pointwise engine ``maximal.maximal_value`` stay the oracles the tests
 compare profiles with.  Every build checks itself at each breakpoint against
 values read off the same two chains without the walk: the vertex a
 breakpoint's point was pushed onto is its best anchor on that side, so one
-O(n) sweep gives the maximal function at every breakpoint.
+O(n) sweep gives the maximal function at every breakpoint.  It also checks
+that adjacent pieces agree at every junction.
 
 The build runs on an integer lattice.  With D the lcm of the breakpoint
 denominators and E that of the |constant| denominators, the points
@@ -37,8 +38,12 @@ by cross-multiplication.  The scaling is positive in both coordinates, so
 every orientation test, and with it every hull link, and every comparison
 of the walk come out as they would on the rationals.  Fractions come back
 once per merged piece (alpha = A/(D*E), beta = L/E, gamma = -X/D, its
-endpoints and end values), and the self-checks read f's own rationals, so
-they check that way back as well.
+endpoints and end values).  The self-checks run on the lattice too: the
+junctions and breakpoint values are compared by cross-multiplication, and
+one int pass checks the way in and the way back, that X*den(b) = num(b)*D
+and L*den(c) = |num(c)|*E for f's own rationals b and c, and that every
+piece's coefficients, finite right end and value there are its cell's ints
+scaled back.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
 lattice walk (where an unbounded end is None): piece domains, region
@@ -77,7 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
 from .maximal import maximal_limit_at_infinity
-from .stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, _endpoint
+from .stepfn import NEG_INF, POS_INF, StepFunction, _endpoint
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
 # with).  The infinities are the only floats, so the hot loops tell an infinite
@@ -407,29 +412,34 @@ def _hull_from(links: List[int], i: int) -> List[int]:
 
 
 def _breakpoint_values(
-    bps: Sequence[Rat], prefix: Sequence[Rat], abs_consts: Sequence[Rat],
-    lower: List[int], upper: List[int],
-) -> List[Rat]:
-    """The maximal function at every breakpoint, read off the hull links.
+    xs: Sequence[int], ps: Sequence[int], ls: Sequence[int], lower: List[int], upper: List[int]
+) -> List[Tuple[int, int]]:
+    """The maximal function at every breakpoint, read off the hull links, as
+    (num, den) pairs of ints with den > 0, in units of 1/E.
 
     At a breakpoint only the anchored intervals and the four limits count
-    (see ``maximal``): the one-sided limits |c_i| and |c_{i+1}|, the tails,
-    and the best interval ending at each side, whose average is the slope
-    from the breakpoint's point to its link in that direction's chain.
+    (see ``maximal``): the one-sided limits L_i and L_{i+1}, the tails, and
+    the best interval ending at each side, whose average is the slope from
+    the breakpoint's point to its link in that direction's chain.  The
+    candidates are compared by cross-multiplication.
     """
-    n = len(bps)
-    tails = max(abs_consts[0], abs_consts[-1])
+    n = len(xs)
+    tails = max(ls[0], ls[-1])
     values = []
     for i in range(n):
-        best = max(abs_consts[i], abs_consts[i + 1], tails)
+        num, den = max(ls[i], ls[i + 1], tails), 1
         j = lower[i]
         if j >= 0:
-            best = max(best, (prefix[i] - prefix[j]) / (bps[i] - bps[j]))
+            rise, run = ps[i] - ps[j], xs[i] - xs[j]
+            if rise * den > num * run:
+                num, den = rise, run
         j = upper[n - 1 - i]
         if j >= 0:
             j = n - 1 - j
-            best = max(best, (prefix[j] - prefix[i]) / (bps[j] - bps[i]))
-        values.append(best)
+            rise, run = ps[j] - ps[i], xs[j] - xs[i]
+            if rise * den > num * run:
+                num, den = rise, run
+        values.append((num, den))
     return values
 
 
@@ -456,6 +466,32 @@ def _constant_tag(
     raise AssertionError("segment constant matches no candidate")
 
 
+def _lattice(f: StepFunction) -> Tuple[int, int, List[int], List[int], List[int]]:
+    """f on its integer lattice: the scale D (lcm of the breakpoint
+    denominators), the unit E (lcm of the |constant| denominators), the
+    points X = D*b, the levels L = E*|c| and P = D*E*F(b) at the
+    breakpoints, with F the antiderivative of |f| based at the first one."""
+    scale = math.lcm(*[b.denominator for b in f.breakpoints])
+    unit = math.lcm(*[c.denominator for c in f.constants])
+    xs = [b.numerator * (scale // b.denominator) for b in f.breakpoints]
+    ls = [abs(c.numerator) * (unit // c.denominator) for c in f.constants]
+    ps = [0]
+    for k in range(1, len(xs)):
+        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
+    return scale, unit, xs, ls, ps
+
+
+def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
+    """The candidate at x as a pair (num, den) of ints, in units of 1/E; at
+    an infinite end (None), its limit there: beta/delta (delta = 1) or the
+    constant."""
+    a, b, g, d = cand
+    if x is None:
+        return (b, d) if d else (a, g)
+    p, q = x
+    return a * q + b * p, g * q + d * p
+
+
 def build_profile(f: StepFunction) -> MaximalProfile:
     """Assemble the exact global profile of the maximal function of f."""
     if f.n == 0:
@@ -463,18 +499,8 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         piece = MoebiusPiece(c, _ZERO, _ONE, _ZERO, NEG_INF, POS_INF, c, c, "const:tail_left")
         return MaximalProfile((piece,))
 
-    bps = f.breakpoints
     n = f.n
-    abs_consts = [abs(c) for c in f.constants]
-    # The lattice: X = scale*x and averages in units of 1/unit (scale = D,
-    # unit = E), so P = D*E*F at the breakpoints.
-    scale = math.lcm(*[b.denominator for b in bps])
-    unit = math.lcm(*[c.denominator for c in abs_consts])
-    xs = [b.numerator * (scale // b.denominator) for b in bps]
-    ls = [c.numerator * (unit // c.denominator) for c in abs_consts]
-    ps = [0]
-    for k in range(1, n):
-        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
+    scale, unit, xs, ls, ps = _lattice(f)
     points = list(zip(xs, ps))
     lower = _hull_links(points)
     upper = _hull_links(points[::-1])
@@ -508,18 +534,25 @@ def build_profile(f: StepFunction) -> MaximalProfile:
             else:
                 cells.append([lo, hi, cand, k])
 
-    def position(x: Optional[Point], infinity: float) -> End:
-        return infinity if x is None else Fraction(x[0], x[1] * scale)
+    # Self-checks, on the lattice: adjacent cells agree at their shared
+    # point, and at every breakpoint the cell holding it matches the maximal
+    # function read off the hull chains without the walk.
+    for (_, hi, cand, _), (_, _, rival, _) in zip(cells, cells[1:]):
+        if _order(cand, rival, hi):
+            raise AssertionError("profile pieces disagree at a junction")
+    cell = 0
+    for x, (num, den) in zip(xs, _breakpoint_values(xs, ps, ls, lower, upper)):
+        while cells[cell][1] is not None and cells[cell][1][0] < x * cells[cell][1][1]:
+            cell += 1
+        at_x, below = _lattice_value((x, 1), cells[cell][2])
+        if at_x * den != num * below:
+            raise AssertionError("profile disagrees with the pointwise engine")
 
-    def value(x: Optional[Point], a: int, b: int, g: int, d: int) -> Rat:
-        """The candidate at x; at an infinite end (None), its limit there:
-        beta/delta (delta = 1) or the constant."""
-        if x is None:
-            return Fraction(b if d else a, unit)
-        return Fraction(a * x[1] + b * x[0], (g * x[1] + d * x[0]) * unit)
-
+    # Fractions come back once per piece; its lower end and the value there
+    # are the previous piece's upper ones (the first starts at NEG_INF).
     pieces: List[MoebiusPiece] = []
-    for lo, hi, (a, b, g, d), k in cells:
+    for _, hi, cand, k in cells:
+        a, b, g, d = cand
         if d:
             # The anchor is the pole; left anchors lie at or before u.
             q = Fraction(-g, scale)
@@ -529,25 +562,35 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         else:
             tag = _constant_tag(xs, ps, ls, k, a, scale)
             coeffs = (Fraction(a, unit), _ZERO, _ONE, _ZERO)
-        lo_value = pieces[-1].hi_value if pieces else value(lo, a, b, g, d)
-        pieces.append(MoebiusPiece(
-            *coeffs, position(lo, NEG_INF), position(hi, POS_INF), lo_value, value(hi, a, b, g, d), tag
-        ))
+        if pieces:
+            start, start_value = pieces[-1].hi, pieces[-1].hi_value
+        else:
+            num, den = _lattice_value(None, cand)
+            start, start_value = NEG_INF, Fraction(num, den * unit)
+        num, den = _lattice_value(hi, cand)
+        end = POS_INF if hi is None else Fraction(hi[0], hi[1] * scale)
+        pieces.append(MoebiusPiece(*coeffs, start, end, start_value, Fraction(num, den * unit), tag))
 
-    profile = MaximalProfile(tuple(pieces))
-
-    # Internal consistency, in the rationals of f itself (so the way back
-    # from the lattice is checked too): adjacent pieces agree at every
-    # junction and the profile matches, at every breakpoint, the maximal
-    # function read off the hull chains without the walk.
-    for left, right in zip(pieces, pieces[1:]):
-        if right.value_at(left.hi) != left.hi_value:
-            raise AssertionError("profile pieces disagree at a junction")
-    prefix = AbsIntegral(f).prefix
-    for x0, value in zip(bps, _breakpoint_values(bps, prefix, abs_consts, lower, upper)):
-        if profile.value(x0) != value:
-            raise AssertionError("profile disagrees with the pointwise engine")
-    return profile
+    # The way back, in one int pass: the lattice is f's own rationals scaled,
+    # and each rational v of a piece is its cell's int w over the scale k of
+    # its kind, checked as v.numerator*k == w*v.denominator.
+    for x, b in zip(xs, f.breakpoints):
+        if x * b.denominator != b.numerator * scale:
+            raise AssertionError("lattice disagrees with the breakpoints of f")
+    for ell, c in zip(ls, f.constants):
+        if ell * c.denominator != abs(c.numerator) * unit:
+            raise AssertionError("lattice disagrees with the constants of f")
+    for (_, hi, cand, _), piece in zip(cells, pieces):
+        scales = (scale * unit, unit, scale, 1) if cand[3] else (unit, 1, 1, 1)
+        checks = list(zip(piece.coefficients, cand, scales))
+        num, den = _lattice_value(hi, cand)
+        checks.append((piece.hi_value, num, den * unit))
+        if hi is not None:
+            checks.append((piece.hi, hi[0], hi[1] * scale))
+        for v, w, k in checks:
+            if v.numerator * k != w * v.denominator:
+                raise AssertionError("profile piece disagrees with its lattice cell")
+    return MaximalProfile(tuple(pieces))
 
 
 # --- detachment set --------------------------------------------------------
@@ -615,7 +658,8 @@ def variation_of_profile(
     """Total variation of the profile over the open interval (a, b).
 
     Each piece is monotone, so the variation telescopes over rational piece
-    endpoint values: the answer is exact, an enclosure of width zero.
+    endpoint values (a constant piece adds zero): the answer is exact, an
+    enclosure of width zero.
     """
     precision = rat(precision)
     if precision <= 0:
@@ -626,7 +670,7 @@ def variation_of_profile(
 
     total = Fraction(0)
     for piece in profile.pieces:
-        if piece.hi <= a or piece.lo >= b or piece.direction == 0:
+        if piece.hi <= a or piece.lo >= b:
             continue
         start = piece.value_at(a) if piece.lo < a else piece.lo_value
         end = piece.value_at(b) if piece.hi > b else piece.hi_value
@@ -659,17 +703,18 @@ def _sign_at(q: Tuple[int, int, int], x: End) -> int:
     return sign((a * n + b * d) * n + c * d * d)
 
 
-def _both_roots_within(q: Tuple[int, int, int], s: End, t: End) -> bool:
-    """Whether the int quadratic q has both its roots (a double root counts
-    twice) in the closed cell [s, t]: q is real-rooted, not on its inner
-    branch at either end, and its vertex lies between them."""
+def _both_roots_within(q: Tuple[int, int, int], s: End, t: End, at_s: int, at_t: int) -> bool:
+    """Whether the int quadratic q, whose signs at s and t are at_s and at_t,
+    has both its roots (a double root counts twice) in the closed cell
+    [s, t]: q is real-rooted, not on its inner branch at either end, and its
+    vertex lies between them."""
     a, b, c = q
     slope = (0, 2 * a, b)
     return (
         a != 0
         and b * b >= 4 * a * c
-        and _sign_at(q, s) * a >= 0
-        and _sign_at(q, t) * a >= 0
+        and at_s * a >= 0
+        and at_t * a >= 0
         and _sign_at(slope, s) * a <= 0 <= _sign_at(slope, t) * a
     )
 
@@ -744,15 +789,15 @@ def variation_of_difference(
         else:
             d_t = p1.limit_at(+1) - p2.limit_at(+1)
         q = _difference_critical_quadratic(form1, form2)
-        rise = _sign_at(q, s)
-        if rise * _sign_at(q, t) < 0:
+        rise, at_t = _sign_at(q, s), _sign_at(q, t)
+        if rise * at_t < 0:
             # One root lies inside.  Left of the low root q has the sign of its
             # leading coefficient, between the roots the other sign; a linear
             # q has a single root.
             q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
             roots = isolate_quadratic_roots(q)
             peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
-        elif _both_roots_within(q, s, t):
+        elif _both_roots_within(q, s, t, rise, at_t):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
             exact += abs(d_t - d_s)

@@ -25,11 +25,12 @@ _RAT_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def rat(numerator, denominator=1) -> Rat:
-    """Exact rational from ints, strings or Fractions; floats are rejected."""
+    """Exact rational from ints, strings or Fractions; floats are rejected.
+    A Fraction alone comes back as it is (it is immutable)."""
     if isinstance(numerator, float) or isinstance(denominator, float):
         raise TypeError("refusing float input; exact arithmetic only")
     if denominator == 1:
-        return Fraction(numerator)
+        return numerator if type(numerator) is Fraction else Fraction(numerator)
     return Fraction(numerator, denominator)
 
 

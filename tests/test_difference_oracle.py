@@ -51,7 +51,7 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
             roots = isolate_quadratic_roots(q)
             peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
         else:
-            assert not _both_roots_within(q, s, t)
+            assert not _both_roots_within(q, s, t, _sign_at(q, s), _sign_at(q, t))
             exact += abs(d_t - d_s)
         d_s = d_t
 

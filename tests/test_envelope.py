@@ -23,13 +23,13 @@ from maxbv.maximal import maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import (
     NEG_INF,
     POS_INF,
-    AbsIntegral,
     StepFunction,
     adjusted_modulus,
     combine,
     modulus,
     variation_on,
 )
+from maxbv.verify import random_stepfn
 from conftest import moebius_profile, rand_fraction, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
@@ -100,11 +100,10 @@ def exact_n_stepfn(rng, n):
 
 
 def sweep(f):
-    prefix = AbsIntegral(f).prefix
-    points = list(zip(f.breakpoints, prefix))
-    abs_consts = [abs(c) for c in f.constants]
+    _, unit, xs, ls, ps = envelope._lattice(f)
+    points = list(zip(xs, ps))
     lower, upper = _hull_links(points), _hull_links(points[::-1])
-    return _breakpoint_values(f.breakpoints, prefix, abs_consts, lower, upper)
+    return [Fraction(num, den * unit) for num, den in _breakpoint_values(xs, ps, ls, lower, upper)]
 
 
 @pytest.mark.parametrize("n", [10, 40, 160])
@@ -132,6 +131,81 @@ def test_self_check_catches_a_walk_that_drops_a_hull_anchor(monkeypatch):
     hull_from = envelope._hull_from
     monkeypatch.setattr(envelope, "_hull_from", lambda links, i: hull_from(links, i)[:-1])
     with pytest.raises(AssertionError, match="profile disagrees with the pointwise engine"):
+        build_profile(f)
+
+
+def oracle_corpus():
+    for n in range(1, 41):
+        for seed in range(20):
+            yield exact_n_stepfn(random.Random(seed), n)
+    for seed in range(500):
+        yield random_stepfn(seed)
+
+
+def test_lattice_self_checks_agree_with_a_fraction_oracle():
+    # The build checks itself on its integer lattice; here the same two
+    # checks run slowly in Fractions on what it reports: adjacent pieces agree
+    # at every junction, and the profile is the pointwise engine's value at
+    # every breakpoint.
+    for f in oracle_corpus():
+        profile = build_profile(f)
+        for left, right in zip(profile.pieces, profile.pieces[1:]):
+            assert right.value_at(left.hi) == left.hi_value
+        for b in f.breakpoints:
+            assert profile.value(b) == maximal_value(f, b).value
+
+
+def test_self_check_catches_a_crossing_one_lattice_step_off(monkeypatch):
+    # On (-oo, 0) the piece 2/(3-x), averages over (x, 3), hands over to
+    # 1/(1-x) at -1.  A crossing reported one lattice step to the right ends
+    # the first piece where the two candidates no longer agree.
+    build_profile(TWO_BUMP)
+    crossing = envelope._crossing
+
+    def shifted(c1, c2):
+        x = crossing(c1, c2)
+        return None if x is None else (x[0] + x[1], x[1])
+
+    monkeypatch.setattr(envelope, "_crossing", shifted)
+    with pytest.raises(AssertionError, match="profile pieces disagree at a junction"):
+        build_profile(TWO_BUMP)
+
+
+def test_self_check_catches_a_piece_off_its_lattice_cell(monkeypatch):
+    # Every anchored piece's alpha one lattice unit 1/(D*E) off: the walk and
+    # its lattice checks are untouched, only the way back sees it.
+    f = StepFunction(0, (Fraction(-1, 3), Fraction(2, 3), 2), (1, 2, 0), (Fraction(3, 2), 2, Fraction(1, 4)))
+    scale, unit, *_ = envelope._lattice(f)
+    assert (scale, unit) == (3, 4)
+    build_profile(f)
+
+    def skewed(alpha, beta, gamma, delta, *rest):
+        if delta:
+            alpha += Fraction(1, scale * unit)
+        return MoebiusPiece(alpha, beta, gamma, delta, *rest)
+
+    monkeypatch.setattr(envelope, "MoebiusPiece", skewed)
+    with pytest.raises(AssertionError, match="profile piece disagrees with its lattice cell"):
+        build_profile(f)
+
+
+@pytest.mark.parametrize("part", ["breakpoints", "constants"])
+def test_self_check_catches_a_lattice_off_the_input(monkeypatch, part):
+    # A lattice moved one step to the right, or with every level doubled, is
+    # a consistent lattice for the translated input, or for 2|f|, so the walk
+    # and its checks pass on it: only the way back to f's own rationals sees it.
+    f = exact_n_stepfn(random.Random(5), 6)
+    build_profile(f)
+    lattice = envelope._lattice
+
+    def moved(g):
+        scale, unit, xs, ls, ps = lattice(g)
+        if part == "breakpoints":
+            return scale, unit, [x + 1 for x in xs], ls, ps
+        return scale, unit, xs, [2 * ell for ell in ls], [2 * p for p in ps]
+
+    monkeypatch.setattr(envelope, "_lattice", moved)
+    with pytest.raises(AssertionError, match=f"lattice disagrees with the {part} of f"):
         build_profile(f)
 
 
@@ -504,7 +578,8 @@ def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cel
 
 
 def test_both_roots_within_the_closed_cell():
-    within = envelope._both_roots_within
+    def within(q, s, t):
+        return envelope._both_roots_within(q, s, t, envelope._sign_at(q, s), envelope._sign_at(q, t))
     # x^2 - 1 has roots -1 and 1.
     assert within((1, 0, -1), Fraction(-1), Fraction(1))
     assert within((-1, 0, 1), NEG_INF, Fraction(3))

@@ -38,6 +38,16 @@ def test_rat_accepts_fraction_strings():
     assert rat("-3") == -3
 
 
+def test_rat_returns_a_fraction_as_it_is_and_still_rejects_floats():
+    x = Fraction(-7, 3)
+    assert rat(x) is x
+    for args in ((0.5,), (1, 2.0), (float("inf"),)):
+        with pytest.raises(TypeError):
+            rat(*args)
+    assert rat("1/4") == Fraction(1, 4) and type(rat("1/4")) is Fraction
+    assert rat(True) == 1 and type(rat(True)) is Fraction
+
+
 def test_field_axioms_on_sampled_triples():
     rng = random.Random(20240)
     for _ in range(300):
