@@ -31,7 +31,7 @@ for lo, hi in regions.intervals:
     print("  (", format_rat(lo), ",", format_rat(hi), ")")
 print("touch set:", [(format_rat(lo), format_rat(hi)) for lo, hi in touch.intervals])
 
-enclosure = variation_of_profile(profile, precision=Fraction(1, 10**9))
+enclosure = variation_of_profile(profile)
 print("\nVar(maximal) =", enclosure, " vs Var(f) =", variation_on(chi), "(contraction)")
 
 # Candidates on one segment share their leading coefficient, so envelope
@@ -39,7 +39,8 @@ print("\nVar(maximal) =", enclosure, " vs Var(f) =", variation_on(chi), "(contra
 # single-profile variations come out exact (width-zero enclosures).  Genuine
 # quadratic surds appear when *differences* of profiles are analyzed: the
 # difference below peaks at 2 + sqrt(2), and its variation, 9 - 4*sqrt(2), is
-# returned as a certified enclosure of requested width.
+# returned as a certified enclosure of the requested width: only such
+# variations, and the BV distances built from them, take a precision.
 from maxbv.envelope import variation_of_difference
 
 tall = build_profile(StepFunction.indicator(0, 1, value=2, closed=False))

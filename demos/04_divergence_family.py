@@ -12,7 +12,7 @@ continuity demo) distances do vanish.
 
 from fractions import Fraction
 
-from maxbv.envelope import bv_distance
+from maxbv.envelope import build_profile, bv_distance
 from maxbv.maximal import maximal_value
 from maxbv.stepfn import bv_norm, combine
 from maxbv.verify import counterexample, counterexample_functions
@@ -28,4 +28,5 @@ for x in (3, 5, 7, 9):
     print(f"  maximal(perturbed)({x}) =", maximal_value(perturbed, x).value)
 
 print("\nperturbation size:", bv_norm(combine(perturbed, base, 1, -1)))
-print("bv distance of the maximal functions:", bv_distance(perturbed, base, Fraction(1, 10**9)))
+distance = bv_distance(build_profile(perturbed), build_profile(base), Fraction(1, 10**9))
+print("bv distance of the maximal functions:", distance)

@@ -117,7 +117,7 @@ def cmd_var(args) -> int:
         raise InputError("--from must be strictly below --to")
     if args.maximal:
         profile = env.build_profile(f)
-        enclosure = env.variation_of_profile(profile, a, b, args.precision)
+        enclosure = env.variation_of_profile(profile, a, b)
         line = str(enclosure)
         if args.decimal:
             line += f"\t{decimal_str(enclosure.midpoint, args.decimal)}"
@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
         if last <= first:
             raise InputError("empty seed range")
         corpus = [verify.random_stepfn(seed) for seed in range(first, last)]
-    report = verify.invariant_suite(corpus, precision=args.precision, seed=args.suite_seed)
+    report = verify.invariant_suite(corpus, seed=args.suite_seed)
     _emit(report.to_tsv(), args.out)
     return PASS if report.passed else CHECK_FAILED
 
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decimal", type=_option(_parse_int, "K", 1), metavar="K",
                        help="add a K-digit decimal rendering column (K >= 1)")
 
-    precision = _option(_parse_precision)
-
     p = sub.add_parser("eval", help="maximal-function value and witness at a point")
     add_common(p)
     add_decimal(p)
@@ -315,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", default="inf", help="right endpoint (rational or inf)")
     p.add_argument("--maximal", action="store_true",
                    help="variation of the maximal function instead of the function")
-    p.add_argument("--precision", type=precision, default=Fraction(1, 10**9))
     p.set_defaults(handler=cmd_var)
 
     p = sub.add_parser("profile", help="dump the piecewise-Moebius maximal profile")
@@ -331,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="directory of step-function files")
     p.add_argument("--seeds", default="100", help="seed count N or range A:B")
     p.add_argument("--suite-seed", type=_option(_parse_int, "suite seed"), default=0)
-    p.add_argument("--precision", type=precision, default=Fraction(1, 10**9))
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("experiment", help="run a continuity experiment from a config file")

@@ -81,7 +81,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
-from .maximal import maximal_limit_at_infinity
 from .stepfn import NEG_INF, POS_INF, StepFunction, _endpoint
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
@@ -218,16 +217,10 @@ class VariationEnclosure:
 
     lo: Rat
     hi: Rat
-    requested_precision: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        object.__setattr__(self, "requested_precision", Fraction(self.requested_precision))
         if self.lo > self.hi:
             raise ValueError("enclosure needs lo <= hi")
-        if self.hi - self.lo > self.requested_precision:
-            raise ValueError("enclosure wider than the requested precision")
 
     @property
     def width(self) -> Rat:
@@ -236,10 +229,6 @@ class VariationEnclosure:
     @property
     def midpoint(self) -> Rat:
         return (self.lo + self.hi) / 2
-
-    def gap_to(self, other: "VariationEnclosure") -> Rat:
-        """Distance between the two intervals (zero when they intersect)."""
-        return max(Fraction(0), self.lo - other.hi, other.lo - self.hi)
 
     def __str__(self):
         return f"{format_rat(self.lo)}..{format_rat(self.hi)}"
@@ -652,18 +641,13 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
 # --- certified variation ---------------------------------------------------
 
 
-def variation_of_profile(
-    profile: MaximalProfile, a=NEG_INF, b=POS_INF, precision=Fraction(1, 10**9)
-) -> VariationEnclosure:
+def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
     """Total variation of the profile over the open interval (a, b).
 
     Each piece is monotone, so the variation telescopes over rational piece
     endpoint values (a constant piece adds zero): the answer is exact, an
     enclosure of width zero.
     """
-    precision = rat(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
@@ -675,7 +659,7 @@ def variation_of_profile(
         start = piece.value_at(a) if piece.lo < a else piece.lo_value
         end = piece.value_at(b) if piece.hi > b else piece.hi_value
         total += abs(end - start)
-    return VariationEnclosure(total, total, precision)
+    return VariationEnclosure(total, total)
 
 
 def _difference_critical_quadratic(c1: Sequence, c2: Sequence) -> Tuple:
@@ -828,24 +812,17 @@ def variation_of_difference(
                 lo_sum += max(top_lo - d, _ZERO)
                 hi_sum += max(top_hi - d, _ZERO)
         if hi_sum - lo_sum <= precision:
-            return VariationEnclosure(lo_sum, hi_sum, precision)
+            return VariationEnclosure(lo_sum, hi_sum)
         width /= 2**16
 
 
 def bv_distance(
-    f: StepFunction,
-    g: StepFunction,
-    precision=Fraction(1, 10**9),
-    profile_f: Optional[MaximalProfile] = None,
-    profile_g: Optional[MaximalProfile] = None,
+    p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
-    """BV distance between the maximal functions of f and g: the gap of their
-    limits at infinity plus the variation of their difference."""
-    precision = rat(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    profile_f = profile_f or build_profile(f)
-    profile_g = profile_g or build_profile(g)
-    base = abs(maximal_limit_at_infinity(f) - maximal_limit_at_infinity(g))
-    spread = variation_of_difference(profile_f, profile_g, precision)
-    return VariationEnclosure(base + spread.lo, base + spread.hi, precision)
+    """BV distance between two maximal functions, given by their profiles:
+    the gap of their limits at infinity plus the variation of their
+    difference.  Only a peak of the difference can be irrational, so the
+    precision bounds the enclosure's width."""
+    base = abs(p1.limit_at(-1) - p2.limit_at(-1))
+    spread = variation_of_difference(p1, p2, precision)
+    return VariationEnclosure(base + spread.lo, base + spread.hi)

@@ -297,13 +297,12 @@ class ContinuityReport:
 
     @property
     def variation_converged(self) -> bool:
-        # Enclosures may be exact (width zero), so "intersect" is taken at the
-        # run's tolerance scale: the gap between the intervals must fit inside
-        # the configured variation gap, as must the midpoint discrepancy.
+        # Variations of profiles are exact (width-zero enclosures), so the gap
+        # between two of them and the distance of their midpoints are the same
+        # number, |v_j - v_base|; it must fit inside the configured gap.
         tail = self.rows[-self.tail_count:]
         return all(
-            row.variation.gap_to(self.base_variation) <= self.variation_gap
-            and abs(row.variation.midpoint - self.base_variation.midpoint) <= self.variation_gap
+            abs(row.variation.lo - self.base_variation.lo) <= self.variation_gap
             for row in tail
         )
 
@@ -357,18 +356,19 @@ def continuity_experiment(
         raise ValueError("scales must be positive")
     if any(second >= first for first, second in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
-    precision = rat(precision)
 
     profile_f = env.build_profile(f)
-    base_variation = env.variation_of_profile(profile_f, precision=precision)
+    base_variation = env.variation_of_profile(profile_f)
+    # f_j - f = scale * perturbation pointwise and scale > 0, so its BV norm
+    # is scale times the perturbation's.
+    perturbation_norm = sf.bv_norm(perturbation)
     rows = []
     for index, scale in enumerate(scales, start=1):
         f_j = sf.combine(f, perturbation, 1, scale)
-        delta_norm = sf.bv_norm(sf.combine(f_j, f, 1, -1))
         profile_j = env.build_profile(f_j)
-        distance = env.bv_distance(f_j, f, precision, profile_f=profile_j, profile_g=profile_f)
-        variation = env.variation_of_profile(profile_j, precision=precision)
-        rows.append(ExperimentRow(index, scale, delta_norm, distance, variation))
+        distance = env.bv_distance(profile_j, profile_f, precision)
+        variation = env.variation_of_profile(profile_j)
+        rows.append(ExperimentRow(index, scale, scale * perturbation_norm, distance, variation))
     return ContinuityReport(
         tuple(rows), base_variation, rat(threshold), rat(variation_gap), tail_count
     )
@@ -528,8 +528,8 @@ def _check_profile_agreement(f, ctx):
 
 
 def _check_contraction(f, ctx):
-    enclosure = env.variation_of_profile(ctx["profile"], precision=ctx["precision"])
-    if enclosure.hi > sf.variation_on(f) + ctx["precision"]:
+    enclosure = env.variation_of_profile(ctx["profile"])
+    if enclosure.hi > sf.variation_on(f):
         return False, f"var={enclosure}"
     return True, ""
 
@@ -541,13 +541,13 @@ def _check_local_variation_bound(f, ctx):
     for _ in range(4):
         a = Fraction(rng.randint(-40, 0), 4)
         b = a + Fraction(rng.randint(1, 40), 4)
-        enclosure = env.variation_of_profile(profile, a, b, ctx["precision"])
+        enclosure = env.variation_of_profile(profile, a, b)
         bound = (
             sf.variation_on(adj, a, b)
             + abs(profile.value(a) - adj.right_limit(a))
             + abs(profile.value(b) - adj.left_limit(b))
         )
-        if enclosure.lo > bound + ctx["precision"]:
+        if enclosure.lo > bound:
             return False, f"window ({format_rat(a)},{format_rat(b)})"
     return True, ""
 
@@ -720,12 +720,11 @@ def _run_check(name: str, check, subject, ctx: Dict[str, object]) -> Tuple[bool,
         return False, f"raised {type(exc).__name__}: {exc}"
 
 
-def _single_context(seed: int, index: int, precision) -> Dict[str, object]:
-    return {"rng": random.Random(seed * 1_000_003 + index), "precision": precision}
+def _single_context(seed: int, index: int) -> Dict[str, object]:
+    return {"rng": random.Random(seed * 1_000_003 + index)}
 
 
-def invariant_suite(corpus: Sequence[StepFunction], precision=Fraction(1, 10**9),
-                seed: int = 0) -> InvariantSuiteReport:
+def invariant_suite(corpus: Sequence[StepFunction], seed: int = 0) -> InvariantSuiteReport:
     """Run every structural invariant over the corpus, shrinking failures.
 
     Execution is sequential with deterministic ordering (corpus order, then
@@ -735,21 +734,20 @@ def invariant_suite(corpus: Sequence[StepFunction], precision=Fraction(1, 10**9)
     """
     if not corpus:
         raise ValueError("invariant_suite needs a nonempty corpus")
-    precision = rat(precision)
     results: List[CheckResult] = []
 
     def run_single(index: int, f: StepFunction):
         # One context, and so one random stream, serves all checks of f.
-        ctx = _single_context(seed, index, precision)
+        ctx = _single_context(seed, index)
         for name, check in _SINGLE_CHECKS:
             ok, detail = _run_check(name, check, f, ctx)
             witness = None
             if not ok:
-                witness = sf.serialize(_shrink_single(f, name, seed, index, precision))
+                witness = sf.serialize(_shrink_single(f, name, seed, index))
             results.append(CheckResult(f"fn[{index}]", name, ok, detail, witness))
 
     def run_pair(index: int, f: StepFunction, g: StepFunction):
-        ctx = {"rng": random.Random(seed * 2_000_003 + index), "precision": precision}
+        ctx = {"rng": random.Random(seed * 2_000_003 + index)}
         for name, check in _PAIR_CHECKS:
             ok, detail = _run_check(name, check, (f, g), ctx)
             witness = sf.serialize(f) if not ok else None
@@ -762,11 +760,11 @@ def invariant_suite(corpus: Sequence[StepFunction], precision=Fraction(1, 10**9)
     return InvariantSuiteReport(tuple(results))
 
 
-def _shrink_single(f: StepFunction, check_name: str, seed: int, index: int, precision) -> StepFunction:
+def _shrink_single(f: StepFunction, check_name: str, seed: int, index: int) -> StepFunction:
     check = dict(_SINGLE_CHECKS)[check_name]
 
     def still_fails(candidate: StepFunction) -> bool:
-        ok, _ = _run_check(check_name, check, candidate, _single_context(seed, index, precision))
+        ok, _ = _run_check(check_name, check, candidate, _single_context(seed, index))
         return not ok
 
     return shrink_failure(f, still_fails)

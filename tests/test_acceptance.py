@@ -67,7 +67,7 @@ def test_c01_counterexample_reproduction():
 def test_c02_contraction_property():
     violations = 0
     for f in corpus():
-        enclosure = variation_of_profile(build_profile(f), precision=MICRO)
+        enclosure = variation_of_profile(build_profile(f))
         if enclosure.hi > variation_on(f) + MICRO:
             violations += 1
     report(2, "Var(maximal) <= Var(f) + 1e-9 on 1000 functions", violations == 0,
@@ -110,7 +110,7 @@ def test_c04_variation_convergence():
     for run in experiments():
         tail = run.rows[-5:]
         if all(
-            row.variation.gap_to(run.base_variation) <= MILLI
+            max(row.variation.lo - run.base_variation.hi, run.base_variation.lo - row.variation.hi) <= MILLI
             and abs(row.variation.midpoint - run.base_variation.midpoint) <= MILLI
             for row in tail
         ):
@@ -264,7 +264,7 @@ def test_c10_local_variation_bound():
         adj = adjusted_modulus(f)
         a = Fraction(rng.randint(-48, 20), 4)
         b = a + Fraction(rng.randint(1, 48), 4)
-        enclosure = variation_of_profile(profile, a, b, MICRO)
+        enclosure = variation_of_profile(profile, a, b)
         bound = (
             variation_on(adj, a, b)
             + abs(profile.value(a) - adj.value(a))

@@ -1,10 +1,11 @@
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from maxbv.cli import main
+from maxbv.cli import _merge_value_options, build_parser, main
 from maxbv.stepfn import StepFunction, serialize
 
 
@@ -308,13 +309,17 @@ def test_experiment_default_perturbation_norm_is_one_eighth(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["var", "check"])
-def test_zero_precision_is_bad_input(chi_file, capsys, command):
-    args = [command, "--precision", "0"]
+def test_precision_is_not_an_option(chi_file, capsys, command):
+    # Variations of one maximal function and the invariant suite are exact;
+    # only the experiment's distances take a precision, from its config.
+    args = [command, "--precision", "1/10"]
     if command == "var":
         args += ["--file", chi_file, "--maximal"]
     assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "precision must be positive" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --precision 1/10" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("digits", ["0", "-3"])
@@ -353,3 +358,16 @@ def test_readme_experiment_config_runs_as_written(tmp_path, capsys):
     assert main(["experiment", "--config", str(config)]) == 0
     verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# verdict")]
     assert verdicts and verdicts == ["# verdict\tPASS"] * len(verdicts)
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("maxbv ")]
+    assert len(lines) >= 9
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            build_parser().parse_args(_merge_value_options(argv))
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")

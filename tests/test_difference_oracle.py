@@ -76,7 +76,7 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
                 lo_sum += max(top_lo - d, Fraction(0))
                 hi_sum += max(top_hi - d, Fraction(0))
         if hi_sum - lo_sum <= precision:
-            return VariationEnclosure(lo_sum, hi_sum, precision)
+            return VariationEnclosure(lo_sum, hi_sum)
         width /= 2**16
 
 

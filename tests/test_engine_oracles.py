@@ -102,5 +102,5 @@ def test_bv_distance_dominates_pointwise_partition_variation(f, g, scale):
     diff = [maximal_value(fj, x).value - maximal_value(f, x).value for x in points]
     partition = sum(abs(b - a) for a, b in zip(diff, diff[1:]))
     gap = abs(maximal_limit_at_infinity(fj) - maximal_limit_at_infinity(f))
-    enclosure = bv_distance(f, fj, Fraction(1, 10**9), profile_f, profile_j)
+    enclosure = bv_distance(profile_f, profile_j, Fraction(1, 10**9))
     assert enclosure.hi >= gap + partition

@@ -370,25 +370,23 @@ def test_finite_difference_derivative_check():
 
 
 def test_variation_of_profile_examples():
-    enc = variation_of_profile(build_profile(CHI_01), precision=PRECISION)
+    enc = variation_of_profile(build_profile(CHI_01))
     assert enc.lo == enc.hi == 2
 
-    enc = variation_of_profile(build_profile(StepFunction.constant(9)), precision=PRECISION)
+    enc = variation_of_profile(build_profile(StepFunction.constant(9)))
     assert enc.lo == enc.hi == 0
 
-    enc = variation_of_profile(build_profile(TWO_BUMP), precision=PRECISION)
+    enc = variation_of_profile(build_profile(TWO_BUMP))
     assert enc.lo == enc.hi == Fraction(8, 3)
     assert enc.hi <= variation_on(TWO_BUMP)
 
 
 def test_variation_of_profile_windows():
     profile = build_profile(CHI_01)
-    enc = variation_of_profile(profile, Fraction(1, 2), 3, PRECISION)
+    enc = variation_of_profile(profile, Fraction(1, 2), 3)
     assert enc.lo == enc.hi == Fraction(2, 3)  # falls 1 -> 1/3 on (1, 3)
     with pytest.raises(ValueError):
-        variation_of_profile(profile, 1, 1, PRECISION)
-    with pytest.raises(ValueError):
-        variation_of_profile(profile, 0, 1, Fraction(0))
+        variation_of_profile(profile, 1, 1)
 
 
 def test_profile_end_values_are_the_limits_at_infinity():
@@ -411,12 +409,12 @@ def test_profile_end_values_are_the_limits_at_infinity():
         for _ in range(3):
             c = Fraction(rng.randint(-40, 90), 4)
             a = min(c, first.hi) - 1
-            whole = variation_of_profile(profile, NEG_INF, c, PRECISION)
-            part = variation_of_profile(profile, a, c, PRECISION)
+            whole = variation_of_profile(profile, NEG_INF, c)
+            part = variation_of_profile(profile, a, c)
             assert whole.lo == whole.hi == part.lo + abs(profile.value(a) - limit)
             b = max(c, last.lo) + 1
-            whole = variation_of_profile(profile, c, POS_INF, PRECISION)
-            part = variation_of_profile(profile, c, b, PRECISION)
+            whole = variation_of_profile(profile, c, POS_INF)
+            part = variation_of_profile(profile, c, b)
             assert whole.lo == whole.hi == part.lo + abs(profile.value(b) - limit)
 
 
@@ -424,8 +422,8 @@ def test_contraction_property():
     rng = random.Random(73)
     for _ in range(60):
         f = rand_stepfn(rng)
-        enc = variation_of_profile(build_profile(f), precision=PRECISION)
-        assert enc.hi <= variation_on(f) + PRECISION
+        enc = variation_of_profile(build_profile(f))
+        assert enc.hi <= variation_on(f)
 
 
 def test_local_variation_bound_with_boundary_terms():
@@ -436,13 +434,13 @@ def test_local_variation_bound_with_boundary_terms():
         adj = adjusted_modulus(f)
         a = Fraction(rng.randint(-40, 0), 4)
         b = a + Fraction(rng.randint(1, 40), 4)
-        enc = variation_of_profile(profile, a, b, PRECISION)
+        enc = variation_of_profile(profile, a, b)
         bound = (
             variation_on(adj, a, b)
             + abs(profile.value(a) - adj.value(a))
             + abs(profile.value(b) - adj.value(b))
         )
-        assert enc.lo <= bound + PRECISION
+        assert enc.lo <= bound
 
 
 def test_flat_on_touch_set():
@@ -661,12 +659,12 @@ def test_profile_junctions_are_rational():
 
 
 def test_bv_distance_examples():
-    f = CHI_01
-    enc = bv_distance(f, f, PRECISION)
+    profile_f = build_profile(CHI_01)
+    enc = bv_distance(profile_f, profile_f, PRECISION)
     assert enc.lo == enc.hi == 0
 
-    g = combine(f, StepFunction.indicator(0, 1, value=Fraction(1, 100)))
-    enc = bv_distance(f, g, PRECISION)
+    g = combine(CHI_01, StepFunction.indicator(0, 1, value=Fraction(1, 100)))
+    enc = bv_distance(profile_f, build_profile(g), PRECISION)
     assert enc.lo <= Fraction(1, 50) <= enc.hi
     assert enc.hi <= Fraction(1, 25)  # well under 2*bv_norm(f-g) + limit gap
 
@@ -676,7 +674,21 @@ def test_bv_distance_on_random_pairs_is_symmetric_and_nonnegative():
     for _ in range(10):
         f = rand_stepfn(rng, n_max=4)
         g = rand_stepfn(rng, n_max=4)
-        fg = bv_distance(f, g, PRECISION)
-        gf = bv_distance(g, f, PRECISION)
+        pf, pg = build_profile(f), build_profile(g)
+        fg = bv_distance(pf, pg, PRECISION)
+        gf = bv_distance(pg, pf, PRECISION)
         assert fg.lo >= 0
         assert abs(fg.midpoint - gf.midpoint) <= PRECISION
+
+
+def test_bv_distance_base_matches_the_step_function_limits():
+    # The limit gap comes off the profiles' end values; the oracle reads it
+    # off the step functions' tails instead.
+    rng = random.Random(223)
+    inputs = [rand_stepfn(rng) for _ in range(30)] + [exact_n_stepfn(rng, n) for n in range(13)]
+    for f, g in zip(inputs, inputs[1:] + inputs[:1]):
+        pf, pg = build_profile(f), build_profile(g)
+        base = abs(maximal_limit_at_infinity(f) - maximal_limit_at_infinity(g))
+        spread = variation_of_difference(pf, pg, PRECISION)
+        enc = bv_distance(pf, pg, PRECISION)
+        assert (enc.lo, enc.hi) == (base + spread.lo, base + spread.hi)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import maxbv.stepfn as sf
-from maxbv.envelope import bv_distance
+from maxbv.envelope import build_profile, bv_distance
 from maxbv.maximal import maximal_value
 from maxbv.stepfn import StepFunction
 from maxbv.verify import (
@@ -101,7 +101,7 @@ def test_counterexample_family(n):
 
 def test_counterexample_bv_distance_stays_large():
     base, perturbed = counterexample_functions(4, 6)
-    enclosure = bv_distance(perturbed, base, PRECISION)
+    enclosure = bv_distance(build_profile(perturbed), build_profile(base), PRECISION)
     assert enclosure.lo >= 2
 
 
@@ -145,6 +145,18 @@ def test_continuity_experiment_rejects_bad_scales():
         continuity_experiment(CHI_01, CHI_01, [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         continuity_experiment(CHI_01, CHI_01, [])
+
+
+def test_delta_norm_is_the_norm_of_the_difference():
+    # The experiment scales the perturbation's norm; the reference combines
+    # f_j and f and takes the norm of the difference.
+    scales = [Fraction(1, 2**j) for j in range(6)]
+    for seed in range(0, 40, 2):
+        f, g = random_stepfn(seed), random_stepfn(seed + 1)
+        report = continuity_experiment(f, g, scales, threshold=1, variation_gap=1)
+        for row in report.rows:
+            f_j = sf.combine(f, g, 1, row.scale)
+            assert row.delta_norm == sf.bv_norm(sf.combine(f_j, f, 1, -1))
 
 
 def test_invariant_suite_passes_on_random_corpus():
