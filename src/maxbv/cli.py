@@ -43,13 +43,13 @@ def _parse_endpoint(text: str):
         raise InputError(str(exc)) from None
 
 
-def _parse_precision(text: str) -> Fraction:
+def _parse_positive(text: str, key: str) -> Fraction:
     try:
         value = parse_rat(text)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if value <= 0:
-        raise InputError("precision must be positive")
+        raise InputError(f"{key} must be positive")
     return value
 
 
@@ -208,7 +208,7 @@ def _parse_scales(text: str) -> List[Fraction]:
 
 
 def _parse_norm(text: str) -> Optional[Fraction]:
-    return None if text == "raw" else _parse_precision(text)
+    return None if text == "raw" else _parse_positive(text, "perturbation_norm")
 
 
 _CONFIG_KEYS = {
@@ -235,9 +235,9 @@ def cmd_experiment(args) -> int:
             raise InputError(f"{path}:{line_no}: {exc}") from None
 
     scales = value("scales", "", _parse_scales)
-    precision = value("precision", "1/1000000000", _parse_precision)
-    threshold = value("threshold", "1/1000", _parse_precision)
-    variation_gap = value("variation_gap", "1/1000", _parse_precision)
+    precision = value("precision", "1/1000000000", _parse_positive, "precision")
+    threshold = value("threshold", "1/1000", _parse_positive, "threshold")
+    variation_gap = value("variation_gap", "1/1000", _parse_positive, "variation_gap")
     tail_count = value("tail_count", "5", _parse_int, "tail_count", 1)
     seed = value("seed", "0", _parse_int, "seed")
     pairs = value("pairs", "1", _parse_int, "pairs", 1)

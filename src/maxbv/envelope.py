@@ -36,14 +36,25 @@ are ints; a candidate is an int coefficient tuple in the coordinate X,
 valued in units of 1/E, a crossing is a pair of ints, and the walk compares
 by cross-multiplication.  The scaling is positive in both coordinates, so
 every orientation test, and with it every hull link, and every comparison
-of the walk come out as they would on the rationals.  Fractions come back
-once per merged piece (alpha = A/(D*E), beta = L/E, gamma = -X/D, its
-endpoints and end values).  The self-checks run on the lattice too: the
-junctions and breakpoint values are compared by cross-multiplication, and
-one int pass checks the way in and the way back, that X*den(b) = num(b)*D
-and L*den(c) = |num(c)|*E for f's own rationals b and c, and that every
-piece's coefficients, finite right end and value there are its cell's ints
-scaled back.
+of the walk come out as they would on the rationals.  The self-checks run
+on the lattice too: the junctions and breakpoint values are compared by
+cross-multiplication.
+
+A built profile is a skeleton read straight off the merged cells: each
+junction is one Fraction p/(q*D), each end value (the limits at -oo and +oo
+among them) one Fraction num/(den*E), and each piece's int form is the
+cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E) for an
+anchored cell and (C, 0, E, 0) for a constant, a positive multiple of the
+piece, not reduced, so that every sign of the piece is a sign of its form.
+Distances and variations read only the skeleton.  The MoebiusPiece
+Fractions (alpha = A/(D*E), beta = L/E, gamma = -X/D) and their tags are
+made when the pieces are first read: by a dump, the detachment set, a
+point value, the invariant suite, or a peak of a profile difference.  One
+int pass at build time checks the way in and the way back, that
+X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b and
+c, and that every junction and end value is its cell's int pair; each
+piece's coefficients are checked against its cell where the pieces are
+made.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
 lattice walk (where an unbounded end is None): piece domains, region
@@ -59,10 +70,10 @@ difference of two profiles has at most one critical point per common cell,
 and exact signs locate it: its derivative has the sign of an int quadratic,
 which changes sign across the cell exactly when the cell holds a critical
 point.  The difference walk is one two-pointer merge of the two piece
-lists, and it decides every sign on ints: each profile caches the int form
-of its pieces (coefficients times the lcm of their denominators), so the
-critical quadratic and its signs at the cell ends are int expressions and d
-at a junction is one Fraction.  The variation is an exact sum over the
+lists, and it decides every sign on ints: the critical quadratic of two
+int forms and its signs at the cell ends are int expressions, d at a
+junction is an int pair, and the exact part of the sum is summed on ints
+and made one Fraction.  The variation is an exact sum over the
 junctions of cells without a critical point; only the critical points
 (peaks) get brackets, narrowed to a certified rational enclosure of any
 requested precision.  A peak cell still takes ``integer_quadratic`` of its
@@ -74,10 +85,9 @@ rational critical point's bracket is the point itself, so its peak is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
@@ -154,39 +164,79 @@ class MoebiusPiece:
         return "\t".join(cells)
 
 
-@dataclass(frozen=True)
+def _int_form(coefficients: Sequence[Rat]) -> Tuple[int, int, int, int]:
+    """Coefficients times the lcm k of their denominators: an int tuple for
+    the same Moebius function, whose det is k**2 times theirs."""
+    k = math.lcm(*[v.denominator for v in coefficients])
+    return tuple([v.numerator * (k // v.denominator) for v in coefficients])
+
+
+def _pair(x: Rat) -> Tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _form_at(form: Sequence[int], x: Rat) -> Tuple[int, int]:
+    """An int form's value at the rational x, as an int pair (num, den)."""
+    a, b, g, d = form
+    n, m = x.numerator, x.denominator
+    return a * m + b * n, g * m + d * n
+
+
 class MaximalProfile:
     """Ordered monotone pieces covering the whole line; continuous by
-    construction (adjacent pieces agree at junctions)."""
+    construction (adjacent pieces agree at junctions).
 
-    pieces: Tuple[MoebiusPiece, ...]
+    A profile is read through its skeleton: ``ends``, the junctions in
+    increasing order; ``end_values``, the limit at -oo, the value at each
+    junction and the limit at +oo; and ``int_forms``, each piece's
+    (alpha, beta, gamma, delta) as ints, a positive multiple of the piece,
+    so every sign of the piece is the sign of the form.  ``pieces``, the
+    ``MoebiusPiece``s with their tags, is made on first read.
 
-    @cached_property
-    def int_forms(self) -> Tuple[Tuple[int, int, int, int], ...]:
-        """Each piece's (alpha, beta, gamma, delta) times the lcm k of their
-        denominators: an int tuple for the same Moebius function, whose det
-        is k**2 times the piece's."""
-        forms = []
-        for piece in self.pieces:
-            coeffs = piece.coefficients
-            k = math.lcm(*[v.denominator for v in coeffs])
-            forms.append(tuple(v.numerator * (k // v.denominator) for v in coeffs))
-        return tuple(forms)
+    ``MaximalProfile(pieces)`` takes hand-built pieces and derives the
+    skeleton from them, each int form the coefficients times the lcm of
+    their denominators.  ``build_profile`` fills the skeleton straight from
+    its lattice cells and keeps the cells to make the pieces from.
+    """
+
+    __slots__ = ("ends", "end_values", "int_forms", "_pieces", "_cells")
+
+    def __init__(self, pieces: Sequence[MoebiusPiece]):
+        self._pieces = tuple(pieces)
+        self._cells = None
+        self.ends = tuple([piece.hi for piece in self._pieces[:-1]])
+        self.end_values = (self._pieces[0].lo_value, *[piece.hi_value for piece in self._pieces])
+        self.int_forms = tuple([_int_form(piece.coefficients) for piece in self._pieces])
+
+    @classmethod
+    def _from_cells(cls, ends, end_values, int_forms, cells) -> "MaximalProfile":
+        """A built profile: its skeleton, and the arguments of
+        ``_cell_pieces`` after the profile itself."""
+        profile = cls.__new__(cls)
+        profile.ends, profile.end_values, profile.int_forms = ends, end_values, int_forms
+        profile._pieces, profile._cells = None, cells
+        return profile
+
+    @property
+    def pieces(self) -> Tuple[MoebiusPiece, ...]:
+        if self._pieces is None:
+            self._pieces = _cell_pieces(self, *self._cells)
+            self._cells = None
+        return self._pieces
 
     def piece_containing(self, x) -> MoebiusPiece:
         """The piece whose closed domain holds x (the left one at a junction)."""
-        index = bisect_left(self.pieces, rat(x), hi=len(self.pieces) - 1, key=lambda p: p.hi)
-        return self.pieces[index]
+        return self.pieces[bisect_left(self.ends, rat(x))]
 
     def value(self, x) -> Rat:
         return self.piece_containing(x).value_at(x)
 
     def limit_at(self, direction: int) -> Rat:
         """Value limit toward -oo (direction < 0) or +oo (direction > 0)."""
-        return self.pieces[0].lo_value if direction < 0 else self.pieces[-1].hi_value
+        return self.end_values[0] if direction < 0 else self.end_values[-1]
 
     def junctions(self) -> List[Rat]:
-        return [piece.hi for piece in self.pieces[:-1]]
+        return list(self.ends)
 
     def dump(self) -> str:
         return "\n".join(piece.dump_line() for piece in self.pieces) + "\n"
@@ -481,13 +531,14 @@ def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
     return a * q + b * p, g * q + d * p
 
 
+def _fractions(pairs: Sequence[Tuple[int, int]]) -> Tuple[Rat, ...]:
+    """The rationals p/q of int pairs (p, q), q > 0.  Tuples here are built
+    from lists, as in ``stepfn``, to keep CPython's tuple free lists flat."""
+    return tuple([Fraction(p, q) for p, q in pairs])
+
+
 def build_profile(f: StepFunction) -> MaximalProfile:
     """Assemble the exact global profile of the maximal function of f."""
-    if f.n == 0:
-        c = abs(f.tail_left)
-        piece = MoebiusPiece(c, _ZERO, _ONE, _ZERO, NEG_INF, POS_INF, c, c, "const:tail_left")
-        return MaximalProfile((piece,))
-
     n = f.n
     scale, unit, xs, ls, ps = _lattice(f)
     points = list(zip(xs, ps))
@@ -506,7 +557,7 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         # P(X) = y0 + ell*X on the segment, so the lattice average over the
         # interval between X and an anchor Q is (y0 - P(Q) + ell*X)/(X - Q).
         ref = max(k - 1, 0)
-        y0 = ps[ref] - ell * xs[ref]
+        y0 = ps[ref] - ell * xs[ref] if n else 0
         candidates = [(max(ell, tails), 0, 1, 0)]
         left = _hull_from(lower, k - 1) if k >= 1 else []
         right = [n - 1 - j for j in _hull_from(upper, n - 1 - k)] if k <= n - 1 else []
@@ -537,10 +588,47 @@ def build_profile(f: StepFunction) -> MaximalProfile:
         if at_x * den != num * below:
             raise AssertionError("profile disagrees with the pointwise engine")
 
-    # Fractions come back once per piece; its lower end and the value there
-    # are the previous piece's upper ones (the first starts at NEG_INF).
+    # The skeleton, straight from the cells: each right end (the last is
+    # +oo), the value there and the limit at -oo, as pairs of ints, and each
+    # int form, a positive multiple of the piece that its cell makes (see
+    # _cell_pieces): an anchored (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
+    end_pairs = [(hi[0], hi[1] * scale) for _, hi, _, _ in cells[:-1]]
+    value_pairs = [_lattice_value(None, cells[0][2])]
+    value_pairs += [_lattice_value(hi, cand) for _, hi, cand, _ in cells]
+    value_pairs = [(num, den * unit) for num, den in value_pairs]
+    forms = tuple([
+        (a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0) for _, _, (a, b, g, d), _ in cells
+    ])
+    ends, end_values = _fractions(end_pairs), _fractions(value_pairs)
+
+    # The way back, in one int pass: the lattice is f's own rationals scaled,
+    # and each rational v of the skeleton is its int pair (w, k), checked as
+    # v.numerator*k == w*v.denominator.  The pieces' coefficients are checked
+    # where the pieces are made.
+    for x, b in zip(xs, f.breakpoints):
+        if x * b.denominator != b.numerator * scale:
+            raise AssertionError("lattice disagrees with the breakpoints of f")
+    for ell, c in zip(ls, f.constants):
+        if ell * c.denominator != abs(c.numerator) * unit:
+            raise AssertionError("lattice disagrees with the constants of f")
+    for rationals, pairs in ((ends, end_pairs), (end_values, value_pairs)):
+        for v, (w, k) in zip(rationals, pairs):
+            if v.numerator * k != w * v.denominator:
+                raise AssertionError("profile skeleton disagrees with its lattice cells")
+    return MaximalProfile._from_cells(ends, end_values, forms, (cells, scale, unit, xs, ls, ps))
+
+
+def _cell_pieces(
+    profile: MaximalProfile, cells: Sequence[list], scale: int, unit: int,
+    xs: Sequence[int], ls: Sequence[int], ps: Sequence[int],
+) -> Tuple[MoebiusPiece, ...]:
+    """The pieces of a built profile, one per lattice cell, on its skeleton.
+
+    The only Fractions made here are the coefficients, which the way back
+    checks against the cell's ints, and the tags."""
+    los, his, values = (NEG_INF, *profile.ends), (*profile.ends, POS_INF), profile.end_values
     pieces: List[MoebiusPiece] = []
-    for _, hi, cand, k in cells:
+    for i, (_, _, cand, k) in enumerate(cells):
         a, b, g, d = cand
         if d:
             # The anchor is the pole; left anchors lie at or before u.
@@ -548,38 +636,17 @@ def build_profile(f: StepFunction) -> MaximalProfile:
             side = "left" if k >= 1 and -g <= xs[k - 1] else "right"
             tag = f"{side}({format_rat(q)})"
             coeffs = (Fraction(a, scale * unit), Fraction(b, unit), -q, _ONE)
+            scales = (scale * unit, unit, scale, 1)
         else:
             tag = _constant_tag(xs, ps, ls, k, a, scale)
             coeffs = (Fraction(a, unit), _ZERO, _ONE, _ZERO)
-        if pieces:
-            start, start_value = pieces[-1].hi, pieces[-1].hi_value
-        else:
-            num, den = _lattice_value(None, cand)
-            start, start_value = NEG_INF, Fraction(num, den * unit)
-        num, den = _lattice_value(hi, cand)
-        end = POS_INF if hi is None else Fraction(hi[0], hi[1] * scale)
-        pieces.append(MoebiusPiece(*coeffs, start, end, start_value, Fraction(num, den * unit), tag))
-
-    # The way back, in one int pass: the lattice is f's own rationals scaled,
-    # and each rational v of a piece is its cell's int w over the scale k of
-    # its kind, checked as v.numerator*k == w*v.denominator.
-    for x, b in zip(xs, f.breakpoints):
-        if x * b.denominator != b.numerator * scale:
-            raise AssertionError("lattice disagrees with the breakpoints of f")
-    for ell, c in zip(ls, f.constants):
-        if ell * c.denominator != abs(c.numerator) * unit:
-            raise AssertionError("lattice disagrees with the constants of f")
-    for (_, hi, cand, _), piece in zip(cells, pieces):
-        scales = (scale * unit, unit, scale, 1) if cand[3] else (unit, 1, 1, 1)
-        checks = list(zip(piece.coefficients, cand, scales))
-        num, den = _lattice_value(hi, cand)
-        checks.append((piece.hi_value, num, den * unit))
-        if hi is not None:
-            checks.append((piece.hi, hi[0], hi[1] * scale))
-        for v, w, k in checks:
-            if v.numerator * k != w * v.denominator:
+            scales = (unit, 1, 1, 1)
+        piece = MoebiusPiece(*coeffs, los[i], his[i], values[i], values[i + 1], tag)
+        for v, w, size in zip(piece.coefficients, cand, scales):
+            if v.numerator * size != w * v.denominator:
                 raise AssertionError("profile piece disagrees with its lattice cell")
-    return MaximalProfile(tuple(pieces))
+        pieces.append(piece)
+    return tuple(pieces)
 
 
 # --- detachment set --------------------------------------------------------
@@ -641,24 +708,39 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
 # --- certified variation ---------------------------------------------------
 
 
+def _add_step(total: Tuple[int, int], s: Tuple[int, int], t: Tuple[int, int]) -> Tuple[int, int]:
+    """total + |t - s| for rationals given as int pairs (num, den), den != 0;
+    the sum stays an unreduced pair with den > 0, made a Fraction once."""
+    (num, den), (ns, ds), (nt, dt) = total, s, t
+    size = abs(ds * dt)
+    return num * size + abs(nt * ds - ns * dt) * den, den * size
+
+
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
     """Total variation of the profile over the open interval (a, b).
 
-    Each piece is monotone, so the variation telescopes over rational piece
-    endpoint values (a constant piece adds zero): the answer is exact, an
-    enclosure of width zero.
+    Each piece is monotone, so the variation telescopes over its end values
+    (a constant piece adds zero): the answer is exact, an enclosure of width
+    zero.  A piece is evaluated, through its int form, only where a finite a
+    or b cuts it.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
 
-    total = Fraction(0)
-    for piece in profile.pieces:
-        if piece.hi <= a or piece.lo >= b:
-            continue
-        start = piece.value_at(a) if piece.lo < a else piece.lo_value
-        end = piece.value_at(b) if piece.hi > b else piece.hi_value
-        total += abs(end - start)
+    ends, values, forms = profile.ends, profile.end_values, profile.int_forms
+    # Pieces first..last meet (a, b); piece i spans ends[i-1]..ends[i].
+    first = 0 if isinstance(a, float) else bisect_right(ends, a)
+    last = len(ends) if isinstance(b, float) else bisect_left(ends, b)
+    walk = [_pair(v) for v in values[first : last + 2]]
+    if not (isinstance(a, float) or (first and ends[first - 1] == a)):
+        walk[0] = _form_at(forms[first], a)
+    if not (isinstance(b, float) or (last < len(ends) and ends[last] == b)):
+        walk[-1] = _form_at(forms[last], b)
+    total = (0, 1)
+    for v, w in zip(walk, walk[1:]):
+        total = _add_step(total, v, w)
+    total = Fraction(*total)
     return VariationEnclosure(total, total)
 
 
@@ -722,15 +804,17 @@ def variation_of_difference(
     at most two monotone stretches, whose endpoint differences telescope.
     Profiles are continuous, so d is exact at every junction.
 
-    The walk reads each piece through its profile's int form, the piece's
-    coefficients times k > 0: q from the int forms is k1**2 * k2**2 times
-    the pieces' q, with the same sign everywhere, and d at a junction is one
-    Fraction of ints.  The critical point is located by sign, without
-    narrowing: the cell holds one exactly when q has opposite nonzero signs
-    at its ends (at an infinite end, the sign of q's leading term there), and
-    the sign at s is the sign of d' left of it.  Only such a cell isolates
-    the roots of q and keeps the one inside as a peak.  It takes q from the
-    pieces' rationals, scaled to ints by ``integer_quadratic``: a surd's
+    The walk reads the profiles' skeletons: their ends, their limits and
+    each piece's int form, its coefficients times some k > 0.  So q from the
+    int forms is k1**2 * k2**2 times the pieces' q, with the same sign
+    everywhere, and d at a junction is an int pair (num, den); the exact
+    part of the sum stays an int pair until it is one Fraction.  The critical
+    point is located by sign, without narrowing: the cell holds one exactly
+    when q has opposite nonzero signs at its ends (at an infinite end, the
+    sign of q's leading term there), and the sign at s is the sign of d'
+    left of it.  Only such a cell reads the two pieces, isolates the roots of
+    q and keeps the one inside as a peak.  It takes q from the pieces'
+    rationals, scaled to ints by ``integer_quadratic``: a surd's
     bracket width is 1/(2a), so that scaling fixes every enclosure end.  Each
     round narrows the peaks' brackets, which encloses d there.  A rational
     root's bracket is the point itself, so its peak term is exact from the
@@ -740,25 +824,24 @@ def variation_of_difference(
     if precision <= 0:
         raise ValueError("precision must be positive")
 
-    pieces1, pieces2 = p1.pieces, p2.pieces
+    ends1, ends2 = p1.ends, p2.ends
     forms1, forms2 = p1.int_forms, p2.int_forms
-    last1, last2 = len(pieces1) - 1, len(pieces2) - 1
+    last1, last2 = len(ends1), len(ends2)
     i = j = 0
     s: End = NEG_INF
-    exact = Fraction(0)
+    exact = (0, 1)
     # (root, m1, m2, d(s), d(t), sign of d' left of the root)
     peaks: List[list] = []
-    d_s = p1.limit_at(-1) - p2.limit_at(-1)
+    d_s = _pair(p1.end_values[0] - p2.end_values[0])
     while True:
-        m1, m2 = pieces1[i], pieces2[j]
         if i < last1 and j < last2:
-            h1, h2 = m1.hi, m2.hi
+            h1, h2 = ends1[i], ends2[j]
             order = h1.numerator * h2.denominator - h2.numerator * h1.denominator
             step1, step2 = order <= 0, order >= 0
             t = h1 if step1 else h2
         elif i < last1 or j < last2:
             step1, step2 = i < last1, j < last2
-            t = m1.hi if step1 else m2.hi
+            t = ends1[i] if step1 else ends2[j]
         else:
             step1 = step2 = False
             t = POS_INF
@@ -769,28 +852,31 @@ def variation_of_difference(
             n, d = t.numerator, t.denominator
             num1, den1 = a1 * d + b1 * n, g1 * d + e1 * n
             num2, den2 = a2 * d + b2 * n, g2 * d + e2 * n
-            d_t = Fraction(num1 * den2 - num2 * den1, den1 * den2)
+            d_t = (num1 * den2 - num2 * den1, den1 * den2)
         else:
-            d_t = p1.limit_at(+1) - p2.limit_at(+1)
+            d_t = _pair(p1.end_values[-1] - p2.end_values[-1])
         q = _difference_critical_quadratic(form1, form2)
         rise, at_t = _sign_at(q, s), _sign_at(q, t)
         if rise * at_t < 0:
             # One root lies inside.  Left of the low root q has the sign of its
             # leading coefficient, between the roots the other sign; a linear
             # q has a single root.
+            m1, m2 = p1.pieces[i], p2.pieces[j]
             q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
             roots = isolate_quadratic_roots(q)
-            peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
+            root = roots[0] if rise == sign(q[0]) else roots[-1]
+            peaks.append([root, m1, m2, Fraction(*d_s), Fraction(*d_t), rise])
         elif _both_roots_within(q, s, t, rise, at_t):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
-            exact += abs(d_t - d_s)
+            exact = _add_step(exact, d_s, d_t)
         if not (step1 or step2):
             break
         s, d_s = t, d_t
         i += step1
         j += step2
 
+    exact = Fraction(*exact)
     width = Fraction(1, 2**40)
     while True:
         lo_sum = hi_sum = exact

@@ -274,9 +274,10 @@ def test_experiment_rejects_bad_scales(tmp_path, capsys, scales):
         ("pairs", "0", "pairs must be at least 1"),
         ("tail_count", "1.5", "tail_count must be an integer, not '1.5'"),
         ("precision", "abc", "malformed rational 'abc' (expected 'p' or 'p/q', q > 0)"),
-        ("threshold", "0", "precision must be positive"),
-        ("variation_gap", "-1/2", "precision must be positive"),
+        ("threshold", "0", "threshold must be positive"),
+        ("variation_gap", "-1/2", "variation_gap must be positive"),
         ("perturbation_norm", "1/0", "malformed rational '1/0' (expected 'p' or 'p/q', q > 0)"),
+        ("perturbation_norm", "0", "perturbation_norm must be positive"),
         ("scales", "1,1", "bad scales: they must be positive and strictly decreasing"),
     ],
 )

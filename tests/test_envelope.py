@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,12 +25,14 @@ from maxbv.stepfn import (
     NEG_INF,
     POS_INF,
     StepFunction,
+    serialize,
     adjusted_modulus,
     combine,
     modulus,
     variation_on,
 )
-from maxbv.verify import random_stepfn
+from maxbv.cli import main
+from maxbv.verify import continuity_experiment, random_stepfn
 from conftest import moebius_profile, rand_fraction, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
@@ -186,7 +189,7 @@ def test_self_check_catches_a_piece_off_its_lattice_cell(monkeypatch):
 
     monkeypatch.setattr(envelope, "MoebiusPiece", skewed)
     with pytest.raises(AssertionError, match="profile piece disagrees with its lattice cell"):
-        build_profile(f)
+        build_profile(f).pieces
 
 
 @pytest.mark.parametrize("part", ["breakpoints", "constants"])
@@ -206,6 +209,121 @@ def test_self_check_catches_a_lattice_off_the_input(monkeypatch, part):
 
     monkeypatch.setattr(envelope, "_lattice", moved)
     with pytest.raises(AssertionError, match=f"lattice disagrees with the {part} of f"):
+        build_profile(f)
+
+
+def piece_variation(profile, a, b):
+    """The variation over (a, b) telescoped piece by piece in Fractions, the
+    pieces' own end values and value_at: the oracle of the skeleton walk."""
+    total = Fraction(0)
+    for piece in profile.pieces:
+        if piece.hi <= a or piece.lo >= b:
+            continue
+        start = piece.value_at(a) if piece.lo < a else piece.lo_value
+        end = piece.value_at(b) if piece.hi > b else piece.hi_value
+        total += abs(end - start)
+    return total
+
+
+def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkeypatch):
+    # The build fills ends, end values and int forms straight from its cells;
+    # MaximalProfile(pieces) derives them from the pieces.  Both skeletons must
+    # read alike, and so must every walk over them, peaks included.
+    isolate = envelope.isolate_quadratic_roots
+    peaks = Counter()
+
+    def counted(q):
+        peaks["cells"] += 1
+        return isolate(q)
+
+    monkeypatch.setattr(envelope, "isolate_quadratic_roots", counted)
+    rng = random.Random(31)
+    previous = None
+    for f in oracle_corpus():
+        built = build_profile(f)
+        pieces = built.pieces
+        assert built.ends == tuple(piece.hi for piece in pieces[:-1])
+        assert built.ends == tuple(piece.lo for piece in pieces[1:])
+        assert built.end_values == (pieces[0].lo_value, *(piece.hi_value for piece in pieces))
+        assert built.end_values[1:-1] == tuple(piece.lo_value for piece in pieces[1:])
+        for piece, form in zip(pieces, built.int_forms, strict=True):
+            assert all(type(v) is int for v in form)
+            k = next(v / c for v, c in zip(form, coeffs(piece)) if c)
+            assert k > 0 and form == tuple(k * c for c in coeffs(piece))
+        rebuilt = MaximalProfile(pieces)
+        assert variation_of_profile(built) == variation_of_profile(rebuilt)
+        assert variation_of_profile(built).lo == piece_variation(built, NEG_INF, POS_INF)
+        marks = sorted({*f.breakpoints, *built.ends}) or [Fraction(0)]
+        for a, b in (
+            (rng.choice(marks), rng.choice(marks) + Fraction(rng.randint(1, 12), 4)),
+            (rng.choice(marks) - Fraction(rng.randint(1, 12), 4), rng.choice(marks) + Fraction(1, 3)),
+        ):
+            if a < b:
+                assert variation_of_profile(built, a, b).lo == piece_variation(built, a, b)
+        if previous is not None:
+            prior_built, prior_rebuilt = previous
+            assert bv_distance(built, prior_built, PRECISION) == bv_distance(rebuilt, prior_rebuilt, PRECISION)
+        previous = built, rebuilt
+    assert peaks["cells"] > 0  # the peak path, which reads the pieces, ran
+
+
+def counted_pieces_and_tags(monkeypatch):
+    counts = Counter()
+    piece, tag = envelope.MoebiusPiece, envelope._constant_tag
+
+    def counted_piece(*args):
+        counts["pieces"] += 1
+        return piece(*args)
+
+    def counted_tag(*args):
+        counts["tags"] += 1
+        return tag(*args)
+
+    monkeypatch.setattr(envelope, "MoebiusPiece", counted_piece)
+    monkeypatch.setattr(envelope, "_constant_tag", counted_tag)
+    return counts
+
+
+def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
+    # BV distances without a peak and profile variations read only the
+    # skeleton: no MoebiusPiece and no constant tag is made.
+    counts = counted_pieces_and_tags(monkeypatch)
+    scales = [Fraction(1, 2**j) for j in range(6)]
+    continuity_experiment(TWO_BUMP, StepFunction.indicator(1, 2), scales)
+    path = tmp_path / "f.txt"
+    path.write_text(serialize(random_stepfn(10, n_max=9)), encoding="utf-8")
+    for bounds in ((), ("--from", "-2", "--to", "7/3")):
+        assert main(["var", "--maximal", *bounds, "--file", str(path)]) == 0
+    capsys.readouterr()
+    assert counts == Counter()
+    # A distance with a peak reads the two pieces there, and so makes them.
+    continuity_experiment(random_stepfn(10, n_max=9), random_stepfn(1010, n_max=9), scales)
+    assert counts["pieces"] > 0 and counts["tags"] > 0
+
+
+@pytest.mark.parametrize("part", ["ends", "end_values"])
+def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
+    # The first junction, or the limit at -oo, one unit of its lattice pair
+    # off: the walk and its lattice checks are untouched, and the build sees
+    # it without making a piece.
+    f = exact_n_stepfn(random.Random(5), 6)
+    assert build_profile(f).ends
+    fractions = envelope._fractions
+    calls = []
+
+    def shifted(pairs):
+        values = list(fractions(pairs))
+        if len(calls) == ("ends", "end_values").index(part):
+            values[0] += Fraction(1, pairs[0][1])
+        calls.append(pairs)
+        return tuple(values)
+
+    def no_pieces(*args):
+        raise AssertionError("a piece was made")
+
+    monkeypatch.setattr(envelope, "_fractions", shifted)
+    monkeypatch.setattr(envelope, "MoebiusPiece", no_pieces)
+    with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
         build_profile(f)
 
 

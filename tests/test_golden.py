@@ -6,8 +6,10 @@ from breakpoints too).  Their full text, the serialized inputs included, is
 compared byte for byte with ``tests/golden/cli.txt``.  A second list runs
 ``experiment`` on fixed pairs whose BV distances have irrational critical
 points, so their ``lo..hi`` enclosures hold the certified-variation path
-byte for byte; it is compared with ``tests/golden/distances.txt``.  Refresh
-the files only when an output change is intended:
+byte for byte; it is compared with ``tests/golden/distances.txt``.  The
+invariant suite's default run, ``maxbv check --seeds 0:200``, is compared
+with ``tests/golden/check.txt``, its stdout as it is.  Refresh the files
+only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -25,6 +27,7 @@ from maxbv.verify import random_stepfn
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 DISTANCES = Path(__file__).parent / "golden" / "distances.txt"
+CHECK = Path(__file__).parent / "golden" / "check.txt"
 
 # Seeds of random_stepfn(seed, n_max=9) paired with random_stepfn(seed + 1000,
 # n_max=9): 3 (seed 10, a FAIL verdict) and 4 (seed 30) of the six distances
@@ -119,6 +122,13 @@ def distance_transcript(workdir: Path) -> str:
     return "".join(blocks)
 
 
+def check_transcript() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(["check", "--seeds", "0:200"])
+    return out.getvalue()
+
+
 def _fresh(make) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         return make(Path(tmp))
@@ -132,9 +142,14 @@ def test_irrational_distances_match_golden():
     assert _fresh(distance_transcript) == DISTANCES.read_text(encoding="utf-8")
 
 
+def test_check_report_matches_golden():
+    assert check_transcript() == CHECK.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(_fresh(transcript), encoding="utf-8")
     DISTANCES.write_text(_fresh(distance_transcript), encoding="utf-8")
+    CHECK.write_text(check_transcript(), encoding="utf-8")
