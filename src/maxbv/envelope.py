@@ -46,15 +46,14 @@ among them) one Fraction num/(den*E), and each piece's int form is the
 cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E) for an
 anchored cell and (C, 0, E, 0) for a constant, a positive multiple of the
 piece, not reduced, so that every sign of the piece is a sign of its form.
-Distances and variations read only the skeleton.  The MoebiusPiece
-Fractions (alpha = A/(D*E), beta = L/E, gamma = -X/D) and their tags are
-made when the pieces are first read: by a dump, the detachment set, a
-point value, the invariant suite, or a peak of a profile difference.  One
-int pass at build time checks the way in and the way back, that
+Distances, variations, the detachment set, point values and derivatives
+read only the skeleton.  The MoebiusPiece Fractions (alpha = A/(D*E),
+beta = L/E, gamma = -X/D) and their tags are made when a dump, the
+invariant suite's piece checks or a peak of a profile difference reads
+them.  One int pass at build time checks the way in and the way back, that
 X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b and
 c, and that every junction and end value is its cell's int pair; each
-piece's coefficients are checked against its cell where the pieces are
-made.
+piece's coefficients are checked against its cell where they are made.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
 lattice walk (where an unbounded end is None): piece domains, region
@@ -76,10 +75,11 @@ junction is an int pair, and the exact part of the sum is summed on ints
 and made one Fraction.  The variation is an exact sum over the
 junctions of cells without a critical point; only the critical points
 (peaks) get brackets, narrowed to a certified rational enclosure of any
-requested precision.  A peak cell still takes ``integer_quadratic`` of its
-pieces' rational quadratic, since a surd's bracket is sized by that int
-scaling; so every enclosure stays the same until peaks are exact.  A
-rational critical point's bracket is the point itself, so its peak is exact.
+requested precision.  A peak cell still takes its pieces' rational
+quadratic, which ``isolate_quadratic_roots`` scales to ints: a surd's
+bracket is sized by that scaling, so every enclosure stays the same until
+peaks are exact.  A rational critical point's bracket is the point itself,
+so its peak is exact.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import Rat, format_rat, integer_quadratic, isolate_quadratic_roots, rat, sign
+from .exact import Rat, format_rat, isolate_quadratic_roots, rat, sign
 from .stepfn import NEG_INF, POS_INF, StepFunction, _endpoint
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
@@ -127,17 +127,13 @@ class MoebiusPiece:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
     @property
-    def det(self) -> Rat:
-        return self.beta * self.gamma - self.alpha * self.delta
-
-    @property
     def is_constant(self) -> bool:
         return self.beta == 0 and self.delta == 0
 
     @property
     def direction(self) -> int:
         """Monotonicity: the sign of the derivative, constant on the domain."""
-        return sign(self.det)
+        return sign(self.beta * self.gamma - self.alpha * self.delta)
 
     def value_at(self, x) -> Rat:
         x = rat(x)
@@ -145,11 +141,6 @@ class MoebiusPiece:
         if den == 0:
             raise ZeroDivisionError("evaluation at the pole of a profile piece")
         return (self.alpha + self.beta * x) / den
-
-    def derivative_at(self, x) -> Rat:
-        x = rat(x)
-        den = self.gamma + self.delta * x
-        return self.det / (den * den)
 
     def dump_line(self) -> str:
         cells = [
@@ -173,6 +164,20 @@ def _int_form(coefficients: Sequence[Rat]) -> Tuple[int, int, int, int]:
 
 def _pair(x: Rat) -> Tuple[int, int]:
     return x.numerator, x.denominator
+
+
+def _next_bound(xs: Sequence[Rat], i: int, ys: Sequence[Rat], j: int) -> Tuple[End, bool, bool]:
+    """One step of a two-pointer merge of the increasing rationals xs and ys
+    at i and j: the next bound (POS_INF once both are done) and whether each
+    pointer steps past it (both, at a shared bound)."""
+    if i < len(xs) and j < len(ys):
+        order = xs[i].numerator * ys[j].denominator - ys[j].numerator * xs[i].denominator
+        return (xs[i] if order <= 0 else ys[j]), order <= 0, order >= 0
+    if i < len(xs):
+        return xs[i], True, False
+    if j < len(ys):
+        return ys[j], False, True
+    return POS_INF, False, False
 
 
 def _form_at(form: Sequence[int], x: Rat) -> Tuple[int, int]:
@@ -229,14 +234,9 @@ class MaximalProfile:
         return self.pieces[bisect_left(self.ends, rat(x))]
 
     def value(self, x) -> Rat:
-        return self.piece_containing(x).value_at(x)
-
-    def limit_at(self, direction: int) -> Rat:
-        """Value limit toward -oo (direction < 0) or +oo (direction > 0)."""
-        return self.end_values[0] if direction < 0 else self.end_values[-1]
-
-    def junctions(self) -> List[Rat]:
-        return list(self.ends)
+        """The profile at x, off the int form of the piece holding it."""
+        x = rat(x)
+        return Fraction(*_form_at(self.int_forms[bisect_left(self.ends, x)], x))
 
     def dump(self) -> str:
         return "\n".join(piece.dump_line() for piece in self.pieces) + "\n"
@@ -286,13 +286,6 @@ class VariationEnclosure:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _midpoint(lo: End, hi: End) -> Rat:
-    """A rational inside the open interval (lo, hi), whose ends may be infinite."""
-    if isinstance(lo, float):  # NEG_INF
-        return Fraction(0) if isinstance(hi, float) else hi - 1
-    return lo + 1 if isinstance(hi, float) else (lo + hi) / 2
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -652,31 +645,44 @@ def _cell_pieces(
 # --- detachment set --------------------------------------------------------
 
 
+def _touches(form: Sequence[int], level: Tuple[int, int]) -> bool:
+    """Whether the piece of an int form is the constant level (num, den)."""
+    return form[1] == form[3] == 0 and form[0] * level[1] == level[0] * form[2]
+
+
 def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[RegionSet, RegionSet]:
     """Split the line into the open set where the profile strictly exceeds
-    the adjusted modulus and its closed complement (touch set)."""
-    bounds = sorted({*profile.junctions(), *f.breakpoints})
-    ends = [NEG_INF, *bounds, POS_INF]
-    detached = []  # per open interval between consecutive bounds
-    for s, t in zip(ends, ends[1:]):
-        x = _midpoint(s, t)
-        piece = profile.piece_containing(x)
-        detached.append(not (piece.is_constant and piece.value_at(x) == abs(f.value(x))))
+    the adjusted modulus and its closed complement (touch set).
 
+    One merge of the profile's ends with f's breakpoints: an interval between
+    two bounds touches when its int form is the constant level of |f| there.
+    """
+    ends, values, forms = profile.ends, profile.end_values, profile.int_forms
+    points = f.breakpoints
+    levels = [(abs(c.numerator), c.denominator) for c in f.constants]
+    i = k = 0
+    detached = not _touches(forms[0], levels[0])  # the interval left of the next bound
     # A run of detached intervals goes on through detached bounds and closes
     # at each bound where the profile touches the adjusted modulus.
     runs: List[Tuple[End, End]] = []
     start: End = NEG_INF
-    for i, b in enumerate(bounds):
-        adjusted = max(abs(f.left_limit(b)), abs(f.right_limit(b)))
-        if profile.value(b) != adjusted:
-            if not (detached[i] and detached[i + 1]):
-                raise AssertionError("detached bound next to a touching interval")
-            continue
-        if detached[i]:
-            runs.append((start, b))
-        start = b
-    if detached[-1]:
+    while i < len(ends) or k < len(points):
+        t, at_end, at_point = _next_bound(ends, i, points, k)
+        num, den = _pair(values[i + 1]) if at_end else _form_at(forms[i], t)
+        top, bottom = levels[k]
+        if at_point and levels[k + 1][0] * bottom > top * levels[k + 1][1]:
+            top, bottom = levels[k + 1]
+        i += at_end
+        k += at_point
+        detached_after = not _touches(forms[i], levels[k])
+        if num * bottom == top * den:
+            if detached:
+                runs.append((start, t))
+            start = t
+        elif not (detached and detached_after):
+            raise AssertionError("detached bound next to a touching interval")
+        detached = detached_after
+    if detached:
         runs.append((start, POS_INF))
 
     # A run from -oo or to +oo leaves an empty gap at that end.
@@ -696,13 +702,16 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
     rejected rather than assigned a value.  For a piece carried by an
     interval anchored on the right at b, the derivative equals
     (value - |f|(x))/(b - x); anchored on the left at a it equals
-    (|f|(x) - value)/(x - a); constant pieces are flat.
+    (|f|(x) - value)/(x - a); constant pieces are flat.  It is read off the
+    piece's int form: scaling a form scales its det and (g + d*x)**2 alike.
     """
     x = rat(x)
-    piece = profile.piece_containing(x)
-    if piece.hi == x:
+    i = bisect_left(profile.ends, x)
+    if i < len(profile.ends) and profile.ends[i] == x:
         raise ValueError("derivative is one-sided at piece junctions")
-    return piece.derivative_at(x)
+    a, b, g, d = profile.int_forms[i]
+    den = g * x.denominator + d * x.numerator
+    return Fraction((b * g - a * d) * x.denominator**2, den * den)
 
 
 # --- certified variation ---------------------------------------------------
@@ -814,7 +823,7 @@ def variation_of_difference(
     sign of q's leading term there), and the sign at s is the sign of d'
     left of it.  Only such a cell reads the two pieces, isolates the roots of
     q and keeps the one inside as a peak.  It takes q from the pieces'
-    rationals, scaled to ints by ``integer_quadratic``: a surd's
+    rationals, which ``isolate_quadratic_roots`` scales to ints: a surd's
     bracket width is 1/(2a), so that scaling fixes every enclosure end.  Each
     round narrows the peaks' brackets, which encloses d there.  A rational
     root's bracket is the point itself, so its peak term is exact from the
@@ -826,7 +835,6 @@ def variation_of_difference(
 
     ends1, ends2 = p1.ends, p2.ends
     forms1, forms2 = p1.int_forms, p2.int_forms
-    last1, last2 = len(ends1), len(ends2)
     i = j = 0
     s: End = NEG_INF
     exact = (0, 1)
@@ -834,24 +842,10 @@ def variation_of_difference(
     peaks: List[list] = []
     d_s = _pair(p1.end_values[0] - p2.end_values[0])
     while True:
-        if i < last1 and j < last2:
-            h1, h2 = ends1[i], ends2[j]
-            order = h1.numerator * h2.denominator - h2.numerator * h1.denominator
-            step1, step2 = order <= 0, order >= 0
-            t = h1 if step1 else h2
-        elif i < last1 or j < last2:
-            step1, step2 = i < last1, j < last2
-            t = ends1[i] if step1 else ends2[j]
-        else:
-            step1 = step2 = False
-            t = POS_INF
+        t, step1, step2 = _next_bound(ends1, i, ends2, j)
         form1, form2 = forms1[i], forms2[j]
         if step1 or step2:
-            a1, b1, g1, e1 = form1
-            a2, b2, g2, e2 = form2
-            n, d = t.numerator, t.denominator
-            num1, den1 = a1 * d + b1 * n, g1 * d + e1 * n
-            num2, den2 = a2 * d + b2 * n, g2 * d + e2 * n
+            (num1, den1), (num2, den2) = _form_at(form1, t), _form_at(form2, t)
             d_t = (num1 * den2 - num2 * den1, den1 * den2)
         else:
             d_t = _pair(p1.end_values[-1] - p2.end_values[-1])
@@ -862,7 +856,7 @@ def variation_of_difference(
             # leading coefficient, between the roots the other sign; a linear
             # q has a single root.
             m1, m2 = p1.pieces[i], p2.pieces[j]
-            q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
+            q = _difference_critical_quadratic(m1.coefficients, m2.coefficients)
             roots = isolate_quadratic_roots(q)
             root = roots[0] if rise == sign(q[0]) else roots[-1]
             peaks.append([root, m1, m2, Fraction(*d_s), Fraction(*d_t), rise])
@@ -909,6 +903,6 @@ def bv_distance(
     the gap of their limits at infinity plus the variation of their
     difference.  Only a peak of the difference can be irrational, so the
     precision bounds the enclosure's width."""
-    base = abs(p1.limit_at(-1) - p2.limit_at(-1))
+    base = abs(p1.end_values[0] - p2.end_values[0])
     spread = variation_of_difference(p1, p2, precision)
     return VariationEnclosure(base + spread.lo, base + spread.hi)

@@ -33,28 +33,31 @@ from .stepfn import AbsIntegral, StepFunction
 
 # --- randomized corpus -----------------------------------------------------
 
+_VALUE_BOUND = 3
+_DENOM_BOUND = 4
+_CORPUS_SPAN = 8
+_SAMPLE_SPAN = 12
+_GRID_OFFSET = Fraction(1, 997)
 
-def random_stepfn(seed: int, n_max: int = 6, value_bound: int = 3, denom_bound: int = 4,
-                  span: int = 8) -> StepFunction:
+
+def random_stepfn(seed: int, n_max: int = 6) -> StepFunction:
     """Deterministic pseudo-random step function with bounded-height data.
 
     Signed values and occasional free-standing point values are drawn so
     that sign-crossing and point-jump behaviour both appear across a seed
     sweep.
     """
-    if n_max < 0 or value_bound <= 0 or denom_bound <= 0:
-        raise ValueError("bounds must be positive")
     rng = random.Random(seed)
     n = rng.randint(0, n_max)
     points = set()
     while len(points) < n:
-        den = rng.randint(1, denom_bound)
-        points.add(Fraction(rng.randint(-span * den, span * den), den))
+        den = rng.randint(1, _DENOM_BOUND)
+        points.add(Fraction(rng.randint(-_CORPUS_SPAN * den, _CORPUS_SPAN * den), den))
     breakpoints = tuple(sorted(points))
 
     def draw_value():
-        den = rng.randint(1, denom_bound)
-        return Fraction(rng.randint(-value_bound * den, value_bound * den), den)
+        den = rng.randint(1, _DENOM_BOUND)
+        return Fraction(rng.randint(-_VALUE_BOUND * den, _VALUE_BOUND * den), den)
 
     tail = draw_value()
     constants = [draw_value() for _ in range(n)]
@@ -71,15 +74,14 @@ def random_stepfn(seed: int, n_max: int = 6, value_bound: int = 3, denom_bound: 
     return StepFunction(tail, breakpoints, tuple(values), tuple(constants))
 
 
-def sample_points(f: StepFunction, rng: random.Random, count: int = 20,
-                  span: int = 12) -> List[Rat]:
+def sample_points(f: StepFunction, rng: random.Random, count: int = 20) -> List[Rat]:
     """Query points mixing breakpoints, near-breakpoint offsets and randoms."""
     points = set(f.breakpoints)
     for x in f.breakpoints:
         points.add(x + Fraction(1, 17))
         points.add(x - Fraction(1, 19))
     while len(points) < count + 3 * f.n:
-        points.add(Fraction(rng.randint(-span * 8, span * 8), 8))
+        points.add(Fraction(rng.randint(-_SAMPLE_SPAN * 8, _SAMPLE_SPAN * 8), 8))
     return sorted(points)
 
 
@@ -91,7 +93,7 @@ class GridSpec:
     """Sampling plan for the interval oracle.
 
     ``endpoint_count`` controls a uniform endpoint grid of that many steps
-    across [x - span, x + span], shifted by ``offset`` grid steps so that
+    across [x - span, x + span], shifted by 1/997 of a grid step so that
     endpoints avoid breakpoints; ``random_count`` adds seeded random
     intervals, and ``zoom_rounds`` refines locally around the best pair
     found.  Everything is deterministic given the seed.
@@ -102,7 +104,6 @@ class GridSpec:
     random_count: int = 120
     seed: int = 0
     zoom_rounds: int = 2
-    offset: Rat = Fraction(1, 997)
 
 
 def oracle_maximal(f: StepFunction, x, grid: GridSpec) -> Rat:
@@ -137,7 +138,7 @@ def oracle_maximal(f: StepFunction, x, grid: GridSpec) -> Rat:
     step = None
     if grid.endpoint_count > 0:
         step = 2 * span / grid.endpoint_count
-        shift = step * grid.offset
+        shift = step * _GRID_OFFSET
         points = [x - span + i * step + shift for i in range(grid.endpoint_count + 1)]
         lefts = [p for p in points if p <= x] + [x]
         rights = [p for p in points if p >= x] + [x]

@@ -81,6 +81,14 @@ def interval_average_oracle(f, x, rng, count=300, span=12):
     return best
 
 
+def midpoint(lo, hi):
+    """A rational inside the open interval (lo, hi), whose ends may be
+    NEG_INF/POS_INF: where the piece-based references read a cell."""
+    if lo == NEG_INF:
+        return Fraction(0) if hi == POS_INF else hi - 1
+    return lo + 1 if hi == POS_INF else (lo + hi) / 2
+
+
 def moebius_profile(alpha, gamma, s, t):
     """The profile alpha/(gamma + x) on [s, t], constant at its end values
     outside; a hand-built profile, not the maximal function of a step function."""

@@ -19,7 +19,6 @@ from maxbv.envelope import (
     VariationEnclosure,
     _both_roots_within,
     _difference_critical_quadratic,
-    _midpoint,
     _sign_at,
     build_profile,
     variation_of_difference,
@@ -28,21 +27,21 @@ from maxbv.envelope import (
 from maxbv.exact import integer_quadratic, isolate_quadratic_roots, sign
 from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import random_stepfn
-from conftest import moebius_profile, rand_stepfn, step_functions
+from conftest import midpoint, moebius_profile, rand_stepfn, step_functions
 
 PRECISION = Fraction(1, 10**9)
 
 
 def reference_variation_of_difference(p1, p2, precision=PRECISION):
-    walk = [NEG_INF, *sorted({*p1.junctions(), *p2.junctions()}), POS_INF]
+    walk = [NEG_INF, *sorted({*p1.ends, *p2.ends}), POS_INF]
     exact = Fraction(0)
     peaks = []
-    d_s = p1.limit_at(-1) - p2.limit_at(-1)
+    d_s = p1.end_values[0] - p2.end_values[0]
     for s, t in zip(walk, walk[1:]):
-        x = _midpoint(s, t)
+        x = midpoint(s, t)
         m1, m2 = p1.piece_containing(x), p2.piece_containing(x)
         if t == POS_INF:
-            d_t = p1.limit_at(+1) - p2.limit_at(+1)
+            d_t = p1.end_values[-1] - p2.end_values[-1]
         else:
             d_t = m1.value_at(t) - m2.value_at(t)
         q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
@@ -131,8 +130,8 @@ def test_coinciding_junctions_step_both_pointers():
     for _ in range(20):
         f = rand_stepfn(rng)
         profile, doubled = build_profile(f), build_profile(combine(f, f, 2, 0))
-        assert profile.junctions() == doubled.junctions()
-        shared += len(profile.junctions())
+        assert profile.ends == doubled.ends
+        shared += len(profile.ends)
         enclosure = assert_same_walk(doubled, profile)
         assert enclosure.lo == enclosure.hi == variation_of_profile(profile).lo
     assert shared > 0

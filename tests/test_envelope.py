@@ -285,16 +285,26 @@ def counted_pieces_and_tags(monkeypatch):
 
 
 def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
-    # BV distances without a peak and profile variations read only the
-    # skeleton: no MoebiusPiece and no constant tag is made.
+    # BV distances without a peak, profile variations, the detachment set,
+    # point values and derivatives read only the skeleton: no MoebiusPiece
+    # and no constant tag is made.
     counts = counted_pieces_and_tags(monkeypatch)
     scales = [Fraction(1, 2**j) for j in range(6)]
     continuity_experiment(TWO_BUMP, StepFunction.indicator(1, 2), scales)
+    f = random_stepfn(10, n_max=9)
     path = tmp_path / "f.txt"
-    path.write_text(serialize(random_stepfn(10, n_max=9)), encoding="utf-8")
+    path.write_text(serialize(f), encoding="utf-8")
     for bounds in ((), ("--from", "-2", "--to", "7/3")):
         assert main(["var", "--maximal", *bounds, "--file", str(path)]) == 0
+    assert main(["e-set", "--file", str(path)]) == 0
     capsys.readouterr()
+    profile = build_profile(f)
+    assert len(profile.ends) > 1
+    for x in (*f.breakpoints, *profile.ends):
+        profile.value(x)
+        for inside in (x - Fraction(1, 7), x + Fraction(1, 7)):
+            if inside not in profile.ends:
+                profile_derivative(profile, inside)
     assert counts == Counter()
     # A distance with a peak reads the two pieces there, and so makes them.
     continuity_experiment(random_stepfn(10, n_max=9), random_stepfn(1010, n_max=9), scales)
@@ -519,7 +529,7 @@ def test_profile_end_values_are_the_limits_at_infinity():
         assert first.lo == NEG_INF and last.hi == POS_INF
         limit = maximal_limit_at_infinity(f)
         assert first.lo_value == last.hi_value == limit
-        assert profile.limit_at(-1) == profile.limit_at(+1) == limit
+        assert profile.end_values[0] == profile.end_values[-1] == limit
         for piece in (first, last):
             assert limit == (piece.beta / piece.delta if piece.delta else piece.alpha / piece.gamma)
         # An end piece is monotone, so a window reaching an infinity adds the
@@ -626,9 +636,9 @@ def test_variation_of_difference_with_irrational_critical_point():
 
 def partition_variation(p1, p2, points):
     """Variation of p1 - p2 sampled at the limits and the sorted points."""
-    diffs = [p1.limit_at(-1) - p2.limit_at(-1)]
+    diffs = [p1.end_values[0] - p2.end_values[0]]
     diffs += [p1.value(x) - p2.value(x) for x in points]
-    diffs.append(p1.limit_at(+1) - p2.limit_at(+1))
+    diffs.append(p1.end_values[-1] - p2.end_values[-1])
     return sum(abs(b - a) for a, b in zip(diffs, diffs[1:]))
 
 
@@ -642,7 +652,7 @@ def test_variation_of_difference_with_rational_critical_point():
     enc = variation_of_difference(p1, p2, PRECISION)
     assert str(enc) == "3..3"
 
-    junctions = sorted({*p1.junctions(), *p2.junctions()})
+    junctions = sorted({*p1.ends, *p2.ends})
     assert partition_variation(p1, p2, sorted({*junctions, Fraction(4)})) == 3
     assert partition_variation(p1, p2, junctions) < 3
 
@@ -656,7 +666,7 @@ def test_variation_of_difference_with_rational_critical_point_left_of_the_juncti
     enc = variation_of_difference(p1, p2, PRECISION)
     assert str(enc) == "3..3"
 
-    junctions = sorted({*p1.junctions(), *p2.junctions()})
+    junctions = sorted({*p1.ends, *p2.ends})
     assert partition_variation(p1, p2, sorted({*junctions, Fraction(-4)})) == 3
     assert partition_variation(p1, p2, junctions) < 3
 
@@ -689,7 +699,7 @@ def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cel
     p2 = build_profile(StepFunction.indicator(1, 2, closed=False))
     for first, second in ((p1, p2), (p2, p1)):
         assert str(variation_of_difference(first, second, PRECISION)) == "2..2"
-        junctions = sorted({*first.junctions(), *second.junctions()})
+        junctions = sorted({*first.ends, *second.ends})
         assert partition_variation(first, second, junctions) == 2
 
 
@@ -757,7 +767,7 @@ def test_int_forms_are_positive_int_multiples_with_the_same_end_values():
 def test_int_critical_quadratic_has_the_sign_of_the_fraction_one():
     profiles = int_form_profiles()
     for p1, p2 in zip(profiles, profiles[1:] + profiles[:1]):
-        ends = [NEG_INF, *sorted({*p1.junctions(), *p2.junctions()}), POS_INF]
+        ends = [NEG_INF, *sorted({*p1.ends, *p2.ends}), POS_INF]
         for m1, form1 in zip(p1.pieces, p1.int_forms):
             for m2, form2 in zip(p2.pieces, p2.int_forms):
                 q = envelope._difference_critical_quadratic(form1, form2)
@@ -773,7 +783,7 @@ def test_profile_junctions_are_rational():
     rng = random.Random(101)
     for _ in range(50):
         profile = build_profile(rand_stepfn(rng))
-        assert all(isinstance(j, Fraction) for j in profile.junctions())
+        assert all(isinstance(j, Fraction) for j in profile.ends)
 
 
 def test_bv_distance_examples():

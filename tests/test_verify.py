@@ -54,8 +54,6 @@ def test_random_stepfn_determinism_and_bounds():
         f = random_stepfn(seed)
         assert f.n <= 6
         assert all(abs(c) <= 3 for c in f.constants)
-    with pytest.raises(ValueError):
-        random_stepfn(1, value_bound=0)
 
 
 def test_random_stepfn_stratification():
