@@ -20,6 +20,7 @@ from .maximal import MaximalValue, WitnessInterval, candidate_set, maximal_limit
 from .envelope import (
     MaximalProfile,
     MoebiusPiece,
+    PerturbationFamily,
     RegionSet,
     VariationEnclosure,
     build_profile,

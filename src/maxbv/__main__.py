@@ -1,0 +1,6 @@
+"""``python -m maxbv``: the ``maxbv`` command line."""
+
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

@@ -218,6 +218,14 @@ _CONFIG_KEYS = {
 
 
 def cmd_experiment(args) -> int:
+    """Run the continuity experiment from a key=value config.
+
+    In random mode (no ``file=``), ``pairs`` pairs are drawn from ``seed``
+    and each perturbation is rescaled to BV norm ``perturbation_norm``
+    ("raw" keeps it as drawn).  In fixed-function mode (``file=`` and
+    ``perturbation=``), the perturbation file is used as given: the key is
+    still validated, but it rescales nothing.
+    """
     path = args.config
     config = _read_config(path)
     unknown = set(config) - _CONFIG_KEYS

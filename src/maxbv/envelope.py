@@ -38,7 +38,22 @@ by cross-multiplication.  The scaling is positive in both coordinates, so
 every orientation test, and with it every hull link, and every comparison
 of the walk come out as they would on the rationals.  The self-checks run
 on the lattice too: the junctions and breakpoint values are compared by
-cross-multiplication.
+cross-multiplication.  The build body takes any lattice (D, E, X, L, P)
+whose D and E are positive multiples of those lcms: ``build_profile`` makes
+f's own, and ``PerturbationFamily`` one for the whole family f + s*g.
+
+The family lattice is read once for f and g.  Fixed across scales are the
+merged breakpoints with their scale D (the lcm over all of them) and points
+X, f's signed int levels a in the unit e_f and g's b in e_g, and their
+values at the merged breakpoints; each is checked once against the rational
+it came from.  At a scale s = p/q only the levels L = |a*e_g*q + b*e_f*p|,
+the unit E = e_f*e_g*q and the sums P change, and a merged breakpoint
+where the value of f + s*g equals both neighbouring constants is dropped,
+as canonical form drops it.  E is a positive multiple of the lcm of the
+constant denominators of f + s*g, and D of its breakpoint denominators: the
+scaling stays positive in both coordinates, every output is a reduced
+Fraction, a sign or an int form up to a positive factor, and so the family's
+profiles are those of ``build_profile`` on f + s*g byte for byte.
 
 A built profile is a skeleton read straight off the merged cells: each
 junction is one Fraction p/(q*D), each end value (the limits at -oo and +oo
@@ -50,10 +65,11 @@ Distances, variations, the detachment set, point values and derivatives
 read only the skeleton.  The MoebiusPiece Fractions (alpha = A/(D*E),
 beta = L/E, gamma = -X/D) and their tags are made when a dump, the
 invariant suite's piece checks or a peak of a profile difference reads
-them.  One int pass at build time checks the way in and the way back, that
-X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b and
-c, and that every junction and end value is its cell's int pair; each
-piece's coefficients are checked against its cell where they are made.
+them.  Int passes check the way in and the way back: ``build_profile``
+that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b
+and c (a family, once, its own lattice against the rationals of f and g),
+and every build that every junction and end value is its cell's int pair;
+each piece's coefficients are checked against its cell where they are made.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
 lattice walk (where an unbounded end is None): piece domains, region
@@ -155,13 +171,6 @@ class MoebiusPiece:
         return "\t".join(cells)
 
 
-def _int_form(coefficients: Sequence[Rat]) -> Tuple[int, int, int, int]:
-    """Coefficients times the lcm k of their denominators: an int tuple for
-    the same Moebius function, whose det is k**2 times theirs."""
-    k = math.lcm(*[v.denominator for v in coefficients])
-    return tuple([v.numerator * (k // v.denominator) for v in coefficients])
-
-
 def _pair(x: Rat) -> Tuple[int, int]:
     return x.numerator, x.denominator
 
@@ -198,29 +207,17 @@ class MaximalProfile:
     so every sign of the piece is the sign of the form.  ``pieces``, the
     ``MoebiusPiece``s with their tags, is made on first read.
 
-    ``MaximalProfile(pieces)`` takes hand-built pieces and derives the
-    skeleton from them, each int form the coefficients times the lcm of
-    their denominators.  ``build_profile`` fills the skeleton straight from
-    its lattice cells and keeps the cells to make the pieces from.
+    A profile is made by a build on a lattice (``build_profile`` and
+    ``PerturbationFamily.profile``), which fills the skeleton straight from
+    its lattice cells and keeps, as ``cells``, the arguments of
+    ``_cell_pieces`` after the profile itself, to make the pieces from.
     """
 
     __slots__ = ("ends", "end_values", "int_forms", "_pieces", "_cells")
 
-    def __init__(self, pieces: Sequence[MoebiusPiece]):
-        self._pieces = tuple(pieces)
-        self._cells = None
-        self.ends = tuple([piece.hi for piece in self._pieces[:-1]])
-        self.end_values = (self._pieces[0].lo_value, *[piece.hi_value for piece in self._pieces])
-        self.int_forms = tuple([_int_form(piece.coefficients) for piece in self._pieces])
-
-    @classmethod
-    def _from_cells(cls, ends, end_values, int_forms, cells) -> "MaximalProfile":
-        """A built profile: its skeleton, and the arguments of
-        ``_cell_pieces`` after the profile itself."""
-        profile = cls.__new__(cls)
-        profile.ends, profile.end_values, profile.int_forms = ends, end_values, int_forms
-        profile._pieces, profile._cells = None, cells
-        return profile
+    def __init__(self, ends, end_values, int_forms, cells):
+        self.ends, self.end_values, self.int_forms = ends, end_values, int_forms
+        self._pieces, self._cells = None, cells
 
     @property
     def pieces(self) -> Tuple[MoebiusPiece, ...]:
@@ -498,6 +495,20 @@ def _constant_tag(
     raise AssertionError("segment constant matches no candidate")
 
 
+def _scaled(values: Sequence[Rat], k: int) -> List[int]:
+    """The ints k*v, for k a common multiple of the values' denominators."""
+    return [v.numerator * (k // v.denominator) for v in values]
+
+
+def _antiderivative(xs: Sequence[int], ls: Sequence[int]) -> List[int]:
+    """P = D*E*F at the points X, with F the antiderivative of the levels
+    L/E based at the first point."""
+    ps = [0]
+    for k in range(1, len(xs)):
+        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
+    return ps
+
+
 def _lattice(f: StepFunction) -> Tuple[int, int, List[int], List[int], List[int]]:
     """f on its integer lattice: the scale D (lcm of the breakpoint
     denominators), the unit E (lcm of the |constant| denominators), the
@@ -505,12 +516,9 @@ def _lattice(f: StepFunction) -> Tuple[int, int, List[int], List[int], List[int]
     breakpoints, with F the antiderivative of |f| based at the first one."""
     scale = math.lcm(*[b.denominator for b in f.breakpoints])
     unit = math.lcm(*[c.denominator for c in f.constants])
-    xs = [b.numerator * (scale // b.denominator) for b in f.breakpoints]
+    xs = _scaled(f.breakpoints, scale)
     ls = [abs(c.numerator) * (unit // c.denominator) for c in f.constants]
-    ps = [0]
-    for k in range(1, len(xs)):
-        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
-    return scale, unit, xs, ls, ps
+    return scale, unit, xs, ls, _antiderivative(xs, ls)
 
 
 def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
@@ -532,8 +540,23 @@ def _fractions(pairs: Sequence[Tuple[int, int]]) -> Tuple[Rat, ...]:
 
 def build_profile(f: StepFunction) -> MaximalProfile:
     """Assemble the exact global profile of the maximal function of f."""
-    n = f.n
     scale, unit, xs, ls, ps = _lattice(f)
+    # The way back, in one int pass: the lattice is f's own rationals scaled.
+    for x, b in zip(xs, f.breakpoints):
+        if x * b.denominator != b.numerator * scale:
+            raise AssertionError("lattice disagrees with the breakpoints of f")
+    for ell, c in zip(ls, f.constants):
+        if ell * c.denominator != abs(c.numerator) * unit:
+            raise AssertionError("lattice disagrees with the constants of f")
+    return _build(scale, unit, xs, ls, ps)
+
+
+def _build(scale: int, unit: int, xs: List[int], ls: List[int], ps: List[int]) -> MaximalProfile:
+    """The profile on a lattice: the scale D > 0, the unit E > 0, the
+    increasing points X = D*b, the n + 1 levels L = E*|c| and P = D*E*F(b).
+    Any positive multiples of the lcms serve as D and E (see
+    ``PerturbationFamily``)."""
+    n = len(xs)
     points = list(zip(xs, ps))
     lower = _hull_links(points)
     upper = _hull_links(points[::-1])
@@ -594,21 +617,105 @@ def build_profile(f: StepFunction) -> MaximalProfile:
     ])
     ends, end_values = _fractions(end_pairs), _fractions(value_pairs)
 
-    # The way back, in one int pass: the lattice is f's own rationals scaled,
-    # and each rational v of the skeleton is its int pair (w, k), checked as
-    # v.numerator*k == w*v.denominator.  The pieces' coefficients are checked
-    # where the pieces are made.
-    for x, b in zip(xs, f.breakpoints):
-        if x * b.denominator != b.numerator * scale:
-            raise AssertionError("lattice disagrees with the breakpoints of f")
-    for ell, c in zip(ls, f.constants):
-        if ell * c.denominator != abs(c.numerator) * unit:
-            raise AssertionError("lattice disagrees with the constants of f")
+    # The way back from the skeleton, in one int pass: each rational v of
+    # the skeleton is its int pair (w, k), checked as
+    # v.numerator*k == w*v.denominator.  The pieces' coefficients are
+    # checked where the pieces are made.
     for rationals, pairs in ((ends, end_pairs), (end_values, value_pairs)):
         for v, (w, k) in zip(rationals, pairs):
             if v.numerator * k != w * v.denominator:
                 raise AssertionError("profile skeleton disagrees with its lattice cells")
-    return MaximalProfile._from_cells(ends, end_values, forms, (cells, scale, unit, xs, ls, ps))
+    return MaximalProfile(ends, end_values, forms, (cells, scale, unit, xs, ls, ps))
+
+
+# --- the perturbation family f + s*g -----------------------------------------
+
+
+def _on_points(h: StepFunction, points: Sequence[Rat]) -> Tuple[List[Rat], List[Rat]]:
+    """h read on the increasing points, which include its breakpoints: its
+    constant on each of the len(points) + 1 segments between them, and its
+    value at each point."""
+    bps, consts = h.breakpoints, h.constants
+    constants, values = [h.tail_left], []
+    i = 0
+    for x in points:
+        if i < len(bps) and bps[i] == x:
+            values.append(h.point_values[i])
+            i += 1
+        else:
+            values.append(consts[i])
+        constants.append(consts[i])
+    return constants, values
+
+
+def _family_lattice(f: StepFunction, g: StepFunction) -> tuple:
+    """f and g on one lattice: the merged breakpoints b, their scale D (the
+    lcm of their denominators) and points X = D*b, then for each of f and g
+    its unit e (the lcm of its constant denominators) with its signed
+    constants e*c on the merged segments, and its point unit w (the lcm over
+    its constants and point values) with its values w*v at the merged
+    breakpoints."""
+    points = sorted({*f.breakpoints, *g.breakpoints})
+    scale = math.lcm(*[b.denominator for b in points])
+    reads = []
+    for h in (f, g):
+        constants, values = _on_points(h, points)
+        unit = math.lcm(*[c.denominator for c in h.constants])
+        point_unit = math.lcm(unit, *[v.denominator for v in h.point_values])
+        reads.append((unit, _scaled(constants, unit), point_unit, _scaled(values, point_unit)))
+    return (points, scale, _scaled(points, scale), *reads)
+
+
+class PerturbationFamily:
+    """The profiles of f + s*g for rational s, built on one integer lattice.
+
+    The merged breakpoints and the signed int levels and point values of f
+    and g are read and checked once; ``profile(s)`` forms only the levels,
+    the unit and the sums P at s, and drops the merged breakpoints that
+    canonical form drops there.  Each profile is that of
+    ``build_profile(stepfn.combine(f, g, 1, s))`` byte for byte (see the
+    module docstring).
+    """
+
+    __slots__ = ("_scale", "_unit", "_xs", "_levels", "_values", "_ratio")
+
+    def __init__(self, f: StepFunction, g: StepFunction):
+        points, scale, xs, (e_f, a, w_f, u), (e_g, b, w_g, v) = _family_lattice(f, g)
+        # The way back, once for the family: each int against the rational
+        # it came from, read off f and g without the merge.
+        for x, t in zip(xs, points, strict=True):
+            if x * t.denominator != t.numerator * scale:
+                raise AssertionError("family lattice disagrees with the merged breakpoints")
+        for h, unit, levels, point_unit, values in ((f, e_f, a, w_f, u), (g, e_g, b, w_g, v)):
+            for ell, c in zip(levels, [*[h.left_limit(t) for t in points], h.constants[-1]], strict=True):
+                if ell * c.denominator != c.numerator * unit:
+                    raise AssertionError("family lattice disagrees with the constants of f and g")
+            for w, t in zip(values, points, strict=True):
+                y = h.value(t)
+                if w * y.denominator != y.numerator * point_unit:
+                    raise AssertionError("family lattice disagrees with the point values of f and g")
+        self._scale, self._unit, self._xs = scale, e_f * e_g, xs
+        # At s = p/q, f + s*g on a merged segment is a*q + b*p in units of
+        # 1/(e_f*e_g*q), and at a merged breakpoint u*q + v*p in units of
+        # 1/(w_f*w_g*q); a level in the finer unit is ratio times its int.
+        self._levels = [(ca * e_g, cb * e_f) for ca, cb in zip(a, b)]
+        self._values = [(cu * w_g, cv * w_f) for cu, cv in zip(u, v)]
+        self._ratio = (w_f // e_f) * (w_g // e_g)
+
+    def profile(self, s) -> MaximalProfile:
+        """The profile of f + s*g."""
+        s = rat(s)
+        p, q = s.numerator, s.denominator
+        signed = [a * q + b * p for a, b in self._levels]
+        xs, ls = self._xs, [abs(level) for level in signed]
+        drops = {
+            k for k, (a, b) in enumerate(self._values)
+            if signed[k] == signed[k + 1] and a * q + b * p == signed[k] * self._ratio
+        }
+        if drops:
+            kept = [k for k in range(len(xs)) if k not in drops]
+            xs, ls = [xs[k] for k in kept], [ls[0], *[ls[k + 1] for k in kept]]
+        return _build(self._scale, self._unit * q, xs, ls, _antiderivative(xs, ls))
 
 
 def _cell_pieces(

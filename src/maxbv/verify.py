@@ -351,6 +351,16 @@ def continuity_experiment(
     Scales must decrease strictly toward zero and the perturbation is a
     fixed BV function, so the perturbed family converges to f in BV norm:
     the hypotheses under which distances must vanish.
+
+    Every f_j is built on one ``envelope.PerturbationFamily`` lattice.  Read
+    once: the merged breakpoints of f and the perturbation, their scale D
+    and points X, and the signed int levels and point values of both
+    functions, each checked against the rational it came from.  Per scale
+    s = p/q: the levels |f + s*g| in the unit E = e_f*e_g*q, the
+    antiderivative values and any breakpoint that canonical form would drop
+    there.  E is a positive multiple of the lcm that ``build_profile`` would
+    take on ``stepfn.combine(f, perturbation, 1, s)``, and every reported
+    value is a reduced Fraction, so the report is the same byte for byte.
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s <= 0 for s in scales):
@@ -363,10 +373,10 @@ def continuity_experiment(
     # f_j - f = scale * perturbation pointwise and scale > 0, so its BV norm
     # is scale times the perturbation's.
     perturbation_norm = sf.bv_norm(perturbation)
+    family = env.PerturbationFamily(f, perturbation)
     rows = []
     for index, scale in enumerate(scales, start=1):
-        f_j = sf.combine(f, perturbation, 1, scale)
-        profile_j = env.build_profile(f_j)
+        profile_j = family.profile(scale)
         distance = env.bv_distance(profile_j, profile_f, precision)
         variation = env.variation_of_profile(profile_j)
         rows.append(ExperimentRow(index, scale, scale * perturbation_norm, distance, variation))

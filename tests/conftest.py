@@ -5,6 +5,7 @@ library: variation is estimated by sweeping ever finer partitions, and
 maximal values by maximizing averages over sampled intervals.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -95,7 +96,28 @@ def moebius_profile(alpha, gamma, s, t):
     piece = MoebiusPiece(alpha, 0, gamma, 1, s, t, alpha / (gamma + s), alpha / (gamma + t), "hand-built")
     left = MoebiusPiece(piece.lo_value, 0, 1, 0, NEG_INF, s, piece.lo_value, piece.lo_value, "hand-built")
     right = MoebiusPiece(piece.hi_value, 0, 1, 0, t, POS_INF, piece.hi_value, piece.hi_value, "hand-built")
-    return MaximalProfile((left, piece, right))
+    return profile_from_pieces((left, piece, right))
+
+
+def int_form(coefficients):
+    """Coefficients times the lcm k of their denominators: an int tuple for
+    the same Moebius function, whose det is k**2 times theirs."""
+    k = math.lcm(*[v.denominator for v in coefficients])
+    return tuple([v.numerator * (k // v.denominator) for v in coefficients])
+
+
+def profile_from_pieces(pieces):
+    """A profile of hand-built pieces, its skeleton derived from them: the
+    junctions, the end values and each piece's int form."""
+    pieces = tuple(pieces)
+    profile = MaximalProfile(
+        tuple([piece.hi for piece in pieces[:-1]]),
+        (pieces[0].lo_value, *[piece.hi_value for piece in pieces]),
+        tuple([int_form(piece.coefficients) for piece in pieces]),
+        None,
+    )
+    profile._pieces = pieces
+    return profile
 
 
 values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))

@@ -372,3 +372,9 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(_merge_value_options(argv))
         except SystemExit:
             pytest.fail(f"README CLI line does not parse: {line}")
+
+
+def test_python_dash_m_maxbv_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "maxbv", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: maxbv")

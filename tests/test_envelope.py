@@ -8,7 +8,6 @@ import pytest
 
 from maxbv import envelope
 from maxbv.envelope import (
-    MaximalProfile,
     MoebiusPiece,
     _breakpoint_values,
     _hull_links,
@@ -33,7 +32,7 @@ from maxbv.stepfn import (
 )
 from maxbv.cli import main
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import moebius_profile, rand_fraction, rand_stepfn
+from conftest import moebius_profile, profile_from_pieces, rand_fraction, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -227,7 +226,7 @@ def piece_variation(profile, a, b):
 
 def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkeypatch):
     # The build fills ends, end values and int forms straight from its cells;
-    # MaximalProfile(pieces) derives them from the pieces.  Both skeletons must
+    # profile_from_pieces derives them from the pieces.  Both skeletons must
     # read alike, and so must every walk over them, peaks included.
     isolate = envelope.isolate_quadratic_roots
     peaks = Counter()
@@ -250,7 +249,7 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
             assert all(type(v) is int for v in form)
             k = next(v / c for v, c in zip(form, coeffs(piece)) if c)
             assert k > 0 and form == tuple(k * c for c in coeffs(piece))
-        rebuilt = MaximalProfile(pieces)
+        rebuilt = profile_from_pieces(pieces)
         assert variation_of_profile(built) == variation_of_profile(rebuilt)
         assert variation_of_profile(built).lo == piece_variation(built, NEG_INF, POS_INF)
         marks = sorted({*f.breakpoints, *built.ends}) or [Fraction(0)]
@@ -732,7 +731,7 @@ def skewed_profile():
     for a, b, g, d, lo, hi in inner:
         pieces.append(MoebiusPiece(a, b, g, d, lo, hi, (a + b * lo) / (g + d * lo), (a + b * hi) / (g + d * hi), "hand-built"))
     first, last = pieces[0].lo_value, pieces[-1].hi_value
-    return MaximalProfile((
+    return profile_from_pieces((
         MoebiusPiece(first, 0, 1, 0, NEG_INF, Fraction(0), first, first, "hand-built"),
         *pieces,
         MoebiusPiece(last, 0, 1, 0, Fraction(5), POS_INF, last, last, "hand-built"),

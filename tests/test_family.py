@@ -1,0 +1,121 @@
+"""The perturbation family f + s*g on one lattice, against the slow path that
+canonicalizes f + s*g with ``combine`` and builds its profile from scratch."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import maxbv.stepfn as sf
+from maxbv import envelope
+from maxbv.envelope import PerturbationFamily, build_profile
+from maxbv.stepfn import StepFunction, combine
+from maxbv.verify import continuity_experiment, random_stepfn
+from conftest import rand_stepfn
+
+CHI_01 = StepFunction.indicator(0, 1)
+SCALES = [Fraction(1, 2**j) for j in range(15)]
+
+
+def assert_same_profile(built, reference):
+    assert built.ends == reference.ends
+    assert built.end_values == reference.end_values
+    for form, other in zip(built.int_forms, reference.int_forms, strict=True):
+        k = next(Fraction(v, w) for v, w in zip(form, other) if w)
+        assert k > 0 and form == tuple(k * w for w in other)
+    assert built.pieces == reference.pieces
+
+
+def test_family_profiles_match_combine_and_build():
+    # Small values on a half grid, so levels of f + s*g often cross
+    # zero at large s, adjacent levels coincide and combine drops merged
+    # breakpoints; the corpus must hit each case.
+    rng = random.Random(7)
+    seen = {"zero crossing": 0, "equal neighbours": 0, "dropped breakpoint": 0}
+    for _ in range(300):
+        f = rand_stepfn(rng, n_max=4, bound=2, denom=2, span=3)
+        g = rand_stepfn(rng, n_max=4, bound=2, denom=2, span=3)
+        family = PerturbationFamily(f, g)
+        merged = sorted({*f.breakpoints, *g.breakpoints})
+        for s in (Fraction(4), Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1)):
+            h = combine(f, g, 1, s)
+            assert_same_profile(family.profile(s), build_profile(h))
+            # The levels of f and of f + s*g on each merged segment.
+            levels = [(k.left_limit(t) for t in merged) for k in (f, h)]
+            pairs = [*zip(*levels), (f.constants[-1], h.constants[-1])]
+            seen["zero crossing"] += any(a * b < 0 or (a and not b) for a, b in pairs)
+            seen["equal neighbours"] += any(abs(a) == abs(b) for a, b in zip(h.constants, h.constants[1:]))
+            seen["dropped breakpoint"] += h.n < len(merged)
+    assert all(seen.values()), seen
+
+
+def test_family_drops_what_combine_drops():
+    # f + 1*g is the zero function: both merged breakpoints go, as in
+    # combine; at other scales they stay.
+    minus_chi = StepFunction.indicator(0, 1, value=-1)
+    family = PerturbationFamily(CHI_01, minus_chi)
+    for s in (Fraction(1), Fraction(1, 2), Fraction(3, 2)):
+        h = combine(CHI_01, minus_chi, 1, s)
+        assert h.n == (0 if s == 1 else 2)
+        assert_same_profile(family.profile(s), build_profile(h))
+    assert family.profile(1).end_values == (0, 0)
+
+
+class CombinedFamily:
+    """The slow path: ``combine`` and a build from scratch at every scale."""
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    def profile(self, s):
+        return build_profile(combine(self.f, self.g, 1, s))
+
+
+def test_continuity_report_matches_the_combine_path(monkeypatch):
+    rng = random.Random(11)
+    pairs = [(random_stepfn(2 * i), random_stepfn(2 * i + 1)) for i in range(12)]
+    pairs += [(rand_stepfn(rng, n_max=6), rand_stepfn(rng, n_max=6)) for _ in range(12)]
+    fast = [continuity_experiment(f, g, SCALES).to_tsv() for f, g in pairs]
+    monkeypatch.setattr(envelope, "PerturbationFamily", CombinedFamily)
+    assert [continuity_experiment(f, g, SCALES).to_tsv() for f, g in pairs] == fast
+
+
+def test_continuity_experiment_makes_no_combine_call(monkeypatch):
+    calls = []
+    combine_ = sf.combine
+
+    def counted(*args):
+        calls.append(args)
+        return combine_(*args)
+
+    monkeypatch.setattr(sf, "combine", counted)
+    f, g = random_stepfn(4), random_stepfn(5)
+    continuity_experiment(f, g, SCALES)
+    assert calls == []
+    sf.combine(f, g, 1, 1)  # the counter sees a call through the module
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("part", ["point", "level", "value"])
+def test_family_way_back_catches_a_lattice_one_unit_off(monkeypatch, part):
+    # One merged point, one of f's int levels or one of g's point values one
+    # unit off still makes a consistent lattice, so the builds and their
+    # checks could pass on it: the family's way back to f and g sees it.
+    f, g = random_stepfn(4), random_stepfn(5)
+    assert f.n >= 1 and g.n >= 1
+    PerturbationFamily(f, g).profile(Fraction(1, 2))
+    family_lattice = envelope._family_lattice
+
+    def moved(f, g):
+        points, scale, xs, (e_f, a, w_f, u), (e_g, b, w_g, v) = family_lattice(f, g)
+        if part == "point":
+            xs = [xs[0] + 1, *xs[1:]]
+        elif part == "level":
+            a = [*a[:1], a[1] + 1, *a[2:]]
+        else:
+            v = [*v[:-1], v[-1] + 1]
+        return points, scale, xs, (e_f, a, w_f, u), (e_g, b, w_g, v)
+
+    monkeypatch.setattr(envelope, "_family_lattice", moved)
+    with pytest.raises(AssertionError, match="family lattice disagrees"):
+        PerturbationFamily(f, g)
