@@ -243,10 +243,17 @@ def cmd_experiment(args) -> int:
             raise InputError(f"{path}:{line_no}: {exc}") from None
 
     scales = value("scales", "", _parse_scales)
-    precision = value("precision", "1/1000000000", _parse_positive, "precision")
-    threshold = value("threshold", "1/1000", _parse_positive, "threshold")
-    variation_gap = value("variation_gap", "1/1000", _parse_positive, "variation_gap")
-    tail_count = value("tail_count", "5", _parse_int, "tail_count", 1)
+    # Keys left out of the config take the defaults of continuity_experiment.
+    tuning = {
+        key: value(key, None, parse, *extra)
+        for key, parse, *extra in (
+            ("precision", _parse_positive, "precision"),
+            ("threshold", _parse_positive, "threshold"),
+            ("variation_gap", _parse_positive, "variation_gap"),
+            ("tail_count", _parse_int, "tail_count", 1),
+        )
+        if key in config
+    }
     seed = value("seed", "0", _parse_int, "seed")
     pairs = value("pairs", "1", _parse_int, "pairs", 1)
     target_norm = value("perturbation_norm", "1/8", _parse_norm)
@@ -269,10 +276,7 @@ def cmd_experiment(args) -> int:
     blocks = []
     all_pass = True
     for label, f, g in runs:
-        report = verify.continuity_experiment(
-            f, g, scales, precision=precision, threshold=threshold,
-            variation_gap=variation_gap, tail_count=tail_count,
-        )
+        report = verify.continuity_experiment(f, g, scales, **tuning)
         all_pass = all_pass and report.passed
         blocks.append(f"# run\t{label}\n" + report.to_tsv())
     _emit("".join(blocks), args.out)

@@ -44,16 +44,17 @@ f's own, and ``PerturbationFamily`` one for the whole family f + s*g.
 
 The family lattice is read once for f and g.  Fixed across scales are the
 merged breakpoints with their scale D (the lcm over all of them) and points
-X, f's signed int levels a in the unit e_f and g's b in e_g, and their
-values at the merged breakpoints; each is checked once against the rational
-it came from.  At a scale s = p/q only the levels L = |a*e_g*q + b*e_f*p|,
-the unit E = e_f*e_g*q and the sums P change, and a merged breakpoint
-where the value of f + s*g equals both neighbouring constants is dropped,
-as canonical form drops it.  E is a positive multiple of the lcm of the
-constant denominators of f + s*g, and D of its breakpoint denominators: the
-scaling stays positive in both coordinates, every output is a reduced
-Fraction, a sign or an int form up to a positive factor, and so the family's
-profiles are those of ``build_profile`` on f + s*g byte for byte.
+X, and f's signed int levels a in the unit e_f and g's b in e_g; each is
+checked once against the rational it came from.  At a scale s = p/q only
+the levels L = |a*e_g*q + b*e_f*p|, the unit E = e_f*e_g*q and the sums P
+change, and a merged breakpoint where the value of f + s*g equals both
+neighbouring constants is dropped, as canonical form drops it.  Only where
+the two signed levels are equal is that value read, on rationals.  E is a
+positive multiple of the lcm of the constant denominators of f + s*g, and D
+of its breakpoint denominators: the scaling stays positive in both
+coordinates, every output is a reduced Fraction, a sign or an int form up
+to a positive factor, and so the family's profiles are those of
+``build_profile`` on f + s*g byte for byte.
 
 A built profile is a skeleton read straight off the merged cells: each
 junction is one Fraction p/(q*D), each end value (the limits at -oo and +oo
@@ -63,13 +64,13 @@ anchored cell and (C, 0, E, 0) for a constant, a positive multiple of the
 piece, not reduced, so that every sign of the piece is a sign of its form.
 Distances, variations, the detachment set, point values and derivatives
 read only the skeleton.  The MoebiusPiece Fractions (alpha = A/(D*E),
-beta = L/E, gamma = -X/D) and their tags are made when a dump, the
-invariant suite's piece checks or a peak of a profile difference reads
-them.  Int passes check the way in and the way back: ``build_profile``
-that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b
-and c (a family, once, its own lattice against the rationals of f and g),
-and every build that every junction and end value is its cell's int pair;
-each piece's coefficients are checked against its cell where they are made.
+beta = L/E, gamma = -X/D) and their tags are made when a dump or the
+invariant suite's piece checks read them.  Int passes check the way in and the way
+back: ``build_profile`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
+for f's own rationals b and c (a family, once, its own lattice against the
+rationals of f and g), and every build that every junction and end value is
+its cell's int pair; each piece's coefficients are checked against its cell
+where they are made.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
 lattice walk (where an unbounded end is None): piece domains, region
@@ -91,10 +92,9 @@ junction is an int pair, and the exact part of the sum is summed on ints
 and made one Fraction.  The variation is an exact sum over the
 junctions of cells without a critical point; only the critical points
 (peaks) get brackets, narrowed to a certified rational enclosure of any
-requested precision.  A peak cell still takes its pieces' rational
-quadratic, which ``isolate_quadratic_roots`` scales to ints: a surd's
-bracket is sized by that scaling, so every enclosure stays the same until
-peaks are exact.  A rational critical point's bracket is the point itself,
+requested precision.  A peak cell reduces the int quadratic of its two
+forms to that of the two pieces, in lowest ints: a surd's bracket is sized
+by that scaling.  A rational critical point's bracket is the point itself,
 so its peak is exact.
 """
 
@@ -631,76 +631,50 @@ def _build(scale: int, unit: int, xs: List[int], ls: List[int], ps: List[int]) -
 # --- the perturbation family f + s*g -----------------------------------------
 
 
-def _on_points(h: StepFunction, points: Sequence[Rat]) -> Tuple[List[Rat], List[Rat]]:
-    """h read on the increasing points, which include its breakpoints: its
-    constant on each of the len(points) + 1 segments between them, and its
-    value at each point."""
-    bps, consts = h.breakpoints, h.constants
-    constants, values = [h.tail_left], []
-    i = 0
-    for x in points:
-        if i < len(bps) and bps[i] == x:
-            values.append(h.point_values[i])
-            i += 1
-        else:
-            values.append(consts[i])
-        constants.append(consts[i])
-    return constants, values
-
-
 def _family_lattice(f: StepFunction, g: StepFunction) -> tuple:
     """f and g on one lattice: the merged breakpoints b, their scale D (the
     lcm of their denominators) and points X = D*b, then for each of f and g
-    its unit e (the lcm of its constant denominators) with its signed
-    constants e*c on the merged segments, and its point unit w (the lcm over
-    its constants and point values) with its values w*v at the merged
-    breakpoints."""
+    its constants c on the merged segments, its unit e (the lcm of its
+    constant denominators) and its signed levels e*c."""
     points = sorted({*f.breakpoints, *g.breakpoints})
     scale = math.lcm(*[b.denominator for b in points])
     reads = []
     for h in (f, g):
-        constants, values = _on_points(h, points)
+        constants = [*[h.left_limit(t) for t in points], h.constants[-1]]
         unit = math.lcm(*[c.denominator for c in h.constants])
-        point_unit = math.lcm(unit, *[v.denominator for v in h.point_values])
-        reads.append((unit, _scaled(constants, unit), point_unit, _scaled(values, point_unit)))
+        reads.append((constants, unit, _scaled(constants, unit)))
     return (points, scale, _scaled(points, scale), *reads)
 
 
 class PerturbationFamily:
     """The profiles of f + s*g for rational s, built on one integer lattice.
 
-    The merged breakpoints and the signed int levels and point values of f
-    and g are read and checked once; ``profile(s)`` forms only the levels,
-    the unit and the sums P at s, and drops the merged breakpoints that
-    canonical form drops there.  Each profile is that of
-    ``build_profile(stepfn.combine(f, g, 1, s))`` byte for byte (see the
-    module docstring).
+    The merged breakpoints and the signed int levels of f and g are read and
+    checked once; ``profile(s)`` forms only the levels, the unit and the
+    sums P at s, and drops the merged breakpoints that canonical form drops
+    there, deciding on rationals only where two neighbouring levels are
+    equal.  Each profile is that of ``build_profile(stepfn.combine(f, g, 1,
+    s))`` byte for byte (see the module docstring).
     """
 
-    __slots__ = ("_scale", "_unit", "_xs", "_levels", "_values", "_ratio")
+    __slots__ = ("_f", "_g", "_points", "_scale", "_unit", "_xs", "_levels")
 
     def __init__(self, f: StepFunction, g: StepFunction):
-        points, scale, xs, (e_f, a, w_f, u), (e_g, b, w_g, v) = _family_lattice(f, g)
+        points, scale, xs, (cf, e_f, a), (cg, e_g, b) = _family_lattice(f, g)
         # The way back, once for the family: each int against the rational
         # it came from, read off f and g without the merge.
         for x, t in zip(xs, points, strict=True):
             if x * t.denominator != t.numerator * scale:
                 raise AssertionError("family lattice disagrees with the merged breakpoints")
-        for h, unit, levels, point_unit, values in ((f, e_f, a, w_f, u), (g, e_g, b, w_g, v)):
-            for ell, c in zip(levels, [*[h.left_limit(t) for t in points], h.constants[-1]], strict=True):
+        for constants, unit, levels in ((cf, e_f, a), (cg, e_g, b)):
+            for ell, c in zip(levels, constants, strict=True):
                 if ell * c.denominator != c.numerator * unit:
                     raise AssertionError("family lattice disagrees with the constants of f and g")
-            for w, t in zip(values, points, strict=True):
-                y = h.value(t)
-                if w * y.denominator != y.numerator * point_unit:
-                    raise AssertionError("family lattice disagrees with the point values of f and g")
+        self._f, self._g, self._points = f, g, points
         self._scale, self._unit, self._xs = scale, e_f * e_g, xs
         # At s = p/q, f + s*g on a merged segment is a*q + b*p in units of
-        # 1/(e_f*e_g*q), and at a merged breakpoint u*q + v*p in units of
-        # 1/(w_f*w_g*q); a level in the finer unit is ratio times its int.
+        # 1/(e_f*e_g*q).
         self._levels = [(ca * e_g, cb * e_f) for ca, cb in zip(a, b)]
-        self._values = [(cu * w_g, cv * w_f) for cu, cv in zip(u, v)]
-        self._ratio = (w_f // e_f) * (w_g // e_g)
 
     def profile(self, s) -> MaximalProfile:
         """The profile of f + s*g."""
@@ -708,14 +682,18 @@ class PerturbationFamily:
         p, q = s.numerator, s.denominator
         signed = [a * q + b * p for a, b in self._levels]
         xs, ls = self._xs, [abs(level) for level in signed]
+        # A merged breakpoint goes where f + s*g there equals both
+        # neighbouring levels; only equal neighbours need the point value.
+        unit = self._unit * q
+        f, g = self._f, self._g
         drops = {
-            k for k, (a, b) in enumerate(self._values)
-            if signed[k] == signed[k + 1] and a * q + b * p == signed[k] * self._ratio
+            k for k, t in enumerate(self._points)
+            if signed[k] == signed[k + 1] and f.value(t) + s * g.value(t) == Fraction(signed[k], unit)
         }
         if drops:
             kept = [k for k in range(len(xs)) if k not in drops]
             xs, ls = [xs[k] for k in kept], [ls[0], *[ls[k + 1] for k in kept]]
-        return _build(self._scale, self._unit * q, xs, ls, _antiderivative(xs, ls))
+        return _build(self._scale, unit, xs, ls, _antiderivative(xs, ls))
 
 
 def _cell_pieces(
@@ -928,13 +906,16 @@ def variation_of_difference(
     point is located by sign, without narrowing: the cell holds one exactly
     when q has opposite nonzero signs at its ends (at an infinite end, the
     sign of q's leading term there), and the sign at s is the sign of d'
-    left of it.  Only such a cell reads the two pieces, isolates the roots of
-    q and keeps the one inside as a peak.  It takes q from the pieces'
-    rationals, which ``isolate_quadratic_roots`` scales to ints: a surd's
-    bracket width is 1/(2a), so that scaling fixes every enclosure end.  Each
-    round narrows the peaks' brackets, which encloses d there.  A rational
-    root's bracket is the point itself, so its peak term is exact from the
-    first round on.
+    left of it.  Only such a cell isolates the roots of q and keeps the one
+    inside as a peak.  It first divides q by gcd(q, (k1*k2)**2), with k a
+    form's delta (gamma for a constant), its factor over its piece: that is
+    the critical quadratic of the pieces, which have delta = 1 (gamma = 1),
+    times the lcm of its denominators, the ints ``integer_quadratic`` makes
+    of it.  A surd's bracket width is 1/(2a), so that scaling fixes every
+    enclosure end.  Each round narrows the peaks' brackets, which encloses d
+    there, and reads the poles' signs and the values at the bracket ends off
+    the two int forms.  A rational root's bracket is the point itself, so
+    its peak term is exact from the first round on.
     """
     precision = rat(precision)
     if precision <= 0:
@@ -945,7 +926,7 @@ def variation_of_difference(
     i = j = 0
     s: End = NEG_INF
     exact = (0, 1)
-    # (root, m1, m2, d(s), d(t), sign of d' left of the root)
+    # (root, form1, form2, d(s), d(t), sign of d' left of the root)
     peaks: List[list] = []
     d_s = _pair(p1.end_values[0] - p2.end_values[0])
     while True:
@@ -961,12 +942,14 @@ def variation_of_difference(
         if rise * at_t < 0:
             # One root lies inside.  Left of the low root q has the sign of its
             # leading coefficient, between the roots the other sign; a linear
-            # q has a single root.
-            m1, m2 = p1.pieces[i], p2.pieces[j]
-            q = _difference_critical_quadratic(m1.coefficients, m2.coefficients)
+            # q has a single root.  A form is k > 0 times its piece, k its
+            # delta (its gamma for a constant): q over gcd(q, (k1*k2)**2) is
+            # the pieces' own q in lowest ints, which sizes a surd's bracket.
+            common = math.gcd(*q, ((form1[3] or form1[2]) * (form2[3] or form2[2])) ** 2)
+            q = tuple([c // common for c in q])
             roots = isolate_quadratic_roots(q)
             root = roots[0] if rise == sign(q[0]) else roots[-1]
-            peaks.append([root, m1, m2, Fraction(*d_s), Fraction(*d_t), rise])
+            peaks.append([root, form1, form2, Fraction(*d_s), Fraction(*d_t), rise])
         elif _both_roots_within(q, s, t, rise, at_t):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
@@ -982,16 +965,17 @@ def variation_of_difference(
     while True:
         lo_sum = hi_sum = exact
         for peak in peaks:
-            av, m1, m2, d_s, d_t, rise = peak
+            av, form1, form2, d_s, d_t, rise = peak
             av = av.refine_below(width)
             while True:
-                signs = [sign(m.gamma + m.delta * edge) for m in (m1, m2) for edge in (av.lo, av.hi)]
+                at = [_form_at(form, edge) for form in (form1, form2) for edge in (av.lo, av.hi)]
+                signs = [sign(den) for _, den in at]
                 if 0 not in signs and signs[0] == signs[1] and signs[2] == signs[3]:
                     break
                 av = av.refine_below(av.width / 4)
             peak[0] = av
-            vals1 = sorted((m1.value_at(av.lo), m1.value_at(av.hi)))
-            vals2 = sorted((m2.value_at(av.lo), m2.value_at(av.hi)))
+            vals1 = sorted((Fraction(*at[0]), Fraction(*at[1])))
+            vals2 = sorted((Fraction(*at[2]), Fraction(*at[3])))
             top_lo, top_hi = vals1[0] - vals2[1], vals1[1] - vals2[0]
             if rise < 0:  # a valley: mirror it into a peak
                 top_lo, top_hi, d_s, d_t = -top_hi, -top_lo, -d_s, -d_t

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
 from .exact import Rat, format_rat, parse_rat, rat
@@ -97,9 +98,10 @@ class StepFunction:
     def n(self) -> int:
         return len(self.breakpoints)
 
-    @property
+    @cached_property
     def constants(self) -> Tuple[Rat, ...]:
-        """Constant values on the n+1 open segments, left tail first."""
+        """Constant values on the n+1 open segments, left tail first, made
+        on first read."""
         return (self.tail_left, *self.right_constants)
 
     def value(self, x) -> Rat:

@@ -354,13 +354,15 @@ def continuity_experiment(
 
     Every f_j is built on one ``envelope.PerturbationFamily`` lattice.  Read
     once: the merged breakpoints of f and the perturbation, their scale D
-    and points X, and the signed int levels and point values of both
-    functions, each checked against the rational it came from.  Per scale
-    s = p/q: the levels |f + s*g| in the unit E = e_f*e_g*q, the
-    antiderivative values and any breakpoint that canonical form would drop
-    there.  E is a positive multiple of the lcm that ``build_profile`` would
-    take on ``stepfn.combine(f, perturbation, 1, s)``, and every reported
-    value is a reduced Fraction, so the report is the same byte for byte.
+    and points X, and the signed int levels of both functions, each checked
+    against the rational it came from.  Per scale s = p/q: the levels
+    |f + s*g| in the unit E = e_f*e_g*q, the antiderivative values and any
+    breakpoint that canonical form would drop there, read on rationals only
+    between two equal levels.  E is a positive multiple of the lcm that
+    ``build_profile`` would take on ``stepfn.combine(f, perturbation, 1, s)``,
+    and every reported value is a reduced Fraction, so the report is the
+    same byte for byte.  The distances read only the profiles' skeletons,
+    peaks included, and make no ``MoebiusPiece``.
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s <= 0 for s in scales):

@@ -1,6 +1,7 @@
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,25 @@ def test_experiment_default_perturbation_norm_is_one_eighth(tmp_path, capsys):
     explicit = _experiment(tmp_path, keys + "perturbation_norm=1/8\n")
     assert implicit == explicit
     assert implicit_out == capsys.readouterr().out
+
+
+def test_experiment_leaves_unset_keys_to_the_experiment_defaults(tmp_path, capsys, monkeypatch):
+    # The defaults of precision, threshold, variation_gap and tail_count live
+    # in the signature of continuity_experiment alone.
+    from maxbv import verify
+
+    calls = []
+    experiment = verify.continuity_experiment
+
+    def recorded(f, g, scales, **tuning):
+        calls.append(tuning)
+        return experiment(f, g, scales, **tuning)
+
+    monkeypatch.setattr(verify, "continuity_experiment", recorded)
+    assert _experiment(tmp_path, "scales=1,1/2\n") in (0, 1)
+    assert _experiment(tmp_path, "scales=1,1/2\nthreshold=1/4\ntail_count=2\n") in (0, 1)
+    capsys.readouterr()
+    assert calls == [{}, {"threshold": Fraction(1, 4), "tail_count": 2}]
 
 
 @pytest.mark.parametrize("command", ["var", "check"])

@@ -284,9 +284,9 @@ def counted_pieces_and_tags(monkeypatch):
 
 
 def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
-    # BV distances without a peak, profile variations, the detachment set,
-    # point values and derivatives read only the skeleton: no MoebiusPiece
-    # and no constant tag is made.
+    # BV distances, profile variations, the detachment set, point values
+    # and derivatives read only the skeleton: no MoebiusPiece and no
+    # constant tag is made.
     counts = counted_pieces_and_tags(monkeypatch)
     scales = [Fraction(1, 2**j) for j in range(6)]
     continuity_experiment(TWO_BUMP, StepFunction.indicator(1, 2), scales)
@@ -305,9 +305,17 @@ def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
             if inside not in profile.ends:
                 profile_derivative(profile, inside)
     assert counts == Counter()
-    # A distance with a peak reads the two pieces there, and so makes them.
+    # A distance with a peak isolates the roots of its int forms' critical
+    # quadratic, and still makes no piece and no tag.
+    isolate = envelope.isolate_quadratic_roots
+
+    def counted_isolate(q):
+        counts["isolations"] += 1
+        return isolate(q)
+
+    monkeypatch.setattr(envelope, "isolate_quadratic_roots", counted_isolate)
     continuity_experiment(random_stepfn(10, n_max=9), random_stepfn(1010, n_max=9), scales)
-    assert counts["pieces"] > 0 and counts["tags"] > 0
+    assert counts["isolations"] > 0 and counts["pieces"] == counts["tags"] == 0
 
 
 @pytest.mark.parametrize("part", ["ends", "end_values"])

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -40,6 +41,16 @@ def test_construction_rejects_bad_shapes():
         StepFunction(0, (0, 0), (1, 1), (1, 0))
     with pytest.raises(ValueError):
         StepFunction(0, (0,), (1, 2), (1,))
+
+
+def test_constants_are_made_once_and_leave_equality_alone():
+    f = StepFunction(1, (0, 2), (3, 1), (Fraction(1, 2), -1))
+    assert f.constants is f.constants
+    assert f.constants == (1, Fraction(1, 2), -1)
+    twin = StepFunction(1, (0, 2), (3, 1), (Fraction(1, 2), -1))
+    assert f == twin and hash(f) == hash(twin)
+    assert pickle.loads(pickle.dumps(f)) == twin == pickle.loads(pickle.dumps(twin))
+    assert f.value(1) == Fraction(1, 2) and f.left_limit(0) == 1 and f.right_limit(2) == -1
 
 
 def test_combine_identity_cancellation_disjoint():
