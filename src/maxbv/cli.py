@@ -27,6 +27,10 @@ from .stepfn import StepFunction, StepFunctionParseError
 
 PASS, CHECK_FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
 
+# The most digits --decimal renders: far more than anyone reads, and the
+# rendering stays below Python's limit on the digits of an int.
+DECIMAL_DIGITS_MAX = 1000
+
 
 class InputError(Exception):
     pass
@@ -53,12 +57,17 @@ def _parse_positive(text: str, key: str) -> Fraction:
     return value
 
 
-def _parse_int(text: str, name: str, minimum: Optional[int] = None) -> int:
+def _parse_int(text: str, name: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise InputError(f"{name} must be an integer, not {text!r}")
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # past Python's limit on the digits of an int
+        raise InputError(f"{name} has too many digits ({len(text.lstrip('-'))})") from None
     if minimum is not None and value < minimum:
         raise InputError(f"{name} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{name} must be at most {maximum}")
     return value
 
 
@@ -309,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     def add_decimal(p):
-        p.add_argument("--decimal", type=_option(_parse_int, "K", 1), metavar="K",
-                       help="add a K-digit decimal rendering column (K >= 1)")
+        p.add_argument("--decimal", type=_option(_parse_int, "K", 1, DECIMAL_DIGITS_MAX), metavar="K",
+                       help=f"add a K-digit decimal rendering column (1 <= K <= {DECIMAL_DIGITS_MAX})")
 
     p = sub.add_parser("eval", help="maximal-function value and witness at a point")
     add_common(p)

@@ -1,7 +1,10 @@
 """Exact scalars: arbitrary-precision rationals and quadratic surds.
 
 Rationals are ``fractions.Fraction``: canonical form (positive denominator,
-reduced), exact total arithmetic, arbitrary-precision integers.
+reduced), exact total arithmetic, arbitrary-precision integers.  Their text
+form goes through ints both ways: ``parse_rat`` takes p and q from the groups
+of its one regex match, and ``format_rat`` prints a Fraction's numerator and
+denominator as they are.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
 points of a difference of two profiles, with a dyadic bracket that one
 ``math.isqrt`` gives in closed form.  Where a root lies is never asked of
@@ -21,7 +24,7 @@ from typing import List, Optional, Tuple
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rat(numerator, denominator=1) -> Rat:
@@ -35,15 +38,21 @@ def rat(numerator, denominator=1) -> Rat:
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse the canonical text form 'p' or 'p/q' with q > 0."""
-    if not _RAT_RE.fullmatch(text):
+    """Parse the text form 'p' or 'p/q' with q > 0, reading the ints off
+    the one match."""
+    match = _RAT_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"malformed rational {text!r} (expected 'p' or 'p/q', q > 0)")
-    return Fraction(text)
+    p, q = match.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def format_rat(value) -> str:
     """Canonical text form: 'p' or 'p/q' with q > 0, and '-inf'/'inf' for
     the two infinities; finite floats are rejected."""
+    if type(value) is Fraction:
+        p, q = value.numerator, value.denominator
+        return f"{p}/{q}" if q != 1 else str(p)
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"

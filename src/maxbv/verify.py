@@ -462,7 +462,7 @@ def _check_modulus_identity(f, ctx):
     for a, b in windows:
         lhs = sf.variation_on(f, a, b) - sf.variation_on(sf.modulus(f), a, b)
         if lhs != sf.modulus_defect(f, a, b):
-            return False, f"window ({a},{b})"
+            return False, f"window ({format_rat(a)},{format_rat(b)})"
     return True, ""
 
 

@@ -349,6 +349,46 @@ def test_decimal_needs_a_positive_digit_count(chi_file, capsys, digits):
     assert "--decimal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", ["1001", "4301", "100000000"])
+def test_decimal_above_its_bound_is_bad_input_before_any_work(chi_file, capsys, digits):
+    assert main(["eval", "--file", chi_file, "--x", "2", "--decimal", digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --decimal: K must be at most 1000" in captured.err
+
+
+def test_decimal_at_its_bound_renders(chi_file, capsys):
+    assert main(["eval", "--file", chi_file, "--x", "3", "--decimal", "1000"]) == 0
+    assert capsys.readouterr().out == "1/3 finite(0,3)\t0." + "3" * 1000 + "\n"
+
+
+LONG_INT = "9" * 5000
+
+
+def test_seeds_past_the_int_digit_limit_are_bad_input(capsys):
+    assert main(["check", "--seeds", f"0:{LONG_INT}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --seeds '0:999")
+    assert "internal error" not in captured.err
+
+
+def test_config_int_past_the_digit_limit_names_its_line(tmp_path, capsys):
+    config = tmp_path / "big.cfg"
+    config.write_text(f"seed=0\ntail_count={LONG_INT}\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:2: tail_count has too many digits (5000)\n"
+
+
+def test_point_past_the_int_digit_limit_is_bad_input(chi_file, capsys):
+    assert main(["eval", "--file", chi_file, "--x", LONG_INT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit (4300 digits)")
+
+
 @pytest.mark.parametrize("command", ["profile", "e-set", "check", "counterexample"])
 def test_decimal_only_on_eval_and_var(chi_file, capsys, command):
     args = {"check": ["--seeds", "1"], "counterexample": ["--n", "3"]}.get(command, ["--file", chi_file])
