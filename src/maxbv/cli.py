@@ -18,12 +18,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
-from . import envelope as env
+from . import _lazy
 from . import stepfn as sf
-from . import verify
 from .exact import decimal_str, format_rat, parse_rat
 from .maximal import maximal_value
 from .stepfn import StepFunction, StepFunctionParseError
+
+# The profile engine and the oracles load on first use: an eval reads neither.
+env = _lazy("envelope")
+verify = _lazy("verify")
 
 PASS, CHECK_FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
 

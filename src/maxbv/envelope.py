@@ -39,8 +39,10 @@ every orientation test, and with it every hull link, and every comparison
 of the walk come out as they would on the rationals.  The self-checks run
 on the lattice too: the junctions and breakpoint values are compared by
 cross-multiplication.  The build body takes any lattice (D, E, X, L, P)
-whose D and E are positive multiples of those lcms: ``build_profile`` makes
-f's own, and ``PerturbationFamily`` one for the whole family f + s*g.
+whose D and E are positive multiples of those lcms: ``build_profile`` reads
+f's own, ``StepFunction.lattice``, made once per function, checked there
+and shared with the pointwise engine ``maximal.maximal_value``, and
+``PerturbationFamily`` makes one for the whole family f + s*g.
 
 The family lattice is read once for f and g.  Fixed across scales are the
 merged breakpoints with their scale D (the lcm over all of them) and points
@@ -66,11 +68,11 @@ Distances, variations, the detachment set, point values and derivatives
 read only the skeleton.  The MoebiusPiece Fractions (alpha = A/(D*E),
 beta = L/E, gamma = -X/D) and their tags are made when a dump or the
 invariant suite's piece checks read them.  Int passes check the way in and the way
-back: ``build_profile`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
-for f's own rationals b and c (a family, once, its own lattice against the
-rationals of f and g), and every build that every junction and end value is
-its cell's int pair; each piece's coefficients are checked against its cell
-where they are made.
+back: ``StepFunction.lattice`` that X*den(b) = num(b)*D and
+L*den(c) = |num(c)|*E for f's own rationals b and c when it is made (a
+family, once, its own lattice against the rationals of f and g), and every
+build that every junction and end value is its cell's int pair; each
+piece's coefficients are checked against its cell where they are made.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
 lattice walk (where an unbounded end is None): piece domains, region
@@ -107,7 +109,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, isolate_quadratic_roots, rat, sign
-from .stepfn import NEG_INF, POS_INF, StepFunction, _endpoint
+from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint, _scaled
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
 # with).  The infinities are the only floats, so the hot loops tell an infinite
@@ -495,32 +497,6 @@ def _constant_tag(
     raise AssertionError("segment constant matches no candidate")
 
 
-def _scaled(values: Sequence[Rat], k: int) -> List[int]:
-    """The ints k*v, for k a common multiple of the values' denominators."""
-    return [v.numerator * (k // v.denominator) for v in values]
-
-
-def _antiderivative(xs: Sequence[int], ls: Sequence[int]) -> List[int]:
-    """P = D*E*F at the points X, with F the antiderivative of the levels
-    L/E based at the first point."""
-    ps = [0]
-    for k in range(1, len(xs)):
-        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
-    return ps
-
-
-def _lattice(f: StepFunction) -> Tuple[int, int, List[int], List[int], List[int]]:
-    """f on its integer lattice: the scale D (lcm of the breakpoint
-    denominators), the unit E (lcm of the |constant| denominators), the
-    points X = D*b, the levels L = E*|c| and P = D*E*F(b) at the
-    breakpoints, with F the antiderivative of |f| based at the first one."""
-    scale = math.lcm(*[b.denominator for b in f.breakpoints])
-    unit = math.lcm(*[c.denominator for c in f.constants])
-    xs = _scaled(f.breakpoints, scale)
-    ls = [abs(c.numerator) * (unit // c.denominator) for c in f.constants]
-    return scale, unit, xs, ls, _antiderivative(xs, ls)
-
-
 def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
     """The candidate at x as a pair (num, den) of ints, in units of 1/E; at
     an infinite end (None), its limit there: beta/delta (delta = 1) or the
@@ -539,19 +515,12 @@ def _fractions(pairs: Sequence[Tuple[int, int]]) -> Tuple[Rat, ...]:
 
 
 def build_profile(f: StepFunction) -> MaximalProfile:
-    """Assemble the exact global profile of the maximal function of f."""
-    scale, unit, xs, ls, ps = _lattice(f)
-    # The way back, in one int pass: the lattice is f's own rationals scaled.
-    for x, b in zip(xs, f.breakpoints):
-        if x * b.denominator != b.numerator * scale:
-            raise AssertionError("lattice disagrees with the breakpoints of f")
-    for ell, c in zip(ls, f.constants):
-        if ell * c.denominator != abs(c.numerator) * unit:
-            raise AssertionError("lattice disagrees with the constants of f")
-    return _build(scale, unit, xs, ls, ps)
+    """Assemble the exact global profile of the maximal function of f, on
+    f's own lattice (checked against f's rationals when it was made)."""
+    return _build(*f.lattice)
 
 
-def _build(scale: int, unit: int, xs: List[int], ls: List[int], ps: List[int]) -> MaximalProfile:
+def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequence[int]) -> MaximalProfile:
     """The profile on a lattice: the scale D > 0, the unit E > 0, the
     increasing points X = D*b, the n + 1 levels L = E*|c| and P = D*E*F(b).
     Any positive multiples of the lcms serve as D and E (see

@@ -4,7 +4,8 @@ Rationals are ``fractions.Fraction``: canonical form (positive denominator,
 reduced), exact total arithmetic, arbitrary-precision integers.  Their text
 form goes through ints both ways: ``parse_rat`` takes p and q from the groups
 of its one regex match, and ``format_rat`` prints a Fraction's numerator and
-denominator as they are.
+denominator as they are, through ``decimal`` past Python's limit on the
+digits of an int's text.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
 points of a difference of two profiles, with a dyadic bracket that one
 ``math.isqrt`` gives in closed form.  Where a root lies is never asked of
@@ -47,17 +48,33 @@ def parse_rat(text: str) -> Rat:
     return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
+def _digits(n: int) -> str:
+    """The decimal text of the int n.  ``str`` refuses an int with more
+    digits than ``sys.get_int_max_str_digits()`` allows (a ValueError, and
+    only then); such an int is printed through ``decimal``, whose
+    conversions have no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(n))
+
+
 def format_rat(value) -> str:
     """Canonical text form: 'p' or 'p/q' with q > 0, and '-inf'/'inf' for
     the two infinities; finite floats are rejected."""
-    if type(value) is Fraction:
-        p, q = value.numerator, value.denominator
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            if math.isinf(value):
+                return "inf" if value > 0 else "-inf"
+            raise TypeError("refusing float input; exact arithmetic only")
+        value = Fraction(value)
+    p, q = value.numerator, value.denominator
+    try:
         return f"{p}/{q}" if q != 1 else str(p)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        raise TypeError("refusing float input; exact arithmetic only")
-    return str(Fraction(value))
+    except ValueError:  # past the digit limit of str
+        return f"{_digits(p)}/{_digits(q)}" if q != 1 else _digits(p)
 
 
 def decimal_str(value, digits: int = 9) -> str:
@@ -65,11 +82,11 @@ def decimal_str(value, digits: int = 9) -> str:
     q = Fraction(value)
     if digits <= 0:
         units = (2 * abs(q.numerator) + q.denominator) // (2 * q.denominator)
-        return ("-" if q < 0 and units else "") + str(units)
+        return ("-" if q < 0 and units else "") + _digits(units)
     scale = 10**digits
     units = (2 * abs(q.numerator) * scale + q.denominator) // (2 * q.denominator)
     sign_text = "-" if q < 0 and units else ""
-    text = str(units).rjust(digits + 1, "0")
+    text = _digits(units).rjust(digits + 1, "0")
     return f"{sign_text}{text[:-digits]}.{text[-digits:]}"
 
 

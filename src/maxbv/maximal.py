@@ -19,6 +19,18 @@ instead of O(n^2), with the same value, the same "finite, then shorter, then
 leftmost" witness (a best straddling interval always has a strictly shorter
 best half), and the same one-sided witness.
 
+The scan runs on f's integer lattice (``StepFunction.lattice``, cached on f
+and shared with the profile build): the scale D, the unit E, the points
+X = D*b, the levels L = E*|c| and the sums P = D*E*F(b) of the
+antiderivative F of |f|.  With x = p/q, the breakpoints below x and up to x
+are counted (lo and hi) by bisecting the ints X against D*p/q.  With
+j = max(lo - 1, 0), the int Y = q*P_j + L_lo*(D*p - q*X_j) is q*D*E*F(x), so
+a left anchor i averages (Y - q*P_i)/(E*(D*p - q*X_i)) and a right anchor
+(q*P_i - Y)/(E*(q*X_i - D*p)).  The second factor of each denominator is
+the interval's length times D*q, so averages and lengths compare by
+cross-multiplication, and the four limits are the levels L_0, L_n, L_lo and
+L_hi, all in units of 1/E.  A Fraction is made only for the winner.
+
 Queries are rational only.  Between-breakpoint structure at irrational
 points is answered symbolically by the envelope module instead.
 """
@@ -27,12 +39,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional
 
 from .exact import Rat, format_rat, rat
 from .stepfn import AbsIntegral, StepFunction
 
-_LIMIT_ORDER = {"tail_left": 0, "tail_right": 1, "shrink_left": 2, "shrink_right": 3}
+_LIMIT_KINDS = ("tail_left", "tail_right", "shrink_left", "shrink_right")
+_LIMIT_ORDER = {kind: k for k, kind in enumerate(_LIMIT_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -120,40 +134,44 @@ def maximal_value(f: StepFunction, x) -> MaximalValue:
     """
     x = rat(x)
     bps = f.breakpoints
-    abs_consts = [abs(c) for c in f.constants]
-    finite = None  # (average, -length, -left end, left end, right end)
-    # Walk outward from x, accumulating the integral of |f| over (bp, x) and
-    # then over (x, bp); constant k lies between breakpoints k - 1 and k.
-    area, edge = 0, x
-    for k in range(bisect_left(bps, x) - 1, -1, -1):
-        area += abs_consts[k + 1] * (edge - bps[k])
-        edge = bps[k]
-        key = (area / (x - edge), edge - x, -edge, edge, x)
-        if finite is None or key > finite:
-            finite = key
-    area, edge = 0, x
-    for k in range(bisect_right(bps, x), len(bps)):
-        area += abs_consts[k] * (bps[k] - edge)
-        edge = bps[k]
-        key = (area / (edge - x), x - edge, -x, x, edge)
-        if finite is None or key > finite:
-            finite = key
-    shrink_left, shrink_right = abs(f.left_limit(x)), abs(f.right_limit(x))
-    limits = (
-        ("tail_left", abs_consts[0]),
-        ("tail_right", abs_consts[-1]),
-        ("shrink_left", shrink_left),
-        ("shrink_right", shrink_right),
-    )
-    best = max(value for _, value in limits)
-    if finite is not None and finite[0] >= best:
-        best = finite[0]
-        witness = WitnessInterval("finite", best, finite[3], finite[4])
-    else:
-        witness = WitnessInterval(next(kind for kind, value in limits if value == best), best)
-    one_sided = None
-    if best > max(shrink_left, shrink_right) and best > maximal_limit_at_infinity(f):
-        if witness.kind != "finite":
-            raise AssertionError("candidate family lost its one-sided witness")
-        one_sided = witness
-    return MaximalValue(best, witness, one_sided)
+    n = len(bps)
+    scale, unit, xs, ls, ps = f.lattice
+    p, q = x.numerator, x.denominator
+    dp = scale * p
+    # lo and hi count the points X below and up to D*x = dp/q, on ints:
+    # with dp = t*q + r, an int X lies below dp/q when X < t, or when X = t
+    # and r > 0.
+    t, r = divmod(dp, q)
+    hi = bisect_right(xs, t)
+    lo = hi if r else bisect_left(xs, t, 0, hi)
+    # The best anchored interval so far: its average is num/(E*den) and its
+    # length den/(D*q), so (-1, 1) is below every average.
+    best_num, best_den, anchor = -1, 1, None
+    if n:
+        # Y = q*D*E*F(x), from the last breakpoint left of x (or the first).
+        j = max(lo - 1, 0)
+        y = q * ps[j] + ls[lo] * (dp - q * xs[j])
+        # Walking outward the intervals grow, so a tie keeps the shorter.
+        for i in range(lo - 1, -1, -1):
+            num, den = y - q * ps[i], dp - q * xs[i]
+            if num * best_den > best_num * den:
+                best_num, best_den, anchor = num, den, i
+        # A right anchor beats a left one of the same average only when it
+        # is shorter: at equal lengths the left one lies further left.
+        for i in range(hi, n):
+            num, den = q * ps[i] - y, q * xs[i] - dp
+            order = num * best_den - best_num * den
+            if order > 0 or (order == 0 and den < best_den):
+                best_num, best_den, anchor = num, den, i
+    # The four limits in units of 1/E, in their order of preference.
+    limits = (ls[0], ls[-1], ls[lo], ls[hi])
+    top = max(limits)
+    if anchor is not None and best_num >= top * best_den:
+        a, b = (bps[anchor], x) if anchor < lo else (x, bps[anchor])
+        witness = WitnessInterval("finite", Fraction(best_num, unit * best_den), a, b)
+        # Above every limit, the anchored witness is also the one-sided one.
+        one_sided = witness if best_num > top * best_den else None
+        return MaximalValue(witness.value, witness, one_sided)
+    kind = limits.index(top)
+    value = abs(f.constants[(0, n, lo, hi)[kind]])
+    return MaximalValue(value, WitnessInterval(_LIMIT_KINDS[kind], value))

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import Rat, format_rat, parse_rat, rat
 
@@ -99,6 +99,24 @@ class StepFunction:
         return len(self.breakpoints)
 
     @cached_property
+    def lattice(self) -> "Lattice":
+        """f on its integer lattice, made on first read: the scale D (lcm of
+        the breakpoint denominators), the unit E (lcm of the |constant|
+        denominators), the points X = D*b, the n + 1 levels L = E*|c| and
+        P = D*E*F(b) at the breakpoints, with F the antiderivative of |f|
+        based at the first one.  The pointwise engine and the profile build
+        both read it.  It is checked once against f's own rationals when it
+        is made (the way back), in one int pass."""
+        scale, unit, xs, ls, ps = _lattice(self)
+        for x, b in zip(xs, self.breakpoints, strict=True):
+            if x * b.denominator != b.numerator * scale:
+                raise AssertionError("lattice disagrees with the breakpoints of f")
+        for ell, c in zip(ls, self.constants, strict=True):
+            if ell * c.denominator != abs(c.numerator) * unit:
+                raise AssertionError("lattice disagrees with the constants of f")
+        return scale, unit, xs, ls, ps
+
+    @cached_property
     def constants(self) -> Tuple[Rat, ...]:
         """Constant values on the n+1 open segments, left tail first, made
         on first read."""
@@ -119,6 +137,33 @@ class StepFunction:
 
     def __call__(self, x) -> Rat:
         return self.value(x)
+
+
+# (D, E, X, L, P): see ``StepFunction.lattice``.
+Lattice = Tuple[int, int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+
+
+def _scaled(values: Sequence[Rat], k: int) -> Tuple[int, ...]:
+    """The ints k*v, for k a common multiple of the values' denominators."""
+    return tuple([v.numerator * (k // v.denominator) for v in values])
+
+
+def _antiderivative(xs: Sequence[int], ls: Sequence[int]) -> Tuple[int, ...]:
+    """P = D*E*F at the points X, with F the antiderivative of the levels
+    L/E based at the first point."""
+    ps = [0]
+    for k in range(1, len(xs)):
+        ps.append(ps[-1] + ls[k] * (xs[k] - xs[k - 1]))
+    return tuple(ps)
+
+
+def _lattice(f: StepFunction) -> Lattice:
+    """The lattice of ``StepFunction.lattice``, before its way-back check."""
+    scale = math.lcm(*[b.denominator for b in f.breakpoints])
+    unit = math.lcm(*[c.denominator for c in f.constants])
+    xs = _scaled(f.breakpoints, scale)
+    ls = tuple([abs(c.numerator) * (unit // c.denominator) for c in f.constants])
+    return scale, unit, xs, ls, _antiderivative(xs, ls)
 
 
 def combine(f: StepFunction, g: StepFunction, alpha=1, beta=1) -> StepFunction:

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# Envelope names are read through the module, so that the divergence
+# family, which builds no profile, never loads it (see ``maxbv._lazy``).
 from . import envelope as env
 from . import maximal as mx
 from . import stepfn as sf
-from .envelope import VariationEnclosure
 from .exact import Rat, format_rat, rat
 from .stepfn import AbsIntegral, StepFunction
 
@@ -265,8 +266,8 @@ class ExperimentRow:
     index: int
     scale: Rat
     delta_norm: Rat
-    distance: VariationEnclosure
-    variation: VariationEnclosure
+    distance: env.VariationEnclosure
+    variation: env.VariationEnclosure
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ class ContinuityReport:
     """
 
     rows: Tuple[ExperimentRow, ...]
-    base_variation: VariationEnclosure
+    base_variation: env.VariationEnclosure
     threshold: Rat
     variation_gap: Rat
     tail_count: int

@@ -42,6 +42,23 @@ def rand_stepfn(rng, n_max=5, bound=3, denom=4, span=8):
     return StepFunction(tail, tuple(bps), tuple(vals), tuple(cons))
 
 
+def exact_n_stepfn(rng, n):
+    """A step function with exactly n breakpoints, one per 4-wide slot, and
+    tails of size at most 1 below interior values of size up to 3, so that
+    long intervals often carry the maximal function."""
+    bps = [4 * k + Fraction(rng.randrange(16), 4) for k in range(n)]
+    tail = rand_fraction(rng, bound=1)
+    constants = []
+    for k in range(n):
+        previous = constants[-1] if constants else tail
+        c = previous
+        while c == previous:  # keeps every breakpoint
+            c = rand_fraction(rng, bound=1 if k == n - 1 else 3)
+        constants.append(c)
+    values = [rand_fraction(rng) for _ in range(n)]
+    return StepFunction(tail, bps, values, constants)
+
+
 def sweep_variation(f, a, b, rounds=4):
     """Partition-refinement lower bounds for Var_(a,b): nondecreasing in the
     round count, converging to the true value for step functions."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxbv import envelope
+from maxbv import envelope, stepfn
 from maxbv.envelope import (
     MoebiusPiece,
     _breakpoint_values,
@@ -32,7 +32,7 @@ from maxbv.stepfn import (
 )
 from maxbv.cli import main
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import moebius_profile, profile_from_pieces, rand_fraction, rand_stepfn
+from conftest import exact_n_stepfn, moebius_profile, profile_from_pieces, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -84,25 +84,8 @@ def test_profile_agrees_with_engine_on_dense_samples():
             assert profile.value(x) == maximal_value(f, x).value
 
 
-def exact_n_stepfn(rng, n):
-    """A step function with exactly n breakpoints, one per 4-wide slot, and
-    tails of size at most 1 below interior values of size up to 3, so that
-    long intervals often carry the maximal function."""
-    bps = [4 * k + Fraction(rng.randrange(16), 4) for k in range(n)]
-    tail = rand_fraction(rng, bound=1)
-    constants = []
-    for k in range(n):
-        previous = constants[-1] if constants else tail
-        c = previous
-        while c == previous:  # keeps every breakpoint
-            c = rand_fraction(rng, bound=1 if k == n - 1 else 3)
-        constants.append(c)
-    values = [rand_fraction(rng) for _ in range(n)]
-    return StepFunction(tail, bps, values, constants)
-
-
 def sweep(f):
-    _, unit, xs, ls, ps = envelope._lattice(f)
+    _, unit, xs, ls, ps = f.lattice
     points = list(zip(xs, ps))
     lower, upper = _hull_links(points), _hull_links(points[::-1])
     return [Fraction(num, den * unit) for num, den in _breakpoint_values(xs, ps, ls, lower, upper)]
@@ -177,7 +160,7 @@ def test_self_check_catches_a_piece_off_its_lattice_cell(monkeypatch):
     # Every anchored piece's alpha one lattice unit 1/(D*E) off: the walk and
     # its lattice checks are untouched, only the way back sees it.
     f = StepFunction(0, (Fraction(-1, 3), Fraction(2, 3), 2), (1, 2, 0), (Fraction(3, 2), 2, Fraction(1, 4)))
-    scale, unit, *_ = envelope._lattice(f)
+    scale, unit, *_ = f.lattice
     assert (scale, unit) == (3, 4)
     build_profile(f)
 
@@ -196,9 +179,11 @@ def test_self_check_catches_a_lattice_off_the_input(monkeypatch, part):
     # A lattice moved one step to the right, or with every level doubled, is
     # a consistent lattice for the translated input, or for 2|f|, so the walk
     # and its checks pass on it: only the way back to f's own rationals sees it.
+    # The lattice is cached on the function, so the moved one is made for a
+    # fresh copy of f.
     f = exact_n_stepfn(random.Random(5), 6)
     build_profile(f)
-    lattice = envelope._lattice
+    lattice = stepfn._lattice
 
     def moved(g):
         scale, unit, xs, ls, ps = lattice(g)
@@ -206,7 +191,8 @@ def test_self_check_catches_a_lattice_off_the_input(monkeypatch, part):
             return scale, unit, [x + 1 for x in xs], ls, ps
         return scale, unit, xs, [2 * ell for ell in ls], [2 * p for p in ps]
 
-    monkeypatch.setattr(envelope, "_lattice", moved)
+    monkeypatch.setattr(stepfn, "_lattice", moved)
+    f = StepFunction(f.tail_left, f.breakpoints, f.point_values, f.right_constants)
     with pytest.raises(AssertionError, match=f"lattice disagrees with the {part} of f"):
         build_profile(f)
 

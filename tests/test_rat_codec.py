@@ -10,13 +10,15 @@ and every value must print the same bytes.
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxbv.exact import format_rat, parse_rat
+from maxbv.cli import main
+from maxbv.exact import decimal_str, format_rat, parse_rat
 from maxbv.stepfn import parse, serialize
 from maxbv.verify import random_stepfn
 from test_engine_oracles import exact_n
@@ -106,10 +108,60 @@ def test_format_rat_on_ints_infinities_and_floats():
             format_rat(value)
 
 
-def test_format_rat_of_a_value_past_the_digit_limit_fails_as_the_oracle_does():
-    huge = Fraction(10**4400, 3)
-    assert outcome(format_rat, huge) == outcome(old_format_rat, huge)
-    assert outcome(format_rat, huge)[1][0] is ValueError
+def lifted(function, *args):
+    """function(*args) with Python's limit on the digits of an int's text
+    lifted, so that every int prints through ``str``: the oracle for the
+    writers past that limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return function(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+PAST_THE_LIMIT = [
+    Fraction(10**4400, 3),
+    Fraction(-3, 10**4400 + 1),
+    Fraction(-7 * 10**5000 - 1),
+    Fraction(10**4400 + 1, 10**4399 + 3),
+    Fraction(10**4300 - 1, 7),  # 4,300 digits: str prints it as it is
+]
+
+
+def test_format_rat_of_a_value_past_the_digit_limit_prints_its_digits():
+    for value in PAST_THE_LIMIT[:-1]:
+        assert outcome(old_format_rat, value)[1][0] is ValueError
+    assert outcome(old_format_rat, PAST_THE_LIMIT[-1])[1] is None
+    for value in PAST_THE_LIMIT:
+        assert format_rat(value) == lifted(old_format_rat, value)
+
+
+def test_decimal_str_of_a_value_past_the_digit_limit_prints_its_digits():
+    for value in PAST_THE_LIMIT:
+        for digits in (0, 1, 12):
+            assert decimal_str(value, digits) == lifted(decimal_str, value, digits)
+    assert decimal_str(Fraction(2 * 10**5000 + 1, 2), 0) == "1" + "0" * 4999 + "1"
+
+
+def test_profile_and_eval_past_the_digit_limit_exit_0(tmp_path):
+    # Every token of the file is under the limit, but the profile's
+    # coefficients and the average over (0, 2) have about 8,000 digits.
+    p, q = 10**4000 + 1, 10**3999 + 3
+    path = tmp_path / "f.txt"
+    path.write_text(f"stepfn/1\ntail 0\nbp 0 value 1/{p} right 1/{p}\nbp 1 value 1/{q} right 1/{q}\n"
+                    "bp 2 value 0 right 0\n", encoding="utf-8")
+    for argv in (["profile"], ["eval", "--x", "0"], ["eval", "--x", "1/2", "--decimal", "5"]):
+        out = tmp_path / "out.txt"
+
+        def run():
+            code = main([*argv, "--file", str(path), "--out", str(out)])
+            return code, out.read_text(encoding="utf-8")
+
+        code, text = run()
+        assert code == 0
+        assert (code, text) == lifted(run)
+        assert max(map(len, re.split(r"[^0-9]", text))) > 4300
 
 
 def test_stepfn_files_round_trip():
