@@ -54,30 +54,35 @@ neighbouring constants is dropped, as canonical form drops it.  Only where
 the two signed levels are equal is that value read, on rationals.  E is a
 positive multiple of the lcm of the constant denominators of f + s*g, and D
 of its breakpoint denominators: the scaling stays positive in both
-coordinates, every output is a reduced Fraction, a sign or an int form up
-to a positive factor, and so the family's profiles are those of
-``build_profile`` on f + s*g byte for byte.
+coordinates, every output is a reduced Fraction, a sign, or an int pair
+or int form up to a positive factor, and so the family's profiles are those
+of ``build_profile`` on f + s*g byte for byte.
 
-A built profile is a skeleton read straight off the merged cells: each
-junction is one Fraction p/(q*D), each end value (the limits at -oo and +oo
-among them) one Fraction num/(den*E), and each piece's int form is the
-cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E) for an
-anchored cell and (C, 0, E, 0) for a constant, a positive multiple of the
-piece, not reduced, so that every sign of the piece is a sign of its form.
-Distances, variations, the detachment set, point values and derivatives
-read only the skeleton.  The MoebiusPiece Fractions (alpha = A/(D*E),
-beta = L/E, gamma = -X/D) and their tags are made when a dump or the
-invariant suite's piece checks read them.  Int passes check the way in and the way
-back: ``StepFunction.lattice`` that X*den(b) = num(b)*D and
-L*den(c) = |num(c)|*E for f's own rationals b and c when it is made (a
-family, once, its own lattice against the rationals of f and g), and every
-build that every junction and end value is its cell's int pair; each
-piece's coefficients are checked against its cell where they are made.
+A built profile is a skeleton of ints read straight off the merged cells:
+each junction is one pair (p, q*D) and each end value (the limits at -oo
+and +oo among them) one pair (num, den*E) with den > 0, and each piece's int
+form is the cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E)
+for an anchored cell and (C, 0, E, 0) for a constant, a positive multiple
+of the piece, not reduced, so that every sign of the piece is a sign of its
+form.  Distances, whole-line variations and the detachment walk decide on
+these pairs and forms alone, and a build makes no Fraction.  The skeleton's
+Fractions, ``ends`` and ``end_values``, are made together on the first read
+of either: by a dump, the detachment set (whose printed bounds are ``ends``
+and f's breakpoints), point values, derivatives and windowed variations.
+The MoebiusPiece Fractions (alpha = A/(D*E), beta = L/E, gamma = -X/D) and
+their tags are made when a dump or the invariant suite's piece checks read
+them.  Int passes check the way in and the way back:
+``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
+for f's own rationals b and c when it is made (a family, once, its own
+lattice against the rationals of f and g); the first read of the skeleton's
+Fractions that each is its int pair; and each piece's coefficients against
+its cell where they are made.  So every rational a profile prints has been
+checked.
 
-An infinite end is ``stepfn.NEG_INF``/``POS_INF`` everywhere outside the
-lattice walk (where an unbounded end is None): piece domains, region
-intervals and the difference walk, compared exactly and never computed
-with.  The first piece starts at NEG_INF and the last ends at POS_INF, and
+An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in piece domains and
+region intervals, compared exactly and never computed with; in the lattice
+walk an unbounded end is None, and in the skeleton walks the pair (-1, 0)
+or (1, 0).  The first piece starts at -oo and the last ends at +oo, and
 their end values there are their limits, the maximal function's limits at
 infinity, so variations read them like any other end value.
 
@@ -90,8 +95,9 @@ which changes sign across the cell exactly when the cell holds a critical
 point.  The difference walk is one two-pointer merge of the two piece
 lists, and it decides every sign on ints: the critical quadratic of two
 int forms and its signs at the cell ends are int expressions, d at a
-junction is an int pair, and the exact part of the sum is summed on ints
-and made one Fraction.  The variation is an exact sum over the
+junction is an int pair, and the exact part is one sum of int pairs,
+reduced up a balanced merge tree, so its cost stays near linear in the
+number of cells.  The variation is an exact sum over the
 junctions of cells without a critical point; only the critical points
 (peaks) get brackets, narrowed to a certified rational enclosure of any
 requested precision.  A peak cell reduces the int quadratic of its two
@@ -106,7 +112,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, format_rat, isolate_quadratic_roots, rat, sign
 from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint, _scaled
@@ -173,41 +179,55 @@ class MoebiusPiece:
         return "\t".join(cells)
 
 
-def _pair(x: Rat) -> Tuple[int, int]:
-    return x.numerator, x.denominator
+# An int pair (num, den) stands for num/den.  A bound of a skeleton walk is a
+# pair with den > 0, or one of the two pairs with den = 0 at the infinite ends.
+Pair = Tuple[int, int]
+_NEG_END: Pair = (-1, 0)
+_POS_END: Pair = (1, 0)
 
 
-def _next_bound(xs: Sequence[Rat], i: int, ys: Sequence[Rat], j: int) -> Tuple[End, bool, bool]:
-    """One step of a two-pointer merge of the increasing rationals xs and ys
-    at i and j: the next bound (POS_INF once both are done) and whether each
-    pointer steps past it (both, at a shared bound)."""
+def _next_bound(xs: Sequence[Pair], i: int, ys: Sequence[Pair], j: int) -> Tuple[Pair, bool, bool]:
+    """One step of a two-pointer merge of the increasing pairs xs and ys at
+    i and j: the next bound (the +oo pair once both are done) and whether
+    each pointer steps past it (both, at a shared bound)."""
     if i < len(xs) and j < len(ys):
-        order = xs[i].numerator * ys[j].denominator - ys[j].numerator * xs[i].denominator
+        (p, q), (r, s) = xs[i], ys[j]
+        order = p * s - r * q
         return (xs[i] if order <= 0 else ys[j]), order <= 0, order >= 0
     if i < len(xs):
         return xs[i], True, False
     if j < len(ys):
         return ys[j], False, True
-    return POS_INF, False, False
+    return _POS_END, False, False
 
 
-def _form_at(form: Sequence[int], x: Rat) -> Tuple[int, int]:
-    """An int form's value at the rational x, as an int pair (num, den)."""
+def _form_at(form: Sequence[int], x: Pair) -> Pair:
+    """An int form's value at the finite bound x, as an int pair."""
     a, b, g, d = form
-    n, m = x.numerator, x.denominator
+    n, m = x
     return a * m + b * n, g * m + d * n
+
+
+def _fractions(pairs: Sequence[Pair]) -> Tuple[Rat, ...]:
+    """The rationals p/q of int pairs (p, q), q > 0.  Tuples here are built
+    from lists, as in ``stepfn``, to keep CPython's tuple free lists flat."""
+    return tuple([Fraction(p, q) for p, q in pairs])
 
 
 class MaximalProfile:
     """Ordered monotone pieces covering the whole line; continuous by
     construction (adjacent pieces agree at junctions).
 
-    A profile is read through its skeleton: ``ends``, the junctions in
-    increasing order; ``end_values``, the limit at -oo, the value at each
-    junction and the limit at +oo; and ``int_forms``, each piece's
-    (alpha, beta, gamma, delta) as ints, a positive multiple of the piece,
-    so every sign of the piece is the sign of the form.  ``pieces``, the
-    ``MoebiusPiece``s with their tags, is made on first read.
+    A profile is read through its skeleton of ints: ``end_pairs``, each
+    junction in increasing order as a pair (p, q) with q > 0;
+    ``value_pairs``, the limit at -oo, the value at each junction and the
+    limit at +oo, each a pair (num, den) with den > 0; and ``int_forms``,
+    each piece's (alpha, beta, gamma, delta) as ints, a positive multiple
+    of the piece, so every sign of the piece is the sign of the form.
+    ``ends`` and ``end_values``, the same skeleton as Fractions, are made
+    together on first read of either, and checked there against their
+    pairs (the way back).  ``pieces``, the ``MoebiusPiece``s with their
+    tags, is made on first read, from ``ends`` and ``end_values``.
 
     A profile is made by a build on a lattice (``build_profile`` and
     ``PerturbationFamily.profile``), which fills the skeleton straight from
@@ -215,11 +235,34 @@ class MaximalProfile:
     ``_cell_pieces`` after the profile itself, to make the pieces from.
     """
 
-    __slots__ = ("ends", "end_values", "int_forms", "_pieces", "_cells")
+    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_rationals", "_pieces", "_cells")
 
-    def __init__(self, ends, end_values, int_forms, cells):
-        self.ends, self.end_values, self.int_forms = ends, end_values, int_forms
-        self._pieces, self._cells = None, cells
+    def __init__(self, end_pairs, value_pairs, int_forms, cells):
+        self.end_pairs, self.value_pairs, self.int_forms = end_pairs, value_pairs, int_forms
+        self._rationals = self._pieces = None
+        self._cells = cells
+
+    def _skeleton(self) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:
+        """(ends, end_values), made and checked on the first call."""
+        if self._rationals is None:
+            ends, end_values = _fractions(self.end_pairs), _fractions(self.value_pairs)
+            # The way back from the skeleton, in one int pass: each rational v
+            # is its int pair (w, k), checked as v.numerator*k == w*v.denominator.
+            # The pieces' coefficients are checked where the pieces are made.
+            for rationals, pairs in ((ends, self.end_pairs), (end_values, self.value_pairs)):
+                for v, (w, k) in zip(rationals, pairs, strict=True):
+                    if v.numerator * k != w * v.denominator:
+                        raise AssertionError("profile skeleton disagrees with its lattice cells")
+            self._rationals = ends, end_values
+        return self._rationals
+
+    @property
+    def ends(self) -> Tuple[Rat, ...]:
+        return self._skeleton()[0]
+
+    @property
+    def end_values(self) -> Tuple[Rat, ...]:
+        return self._skeleton()[1]
 
     @property
     def pieces(self) -> Tuple[MoebiusPiece, ...]:
@@ -235,7 +278,8 @@ class MaximalProfile:
     def value(self, x) -> Rat:
         """The profile at x, off the int form of the piece holding it."""
         x = rat(x)
-        return Fraction(*_form_at(self.int_forms[bisect_left(self.ends, x)], x))
+        form = self.int_forms[bisect_left(self.ends, x)]
+        return Fraction(*_form_at(form, (x.numerator, x.denominator)))
 
     def dump(self) -> str:
         return "\n".join(piece.dump_line() for piece in self.pieces) + "\n"
@@ -508,12 +552,6 @@ def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
     return a * q + b * p, g * q + d * p
 
 
-def _fractions(pairs: Sequence[Tuple[int, int]]) -> Tuple[Rat, ...]:
-    """The rationals p/q of int pairs (p, q), q > 0.  Tuples here are built
-    from lists, as in ``stepfn``, to keep CPython's tuple free lists flat."""
-    return tuple([Fraction(p, q) for p, q in pairs])
-
-
 def build_profile(f: StepFunction) -> MaximalProfile:
     """Assemble the exact global profile of the maximal function of f, on
     f's own lattice (checked against f's rationals when it was made)."""
@@ -574,27 +612,19 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
             raise AssertionError("profile disagrees with the pointwise engine")
 
     # The skeleton, straight from the cells: each right end (the last is
-    # +oo), the value there and the limit at -oo, as pairs of ints, and each
-    # int form, a positive multiple of the piece that its cell makes (see
-    # _cell_pieces): an anchored (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
-    end_pairs = [(hi[0], hi[1] * scale) for _, hi, _, _ in cells[:-1]]
+    # +oo), the value there and the limit at -oo, as pairs of ints with a
+    # positive den, and each int form, a positive multiple of the piece that
+    # its cell makes (see _cell_pieces): an anchored (a, b*D, g*E, D*E), a
+    # constant (a, 0, E, 0).  Their Fractions are made, and checked, on
+    # first read (see MaximalProfile).
+    end_pairs = tuple([(hi[0], hi[1] * scale) for _, hi, _, _ in cells[:-1]])
     value_pairs = [_lattice_value(None, cells[0][2])]
     value_pairs += [_lattice_value(hi, cand) for _, hi, cand, _ in cells]
-    value_pairs = [(num, den * unit) for num, den in value_pairs]
+    value_pairs = tuple([(num, den * unit) if den > 0 else (-num, -den * unit) for num, den in value_pairs])
     forms = tuple([
         (a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0) for _, _, (a, b, g, d), _ in cells
     ])
-    ends, end_values = _fractions(end_pairs), _fractions(value_pairs)
-
-    # The way back from the skeleton, in one int pass: each rational v of
-    # the skeleton is its int pair (w, k), checked as
-    # v.numerator*k == w*v.denominator.  The pieces' coefficients are
-    # checked where the pieces are made.
-    for rationals, pairs in ((ends, end_pairs), (end_values, value_pairs)):
-        for v, (w, k) in zip(rationals, pairs):
-            if v.numerator * k != w * v.denominator:
-                raise AssertionError("profile skeleton disagrees with its lattice cells")
-    return MaximalProfile(ends, end_values, forms, (cells, scale, unit, xs, ls, ps))
+    return MaximalProfile(end_pairs, value_pairs, forms, (cells, scale, unit, xs, ls, ps))
 
 
 # --- the perturbation family f + s*g -----------------------------------------
@@ -699,37 +729,41 @@ def _cell_pieces(
 # --- detachment set --------------------------------------------------------
 
 
-def _touches(form: Sequence[int], level: Tuple[int, int]) -> bool:
-    """Whether the piece of an int form is the constant level (num, den)."""
-    return form[1] == form[3] == 0 and form[0] * level[1] == level[0] * form[2]
+def _touches(form: Sequence[int], level: int, unit: int) -> bool:
+    """Whether the piece of an int form is the constant level/unit."""
+    return form[1] == form[3] == 0 and form[0] * unit == level * form[2]
 
 
 def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[RegionSet, RegionSet]:
     """Split the line into the open set where the profile strictly exceeds
     the adjusted modulus and its closed complement (touch set).
 
-    One merge of the profile's ends with f's breakpoints: an interval between
-    two bounds touches when its int form is the constant level of |f| there.
+    One merge of the profile's end pairs with f's lattice points (X, D): an
+    interval between two bounds touches when its int form is the constant
+    level L/E of |f| there, and a bound touches when the profile's value
+    pair there is the larger of the levels beside it.  The walk decides on
+    ints; each bound it reports is one of the profile's ``ends`` or of f's
+    breakpoints, rationals that the way back has checked.
     """
-    ends, values, forms = profile.ends, profile.end_values, profile.int_forms
-    points = f.breakpoints
-    levels = [(abs(c.numerator), c.denominator) for c in f.constants]
+    scale, unit, xs, ls = f.lattice[:4]
+    end_pairs, values, forms = profile.end_pairs, profile.value_pairs, profile.int_forms
+    ends, points = profile.ends, f.breakpoints
+    lattice_points = [(x, scale) for x in xs]
     i = k = 0
-    detached = not _touches(forms[0], levels[0])  # the interval left of the next bound
+    detached = not _touches(forms[0], ls[0], unit)  # the interval left of the next bound
     # A run of detached intervals goes on through detached bounds and closes
     # at each bound where the profile touches the adjusted modulus.
     runs: List[Tuple[End, End]] = []
     start: End = NEG_INF
-    while i < len(ends) or k < len(points):
-        t, at_end, at_point = _next_bound(ends, i, points, k)
-        num, den = _pair(values[i + 1]) if at_end else _form_at(forms[i], t)
-        top, bottom = levels[k]
-        if at_point and levels[k + 1][0] * bottom > top * levels[k + 1][1]:
-            top, bottom = levels[k + 1]
+    while i < len(end_pairs) or k < len(xs):
+        bound, at_end, at_point = _next_bound(end_pairs, i, lattice_points, k)
+        num, den = values[i + 1] if at_end else _form_at(forms[i], bound)
+        t = ends[i] if at_end else points[k]
+        level = max(ls[k], ls[k + 1]) if at_point else ls[k]
         i += at_end
         k += at_point
-        detached_after = not _touches(forms[i], levels[k])
-        if num * bottom == top * den:
+        detached_after = not _touches(forms[i], ls[k], unit)
+        if num * unit == level * den:
             if detached:
                 runs.append((start, t))
             start = t
@@ -771,12 +805,37 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
 # --- certified variation ---------------------------------------------------
 
 
-def _add_step(total: Tuple[int, int], s: Tuple[int, int], t: Tuple[int, int]) -> Tuple[int, int]:
-    """total + |t - s| for rationals given as int pairs (num, den), den != 0;
-    the sum stays an unreduced pair with den > 0, made a Fraction once."""
-    (num, den), (ns, ds), (nt, dt) = total, s, t
-    size = abs(ds * dt)
-    return num * size + abs(nt * ds - ns * dt) * den, den * size
+# The size, in bits of its den, at which a run of steps summed as one
+# unreduced pair goes up the merge tree.
+_RUN_BITS = 512
+
+
+def _sum_of_steps(steps: Iterable[Tuple[Pair, Pair]]) -> Rat:
+    """The sum of |t - s| over the steps (s, t) of int pairs (num, den),
+    den != 0.
+
+    Steps are summed as one unreduced pair until its den passes
+    ``_RUN_BITS``; the run sums are merged like a binary counter, two
+    partial sums of 2**k runs into one of 2**(k + 1), each merge reduced.
+    So no operand grows with the number of steps, and n steps cost about
+    n log n multiplications of one run's size, not n**2."""
+    partial: List[Tuple[int, int, int]] = []  # (num, den, k): the sum of 2**k runs
+    num, den = 0, 1
+    for (ns, ds), (nt, dt) in steps:
+        size = abs(ds * dt)
+        num, den = num * size + abs(nt * ds - ns * dt) * den, den * size
+        if den.bit_length() > _RUN_BITS:
+            k = 0
+            while partial and partial[-1][2] == k:
+                other, below, _ = partial.pop()
+                num, den = num * below + other * den, den * below
+                common = math.gcd(num, den)
+                num, den, k = num // common, den // common, k + 1
+            partial.append((num, den, k))
+            num, den = 0, 1
+    for other, below, _ in partial:
+        num, den = num * below + other * den, den * below
+    return Fraction(num, den)
 
 
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
@@ -784,26 +843,26 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
 
     Each piece is monotone, so the variation telescopes over its end values
     (a constant piece adds zero): the answer is exact, an enclosure of width
-    zero.  A piece is evaluated, through its int form, only where a finite a
-    or b cuts it.
+    zero.  Over the whole line the walk reads only the value pairs; a
+    finite a or b is placed among the ``ends``, and the piece it cuts is
+    evaluated there through its int form.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
 
-    ends, values, forms = profile.ends, profile.end_values, profile.int_forms
-    # Pieces first..last meet (a, b); piece i spans ends[i-1]..ends[i].
-    first = 0 if isinstance(a, float) else bisect_right(ends, a)
-    last = len(ends) if isinstance(b, float) else bisect_left(ends, b)
-    walk = [_pair(v) for v in values[first : last + 2]]
-    if not (isinstance(a, float) or (first and ends[first - 1] == a)):
-        walk[0] = _form_at(forms[first], a)
-    if not (isinstance(b, float) or (last < len(ends) and ends[last] == b)):
-        walk[-1] = _form_at(forms[last], b)
-    total = (0, 1)
-    for v, w in zip(walk, walk[1:]):
-        total = _add_step(total, v, w)
-    total = Fraction(*total)
+    walk = profile.value_pairs
+    if not (isinstance(a, float) and isinstance(b, float)):
+        ends, forms = profile.ends, profile.int_forms
+        # Pieces first..last meet (a, b); piece i spans ends[i-1]..ends[i].
+        first = 0 if isinstance(a, float) else bisect_right(ends, a)
+        last = len(ends) if isinstance(b, float) else bisect_left(ends, b)
+        walk = list(walk[first : last + 2])
+        if not (isinstance(a, float) or (first and ends[first - 1] == a)):
+            walk[0] = _form_at(forms[first], (a.numerator, a.denominator))
+        if not (isinstance(b, float) or (last < len(ends) and ends[last] == b)):
+            walk[-1] = _form_at(forms[last], (b.numerator, b.denominator))
+    total = _sum_of_steps(zip(walk, walk[1:]))
     return VariationEnclosure(total, total)
 
 
@@ -822,21 +881,21 @@ def _difference_critical_quadratic(c1: Sequence, c2: Sequence) -> Tuple:
     )
 
 
-def _sign_at(q: Tuple[int, int, int], x: End) -> int:
-    """Sign of the int quadratic q at x; at NEG_INF/POS_INF, its sign toward
-    that infinity, where its leading term decides it."""
+def _sign_at(q: Tuple[int, int, int], x: Pair) -> int:
+    """Sign of the int quadratic q at the bound x; at an infinite end, its
+    sign toward that infinity, where its leading term decides it."""
     a, b, c = q
-    if isinstance(x, float):  # NEG_INF or POS_INF
-        return sign(a) or sign(x) * sign(b) or sign(c)
-    n, d = x.numerator, x.denominator
+    n, d = x
+    if not d:  # the -oo or +oo pair
+        return sign(a) or sign(n) * sign(b) or sign(c)
     return sign((a * n + b * d) * n + c * d * d)
 
 
-def _both_roots_within(q: Tuple[int, int, int], s: End, t: End, at_s: int, at_t: int) -> bool:
-    """Whether the int quadratic q, whose signs at s and t are at_s and at_t,
-    has both its roots (a double root counts twice) in the closed cell
-    [s, t]: q is real-rooted, not on its inner branch at either end, and its
-    vertex lies between them."""
+def _both_roots_within(q: Tuple[int, int, int], s: Pair, t: Pair, at_s: int, at_t: int) -> bool:
+    """Whether the int quadratic q, whose signs at the bounds s and t are
+    at_s and at_t, has both its roots (a double root counts twice) in the
+    closed cell [s, t]: q is real-rooted, not on its inner branch at either
+    end, and its vertex lies between them."""
     a, b, c = q
     slope = (0, 2 * a, b)
     return (
@@ -867,11 +926,11 @@ def variation_of_difference(
     at most two monotone stretches, whose endpoint differences telescope.
     Profiles are continuous, so d is exact at every junction.
 
-    The walk reads the profiles' skeletons: their ends, their limits and
-    each piece's int form, its coefficients times some k > 0.  So q from the
-    int forms is k1**2 * k2**2 times the pieces' q, with the same sign
-    everywhere, and d at a junction is an int pair (num, den); the exact
-    part of the sum stays an int pair until it is one Fraction.  The critical
+    The walk reads the profiles' skeletons of ints: their end pairs, their
+    value pairs at -oo and +oo and each piece's int form, its coefficients
+    times some k > 0.  So q from the int forms is k1**2 * k2**2 times the
+    pieces' q, with the same sign everywhere, and d at a junction is an int
+    pair (num, den); the exact cells' steps are one ``_sum_of_steps``.  The critical
     point is located by sign, without narrowing: the cell holds one exactly
     when q has opposite nonzero signs at its ends (at an infinite end, the
     sign of q's leading term there), and the sign at s is the sign of d'
@@ -890,22 +949,25 @@ def variation_of_difference(
     if precision <= 0:
         raise ValueError("precision must be positive")
 
-    ends1, ends2 = p1.ends, p2.ends
+    ends1, ends2 = p1.end_pairs, p2.end_pairs
+    values1, values2 = p1.value_pairs, p2.value_pairs
     forms1, forms2 = p1.int_forms, p2.int_forms
     i = j = 0
-    s: End = NEG_INF
-    exact = (0, 1)
-    # (root, form1, form2, d(s), d(t), sign of d' left of the root)
+    s = _NEG_END
+    # The exact cells' steps (d(s), d(t)), and the peaks:
+    # (root, form1, form2, d(s), d(t), sign of d' left of the root).
+    steps: List[Tuple[Pair, Pair]] = []
     peaks: List[list] = []
-    d_s = _pair(p1.end_values[0] - p2.end_values[0])
+    (num1, den1), (num2, den2) = values1[0], values2[0]
+    d_s = (num1 * den2 - num2 * den1, den1 * den2)
     while True:
         t, step1, step2 = _next_bound(ends1, i, ends2, j)
         form1, form2 = forms1[i], forms2[j]
-        if step1 or step2:
-            (num1, den1), (num2, den2) = _form_at(form1, t), _form_at(form2, t)
-            d_t = (num1 * den2 - num2 * den1, den1 * den2)
-        else:
-            d_t = _pair(p1.end_values[-1] - p2.end_values[-1])
+        # Each profile's value at t: its value pair at its own junction (or
+        # at +oo), else its form at t.
+        num1, den1 = values1[i + 1] if step1 or not step2 else _form_at(form1, t)
+        num2, den2 = values2[j + 1] if step2 or not step1 else _form_at(form2, t)
+        d_t = (num1 * den2 - num2 * den1, den1 * den2)
         q = _difference_critical_quadratic(form1, form2)
         rise, at_t = _sign_at(q, s), _sign_at(q, t)
         if rise * at_t < 0:
@@ -922,14 +984,14 @@ def variation_of_difference(
         elif _both_roots_within(q, s, t, rise, at_t):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
-            exact = _add_step(exact, d_s, d_t)
+            steps.append((d_s, d_t))
         if not (step1 or step2):
             break
         s, d_s = t, d_t
         i += step1
         j += step2
 
-    exact = Fraction(*exact)
+    exact = _sum_of_steps(steps)
     width = Fraction(1, 2**40)
     while True:
         lo_sum = hi_sum = exact
@@ -937,7 +999,8 @@ def variation_of_difference(
             av, form1, form2, d_s, d_t, rise = peak
             av = av.refine_below(width)
             while True:
-                at = [_form_at(form, edge) for form in (form1, form2) for edge in (av.lo, av.hi)]
+                edges = [(edge.numerator, edge.denominator) for edge in (av.lo, av.hi)]
+                at = [_form_at(form, edge) for form in (form1, form2) for edge in edges]
                 signs = [sign(den) for _, den in at]
                 if 0 not in signs and signs[0] == signs[1] and signs[2] == signs[3]:
                     break
@@ -963,6 +1026,7 @@ def bv_distance(
     the gap of their limits at infinity plus the variation of their
     difference.  Only a peak of the difference can be irrational, so the
     precision bounds the enclosure's width."""
-    base = abs(p1.end_values[0] - p2.end_values[0])
+    (num1, den1), (num2, den2) = p1.value_pairs[0], p2.value_pairs[0]
+    base = Fraction(abs(num1 * den2 - num2 * den1), den1 * den2)
     spread = variation_of_difference(p1, p2, precision)
     return VariationEnclosure(base + spread.lo, base + spread.hi)

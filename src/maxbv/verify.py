@@ -362,8 +362,9 @@ def continuity_experiment(
     between two equal levels.  E is a positive multiple of the lcm that
     ``build_profile`` would take on ``stepfn.combine(f, perturbation, 1, s)``,
     and every reported value is a reduced Fraction, so the report is the
-    same byte for byte.  The distances read only the profiles' skeletons,
-    peaks included, and make no ``MoebiusPiece``.
+    same byte for byte.  The distances and variations read only the
+    profiles' int skeletons, peaks included, and make no ``MoebiusPiece``
+    and no Fraction of a skeleton's ends or end values.
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s <= 0 for s in scales):

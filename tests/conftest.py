@@ -123,13 +123,23 @@ def int_form(coefficients):
     return tuple([v.numerator * (k // v.denominator) for v in coefficients])
 
 
+def pair(x):
+    """A walk bound as the envelope's int pair: (num, den) for a rational,
+    (-1, 0) and (1, 0) for NEG_INF and POS_INF."""
+    if x == NEG_INF:
+        return (-1, 0)
+    if x == POS_INF:
+        return (1, 0)
+    return (x.numerator, x.denominator)
+
+
 def profile_from_pieces(pieces):
     """A profile of hand-built pieces, its skeleton derived from them: the
-    junctions, the end values and each piece's int form."""
+    junctions and the end values as int pairs, and each piece's int form."""
     pieces = tuple(pieces)
     profile = MaximalProfile(
-        tuple([piece.hi for piece in pieces[:-1]]),
-        (pieces[0].lo_value, *[piece.hi_value for piece in pieces]),
+        tuple([pair(piece.hi) for piece in pieces[:-1]]),
+        tuple([pair(v) for v in (pieces[0].lo_value, *[piece.hi_value for piece in pieces])]),
         tuple([int_form(piece.coefficients) for piece in pieces]),
         None,
     )

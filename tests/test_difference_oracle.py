@@ -27,7 +27,7 @@ from maxbv.envelope import (
 from maxbv.exact import integer_quadratic, isolate_quadratic_roots, sign
 from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import random_stepfn
-from conftest import midpoint, moebius_profile, rand_stepfn, step_functions
+from conftest import midpoint, moebius_profile, pair, rand_stepfn, step_functions
 
 PRECISION = Fraction(1, 10**9)
 
@@ -45,12 +45,12 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
         else:
             d_t = m1.value_at(t) - m2.value_at(t)
         q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
-        rise = _sign_at(q, s)
-        if rise * _sign_at(q, t) < 0:
+        rise = _sign_at(q, pair(s))
+        if rise * _sign_at(q, pair(t)) < 0:
             roots = isolate_quadratic_roots(q)
             peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
         else:
-            assert not _both_roots_within(q, s, t, _sign_at(q, s), _sign_at(q, t))
+            assert not _both_roots_within(q, pair(s), pair(t), _sign_at(q, pair(s)), _sign_at(q, pair(t)))
             exact += abs(d_t - d_s)
         d_s = d_t
 

@@ -32,7 +32,7 @@ from maxbv.stepfn import (
 )
 from maxbv.cli import main
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import exact_n_stepfn, moebius_profile, profile_from_pieces, rand_stepfn
+from conftest import exact_n_stepfn, moebius_profile, pair, profile_from_pieces, rand_stepfn
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -304,11 +304,59 @@ def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
     assert counts["isolations"] > 0 and counts["pieces"] == counts["tags"] == 0
 
 
+def test_continuity_experiment_makes_no_skeleton_fractions(monkeypatch):
+    # Builds, distances and variations read the skeleton's int pairs: the
+    # Fractions of ends and end values are never made, peaks or not.
+    calls = Counter()
+    fractions, isolate = envelope._fractions, envelope.isolate_quadratic_roots
+
+    def counted(pairs):
+        calls["fractions"] += 1
+        return fractions(pairs)
+
+    def counted_isolate(q):
+        calls["isolations"] += 1
+        return isolate(q)
+
+    monkeypatch.setattr(envelope, "_fractions", counted)
+    monkeypatch.setattr(envelope, "isolate_quadratic_roots", counted_isolate)
+    scales = [Fraction(1, 2**j) for j in range(15)]
+    pairs = [(TWO_BUMP, StepFunction.indicator(1, 2)), (random_stepfn(10, n_max=9), random_stepfn(1010, n_max=9))]
+    pairs += [(random_stepfn(seed, n_max=9), random_stepfn(seed + 1, n_max=9)) for seed in range(0, 12, 2)]
+    for f, g in pairs:
+        continuity_experiment(f, g, scales)
+    assert calls["fractions"] == 0 and calls["isolations"] > 0
+    # The counter sees a read of the skeleton.
+    assert build_profile(TWO_BUMP).ends and calls["fractions"] == 2
+
+
+def fraction_sum_of_steps(steps):
+    return sum((abs(Fraction(*t) - Fraction(*s)) for s, t in steps), Fraction(0))
+
+
+def test_sum_of_steps_matches_a_fraction_sum():
+    # Ints of a few bits (one run) up to a few hundred (a run per step, many
+    # merge levels), dens of either sign, lengths across partial counters.
+    rng = random.Random(41)
+    for bits in (3, 20, 300):
+        for length in [*range(0, 20), 31, 32, 33, 200]:
+
+            def draw():
+                den = rng.randint(1, 2**bits) * rng.choice([-1, 1])
+                return (rng.randint(-(2**bits), 2**bits), den)
+
+            steps = [(draw(), draw()) for _ in range(length)]
+            total = envelope._sum_of_steps(steps)
+            assert type(total) is Fraction and total == fraction_sum_of_steps(steps)
+
+
 @pytest.mark.parametrize("part", ["ends", "end_values"])
 def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
     # The first junction, or the limit at -oo, one unit of its lattice pair
-    # off: the walk and its lattice checks are untouched, and the build sees
-    # it without making a piece.
+    # off where the skeleton's Fractions are made: the walk and its lattice
+    # checks are untouched.  The build makes no Fraction of the skeleton;
+    # the first read of either part sees it without making a piece, and so
+    # do a dump and the detachment set, which print the skeleton's rationals.
     f = exact_n_stepfn(random.Random(5), 6)
     assert build_profile(f).ends
     fractions = envelope._fractions
@@ -326,8 +374,18 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
 
     monkeypatch.setattr(envelope, "_fractions", shifted)
     monkeypatch.setattr(envelope, "MoebiusPiece", no_pieces)
-    with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
-        build_profile(f)
+    for read in (
+        lambda profile: profile.ends,
+        lambda profile: profile.end_values,
+        lambda profile: profile.dump(),
+        lambda profile: detachment_regions(f, profile),
+    ):
+        profile = build_profile(f)
+        assert calls == []
+        with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
+            read(profile)
+        assert len(calls) == 2
+        calls.clear()
 
 
 def _shift_tag(tag, t):
@@ -698,6 +756,7 @@ def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cel
 
 def test_both_roots_within_the_closed_cell():
     def within(q, s, t):
+        s, t = pair(s), pair(t)
         return envelope._both_roots_within(q, s, t, envelope._sign_at(q, s), envelope._sign_at(q, t))
     # x^2 - 1 has roots -1 and 1.
     assert within((1, 0, -1), Fraction(-1), Fraction(1))
@@ -767,7 +826,7 @@ def test_int_critical_quadratic_has_the_sign_of_the_fraction_one():
                 exact = envelope._difference_critical_quadratic(coeffs(m1), coeffs(m2))
                 assert all(type(v) is int for v in q)
                 for x in ends:
-                    assert envelope._sign_at(q, x) == envelope._sign_at(exact, x)
+                    assert envelope._sign_at(q, pair(x)) == envelope._sign_at(exact, pair(x))
 
 
 def test_profile_junctions_are_rational():

@@ -8,10 +8,10 @@ import pytest
 
 import maxbv.stepfn as sf
 from maxbv import envelope
-from maxbv.envelope import PerturbationFamily, build_profile
+from maxbv.envelope import PerturbationFamily, build_profile, variation_of_profile
 from maxbv.stepfn import StepFunction, combine
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import rand_stepfn
+from conftest import exact_n_stepfn, rand_stepfn
 
 CHI_01 = StepFunction.indicator(0, 1)
 SCALES = [Fraction(1, 2**j) for j in range(15)]
@@ -26,18 +26,27 @@ def assert_same_profile(built, reference):
     assert built.pieces == reference.pieces
 
 
-def test_family_profiles_match_combine_and_build():
-    # Small values on a half grid, so levels of f + s*g often cross
-    # zero at large s, adjacent levels coincide and combine drops merged
-    # breakpoints; the corpus must hit each case.
+FAMILY_SCALES = (Fraction(4), Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1))
+
+
+def family_corpus():
+    """Pairs (f, g) with small values on a half grid, so levels of f + s*g
+    often cross zero at large s, adjacent levels coincide and combine drops
+    merged breakpoints."""
     rng = random.Random(7)
-    seen = {"zero crossing": 0, "equal neighbours": 0, "dropped breakpoint": 0}
     for _ in range(300):
         f = rand_stepfn(rng, n_max=4, bound=2, denom=2, span=3)
         g = rand_stepfn(rng, n_max=4, bound=2, denom=2, span=3)
+        yield f, g
+
+
+def test_family_profiles_match_combine_and_build():
+    # The corpus must hit each case of family_corpus.
+    seen = {"zero crossing": 0, "equal neighbours": 0, "dropped breakpoint": 0}
+    for f, g in family_corpus():
         family = PerturbationFamily(f, g)
         merged = sorted({*f.breakpoints, *g.breakpoints})
-        for s in (Fraction(4), Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1)):
+        for s in FAMILY_SCALES:
             h = combine(f, g, 1, s)
             assert_same_profile(family.profile(s), build_profile(h))
             # The levels of f and of f + s*g on each merged segment.
@@ -59,6 +68,34 @@ def test_family_drops_what_combine_drops():
         assert h.n == (0 if s == 1 else 2)
         assert_same_profile(family.profile(s), build_profile(h))
     assert family.profile(1).end_values == (0, 0)
+
+
+def skeleton_profiles():
+    for f, g in family_corpus():
+        yield build_profile(f)
+        family = PerturbationFamily(f, g)
+        for s in FAMILY_SCALES:
+            yield family.profile(s)
+    for n in range(17):
+        yield build_profile(exact_n_stepfn(random.Random(n), n))
+
+
+def test_skeleton_fractions_are_those_of_the_int_pairs():
+    # The build keeps the skeleton as int pairs with positive dens; the
+    # Fractions read later are those pairs, and the whole-line variation,
+    # summed on the pairs, is the Fraction telescoping sum of end_values.
+    count = 0
+    for profile in skeleton_profiles():
+        for pairs in (profile.end_pairs, profile.value_pairs):
+            assert all(type(p) is type(q) is int and q > 0 for p, q in pairs)
+        variation = variation_of_profile(profile)
+        assert profile.ends == tuple(Fraction(p, q) for p, q in profile.end_pairs)
+        assert profile.end_values == tuple(Fraction(p, q) for p, q in profile.value_pairs)
+        values = profile.end_values
+        total = sum((abs(w - v) for v, w in zip(values, values[1:])), Fraction(0))
+        assert variation.lo == variation.hi == total
+        count += 1
+    assert count == 300 * (1 + len(FAMILY_SCALES)) + 17
 
 
 class CombinedFamily:

@@ -45,6 +45,12 @@ def assert_same_regions(f):
     profile = build_profile(f)
     fast = detachment_regions(f, profile)
     assert fast == reference_detachment_regions(f, profile)
+    # Each finite bound is one of the checked rationals it stands for, not
+    # a new Fraction made in the walk.
+    checked = {id(x) for x in (*profile.ends, *f.breakpoints)}
+    for regions in fast:
+        for bound in (e for interval in regions.intervals for e in interval):
+            assert bound in (NEG_INF, POS_INF) or id(bound) in checked
     return fast
 
 
