@@ -19,9 +19,18 @@ With F the antiderivative of |f|, an anchored average is the slope from
 (a, F(a)) to (x, F(x)), so only vertices of the lower convex hull of the
 points left of the segment (upper hull for those to the right) can carry a
 piece; one Andrew monotone-chain pass in each direction yields every
-segment's hull.  The envelope is then a left-to-right walk: from the current
-winner, the next piece starts at the earliest crossing where another
-candidate overtakes it.  The candidate-set maximum of ``maximal.candidate_set``
+segment's hull.  Of each hull, a bounded segment needs only a range of
+links: the best anchor on a side is the tangent vertex from the moving
+point (x, F(x)) to that side's chain, and as x crosses the segment it moves
+one way along the chain, from the link of one end of the segment to the
+link of the other.  So the segment's anchors on the left are the vertices
+that its right end pops off the lower chain, less its left end, plus the
+one that end is pushed onto, and likewise on the right in the reversed
+pass; each point is popped at most once, so the bounded segments share at
+most 2n anchors, and the two unbounded segments take their one chain whole.
+The envelope is then a left-to-right walk: from the current winner, the
+next piece starts at the earliest crossing where another candidate
+overtakes it.  The candidate-set maximum of ``maximal.candidate_set``
 and the pointwise engine ``maximal.maximal_value`` stay the oracles the tests
 compare profiles with.  Every build checks itself at each breakpoint against
 values read off the same two chains without the walk: the vertex a
@@ -65,19 +74,23 @@ form is the cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E)
 for an anchored cell and (C, 0, E, 0) for a constant, a positive multiple
 of the piece, not reduced, so that every sign of the piece is a sign of its
 form.  Distances, whole-line variations and the detachment walk decide on
-these pairs and forms alone, and a build makes no Fraction.  The skeleton's
-Fractions, ``ends`` and ``end_values``, are made together on the first read
-of either: by a dump, the detachment set (whose printed bounds are ``ends``
-and f's breakpoints), point values, derivatives and windowed variations.
-The MoebiusPiece Fractions (alpha = A/(D*E), beta = L/E, gamma = -X/D) and
-their tags are made when a dump or the invariant suite's piece checks read
-them.  Int passes check the way in and the way back:
-``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
-for f's own rationals b and c when it is made (a family, once, its own
-lattice against the rationals of f and g); the first read of the skeleton's
-Fractions that each is its int pair; and each piece's coefficients against
-its cell where they are made.  So every rational a profile prints has been
-checked.
+these pairs and forms alone, and a build makes no Fraction.  A dump prints
+each piece from ints too: its ends from the end pairs, and its
+coefficients (alpha = A/(D*E), beta = L/E, gamma = -X/D, delta = 1, or
+C/E over 1 for a constant) from the cell's tuple, each through
+``exact.format_pair``.  The skeleton's Fractions, ``ends`` and
+``end_values``, are made together on the first read of either: by the
+detachment set (whose printed bounds are ``ends`` and f's breakpoints),
+point values, derivatives and windowed variations.  The MoebiusPiece
+Fractions and their tags are made only when the invariant suite's piece
+checks read them; the tests hold each dump to their ``dump_line``s.  Int
+passes check the way in and the way back: ``StepFunction.lattice`` that
+X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b and c
+when it is made (a family, once, its own lattice against the rationals of f
+and g); ``format_pair`` that each printed p/q is its pair (num, den), as
+p*den == num*q; the first read of the skeleton's Fractions that each is its
+int pair; and each piece's coefficients against its cell where they are
+made.  So every rational a profile prints has been checked.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in piece domains and
 region intervals, compared exactly and never computed with; in the lattice
@@ -114,7 +127,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exact import Rat, format_rat, isolate_quadratic_roots, rat, sign
+from .exact import Rat, format_pair, format_rat, isolate_quadratic_roots, rat, sign
 from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint, _scaled
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
@@ -226,13 +239,17 @@ class MaximalProfile:
     of the piece, so every sign of the piece is the sign of the form.
     ``ends`` and ``end_values``, the same skeleton as Fractions, are made
     together on first read of either, and checked there against their
-    pairs (the way back).  ``pieces``, the ``MoebiusPiece``s with their
-    tags, is made on first read, from ``ends`` and ``end_values``.
+    pairs (the way back).  ``dump`` prints from ints: the end pairs, the
+    cells' tuples and their tags.  ``pieces``, the ``MoebiusPiece``s with
+    their tags, is made on first read, from ``ends`` and ``end_values``:
+    the reference the invariant suite's piece checks read, and the tests
+    hold the dump to.
 
     A profile is made by a build on a lattice (``build_profile`` and
     ``PerturbationFamily.profile``), which fills the skeleton straight from
     its lattice cells and keeps, as ``cells``, the arguments of
-    ``_cell_pieces`` after the profile itself, to make the pieces from.
+    ``_cell_pieces`` after the profile itself, to print the dump and make
+    the pieces from.
     """
 
     __slots__ = ("end_pairs", "value_pairs", "int_forms", "_rationals", "_pieces", "_cells")
@@ -268,7 +285,6 @@ class MaximalProfile:
     def pieces(self) -> Tuple[MoebiusPiece, ...]:
         if self._pieces is None:
             self._pieces = _cell_pieces(self, *self._cells)
-            self._cells = None
         return self._pieces
 
     def piece_containing(self, x) -> MoebiusPiece:
@@ -282,7 +298,24 @@ class MaximalProfile:
         return Fraction(*_form_at(form, (x.numerator, x.denominator)))
 
     def dump(self) -> str:
-        return "\n".join(piece.dump_line() for piece in self.pieces) + "\n"
+        """One line per piece, its ``MoebiusPiece.dump_line``: the domain, the
+        coefficients (alpha, beta, gamma, delta) and the tag, printed from the
+        end pairs and the cells' int tuples; ``format_pair`` checks each
+        printed rational against its pair."""
+        cells, scale, unit, xs, ls, ps = self._cells
+        tags = [_cell_tag(cand, k, scale, xs, ls, ps) for _, _, cand, k in cells]
+        try:
+            ends = ["-inf", *[format_pair(p, q) for p, q in self.end_pairs], "inf"]
+            # An anchored cell is alpha = a/(D*E), beta = b/E, gamma = g/D and
+            # delta = 1; a constant is alpha = a/E over gamma = 1.
+            lines = [
+                f"{lo}\t{hi}\t{format_pair(a, scale * unit)}\t{format_pair(b, unit)}\t{format_pair(g, scale)}\t1\t{tag}"
+                if d else f"{lo}\t{hi}\t{format_pair(a, unit)}\t0\t1\t0\t{tag}"
+                for lo, hi, (_, _, (a, b, g, d), _), tag in zip(ends, ends[1:], cells, tags)
+            ]
+        except AssertionError as exc:  # a printed rational off its pair
+            raise AssertionError("profile skeleton disagrees with its lattice cells") from exc
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -312,7 +345,7 @@ class VariationEnclosure:
     hi: Rat
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if self.lo is not self.hi and self.lo > self.hi:
             raise ValueError("enclosure needs lo <= hi")
 
     @property
@@ -476,13 +509,15 @@ def _hull_links(points: Sequence[Tuple[Rat, Rat]]) -> List[int]:
     return links
 
 
-def _hull_from(links: List[int], i: int) -> List[int]:
-    """Chain vertices after the point i itself, nearest first."""
+def _anchors(links: List[int], i: int, stop: int) -> List[int]:
+    """Chain vertices after the point i itself, nearest first, out to the
+    vertex stop (inclusive): none when stop is i, the whole chain when stop
+    is -1.  With stop the link of the point after i, these are the vertices
+    that point pops off the chain, less i, plus the one it is pushed onto."""
     vertices = []
-    i = links[i]
-    while i >= 0:
-        vertices.append(i)
+    while i != stop and links[i] >= 0:
         i = links[i]
+        vertices.append(i)
     return vertices
 
 
@@ -534,11 +569,23 @@ def _constant_tag(
         if b is not None and (best is None or (b - xs[i], xs[i]) < best[:2]):
             best = (b - xs[i], xs[i], b)
     if best is not None:
-        return f"const({format_rat(Fraction(best[1], scale))},{format_rat(Fraction(best[2], scale))})"
+        return f"const({format_pair(best[1], scale)},{format_pair(best[2], scale)})"
     for source, ell in (("tail_left", ls[0]), ("tail_right", ls[-1]), ("local", ls[k])):
         if ell == c:
             return f"const:{source}"
     raise AssertionError("segment constant matches no candidate")
+
+
+def _cell_tag(
+    cand: Candidate, k: int, scale: int, xs: Sequence[int], ls: Sequence[int], ps: Sequence[int]
+) -> str:
+    """Tag of a cell's candidate on segment k.  An anchored candidate's
+    anchor is its pole; left anchors lie at or before the segment's left
+    end."""
+    a, _, g, d = cand
+    if d:
+        return f"{'left' if k >= 1 and -g <= xs[k - 1] else 'right'}({format_pair(-g, scale)})"
+    return _constant_tag(xs, ps, ls, k, a, scale)
 
 
 def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
@@ -582,8 +629,13 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
         ref = max(k - 1, 0)
         y0 = ps[ref] - ell * xs[ref] if n else 0
         candidates = [(max(ell, tails), 0, 1, 0)]
-        left = _hull_from(lower, k - 1) if k >= 1 else []
-        right = [n - 1 - j for j in _hull_from(upper, n - 1 - k)] if k <= n - 1 else []
+        # Only the chain vertices between the links of the segment's two ends
+        # can be the tangent from (X, P(X)) on that side (see the module
+        # docstring); an unbounded segment takes its one chain whole.
+        left = _anchors(lower, k - 1, lower[k] if k <= n - 1 else -1) if k >= 1 else []
+        right = []
+        if k <= n - 1:
+            right = [n - 1 - j for j in _anchors(upper, n - 1 - k, upper[n - k] if k >= 1 else -1)]
         for i in left + right:
             alpha = y0 - ps[i]
             # Anchors whose average with the segment is the local constant
@@ -708,17 +760,12 @@ def _cell_pieces(
     for i, (_, _, cand, k) in enumerate(cells):
         a, b, g, d = cand
         if d:
-            # The anchor is the pole; left anchors lie at or before u.
-            q = Fraction(-g, scale)
-            side = "left" if k >= 1 and -g <= xs[k - 1] else "right"
-            tag = f"{side}({format_rat(q)})"
-            coeffs = (Fraction(a, scale * unit), Fraction(b, unit), -q, _ONE)
+            coeffs = (Fraction(a, scale * unit), Fraction(b, unit), Fraction(g, scale), _ONE)
             scales = (scale * unit, unit, scale, 1)
         else:
-            tag = _constant_tag(xs, ps, ls, k, a, scale)
             coeffs = (Fraction(a, unit), _ZERO, _ONE, _ZERO)
             scales = (unit, 1, 1, 1)
-        piece = MoebiusPiece(*coeffs, los[i], his[i], values[i], values[i + 1], tag)
+        piece = MoebiusPiece(*coeffs, los[i], his[i], values[i], values[i + 1], _cell_tag(cand, k, scale, xs, ls, ps))
         for v, w, size in zip(piece.coefficients, cand, scales):
             if v.numerator * size != w * v.denominator:
                 raise AssertionError("profile piece disagrees with its lattice cell")
@@ -1027,6 +1074,11 @@ def bv_distance(
     difference.  Only a peak of the difference can be irrational, so the
     precision bounds the enclosure's width."""
     (num1, den1), (num2, den2) = p1.value_pairs[0], p2.value_pairs[0]
-    base = Fraction(abs(num1 * den2 - num2 * den1), den1 * den2)
+    gap, below = abs(num1 * den2 - num2 * den1), den1 * den2
     spread = variation_of_difference(p1, p2, precision)
-    return VariationEnclosure(base + spread.lo, base + spread.hi)
+
+    def plus_gap(v: Rat) -> Rat:  # on the ints of the gap and of v
+        return Fraction(gap * v.denominator + v.numerator * below, below * v.denominator)
+
+    lo = plus_gap(spread.lo)
+    return VariationEnclosure(lo, lo if spread.hi is spread.lo else plus_gap(spread.hi))

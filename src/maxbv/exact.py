@@ -3,9 +3,10 @@
 Rationals are ``fractions.Fraction``: canonical form (positive denominator,
 reduced), exact total arithmetic, arbitrary-precision integers.  Their text
 form goes through ints both ways: ``parse_rat`` takes p and q from the groups
-of its one regex match, and ``format_rat`` prints a Fraction's numerator and
-denominator as they are, through ``decimal`` past Python's limit on the
-digits of an int's text.
+of its one regex match, and ``format_pair`` prints an int pair num/den in
+lowest terms, checked against the pair, through ``decimal`` past Python's
+limit on the digits of an int's text; ``format_rat`` prints a Fraction's
+numerator and denominator through it.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
 points of a difference of two profiles, with a dyadic bracket that one
 ``math.isqrt`` gives in closed form.  Where a root lies is never asked of
@@ -61,6 +62,27 @@ def _digits(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
+def _lowest(num: int, den: int) -> Tuple[int, int]:
+    """num/den, den != 0, in lowest terms with a positive denominator."""
+    common = math.gcd(num, den)
+    if den < 0:
+        common = -common
+    return num // common, den // common
+
+
+def format_pair(num: int, den: int) -> str:
+    """Canonical text form of the int pair num/den, den != 0: 'p' or 'p/q'
+    in lowest terms with q > 0.  The way back checks p*den == num*q, so
+    the text stands for the pair it was made from."""
+    p, q = _lowest(num, den)
+    if p * den != num * q:
+        raise AssertionError("rational text disagrees with its int pair")
+    try:
+        return f"{p}/{q}" if q != 1 else str(p)
+    except ValueError:  # past the digit limit of str
+        return f"{_digits(p)}/{_digits(q)}" if q != 1 else _digits(p)
+
+
 def format_rat(value) -> str:
     """Canonical text form: 'p' or 'p/q' with q > 0, and '-inf'/'inf' for
     the two infinities; finite floats are rejected."""
@@ -70,11 +92,7 @@ def format_rat(value) -> str:
                 return "inf" if value > 0 else "-inf"
             raise TypeError("refusing float input; exact arithmetic only")
         value = Fraction(value)
-    p, q = value.numerator, value.denominator
-    try:
-        return f"{p}/{q}" if q != 1 else str(p)
-    except ValueError:  # past the digit limit of str
-        return f"{_digits(p)}/{_digits(q)}" if q != 1 else _digits(p)
+    return format_pair(value.numerator, value.denominator)
 
 
 def decimal_str(value, digits: int = 9) -> str:

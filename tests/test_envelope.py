@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxbv import envelope, stepfn
+from maxbv import envelope, exact, stepfn
 from maxbv.envelope import (
     MoebiusPiece,
     _breakpoint_values,
@@ -106,15 +106,16 @@ def test_breakpoint_sweep_matches_pointwise_engine(n):
 
 
 def test_self_check_catches_a_walk_that_drops_a_hull_anchor(monkeypatch):
-    # At -6 the best interval runs to the last breakpoint.  A walk without
-    # the farthest vertex of each hull (the first breakpoint as a left
+    # At -6 the best interval runs to the last breakpoint.  A walk that
+    # drops the farthest vertex of each chain wherever a segment's anchor
+    # range holds it (vertex 0 of each pass: the first breakpoint as a left
     # anchor, the last as a right anchor) loses it on both sides of -6 alike,
     # so adjacent pieces still agree there: only the breakpoint values see it.
     f = StepFunction(0, (-6, 1, 3, 8), (-1, -3, -3, -3), (0, -3, Fraction(-7, 3), -1))
     assert str(maximal_value(f, -6).witness) == "finite(-6,8)"
     build_profile(f)
-    hull_from = envelope._hull_from
-    monkeypatch.setattr(envelope, "_hull_from", lambda links, i: hull_from(links, i)[:-1])
+    anchors = envelope._anchors
+    monkeypatch.setattr(envelope, "_anchors", lambda links, i, stop: [j for j in anchors(links, i, stop) if j])
     with pytest.raises(AssertionError, match="profile disagrees with the pointwise engine"):
         build_profile(f)
 
@@ -356,9 +357,10 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
     # off where the skeleton's Fractions are made: the walk and its lattice
     # checks are untouched.  The build makes no Fraction of the skeleton;
     # the first read of either part sees it without making a piece, and so
-    # do a dump and the detachment set, which print the skeleton's rationals.
+    # does the detachment set, which prints the skeleton's rationals.
     f = exact_n_stepfn(random.Random(5), 6)
-    assert build_profile(f).ends
+    built = build_profile(f)
+    assert built.ends
     fractions = envelope._fractions
     calls = []
 
@@ -377,7 +379,6 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
     for read in (
         lambda profile: profile.ends,
         lambda profile: profile.end_values,
-        lambda profile: profile.dump(),
         lambda profile: detachment_regions(f, profile),
     ):
         profile = build_profile(f)
@@ -386,6 +387,19 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
             read(profile)
         assert len(calls) == 2
         calls.clear()
+    # A dump prints the first junction, and the limit at -oo as the first
+    # piece's beta (alpha for a constant), from the same pairs, and makes no
+    # Fraction of the skeleton: the way back of format_pair sees the pair
+    # one unit off.  No tag prints that pair, so the dump's text is what fails.
+    target = built.end_pairs[0] if part == "ends" else built.value_pairs[0]
+    lowest = exact._lowest
+    monkeypatch.setattr(exact, "_lowest", lambda num, den: lowest(num + ((num, den) == target), den))
+    cells, scale, _, xs, ls, ps = built._cells
+    for _, _, cand, k in cells:
+        envelope._cell_tag(cand, k, scale, xs, ls, ps)
+    with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
+        build_profile(f).dump()
+    assert calls == []
 
 
 def _shift_tag(tag, t):
