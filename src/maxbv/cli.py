@@ -203,17 +203,20 @@ def _read_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise InputError(f"{path}:{line_no}: expected key=value")
-        config[key.strip()] = (line_no, value.strip())
+        key = key.strip()
+        if key in config:
+            raise InputError(f"{path}:{line_no}: {key} repeats line {config[key][0]}")
+        config[key] = (line_no, value.strip())
     return config
 
 
 def _parse_scales(text: str) -> List[Fraction]:
+    if not text:
+        return [Fraction(1, 2**j) for j in range(15)]
     try:
-        scales = [parse_rat(s) for s in text.split(",") if s]
+        scales = [parse_rat(s) for s in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad scales: {exc}") from None
-    if not scales:
-        return [Fraction(1, 2**j) for j in range(15)]
     if min(scales) <= 0 or any(second >= first for first, second in zip(scales, scales[1:])):
         raise InputError("bad scales: they must be positive and strictly decreasing")
     return scales

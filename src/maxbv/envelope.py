@@ -28,15 +28,38 @@ that its right end pops off the lower chain, less its left end, plus the
 one that end is pushed onto, and likewise on the right in the reversed
 pass; each point is popped at most once, so the bounded segments share at
 most 2n anchors, and the two unbounded segments take their one chain whole.
-The envelope is then a left-to-right walk: from the current winner, the
-next piece starts at the earliest crossing where another candidate
-overtakes it.  The candidate-set maximum of ``maximal.candidate_set``
-and the pointwise engine ``maximal.maximal_value`` stay the oracles the tests
-compare profiles with.  Every build checks itself at each breakpoint against
-values read off the same two chains without the walk: the vertex a
-breakpoint's point was pushed onto is its best anchor on that side, so one
-O(n) sweep gives the maximal function at every breakpoint.  It also checks
-that adjacent pieces agree at every junction.
+
+The envelope is then one ordered-stack walk per segment, as in Andrew's
+chain.  It takes the candidates in the order the envelope meets them: the
+left anchors nearest first, the constant c, the right anchors farthest
+first.  A new candidate that meets the top of the stack strictly inside
+the top's cell is pushed with that crossing as its start; otherwise one of
+the two is above the other on the whole cell, one ``_order`` inside the
+cell says which, and the top is popped (and the next top tried) or the new
+candidate dropped.  Each candidate is pushed or dropped once and popped at
+most once, so a build costs O(n + pieces) after the two hull passes.
+
+The order is exact.  On a segment where |f| = l, an anchored average
+satisfies A(x) - l = const/(x - a), so it lies wholly above l, where left
+averages fall and right ones rise (A' = (l - A)/(x - a)), or wholly below
+l <= c.  One below l is below every candidate above l and the constant on
+the whole segment, so whatever order such ones stand in on the stack, the
+constant, which comes in the middle of the order, pops those still there,
+and each later one below l is dropped.  For left anchors a nearer than b,
+A_b - A_a = w(x)*(avg_[b,a] - A_a(x)) with w > 0, which changes sign at
+most once, from - to +, as A_a falls; the right anchors are symmetric, and
+the constant and each right anchor rise against what comes before them.
+So a later candidate above l that meets an earlier one stays above it to
+the right: the one fact the stack relies on.  A tie at a point goes to the
+later candidate, the one larger just to its right.
+
+The candidate-set maximum of ``maximal.candidate_set`` and the pointwise
+engine ``maximal.maximal_value`` stay the oracles the tests compare
+profiles with.  Every build checks itself at each breakpoint against values
+read off the same two chains without the walk: the vertex a breakpoint's
+point was pushed onto is its best anchor on that side, so one O(n) sweep
+gives the maximal function at every breakpoint.  It also checks that
+adjacent pieces agree at every junction.
 
 The build runs on an integer lattice.  With D the lcm of the breakpoint
 denominators and E that of the |constant| denominators, the points
@@ -357,7 +380,8 @@ class VariationEnclosure:
         return (self.lo + self.hi) / 2
 
     def __str__(self):
-        return f"{format_rat(self.lo)}..{format_rat(self.hi)}"
+        lo = format_rat(self.lo)
+        return f"{lo}..{lo if self.lo is self.hi else format_rat(self.hi)}"
 
 
 _ZERO = Fraction(0)
@@ -407,76 +431,38 @@ def _after(x: Point, v: Optional[int]) -> Point:
     return (p + q, q) if v is None else (p + v * q, 2 * q)
 
 
-def _largest(candidates: Sequence[Candidate], x: Point) -> Candidate:
-    """The first of the candidates largest at x."""
-    winner = candidates[0]
-    for cand in candidates[1:]:
-        if _order(cand, winner, x) > 0:
-            winner = cand
-    return winner
-
-
-def _upper_envelope(
+def _stack_walk(
     candidates: Sequence[Candidate], u: Optional[int], v: Optional[int]
-) -> List[Tuple[Optional[Point], Optional[Point], Candidate]]:
-    """Envelope of distinct candidates over the open lattice segment (u, v).
-
-    Two distinct candidates meet at most once (their crossing equation is
-    linear), and their difference changes sign there, because no candidate
-    has a pole on the closed segment.  So the walk starts from the candidate
-    that is largest just right of u, and each next piece starts at the
-    earliest crossing where another candidate overtakes the current winner;
-    of several candidates overtaking at the same point, the one that is
-    larger just to its right wins (they all meet there, so their order is
-    fixed up to v).  Candidates tied at a finite u likewise keep one order
-    on all of (u, v).
-    """
-    if u is None:
-        winner = candidates[0]
-        for cand in candidates[1:]:
-            x = _crossing(cand, winner)
-            sample = (x[0] - x[1], x[1]) if x is not None and x[0] < v * x[1] else (v - 1, 1)
-            if _order(cand, winner, sample) > 0:
-                winner = cand
-        start = None
-    else:
-        start = (u, 1)
-        tied = [candidates[0]]
-        for cand in candidates[1:]:
-            order = _order(cand, tied[0], start)
-            if order > 0:
-                tied = [cand]
-            elif order == 0:
-                tied.append(cand)
-        winner = _largest(tied, _after(start, v))
-    # A candidate that does not cross the winner after the current start
-    # stays below it, and so below the envelope, up to v: it is dropped.
-    alive = [cand for cand in candidates if cand is not winner]
-    cells = []
-    while True:
-        ahead = []
-        for cand in alive:
-            x = _crossing(winner, cand)
+) -> List[list]:
+    """Envelope over the open lattice segment (u, v) of distinct candidates
+    listed in the order the envelope meets them, in one stack pass (see the
+    module docstring): its cells [lo, hi, candidate], lo and hi lattice
+    points or None for an infinite end.  The top's cell runs to v."""
+    start = None if u is None else (u, 1)
+    end = None if v is None else (v, 1)
+    stack = [[start, end, candidates[0]]]
+    for cand in candidates[1:]:
+        while stack:
+            cell = stack[-1]
+            lo, _, top = cell
+            x = _crossing(top, cand)
             if (
                 x is not None
-                and (start is None or start[0] * x[1] < x[0] * start[1])
+                and (lo is None or lo[0] * x[1] < x[0] * lo[1])
                 and (v is None or x[0] < v * x[1])
             ):
-                ahead.append((x, cand))
-        if not ahead:
-            cells.append((start, None if v is None else (v, 1), winner))
-            return cells
-        nearest = ahead[0][0]
-        for x, _ in ahead[1:]:
-            if x[0] * nearest[1] < nearest[0] * x[1]:
-                nearest = x
-        cells.append((start, nearest, winner))
-        # The old winner and the rivals not chosen meet the new winner at
-        # `nearest` and stay below it from there on.
-        at_nearest = [x[0] * nearest[1] == nearest[0] * x[1] for x, _ in ahead]
-        winner = _largest([cand for (_, cand), hit in zip(ahead, at_nearest) if hit], _after(nearest, v))
-        alive = [cand for (_, cand), hit in zip(ahead, at_nearest) if not hit]
-        start = nearest
+                cell[1] = x
+                stack.append([x, end, cand])
+                break
+            # One of the two is above the other on the whole cell: the new
+            # candidate is dropped, or the top popped and the next top tried.
+            if _order(cand, top, (v - 1, 1) if lo is None else _after(lo, v)) < 0:
+                cell[1] = end
+                break
+            stack.pop()
+        else:
+            stack.append([start, end, cand])
+    return stack
 
 
 def _hull_links(points: Sequence[Tuple[Rat, Rat]]) -> List[int]:
@@ -628,26 +614,31 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
         # interval between X and an anchor Q is (y0 - P(Q) + ell*X)/(X - Q).
         ref = max(k - 1, 0)
         y0 = ps[ref] - ell * xs[ref] if n else 0
-        candidates = [(max(ell, tails), 0, 1, 0)]
         # Only the chain vertices between the links of the segment's two ends
         # can be the tangent from (X, P(X)) on that side (see the module
-        # docstring); an unbounded segment takes its one chain whole.
-        left = _anchors(lower, k - 1, lower[k] if k <= n - 1 else -1) if k >= 1 else []
-        right = []
+        # docstring); an unbounded segment takes its one chain whole.  The
+        # walk takes them in the order the envelope meets them: the left
+        # anchors nearest first, the constant, the right anchors farthest
+        # first.  Anchors whose average with the segment is the local
+        # constant (the segment ends among them) are already covered.
+        candidates = []
+        if k >= 1:
+            for i in _anchors(lower, k - 1, lower[k] if k <= n - 1 else -1):
+                alpha, q = y0 - ps[i], xs[i]
+                if alpha + ell * q:
+                    candidates.append((alpha, ell, -q, 1))
+        candidates.append((max(ell, tails), 0, 1, 0))
         if k <= n - 1:
-            right = [n - 1 - j for j in _anchors(upper, n - 1 - k, upper[n - k] if k >= 1 else -1)]
-        for i in left + right:
-            alpha = y0 - ps[i]
-            # Anchors whose average with the segment is the local constant
-            # (the segment ends among them) are already covered.
-            if alpha + ell * xs[i] == 0:
-                continue
-            candidates.append((alpha, ell, -xs[i], 1))
-        for lo, hi, cand in _upper_envelope(candidates, u, v):
-            if cells and cand == cells[-1][2]:
-                cells[-1][1] = hi
+            for j in reversed(_anchors(upper, n - 1 - k, upper[n - k] if k >= 1 else -1)):
+                alpha, q = y0 - ps[n - 1 - j], xs[n - 1 - j]
+                if alpha + ell * q:
+                    candidates.append((alpha, ell, -q, 1))
+        for cell in _stack_walk(candidates, u, v):
+            if cells and cell[2] == cells[-1][2]:
+                cells[-1][1] = cell[1]
             else:
-                cells.append([lo, hi, cand, k])
+                cell.append(k)
+                cells.append(cell)
 
     # Self-checks, on the lattice: adjacent cells agree at their shared
     # point, and at every breakpoint the cell holding it matches the maximal

@@ -318,6 +318,7 @@ class ContinuityReport:
 
     def to_tsv(self) -> str:
         lines = ["j\tscale\tbv_norm_delta\tbv_distance\tvar_maximal_j\tvar_maximal_base"]
+        base_variation = str(self.base_variation)
         for row in self.rows:
             lines.append(
                 "\t".join(
@@ -327,7 +328,7 @@ class ContinuityReport:
                         format_rat(row.delta_norm),
                         str(row.distance),
                         str(row.variation),
-                        str(self.base_variation),
+                        base_variation,
                     )
                 )
             )

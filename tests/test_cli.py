@@ -262,10 +262,36 @@ def test_experiment_rejects_non_ascii_digits(tmp_path, capsys, key):
     _assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("scales", ["1,1", "1/2,1", "1,0", "-1"])
+@pytest.mark.parametrize("scales", ["1,1", "1/2,1", "1,0", "-1", "1,,1/2", "1/2,", ",1/2"])
 def test_experiment_rejects_bad_scales(tmp_path, capsys, scales):
     assert _experiment(tmp_path, f"scales={scales}\n") == 2
     _assert_one_line_error(capsys)
+
+
+def test_experiment_rejects_a_repeated_key(tmp_path, capsys):
+    # The second scales= would otherwise replace the first without a word.
+    config = tmp_path / "exp.cfg"
+    config.write_text("scales=1,1/2\n# a comment\nscales=1/4\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:3: scales repeats line 1\n"
+
+
+def test_experiment_empty_scales_take_the_default(tmp_path, capsys, monkeypatch):
+    from maxbv import verify
+
+    calls = []
+    experiment = verify.continuity_experiment
+
+    def recorded(f, g, scales, **tuning):
+        calls.append(scales)
+        return experiment(f, g, scales, **tuning)
+
+    monkeypatch.setattr(verify, "continuity_experiment", recorded)
+    assert _experiment(tmp_path, "scales=\n") in (0, 1)
+    capsys.readouterr()
+    assert calls == [[Fraction(1, 2**j) for j in range(15)]]
 
 
 @pytest.mark.parametrize(
@@ -280,6 +306,7 @@ def test_experiment_rejects_bad_scales(tmp_path, capsys, scales):
         ("perturbation_norm", "1/0", "malformed rational '1/0' (expected 'p' or 'p/q', q > 0)"),
         ("perturbation_norm", "0", "perturbation_norm must be positive"),
         ("scales", "1,1", "bad scales: they must be positive and strictly decreasing"),
+        ("scales", "1,,1/2", "bad scales: malformed rational '' (expected 'p' or 'p/q', q > 0)"),
     ],
 )
 def test_experiment_value_errors_name_the_line(tmp_path, capsys, key, value, message):
