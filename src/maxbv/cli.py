@@ -187,8 +187,9 @@ def cmd_check(args) -> int:
     return PASS if report.passed else CHECK_FAILED
 
 
-def _read_config(path: str) -> dict:
-    """key -> (line number, value text) from a line-oriented key=value file."""
+def _read_config(path: str, keys) -> dict:
+    """key -> (line number, value text) from a line-oriented key=value file
+    whose keys are among keys; an error names the first bad line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -204,6 +205,10 @@ def _read_config(path: str) -> dict:
         if not sep:
             raise InputError(f"{path}:{line_no}: expected key=value")
         key = key.strip()
+        if not key:
+            raise InputError(f"{path}:{line_no}: empty key")
+        if key not in keys:
+            raise InputError(f"{path}:{line_no}: unknown config key '{key}'")
         if key in config:
             raise InputError(f"{path}:{line_no}: {key} repeats line {config[key][0]}")
         config[key] = (line_no, value.strip())
@@ -242,10 +247,7 @@ def cmd_experiment(args) -> int:
     still validated, but it rescales nothing.
     """
     path = args.config
-    config = _read_config(path)
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    config = _read_config(path, _CONFIG_KEYS)
 
     def value(key: str, default: Optional[str], parse, *extra):
         """The parsed value of key; an error names the line it came from."""

@@ -96,24 +96,27 @@ and +oo among them) one pair (num, den*E) with den > 0, and each piece's int
 form is the cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E)
 for an anchored cell and (C, 0, E, 0) for a constant, a positive multiple
 of the piece, not reduced, so that every sign of the piece is a sign of its
-form.  Distances, whole-line variations and the detachment walk decide on
-these pairs and forms alone, and a build makes no Fraction.  A dump prints
-each piece from ints too: its ends from the end pairs, and its
-coefficients (alpha = A/(D*E), beta = L/E, gamma = -X/D, delta = 1, or
-C/E over 1 for a constant) from the cell's tuple, each through
+form.  Of its build a profile keeps only that, and for its tags, made on
+first read, each piece's segment and the lattice (D, X, L, P): an anchored
+form's anchor is its pole, a left one at or before the segment's left end,
+and a constant form's lattice level is C.  Distances, whole-line
+variations, the detachment walk and the invariant suite's piece checks
+decide on these pairs and forms alone, and a build makes no Fraction.  A
+dump prints from ints too: the ends from the end pairs, each coefficient
+as its form's over delta (gamma for a constant), each through
 ``exact.format_pair``.  The skeleton's Fractions, ``ends`` and
 ``end_values``, are made together on the first read of either: by the
 detachment set (whose printed bounds are ``ends`` and f's breakpoints),
-point values, derivatives and windowed variations.  The MoebiusPiece
-Fractions and their tags are made only when the invariant suite's piece
-checks read them; the tests hold each dump to their ``dump_line``s.  Int
-passes check the way in and the way back: ``StepFunction.lattice`` that
-X*den(b) = num(b)*D and L*den(c) = |num(c)|*E for f's own rationals b and c
-when it is made (a family, once, its own lattice against the rationals of f
-and g); ``format_pair`` that each printed p/q is its pair (num, den), as
-p*den == num*q; the first read of the skeleton's Fractions that each is its
-int pair; and each piece's coefficients against its cell where they are
-made.  So every rational a profile prints has been checked.
+point values, derivatives, windowed variations and the piece checks.
+``MoebiusPiece``s are made only on a read of ``pieces``; the tests hold
+each dump to their ``dump_line``s.  Int passes check the way in and back:
+``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
+for f's own rationals b and c when it is made (a family, once, its own
+lattice against the rationals of f and g); ``format_pair`` that each
+printed p/q is its pair (num, den), as p*den == num*q; the first read of
+the skeleton's Fractions that each is its int pair; and each piece's
+coefficients against its form where they are made.  So every rational a
+profile prints has been checked.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in piece domains and
 region intervals, compared exactly and never computed with; in the lattice
@@ -254,33 +257,27 @@ class MaximalProfile:
     """Ordered monotone pieces covering the whole line; continuous by
     construction (adjacent pieces agree at junctions).
 
-    A profile is read through its skeleton of ints: ``end_pairs``, each
-    junction in increasing order as a pair (p, q) with q > 0;
-    ``value_pairs``, the limit at -oo, the value at each junction and the
-    limit at +oo, each a pair (num, den) with den > 0; and ``int_forms``,
+    A profile is its skeleton of ints and its tags.  ``end_pairs`` holds
+    each junction in increasing order as a pair (p, q) with q > 0;
+    ``value_pairs`` the limit at -oo, the value at each junction and the
+    limit at +oo, each a pair (num, den) with den > 0; and ``int_forms``
     each piece's (alpha, beta, gamma, delta) as ints, a positive multiple
     of the piece, so every sign of the piece is the sign of the form.
-    ``ends`` and ``end_values``, the same skeleton as Fractions, are made
-    together on first read of either, and checked there against their
-    pairs (the way back).  ``dump`` prints from ints: the end pairs, the
-    cells' tuples and their tags.  ``pieces``, the ``MoebiusPiece``s with
-    their tags, is made on first read, from ``ends`` and ``end_values``:
-    the reference the invariant suite's piece checks read, and the tests
-    hold the dump to.
-
-    A profile is made by a build on a lattice (``build_profile`` and
-    ``PerturbationFamily.profile``), which fills the skeleton straight from
-    its lattice cells and keeps, as ``cells``, the arguments of
-    ``_cell_pieces`` after the profile itself, to print the dump and make
-    the pieces from.
+    ``tags`` names the candidate that carries each piece; a build keeps,
+    to make them on first read, each piece's segment and the lattice
+    (D, X, L, P) it was built on.  ``ends`` and ``end_values``, the
+    skeleton as Fractions, are made together on first read of either, and
+    checked there against their pairs (the way back).  ``dump`` prints
+    from the skeleton's ints and the tags.  ``pieces``, ``MoebiusPiece``s
+    over ``ends``, ``end_values`` and ``tags``, is made on first read.
     """
 
-    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_rationals", "_pieces", "_cells")
+    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_tag_source", "_tags", "_rationals", "_pieces")
 
-    def __init__(self, end_pairs, value_pairs, int_forms, cells):
+    def __init__(self, end_pairs, value_pairs, int_forms, tag_source):
         self.end_pairs, self.value_pairs, self.int_forms = end_pairs, value_pairs, int_forms
-        self._rationals = self._pieces = None
-        self._cells = cells
+        self._tag_source = tag_source  # (segments, D, X, L, P)
+        self._tags = self._rationals = self._pieces = None
 
     def _skeleton(self) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:
         """(ends, end_values), made and checked on the first call."""
@@ -305,14 +302,16 @@ class MaximalProfile:
         return self._skeleton()[1]
 
     @property
+    def tags(self) -> Tuple[str, ...]:
+        if self._tags is None:
+            self._tags = _tags(self.int_forms, *self._tag_source)
+        return self._tags
+
+    @property
     def pieces(self) -> Tuple[MoebiusPiece, ...]:
         if self._pieces is None:
-            self._pieces = _cell_pieces(self, *self._cells)
+            self._pieces = _cell_pieces(self)
         return self._pieces
-
-    def piece_containing(self, x) -> MoebiusPiece:
-        """The piece whose closed domain holds x (the left one at a junction)."""
-        return self.pieces[bisect_left(self.ends, rat(x))]
 
     def value(self, x) -> Rat:
         """The profile at x, off the int form of the piece holding it."""
@@ -323,19 +322,16 @@ class MaximalProfile:
     def dump(self) -> str:
         """One line per piece, its ``MoebiusPiece.dump_line``: the domain, the
         coefficients (alpha, beta, gamma, delta) and the tag, printed from the
-        end pairs and the cells' int tuples; ``format_pair`` checks each
-        printed rational against its pair."""
-        cells, scale, unit, xs, ls, ps = self._cells
-        tags = [_cell_tag(cand, k, scale, xs, ls, ps) for _, _, cand, k in cells]
+        end pairs and the int forms, each coefficient over its form's delta
+        (its gamma for a constant); ``format_pair`` checks each printed
+        rational against its pair."""
+        tags = self.tags
         try:
             ends = ["-inf", *[format_pair(p, q) for p, q in self.end_pairs], "inf"]
-            # An anchored cell is alpha = a/(D*E), beta = b/E, gamma = g/D and
-            # delta = 1; a constant is alpha = a/E over gamma = 1.
-            lines = [
-                f"{lo}\t{hi}\t{format_pair(a, scale * unit)}\t{format_pair(b, unit)}\t{format_pair(g, scale)}\t1\t{tag}"
-                if d else f"{lo}\t{hi}\t{format_pair(a, unit)}\t0\t1\t0\t{tag}"
-                for lo, hi, (_, _, (a, b, g, d), _), tag in zip(ends, ends[1:], cells, tags)
-            ]
+            lines = []
+            for lo, hi, (a, b, g, d), tag in zip(ends, ends[1:], self.int_forms, tags):
+                k = d or g
+                lines.append(f"{lo}\t{hi}\t{format_pair(a, k)}\t{format_pair(b, k)}\t{format_pair(g, k)}\t{format_pair(d, k)}\t{tag}")
         except AssertionError as exc:  # a printed rational off its pair
             raise AssertionError("profile skeleton disagrees with its lattice cells") from exc
         return "\n".join(lines) + "\n"
@@ -385,7 +381,6 @@ class VariationEnclosure:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -562,16 +557,22 @@ def _constant_tag(
     raise AssertionError("segment constant matches no candidate")
 
 
-def _cell_tag(
-    cand: Candidate, k: int, scale: int, xs: Sequence[int], ls: Sequence[int], ps: Sequence[int]
-) -> str:
-    """Tag of a cell's candidate on segment k.  An anchored candidate's
-    anchor is its pole; left anchors lie at or before the segment's left
-    end."""
-    a, _, g, d = cand
-    if d:
-        return f"{'left' if k >= 1 and -g <= xs[k - 1] else 'right'}({format_pair(-g, scale)})"
-    return _constant_tag(xs, ps, ls, k, a, scale)
+def _tags(
+    forms: Sequence[Sequence[int]], segments: Sequence[int], scale: int,
+    xs: Sequence[int], ls: Sequence[int], ps: Sequence[int],
+) -> Tuple[str, ...]:
+    """The tag of each piece of a build, from its int form and the segment
+    k of its first cell.  An anchored form (A, B, G, K) has its anchor at
+    its pole -G/K, a left one when that lies at or before the segment's
+    left end, -G*D <= X[k-1]*K; a constant form's lattice level is A."""
+    tags = []
+    for (a, _, g, d), k in zip(forms, segments, strict=True):
+        if d:
+            side = "left" if k >= 1 and -g * scale <= xs[k - 1] * d else "right"
+            tags.append(f"{side}({format_pair(-g, d)})")
+        else:
+            tags.append(_constant_tag(xs, ps, ls, k, a, scale))
+    return tuple(tags)
 
 
 def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
@@ -657,9 +658,9 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     # The skeleton, straight from the cells: each right end (the last is
     # +oo), the value there and the limit at -oo, as pairs of ints with a
     # positive den, and each int form, a positive multiple of the piece that
-    # its cell makes (see _cell_pieces): an anchored (a, b*D, g*E, D*E), a
-    # constant (a, 0, E, 0).  Their Fractions are made, and checked, on
-    # first read (see MaximalProfile).
+    # its cell makes: an anchored (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
+    # Their Fractions are made, and checked, on first read; the tags are read
+    # off the forms, each piece's segment and the lattice (see MaximalProfile).
     end_pairs = tuple([(hi[0], hi[1] * scale) for _, hi, _, _ in cells[:-1]])
     value_pairs = [_lattice_value(None, cells[0][2])]
     value_pairs += [_lattice_value(hi, cand) for _, hi, cand, _ in cells]
@@ -667,7 +668,7 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     forms = tuple([
         (a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0) for _, _, (a, b, g, d), _ in cells
     ])
-    return MaximalProfile(end_pairs, value_pairs, forms, (cells, scale, unit, xs, ls, ps))
+    return MaximalProfile(end_pairs, value_pairs, forms, ([k for *_, k in cells], scale, xs, ls, ps))
 
 
 # --- the perturbation family f + s*g -----------------------------------------
@@ -738,27 +739,17 @@ class PerturbationFamily:
         return _build(self._scale, unit, xs, ls, _antiderivative(xs, ls))
 
 
-def _cell_pieces(
-    profile: MaximalProfile, cells: Sequence[list], scale: int, unit: int,
-    xs: Sequence[int], ls: Sequence[int], ps: Sequence[int],
-) -> Tuple[MoebiusPiece, ...]:
-    """The pieces of a built profile, one per lattice cell, on its skeleton.
-
-    The only Fractions made here are the coefficients, which the way back
-    checks against the cell's ints, and the tags."""
+def _cell_pieces(profile: MaximalProfile) -> Tuple[MoebiusPiece, ...]:
+    """The pieces of a profile over its skeleton and tags.  Each coefficient
+    is its int form's over delta (gamma for a constant), and the way back
+    checks it against the form."""
     los, his, values = (NEG_INF, *profile.ends), (*profile.ends, POS_INF), profile.end_values
     pieces: List[MoebiusPiece] = []
-    for i, (_, _, cand, k) in enumerate(cells):
-        a, b, g, d = cand
-        if d:
-            coeffs = (Fraction(a, scale * unit), Fraction(b, unit), Fraction(g, scale), _ONE)
-            scales = (scale * unit, unit, scale, 1)
-        else:
-            coeffs = (Fraction(a, unit), _ZERO, _ONE, _ZERO)
-            scales = (unit, 1, 1, 1)
-        piece = MoebiusPiece(*coeffs, los[i], his[i], values[i], values[i + 1], _cell_tag(cand, k, scale, xs, ls, ps))
-        for v, w, size in zip(piece.coefficients, cand, scales):
-            if v.numerator * size != w * v.denominator:
+    for i, (form, tag) in enumerate(zip(profile.int_forms, profile.tags, strict=True)):
+        k = form[3] or form[2]
+        piece = MoebiusPiece(*[Fraction(c, k) for c in form], los[i], his[i], values[i], values[i + 1], tag)
+        for v, c in zip(piece.coefficients, form):
+            if v.numerator * k != c * v.denominator:
                 raise AssertionError("profile piece disagrees with its lattice cell")
         pieces.append(piece)
     return tuple(pieces)

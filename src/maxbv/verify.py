@@ -19,6 +19,7 @@ hump midpoints still average to 1 + 1/n, and gap midpoints stay at most 1.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import envelope as env
 from . import maximal as mx
 from . import stepfn as sf
-from .exact import Rat, format_rat, rat
+from .exact import Rat, format_rat, rat, sign
 from .stepfn import AbsIntegral, StepFunction
 
 
@@ -364,8 +365,8 @@ def continuity_experiment(
     ``build_profile`` would take on ``stepfn.combine(f, perturbation, 1, s)``,
     and every reported value is a reduced Fraction, so the report is the
     same byte for byte.  The distances and variations read only the
-    profiles' int skeletons, peaks included, and make no ``MoebiusPiece``
-    and no Fraction of a skeleton's ends or end values.
+    profiles' int skeletons, peaks included, and make no Fraction of a
+    skeleton's ends or end values and no tag.
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s <= 0 for s in scales):
@@ -568,20 +569,23 @@ def _check_local_variation_bound(f, ctx):
     return True, ""
 
 
-def _overlap_interior(piece, lo, hi):
-    """Does (piece.lo, piece.hi) meet (lo, hi) in a set with interior?"""
-    return max(piece.lo, lo) < min(piece.hi, hi)
+def _bounds(profile) -> Tuple:
+    """NEG_INF, the profile's ends, POS_INF: piece i spans bounds i and i + 1,
+    and meets an interval (lo, hi) in a set with interior when
+    max(bounds[i], lo) < min(bounds[i + 1], hi)."""
+    return (sf.NEG_INF, *profile.ends, sf.POS_INF)
 
 
 def _check_flat_on_touch(f, ctx):
     profile = ctx["profile"]
     _, touch = ctx["regions"]
-    for piece in profile.pieces:
-        if piece.is_constant:
+    bounds = _bounds(profile)
+    for i, (_, b, _, d) in enumerate(profile.int_forms):
+        if b == d == 0:  # a constant
             continue
         for lo, hi in touch.intervals:
-            if _overlap_interior(piece, lo, hi):
-                return False, f"piece {piece.tag}"
+            if max(bounds[i], lo) < min(bounds[i + 1], hi):
+                return False, f"piece {profile.tags[i]}"
     return True, ""
 
 
@@ -629,11 +633,12 @@ def _check_finite_difference(f, ctx):
             continue
         # The first three steps 2^-t (t >= 6) whose window stays in x's piece:
         # across a junction the difference quotient sees another piece.
-        piece = profile.piece_containing(x)
+        i = bisect_left(profile.ends, x)
+        start, stop = _bounds(profile)[i : i + 2]
         steps: List[Fraction] = []
         h = Fraction(1, 2**6)
         while len(steps) < 3:
-            if piece.lo <= x - h and x + h <= piece.hi:
+            if start <= x - h and x + h <= stop:
                 steps.append(h)
             h /= 2
         for h in steps:
@@ -646,13 +651,14 @@ def _check_finite_difference(f, ctx):
 def _check_no_interior_max(f, ctx):
     profile = ctx["profile"]
     regions, _ = ctx["regions"]
+    bounds = _bounds(profile)
+    # Each piece's direction, the sign of its form's b*g - a*d.
+    directions = [sign(b * g - a * d) for a, b, g, d in profile.int_forms]
     for lo, hi in regions.intervals:
-        directions = []
-        for piece in profile.pieces:
-            if _overlap_interior(piece, lo, hi):
-                if piece.direction != 0:
-                    directions.append(piece.direction)
-        for first, second in zip(directions, directions[1:]):
+        inside = [
+            way for i, way in enumerate(directions) if way and max(bounds[i], lo) < min(bounds[i + 1], hi)
+        ]
+        for first, second in zip(inside, inside[1:]):
             if first > 0 > second:
                 return False, "rise then fall inside one component"
     return True, ""

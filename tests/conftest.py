@@ -7,6 +7,7 @@ maximal values by maximizing averages over sampled intervals.
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -135,7 +136,8 @@ def pair(x):
 
 def profile_from_pieces(pieces):
     """A profile of hand-built pieces, its skeleton derived from them: the
-    junctions and the end values as int pairs, and each piece's int form."""
+    junctions and the end values as int pairs, each piece's int form and
+    its tag."""
     pieces = tuple(pieces)
     profile = MaximalProfile(
         tuple([pair(piece.hi) for piece in pieces[:-1]]),
@@ -143,8 +145,14 @@ def profile_from_pieces(pieces):
         tuple([int_form(piece.coefficients) for piece in pieces]),
         None,
     )
+    profile._tags = tuple([piece.tag for piece in pieces])
     profile._pieces = pieces
     return profile
+
+
+def piece_containing(profile, x):
+    """The piece whose closed domain holds x (the left one at a junction)."""
+    return profile.pieces[bisect_left(profile.ends, x)]
 
 
 values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))

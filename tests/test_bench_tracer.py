@@ -2,8 +2,10 @@
 
 ``bench/tracing.py`` wraps public names of the maxbv modules by name; a
 renamed or deleted target would silently drop a per-layer metric from
-``run.py --trace 1``.  The tracer module is compiled from its source text,
-so nothing is written under ``bench/``.
+``run.py --trace 1``.  Its hooks read what a build and a distance return,
+on every traced op, so a change to what a profile exposes must keep them
+working.  The tracer module is compiled from its source text, so nothing is
+written under ``bench/``.
 """
 
 import types
@@ -12,6 +14,8 @@ from pathlib import Path
 import maxbv.cli  # loads every maxbv module the tracer patches
 import maxbv.exact
 import maxbv.maximal
+from maxbv.envelope import build_profile, bv_distance
+from maxbv.verify import random_stepfn
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -30,3 +34,18 @@ def test_every_tracer_target_resolves_and_is_restored():
         assert tracer.missing == []
         assert maxbv.maximal.maximal_value is not originals[0]
     assert (maxbv.maximal.maximal_value, vars(maxbv.exact.AlgebraicValue)["refine_below"]) == originals
+
+
+def test_tracer_hooks_read_a_profile_and_a_distance():
+    # Seeds whose distance has irrational peaks, so its enclosure is wide.
+    tracer = _tracing_module().Tracer()
+    p1, p2 = build_profile(random_stepfn(10, n_max=9)), build_profile(random_stepfn(1010, n_max=9))
+    tracer._profile(p1)
+    pieces = len(p1.int_forms)
+    assert pieces > 1 and tracer.counts["pieces"] == pieces and tracer.pieces_hist == {pieces: 1}
+    assert tracer.counts["operand_bits_max"] > 0
+    distance = bv_distance(p1, p2)
+    assert distance.lo < distance.hi
+    tracer._enclosure(distance)
+    bits = max(v.bit_length() for v in (distance.hi.numerator, distance.hi.denominator))
+    assert tracer.counts["operand_bits_max"] >= bits

@@ -228,6 +228,27 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
     assert main(["experiment", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("=5\n", 1, "empty key"),
+        ("scales=1,1/2\n  = 5\n", 2, "empty key"),
+        ("# a comment\nfoo=2\nbar=3\n", 2, "unknown config key 'foo'"),
+        ("bar=3\nseed=1\nfoo=2\n", 1, "unknown config key 'bar'"),
+        ("seed=1\nfoo=2\n=5\n", 2, "unknown config key 'foo'"),
+        ("=5\nfoo=2\n", 1, "empty key"),
+    ],
+)
+def test_experiment_key_errors_name_their_line(tmp_path, capsys, text, line, message):
+    # The first bad key in line order, empty or unknown, names its line.
+    config = tmp_path / "exp.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:{line}: {message}\n"
+
+
 def test_round_trip_through_cli_formats(tmp_path):
     from maxbv.stepfn import load
     from maxbv.verify import random_stepfn

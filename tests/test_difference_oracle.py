@@ -27,7 +27,7 @@ from maxbv.envelope import (
 from maxbv.exact import integer_quadratic, isolate_quadratic_roots, sign
 from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import random_stepfn
-from conftest import midpoint, moebius_profile, pair, rand_stepfn, step_functions
+from conftest import midpoint, moebius_profile, pair, piece_containing, rand_stepfn, step_functions
 
 PRECISION = Fraction(1, 10**9)
 
@@ -39,7 +39,7 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
     d_s = p1.end_values[0] - p2.end_values[0]
     for s, t in zip(walk, walk[1:]):
         x = midpoint(s, t)
-        m1, m2 = p1.piece_containing(x), p2.piece_containing(x)
+        m1, m2 = piece_containing(p1, x), piece_containing(p2, x)
         if t == POS_INF:
             d_t = p1.end_values[-1] - p2.end_values[-1]
         else:

@@ -387,16 +387,17 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
             read(profile)
         assert len(calls) == 2
         calls.clear()
-    # A dump prints the first junction, and the limit at -oo as the first
-    # piece's beta (alpha for a constant), from the same pairs, and makes no
-    # Fraction of the skeleton: the way back of format_pair sees the pair
-    # one unit off.  No tag prints that pair, so the dump's text is what fails.
-    target = built.end_pairs[0] if part == "ends" else built.value_pairs[0]
+    # A dump prints the first junction from its end pair, and the limit at
+    # -oo as the first piece's beta over delta (alpha over gamma for a
+    # constant) from its int form, and makes no Fraction of the skeleton:
+    # the way back of format_pair sees the pair one unit off.  No tag prints
+    # that pair, so the dump's text is what fails.
+    a, b, g, d = built.int_forms[0]
+    target = built.end_pairs[0] if part == "ends" else ((b, d) if d else (a, g))
+    assert part == "ends" or Fraction(*target) == Fraction(*built.value_pairs[0])
     lowest = exact._lowest
     monkeypatch.setattr(exact, "_lowest", lambda num, den: lowest(num + ((num, den) == target), den))
-    cells, scale, _, xs, ls, ps = built._cells
-    for _, _, cand, k in cells:
-        envelope._cell_tag(cand, k, scale, xs, ls, ps)
+    assert len(built.tags) == len(built.int_forms)
     with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
         build_profile(f).dump()
     assert calls == []

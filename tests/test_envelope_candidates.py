@@ -184,13 +184,16 @@ def same_rationals(pairs, others):
 
 
 def assert_same_profile(built, reference):
-    cells, others = built._cells[0], reference._cells[0]
-    assert [(cand, k) for _, _, cand, k in cells] == [(cand, k) for _, _, cand, k in others]
-    assert same_rationals([lo for lo, *_ in cells], [lo for lo, *_ in others])
-    assert same_rationals([hi for _, hi, *_ in cells], [hi for _, hi, *_ in others])
+    """Piece for piece, the same int form on the same lattice (so the same
+    candidate), the same segment, the same junctions and values, the same
+    tags and the same dump."""
+    segments, others = built._tag_source[0], reference._tag_source[0]
+    assert built._tag_source[1:] == reference._tag_source[1:]
     assert built.int_forms == reference.int_forms
+    assert list(segments) == list(others)
     assert same_rationals(built.end_pairs, reference.end_pairs)
     assert same_rationals(built.value_pairs, reference.value_pairs)
+    assert built.tags == reference.tags
     assert built.dump() == reference.dump()
 
 

@@ -8,7 +8,9 @@ compared byte for byte with ``tests/golden/cli.txt``.  A second list runs
 points, so their ``lo..hi`` enclosures hold the certified-variation path
 byte for byte; it is compared with ``tests/golden/distances.txt``.  The
 invariant suite's default run, ``maxbv check --seeds 0:200``, is compared
-with ``tests/golden/check.txt``, its stdout as it is.  Refresh the files
+with ``tests/golden/check.txt``, its stdout as it is, and again with
+``envelope.MoebiusPiece`` made to raise: the suite reads only the
+profiles' skeletons and tags.  Refresh the files
 only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -143,6 +145,18 @@ def test_irrational_distances_match_golden():
 
 
 def test_check_report_matches_golden():
+    assert check_transcript() == CHECK.read_text(encoding="utf-8")
+
+
+def test_check_report_makes_no_pieces(monkeypatch):
+    # The invariant suite reads the profiles' skeletons and tags; a check
+    # that made a piece would report the error as a FAIL.
+    from maxbv import envelope
+
+    def no_pieces(*args):
+        raise AssertionError("a piece was made")
+
+    monkeypatch.setattr(envelope, "MoebiusPiece", no_pieces)
     assert check_transcript() == CHECK.read_text(encoding="utf-8")
 
 

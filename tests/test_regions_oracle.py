@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from maxbv.envelope import RegionSet, build_profile, detachment_regions
 from maxbv.stepfn import NEG_INF, POS_INF
 from maxbv.verify import random_stepfn
-from conftest import midpoint, step_functions
+from conftest import midpoint, piece_containing, step_functions
 
 
 def reference_detachment_regions(f, profile):
@@ -21,13 +21,13 @@ def reference_detachment_regions(f, profile):
     detached = []
     for s, t in zip(ends, ends[1:]):
         x = midpoint(s, t)
-        piece = profile.piece_containing(x)
+        piece = piece_containing(profile, x)
         detached.append(not (piece.is_constant and piece.value_at(x) == abs(f.value(x))))
     runs = []
     start = NEG_INF
     for i, b in enumerate(bounds):
         adjusted = max(abs(f.left_limit(b)), abs(f.right_limit(b)))
-        if profile.piece_containing(b).value_at(b) != adjusted:
+        if piece_containing(profile, b).value_at(b) != adjusted:
             assert detached[i] and detached[i + 1]
             continue
         if detached[i]:
