@@ -48,7 +48,6 @@ envelope = _lazy("envelope")
 
 _ENVELOPE_NAMES = frozenset({
     "MaximalProfile",
-    "MoebiusPiece",
     "PerturbationFamily",
     "RegionSet",
     "VariationEnclosure",

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTIONS = {"--from", "--to", "--x"}
+_VALUE_OPTIONS = {"--from", "--to", "--x", "--seeds"}
 
 
 def _merge_value_options(argv):

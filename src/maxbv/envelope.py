@@ -99,24 +99,22 @@ of the piece, not reduced, so that every sign of the piece is a sign of its
 form.  Of its build a profile keeps only that, and for its tags, made on
 first read, each piece's segment and the lattice (D, X, L, P): an anchored
 form's anchor is its pole, a left one at or before the segment's left end,
-and a constant form's lattice level is C.  Distances, whole-line
-variations, the detachment walk and the invariant suite's piece checks
-decide on these pairs and forms alone, and a build makes no Fraction.  A
-dump prints from ints too: the ends from the end pairs, each coefficient
-as its form's over delta (gamma for a constant), each through
-``exact.format_pair``.  The skeleton's Fractions, ``ends`` and
-``end_values``, are made together on the first read of either: by the
-detachment set (whose printed bounds are ``ends`` and f's breakpoints),
-point values, derivatives, windowed variations and the piece checks.
-``MoebiusPiece``s are made only on a read of ``pieces``; the tests hold
-each dump to their ``dump_line``s.  Int passes check the way in and back:
+and a constant form's lattice level is C.  These pairs, forms and tags are
+the profile's only representation: distances, whole-line variations, the
+detachment walk and the invariant suite's piece checks decide on them
+alone, and a build makes no Fraction.  A dump prints from ints too: the
+ends from the end pairs, each coefficient as its form's over delta (gamma
+for a constant), each through ``exact.format_pair``.  The one Fraction
+view, ``ends``, is made on its first read: by the detachment set (whose
+printed bounds are ``ends`` and f's breakpoints), point values,
+derivatives, windowed variations and the piece checks.  ``pieces`` is
+``int_forms`` under another name.  Int passes check the way in and back:
 ``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
 for f's own rationals b and c when it is made (a family, once, its own
 lattice against the rationals of f and g); ``format_pair`` that each
-printed p/q is its pair (num, den), as p*den == num*q; the first read of
-the skeleton's Fractions that each is its int pair; and each piece's
-coefficients against its form where they are made.  So every rational a
-profile prints has been checked.
+printed p/q is its pair (num, den), as p*den == num*q; and the first read
+of ``ends`` that each is its int pair.  So every rational a profile
+prints has been checked.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in piece domains and
 region intervals, compared exactly and never computed with; in the lattice
@@ -160,62 +158,6 @@ from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint, 
 # with).  The infinities are the only floats, so the hot loops tell an infinite
 # end by its type: comparing a Fraction with a float costs about 1 us.
 End = Union[Rat, float]
-
-
-@dataclass(frozen=True)
-class MoebiusPiece:
-    """x -> (alpha + beta*x)/(gamma + delta*x) on a domain with exact ends.
-
-    ``lo``/``hi`` are domain endpoints (NEG_INF/POS_INF for the infinities)
-    and ``lo_value``/``hi_value`` the profile values there; at an infinite
-    end, the limit of the piece there (beta/delta, or alpha/gamma for a
-    constant).  The denominator has no zero on the closed domain, so the
-    piece is monotone throughout.
-    ``tag`` names the candidate that carries the piece: ``left(a)``,
-    ``right(b)``, ``const(a,b)`` or ``const:<tail_left|tail_right|local>``.
-    """
-
-    alpha: Rat
-    beta: Rat
-    gamma: Rat
-    delta: Rat
-    lo: End
-    hi: End
-    lo_value: Rat
-    hi_value: Rat
-    tag: str
-
-    @property
-    def coefficients(self) -> Tuple[Rat, Rat, Rat, Rat]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.beta == 0 and self.delta == 0
-
-    @property
-    def direction(self) -> int:
-        """Monotonicity: the sign of the derivative, constant on the domain."""
-        return sign(self.beta * self.gamma - self.alpha * self.delta)
-
-    def value_at(self, x) -> Rat:
-        x = rat(x)
-        den = self.gamma + self.delta * x
-        if den == 0:
-            raise ZeroDivisionError("evaluation at the pole of a profile piece")
-        return (self.alpha + self.beta * x) / den
-
-    def dump_line(self) -> str:
-        cells = [
-            format_rat(self.lo),
-            format_rat(self.hi),
-            format_rat(self.alpha),
-            format_rat(self.beta),
-            format_rat(self.gamma),
-            format_rat(self.delta),
-            self.tag,
-        ]
-        return "\t".join(cells)
 
 
 # An int pair (num, den) stands for num/den.  A bound of a skeleton walk is a
@@ -265,41 +207,29 @@ class MaximalProfile:
     of the piece, so every sign of the piece is the sign of the form.
     ``tags`` names the candidate that carries each piece; a build keeps,
     to make them on first read, each piece's segment and the lattice
-    (D, X, L, P) it was built on.  ``ends`` and ``end_values``, the
-    skeleton as Fractions, are made together on first read of either, and
-    checked there against their pairs (the way back).  ``dump`` prints
-    from the skeleton's ints and the tags.  ``pieces``, ``MoebiusPiece``s
-    over ``ends``, ``end_values`` and ``tags``, is made on first read.
+    (D, X, L, P) it was built on.  ``ends``, the junctions as Fractions,
+    is made on first read and checked there against its pairs (the way
+    back).  ``dump`` prints from the skeleton's ints and the tags.
     """
 
-    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_tag_source", "_tags", "_rationals", "_pieces")
+    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_tag_source", "_tags", "_ends")
 
     def __init__(self, end_pairs, value_pairs, int_forms, tag_source):
         self.end_pairs, self.value_pairs, self.int_forms = end_pairs, value_pairs, int_forms
         self._tag_source = tag_source  # (segments, D, X, L, P)
-        self._tags = self._rationals = self._pieces = None
-
-    def _skeleton(self) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:
-        """(ends, end_values), made and checked on the first call."""
-        if self._rationals is None:
-            ends, end_values = _fractions(self.end_pairs), _fractions(self.value_pairs)
-            # The way back from the skeleton, in one int pass: each rational v
-            # is its int pair (w, k), checked as v.numerator*k == w*v.denominator.
-            # The pieces' coefficients are checked where the pieces are made.
-            for rationals, pairs in ((ends, self.end_pairs), (end_values, self.value_pairs)):
-                for v, (w, k) in zip(rationals, pairs, strict=True):
-                    if v.numerator * k != w * v.denominator:
-                        raise AssertionError("profile skeleton disagrees with its lattice cells")
-            self._rationals = ends, end_values
-        return self._rationals
+        self._tags = self._ends = None
 
     @property
     def ends(self) -> Tuple[Rat, ...]:
-        return self._skeleton()[0]
-
-    @property
-    def end_values(self) -> Tuple[Rat, ...]:
-        return self._skeleton()[1]
+        if self._ends is None:
+            ends = _fractions(self.end_pairs)
+            # The way back, in one int pass: each junction v is its int pair
+            # (w, k), checked as v.numerator*k == w*v.denominator.
+            for v, (w, k) in zip(ends, self.end_pairs, strict=True):
+                if v.numerator * k != w * v.denominator:
+                    raise AssertionError("profile skeleton disagrees with its lattice cells")
+            self._ends = ends
+        return self._ends
 
     @property
     def tags(self) -> Tuple[str, ...]:
@@ -308,10 +238,10 @@ class MaximalProfile:
         return self._tags
 
     @property
-    def pieces(self) -> Tuple[MoebiusPiece, ...]:
-        if self._pieces is None:
-            self._pieces = _cell_pieces(self)
-        return self._pieces
+    def pieces(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """The int forms, under the name through which the benchmark's tracer
+        counts a profile's pieces and their operand bits."""
+        return self.int_forms
 
     def value(self, x) -> Rat:
         """The profile at x, off the int form of the piece holding it."""
@@ -320,11 +250,11 @@ class MaximalProfile:
         return Fraction(*_form_at(form, (x.numerator, x.denominator)))
 
     def dump(self) -> str:
-        """One line per piece, its ``MoebiusPiece.dump_line``: the domain, the
-        coefficients (alpha, beta, gamma, delta) and the tag, printed from the
-        end pairs and the int forms, each coefficient over its form's delta
-        (its gamma for a constant); ``format_pair`` checks each printed
-        rational against its pair."""
+        """One line per piece, tab-separated: the domain, the coefficients
+        (alpha, beta, gamma, delta) and the tag, printed from the end pairs
+        and the int forms, each coefficient over its form's delta (its gamma
+        for a constant); ``format_pair`` checks each printed rational against
+        its pair."""
         tags = self.tags
         try:
             ends = ["-inf", *[format_pair(p, q) for p, q in self.end_pairs], "inf"]
@@ -739,22 +669,6 @@ class PerturbationFamily:
         return _build(self._scale, unit, xs, ls, _antiderivative(xs, ls))
 
 
-def _cell_pieces(profile: MaximalProfile) -> Tuple[MoebiusPiece, ...]:
-    """The pieces of a profile over its skeleton and tags.  Each coefficient
-    is its int form's over delta (gamma for a constant), and the way back
-    checks it against the form."""
-    los, his, values = (NEG_INF, *profile.ends), (*profile.ends, POS_INF), profile.end_values
-    pieces: List[MoebiusPiece] = []
-    for i, (form, tag) in enumerate(zip(profile.int_forms, profile.tags, strict=True)):
-        k = form[3] or form[2]
-        piece = MoebiusPiece(*[Fraction(c, k) for c in form], los[i], his[i], values[i], values[i + 1], tag)
-        for v, c in zip(piece.coefficients, form):
-            if v.numerator * k != c * v.denominator:
-                raise AssertionError("profile piece disagrees with its lattice cell")
-        pieces.append(piece)
-    return tuple(pieces)
-
-
 # --- detachment set --------------------------------------------------------
 
 
@@ -967,11 +881,11 @@ def variation_of_difference(
     inside as a peak.  It first divides q by gcd(q, (k1*k2)**2), with k a
     form's delta (gamma for a constant), its factor over its piece: that is
     the critical quadratic of the pieces, which have delta = 1 (gamma = 1),
-    times the lcm of its denominators, the ints ``integer_quadratic`` makes
-    of it.  A surd's bracket width is 1/(2a), so that scaling fixes every
-    enclosure end.  Each round narrows the peaks' brackets, which encloses d
-    there, and reads the poles' signs and the values at the bracket ends off
-    the two int forms.  A rational root's bracket is the point itself, so
+    times the lcm of its denominators: the int quadratic that
+    ``isolate_quadratic_roots`` takes.  A surd's bracket width is 1/(2a), so
+    that scaling fixes every enclosure end.  Each round narrows the peaks'
+    brackets, which encloses d there, and reads the poles' signs and the
+    values at the bracket ends off the two int forms.  A rational root's bracket is the point itself, so
     its peak term is exact from the first round on.
     """
     precision = rat(precision)

@@ -11,8 +11,8 @@ numerator and denominator through it.
 points of a difference of two profiles, with a dyadic bracket that one
 ``math.isqrt`` gives in closed form.  Where a root lies is never asked of
 its bracket: the exact signs of an int quadratic at the ends of a cell
-settle it.  ``integer_quadratic`` scales a rational quadratic to ints, and
-brackets are narrowed only to enclose a value at the root.
+settle it.  ``isolate_quadratic_roots`` takes the quadratic as the ints it
+is made of, and brackets are narrowed only to enclose a value at the root.
 """
 
 from __future__ import annotations
@@ -112,9 +112,7 @@ def sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
-# --- quadratic polynomials, coefficients (a, b, c) meaning a*x^2 + b*x + c ---
-
-Poly = Tuple[Rat, Rat, Rat]
+# --- int quadratics, coefficients (a, b, c) meaning a*x^2 + b*x + c ---
 
 
 @dataclass(frozen=True)
@@ -177,19 +175,11 @@ class AlgebraicValue:
         return self if level == self.level else replace(self, level=level)
 
 
-def integer_quadratic(poly: Poly) -> Tuple[int, int, int]:
-    """A rational quadratic times the lcm of its denominators: int
-    coefficients, and the same sign as the quadratic at every point."""
-    a, b, c = (Fraction(v) for v in poly)
-    scale = math.lcm(a.denominator, b.denominator, c.denominator)
-    return int(a * scale), int(b * scale), int(c * scale)
-
-
-def isolate_quadratic_roots(poly: Poly) -> List[AlgebraicValue]:
-    """All distinct real roots of a degree <= 2 rational polynomial, sorted:
+def isolate_quadratic_roots(poly: Tuple[int, int, int]) -> List[AlgebraicValue]:
+    """All distinct real roots of a degree <= 2 int polynomial, sorted:
     exact values when the discriminant is a square (0 included), else the
     two surds at level 0."""
-    ai, bi, ci = integer_quadratic(poly)
+    ai, bi, ci = poly
     if not (ai or bi or ci):
         raise ValueError("the zero polynomial has no isolated roots")
     if ai == 0:

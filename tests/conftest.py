@@ -2,17 +2,22 @@
 
 The oracles here deliberately avoid the closed-form shortcuts used by the
 library: variation is estimated by sweeping ever finer partitions, and
-maximal values by maximizing averages over sampled intervals.
+maximal values by maximizing averages over sampled intervals.  A profile is
+its int skeleton and tags; ``pieces`` gives the piece-based references a
+``MoebiusPiece`` view of it, with ``Fraction`` coefficients and ends.
 """
 
 import math
 import random
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from maxbv.envelope import MaximalProfile, MoebiusPiece
+from maxbv.envelope import MaximalProfile
+from maxbv.exact import format_rat, rat, sign
 from maxbv.stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, variation_on_partition
 
 
@@ -108,6 +113,88 @@ def midpoint(lo, hi):
     return lo + 1 if hi == POS_INF else (lo + hi) / 2
 
 
+@dataclass(frozen=True)
+class MoebiusPiece:
+    """x -> (alpha + beta*x)/(gamma + delta*x) on a domain with exact ends:
+    the Fraction view of one piece of a profile, read by the piece-based
+    references.
+
+    ``lo``/``hi`` are domain endpoints (NEG_INF/POS_INF for the infinities)
+    and ``lo_value``/``hi_value`` the profile values there; at an infinite
+    end, the limit of the piece there (beta/delta, or alpha/gamma for a
+    constant).  The denominator has no zero on the closed domain, so the
+    piece is monotone throughout.
+    ``tag`` names the candidate that carries the piece: ``left(a)``,
+    ``right(b)``, ``const(a,b)`` or ``const:<tail_left|tail_right|local>``.
+    """
+
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    delta: Fraction
+    lo: object
+    hi: object
+    lo_value: Fraction
+    hi_value: Fraction
+    tag: str
+
+    @property
+    def coefficients(self):
+        return (self.alpha, self.beta, self.gamma, self.delta)
+
+    @property
+    def is_constant(self) -> bool:
+        return self.beta == 0 and self.delta == 0
+
+    @property
+    def direction(self) -> int:
+        """Monotonicity: the sign of the derivative, constant on the domain."""
+        return sign(self.beta * self.gamma - self.alpha * self.delta)
+
+    def value_at(self, x) -> Fraction:
+        x = rat(x)
+        den = self.gamma + self.delta * x
+        if den == 0:
+            raise ZeroDivisionError("evaluation at the pole of a profile piece")
+        return (self.alpha + self.beta * x) / den
+
+    def dump_line(self) -> str:
+        cells = [self.lo, self.hi, self.alpha, self.beta, self.gamma, self.delta]
+        return "\t".join([*[format_rat(v) for v in cells], self.tag])
+
+
+class HandBuiltProfile(MaximalProfile):
+    """A profile made from hand-built pieces, which it keeps as given."""
+
+    __slots__ = ("given",)
+
+
+def end_values(profile):
+    """The limit at -oo, the value at each junction and the limit at +oo,
+    the Fractions of the profile's value pairs."""
+    return tuple(Fraction(p, q) for p, q in profile.value_pairs)
+
+
+@lru_cache(maxsize=128)  # a reference reads one profile's pieces many times
+def pieces(profile):
+    """The profile's pieces over ``ends``, ``end_values`` and its int forms
+    and tags (a hand-built profile's, as given).  Each coefficient is its
+    int form's over delta (gamma for a constant), and the way back checks
+    it against the form."""
+    if isinstance(profile, HandBuiltProfile):
+        return profile.given
+    los, his, values = (NEG_INF, *profile.ends), (*profile.ends, POS_INF), end_values(profile)
+    view = []
+    for i, (form, tag) in enumerate(zip(profile.int_forms, profile.tags, strict=True)):
+        k = form[3] or form[2]
+        piece = MoebiusPiece(*[Fraction(c, k) for c in form], los[i], his[i], values[i], values[i + 1], tag)
+        for v, c in zip(piece.coefficients, form):
+            if v.numerator * k != c * v.denominator:
+                raise AssertionError("profile piece disagrees with its lattice cell")
+        view.append(piece)
+    return tuple(view)
+
+
 def moebius_profile(alpha, gamma, s, t):
     """The profile alpha/(gamma + x) on [s, t], constant at its end values
     outside; a hand-built profile, not the maximal function of a step function."""
@@ -118,8 +205,9 @@ def moebius_profile(alpha, gamma, s, t):
 
 
 def int_form(coefficients):
-    """Coefficients times the lcm k of their denominators: an int tuple for
-    the same Moebius function, whose det is k**2 times theirs."""
+    """Rationals times the lcm k of their denominators, as ints of the same
+    signs: for a piece's coefficients, the same Moebius function, whose det
+    is k**2 times theirs; for a quadratic's, one with the same roots."""
     k = math.lcm(*[v.denominator for v in coefficients])
     return tuple([v.numerator * (k // v.denominator) for v in coefficients])
 
@@ -134,25 +222,25 @@ def pair(x):
     return (x.numerator, x.denominator)
 
 
-def profile_from_pieces(pieces):
+def profile_from_pieces(given):
     """A profile of hand-built pieces, its skeleton derived from them: the
     junctions and the end values as int pairs, each piece's int form and
     its tag."""
-    pieces = tuple(pieces)
-    profile = MaximalProfile(
-        tuple([pair(piece.hi) for piece in pieces[:-1]]),
-        tuple([pair(v) for v in (pieces[0].lo_value, *[piece.hi_value for piece in pieces])]),
-        tuple([int_form(piece.coefficients) for piece in pieces]),
+    given = tuple(given)
+    profile = HandBuiltProfile(
+        tuple([pair(piece.hi) for piece in given[:-1]]),
+        tuple([pair(v) for v in (given[0].lo_value, *[piece.hi_value for piece in given])]),
+        tuple([int_form(piece.coefficients) for piece in given]),
         None,
     )
-    profile._tags = tuple([piece.tag for piece in pieces])
-    profile._pieces = pieces
+    profile._tags = tuple([piece.tag for piece in given])
+    profile.given = given
     return profile
 
 
 def piece_containing(profile, x):
     """The piece whose closed domain holds x (the left one at a junction)."""
-    return profile.pieces[bisect_left(profile.ends, x)]
+    return pieces(profile)[bisect_left(profile.ends, x)]
 
 
 values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))

@@ -32,6 +32,7 @@ from maxbv.verify import (
     oracle_maximal,
     random_stepfn,
 )
+from conftest import pieces
 
 MICRO = Fraction(1, 10**9)
 MILLI = Fraction(1, 1000)
@@ -226,7 +227,7 @@ def test_c08_derivative_formula_and_flatness():
             if derivative != expected:
                 formula_violations += 1
             checked += 1
-        for piece in profile.pieces:
+        for piece in pieces(profile):
             if piece.is_constant:
                 continue
             for lo, hi in touch.intervals:

@@ -41,6 +41,7 @@ def test_tracer_hooks_read_a_profile_and_a_distance():
     tracer = _tracing_module().Tracer()
     p1, p2 = build_profile(random_stepfn(10, n_max=9)), build_profile(random_stepfn(1010, n_max=9))
     tracer._profile(p1)
+    assert p1._tags is None  # the hook makes no tags an untraced run would not
     pieces = len(p1.int_forms)
     assert pieces > 1 and tracer.counts["pieces"] == pieces and tracer.pieces_hist == {pieces: 1}
     assert tracer.counts["operand_bits_max"] > 0

@@ -141,6 +141,16 @@ def test_check_seed_range(tmp_path):
     assert code == 0 and "# verdict\tPASS" in out
 
 
+def test_check_negative_seed_range_parses_in_either_spelling(capsys):
+    # A range of negative seeds starts with a dash, which argparse would
+    # read as an option after a separate --seeds.
+    results = []
+    for argv in (["check", "--seeds", "-5:-3"], ["check", "--seeds=-5:-3"]):
+        results.append((main(argv), capsys.readouterr().out))
+    assert results[0] == results[1] == (0, results[0][1])
+    assert "# verdict\tPASS" in results[0][1]
+
+
 @pytest.mark.parametrize(
     "seeds",
     [

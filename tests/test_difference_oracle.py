@@ -24,10 +24,20 @@ from maxbv.envelope import (
     variation_of_difference,
     variation_of_profile,
 )
-from maxbv.exact import integer_quadratic, isolate_quadratic_roots, sign
+from maxbv.exact import isolate_quadratic_roots, sign
 from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import random_stepfn
-from conftest import midpoint, moebius_profile, pair, piece_containing, rand_stepfn, step_functions
+from conftest import (
+    end_values,
+    int_form,
+    midpoint,
+    moebius_profile,
+    pair,
+    piece_containing,
+    pieces,
+    rand_stepfn,
+    step_functions,
+)
 
 PRECISION = Fraction(1, 10**9)
 
@@ -36,15 +46,15 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
     walk = [NEG_INF, *sorted({*p1.ends, *p2.ends}), POS_INF]
     exact = Fraction(0)
     peaks = []
-    d_s = p1.end_values[0] - p2.end_values[0]
+    d_s = end_values(p1)[0] - end_values(p2)[0]
     for s, t in zip(walk, walk[1:]):
         x = midpoint(s, t)
         m1, m2 = piece_containing(p1, x), piece_containing(p2, x)
         if t == POS_INF:
-            d_t = p1.end_values[-1] - p2.end_values[-1]
+            d_t = end_values(p1)[-1] - end_values(p2)[-1]
         else:
             d_t = m1.value_at(t) - m2.value_at(t)
-        q = integer_quadratic(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
+        q = int_form(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
         rise = _sign_at(q, pair(s))
         if rise * _sign_at(q, pair(t)) < 0:
             roots = isolate_quadratic_roots(q)
@@ -114,7 +124,7 @@ def test_a_profile_against_itself_is_zero():
 def test_one_piece_profiles_match_the_reference():
     flat = build_profile(StepFunction.constant(Fraction(3, 2)))
     other = build_profile(StepFunction.constant(-2))
-    assert len(flat.pieces) == len(other.pieces) == 1
+    assert len(pieces(flat)) == len(pieces(other)) == 1
     assert str(assert_same_walk(flat, other)) == "0..0"
     for seed in range(20):
         profile = build_profile(random_stepfn(seed))

@@ -8,7 +8,6 @@ import pytest
 
 from maxbv import envelope, exact, stepfn
 from maxbv.envelope import (
-    MoebiusPiece,
     _breakpoint_values,
     _hull_links,
     build_profile,
@@ -32,7 +31,17 @@ from maxbv.stepfn import (
 )
 from maxbv.cli import main
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import exact_n_stepfn, moebius_profile, pair, profile_from_pieces, rand_stepfn
+import conftest
+from conftest import (
+    MoebiusPiece,
+    end_values,
+    exact_n_stepfn,
+    moebius_profile,
+    pair,
+    pieces,
+    profile_from_pieces,
+    rand_stepfn,
+)
 
 PRECISION = Fraction(1, 10**9)
 CHI_01 = StepFunction.indicator(0, 1)
@@ -47,8 +56,8 @@ def coeffs(piece):
 
 def test_profile_of_indicator_has_three_pieces():
     profile = build_profile(CHI_01)
-    assert len(profile.pieces) == 3
-    left, middle, right = profile.pieces
+    assert len(pieces(profile)) == 3
+    left, middle, right = pieces(profile)
     # 1/(1-x) normalized with delta = 1 is (-1 - 0x)/(-1 + x).
     assert left.value_at(-1) == Fraction(1, 2)
     assert left.value_at(0) == 1
@@ -60,8 +69,8 @@ def test_profile_of_indicator_has_three_pieces():
 
 def test_profile_of_constant():
     profile = build_profile(StepFunction.constant(-3))
-    assert len(profile.pieces) == 1
-    assert profile.pieces[0].is_constant and profile.value(17) == 3
+    assert len(pieces(profile)) == 1
+    assert pieces(profile)[0].is_constant and profile.value(17) == 3
 
 
 def test_profile_two_bump_dip():
@@ -135,7 +144,8 @@ def test_lattice_self_checks_agree_with_a_fraction_oracle():
     # every breakpoint.
     for f in oracle_corpus():
         profile = build_profile(f)
-        for left, right in zip(profile.pieces, profile.pieces[1:]):
+        view = pieces(profile)
+        for left, right in zip(view, view[1:]):
             assert right.value_at(left.hi) == left.hi_value
         for b in f.breakpoints:
             assert profile.value(b) == maximal_value(f, b).value
@@ -158,8 +168,9 @@ def test_self_check_catches_a_crossing_one_lattice_step_off(monkeypatch):
 
 
 def test_self_check_catches_a_piece_off_its_lattice_cell(monkeypatch):
-    # Every anchored piece's alpha one lattice unit 1/(D*E) off: the walk and
-    # its lattice checks are untouched, only the way back sees it.
+    # Every anchored piece's alpha one lattice unit 1/(D*E) off where the
+    # tests' Fraction view makes it: the walk and its lattice checks are
+    # untouched, only the view's way back to the int form sees it.
     f = StepFunction(0, (Fraction(-1, 3), Fraction(2, 3), 2), (1, 2, 0), (Fraction(3, 2), 2, Fraction(1, 4)))
     scale, unit, *_ = f.lattice
     assert (scale, unit) == (3, 4)
@@ -170,9 +181,9 @@ def test_self_check_catches_a_piece_off_its_lattice_cell(monkeypatch):
             alpha += Fraction(1, scale * unit)
         return MoebiusPiece(alpha, beta, gamma, delta, *rest)
 
-    monkeypatch.setattr(envelope, "MoebiusPiece", skewed)
+    monkeypatch.setattr(conftest, "MoebiusPiece", skewed)
     with pytest.raises(AssertionError, match="profile piece disagrees with its lattice cell"):
-        build_profile(f).pieces
+        pieces(build_profile(f))
 
 
 @pytest.mark.parametrize("part", ["breakpoints", "constants"])
@@ -202,7 +213,7 @@ def piece_variation(profile, a, b):
     """The variation over (a, b) telescoped piece by piece in Fractions, the
     pieces' own end values and value_at: the oracle of the skeleton walk."""
     total = Fraction(0)
-    for piece in profile.pieces:
+    for piece in pieces(profile):
         if piece.hi <= a or piece.lo >= b:
             continue
         start = piece.value_at(a) if piece.lo < a else piece.lo_value
@@ -227,16 +238,16 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
     previous = None
     for f in oracle_corpus():
         built = build_profile(f)
-        pieces = built.pieces
-        assert built.ends == tuple(piece.hi for piece in pieces[:-1])
-        assert built.ends == tuple(piece.lo for piece in pieces[1:])
-        assert built.end_values == (pieces[0].lo_value, *(piece.hi_value for piece in pieces))
-        assert built.end_values[1:-1] == tuple(piece.lo_value for piece in pieces[1:])
-        for piece, form in zip(pieces, built.int_forms, strict=True):
+        view = pieces(built)
+        assert built.ends == tuple(piece.hi for piece in view[:-1])
+        assert built.ends == tuple(piece.lo for piece in view[1:])
+        assert end_values(built) == (view[0].lo_value, *(piece.hi_value for piece in view))
+        assert end_values(built)[1:-1] == tuple(piece.lo_value for piece in view[1:])
+        for piece, form in zip(view, built.int_forms, strict=True):
             assert all(type(v) is int for v in form)
             k = next(v / c for v, c in zip(form, coeffs(piece)) if c)
             assert k > 0 and form == tuple(k * c for c in coeffs(piece))
-        rebuilt = profile_from_pieces(pieces)
+        rebuilt = profile_from_pieces(view)
         assert variation_of_profile(built) == variation_of_profile(rebuilt)
         assert variation_of_profile(built).lo == piece_variation(built, NEG_INF, POS_INF)
         marks = sorted({*f.breakpoints, *built.ends}) or [Fraction(0)]
@@ -253,28 +264,22 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
     assert peaks["cells"] > 0  # the peak path, which reads the pieces, ran
 
 
-def counted_pieces_and_tags(monkeypatch):
+def counted_tags(monkeypatch):
     counts = Counter()
-    piece, tag = envelope.MoebiusPiece, envelope._constant_tag
+    tags = envelope._tags
 
-    def counted_piece(*args):
-        counts["pieces"] += 1
-        return piece(*args)
-
-    def counted_tag(*args):
+    def counted(*args):
         counts["tags"] += 1
-        return tag(*args)
+        return tags(*args)
 
-    monkeypatch.setattr(envelope, "MoebiusPiece", counted_piece)
-    monkeypatch.setattr(envelope, "_constant_tag", counted_tag)
+    monkeypatch.setattr(envelope, "_tags", counted)
     return counts
 
 
-def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
+def test_distances_and_variations_make_no_tags(monkeypatch, tmp_path, capsys):
     # BV distances, profile variations, the detachment set, point values
-    # and derivatives read only the skeleton: no MoebiusPiece and no
-    # constant tag is made.
-    counts = counted_pieces_and_tags(monkeypatch)
+    # and derivatives read only the skeleton: no profile's tags are made.
+    counts = counted_tags(monkeypatch)
     scales = [Fraction(1, 2**j) for j in range(6)]
     continuity_experiment(TWO_BUMP, StepFunction.indicator(1, 2), scales)
     f = random_stepfn(10, n_max=9)
@@ -293,7 +298,7 @@ def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
                 profile_derivative(profile, inside)
     assert counts == Counter()
     # A distance with a peak isolates the roots of its int forms' critical
-    # quadratic, and still makes no piece and no tag.
+    # quadratic, and still makes no tag.
     isolate = envelope.isolate_quadratic_roots
 
     def counted_isolate(q):
@@ -302,12 +307,12 @@ def test_distances_and_variations_make_no_pieces(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(envelope, "isolate_quadratic_roots", counted_isolate)
     continuity_experiment(random_stepfn(10, n_max=9), random_stepfn(1010, n_max=9), scales)
-    assert counts["isolations"] > 0 and counts["pieces"] == counts["tags"] == 0
+    assert counts["isolations"] > 0 and counts["tags"] == 0
 
 
 def test_continuity_experiment_makes_no_skeleton_fractions(monkeypatch):
     # Builds, distances and variations read the skeleton's int pairs: the
-    # Fractions of ends and end values are never made, peaks or not.
+    # Fractions of the ends are never made, peaks or not.
     calls = Counter()
     fractions, isolate = envelope._fractions, envelope.isolate_quadratic_roots
 
@@ -327,8 +332,8 @@ def test_continuity_experiment_makes_no_skeleton_fractions(monkeypatch):
     for f, g in pairs:
         continuity_experiment(f, g, scales)
     assert calls["fractions"] == 0 and calls["isolations"] > 0
-    # The counter sees a read of the skeleton.
-    assert build_profile(TWO_BUMP).ends and calls["fractions"] == 2
+    # The counter sees a read of the ends.
+    assert build_profile(TWO_BUMP).ends and calls["fractions"] == 1
 
 
 def fraction_sum_of_steps(steps):
@@ -353,11 +358,12 @@ def test_sum_of_steps_matches_a_fraction_sum():
 
 @pytest.mark.parametrize("part", ["ends", "end_values"])
 def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
-    # The first junction, or the limit at -oo, one unit of its lattice pair
-    # off where the skeleton's Fractions are made: the walk and its lattice
-    # checks are untouched.  The build makes no Fraction of the skeleton;
-    # the first read of either part sees it without making a piece, and so
-    # does the detachment set, which prints the skeleton's rationals.
+    # The first junction, or the limit at -oo (the first end value), one
+    # unit of its lattice pair off: the walk and its lattice checks are
+    # untouched.  The build makes no Fraction of the skeleton; the first
+    # read of the ends, where their Fractions are made, sees a junction off
+    # without making a tag, and so does the detachment set, which prints
+    # them.  No Fraction is made of a value pair.
     f = exact_n_stepfn(random.Random(5), 6)
     built = build_profile(f)
     assert built.ends
@@ -366,27 +372,24 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
 
     def shifted(pairs):
         values = list(fractions(pairs))
-        if len(calls) == ("ends", "end_values").index(part):
-            values[0] += Fraction(1, pairs[0][1])
+        values[0] += Fraction(1, pairs[0][1])
         calls.append(pairs)
         return tuple(values)
 
-    def no_pieces(*args):
-        raise AssertionError("a piece was made")
+    def no_tags(*args):
+        raise AssertionError("a tag was made")
 
     monkeypatch.setattr(envelope, "_fractions", shifted)
-    monkeypatch.setattr(envelope, "MoebiusPiece", no_pieces)
-    for read in (
-        lambda profile: profile.ends,
-        lambda profile: profile.end_values,
-        lambda profile: detachment_regions(f, profile),
-    ):
-        profile = build_profile(f)
-        assert calls == []
-        with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
-            read(profile)
-        assert len(calls) == 2
-        calls.clear()
+    if part == "ends":
+        with monkeypatch.context() as patched:
+            patched.setattr(envelope, "_tags", no_tags)
+            for read in (lambda profile: profile.ends, lambda profile: detachment_regions(f, profile)):
+                profile = build_profile(f)
+                assert calls == []
+                with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
+                    read(profile)
+                assert calls == [profile.end_pairs]
+                calls.clear()
     # A dump prints the first junction from its end pair, and the limit at
     # -oo as the first piece's beta over delta (alpha over gamma for a
     # constant) from its int form, and makes no Fraction of the skeleton:
@@ -423,7 +426,7 @@ def test_translated_input_translates_the_profile():
         moved = StepFunction(
             f.tail_left, [b + t for b in f.breakpoints], f.point_values, f.right_constants
         )
-        before, after = build_profile(f).pieces, build_profile(moved).pieces
+        before, after = pieces(build_profile(f)), pieces(build_profile(moved))
         assert len(before) == len(after)
         for p, q in zip(before, after):
             assert coeffs(q) == (p.alpha - p.beta * t, p.beta, p.gamma - p.delta * t, p.delta)
@@ -439,7 +442,7 @@ def test_scaled_input_scales_the_profile():
     for n in (1, 4, 12):
         f = exact_n_stepfn(rng, n)
         scaled = combine(f, StepFunction.constant(0), lam, 0)
-        for p, q in zip(build_profile(f).pieces, build_profile(scaled).pieces, strict=True):
+        for p, q in zip(pieces(build_profile(f)), pieces(build_profile(scaled)), strict=True):
             assert coeffs(q) == (p.alpha * -lam, p.beta * -lam, p.gamma, p.delta)
             assert (q.lo, q.hi, q.tag) == (p.lo, p.hi, p.tag)
 
@@ -468,7 +471,7 @@ def test_profile_of_finely_perturbed_inputs_matches_the_engine():
 def test_profile_of_an_all_integer_input_matches_the_engine():
     f = StepFunction(1, (-3, 0, 2, 5, 9), (4, -2, 0, 3, 1), (3, -2, 5, 1, 0))
     profile = build_profile(f)
-    assert len(profile.pieces) > 3
+    assert len(pieces(profile)) > 3
     for x in [Fraction(k, 2) for k in range(-14, 24)]:
         assert profile.value(x) == maximal_value(f, x).value
 
@@ -591,11 +594,11 @@ def test_profile_end_values_are_the_limits_at_infinity():
     inputs = [rand_stepfn(rng) for _ in range(60)] + [exact_n_stepfn(rng, n) for n in range(21)]
     for f in inputs:
         profile = build_profile(f)
-        first, last = profile.pieces[0], profile.pieces[-1]
+        first, last = pieces(profile)[0], pieces(profile)[-1]
         assert first.lo == NEG_INF and last.hi == POS_INF
         limit = maximal_limit_at_infinity(f)
         assert first.lo_value == last.hi_value == limit
-        assert profile.end_values[0] == profile.end_values[-1] == limit
+        assert end_values(profile)[0] == end_values(profile)[-1] == limit
         for piece in (first, last):
             assert limit == (piece.beta / piece.delta if piece.delta else piece.alpha / piece.gamma)
         # An end piece is monotone, so a window reaching an infinity adds the
@@ -643,7 +646,7 @@ def test_flat_on_touch_set():
         f = rand_stepfn(rng)
         profile = build_profile(f)
         _, touch = detachment_regions(f, profile)
-        for piece in profile.pieces:
+        for piece in pieces(profile):
             if piece.is_constant:
                 continue
             for lo, hi in touch.intervals:
@@ -659,7 +662,7 @@ def test_no_interior_local_maximum_in_detachment_set():
         regions, _ = detachment_regions(f, profile)
         for lo, hi in regions.intervals:
             directions = []
-            for piece in profile.pieces:
+            for piece in pieces(profile):
                 if max(piece.lo, lo) >= min(piece.hi, hi):
                     continue
                 directions.append(piece.direction)
@@ -702,9 +705,9 @@ def test_variation_of_difference_with_irrational_critical_point():
 
 def partition_variation(p1, p2, points):
     """Variation of p1 - p2 sampled at the limits and the sorted points."""
-    diffs = [p1.end_values[0] - p2.end_values[0]]
+    diffs = [end_values(p1)[0] - end_values(p2)[0]]
     diffs += [p1.value(x) - p2.value(x) for x in points]
-    diffs.append(p1.end_values[-1] - p2.end_values[-1])
+    diffs.append(end_values(p1)[-1] - end_values(p2)[-1])
     return sum(abs(b - a) for a, b in zip(diffs, diffs[1:]))
 
 
@@ -795,13 +798,14 @@ def skewed_profile():
         (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), Fraction(3, 2), Fraction(0), Fraction(2)),
         (Fraction(-5, 4), Fraction(2, 9), Fraction(5), Fraction(-2, 3), Fraction(2), Fraction(5)),
     ]
-    pieces = []
-    for a, b, g, d, lo, hi in inner:
-        pieces.append(MoebiusPiece(a, b, g, d, lo, hi, (a + b * lo) / (g + d * lo), (a + b * hi) / (g + d * hi), "hand-built"))
-    first, last = pieces[0].lo_value, pieces[-1].hi_value
+    middle = [
+        MoebiusPiece(a, b, g, d, lo, hi, (a + b * lo) / (g + d * lo), (a + b * hi) / (g + d * hi), "hand-built")
+        for a, b, g, d, lo, hi in inner
+    ]
+    first, last = middle[0].lo_value, middle[-1].hi_value
     return profile_from_pieces((
         MoebiusPiece(first, 0, 1, 0, NEG_INF, Fraction(0), first, first, "hand-built"),
-        *pieces,
+        *middle,
         MoebiusPiece(last, 0, 1, 0, Fraction(5), POS_INF, last, last, "hand-built"),
     ))
 
@@ -819,8 +823,8 @@ def int_form_profiles():
 
 def test_int_forms_are_positive_int_multiples_with_the_same_end_values():
     for profile in int_form_profiles():
-        assert len(profile.int_forms) == len(profile.pieces)
-        for piece, form in zip(profile.pieces, profile.int_forms):
+        assert len(profile.int_forms) == len(pieces(profile))
+        for piece, form in zip(pieces(profile), profile.int_forms):
             assert all(type(v) is int for v in form)
             k = next(v / c for v, c in zip(form, coeffs(piece)) if c)
             assert k > 0 and form == tuple(k * c for c in coeffs(piece))
@@ -828,15 +832,15 @@ def test_int_forms_are_positive_int_multiples_with_the_same_end_values():
             for end in (piece.lo, piece.hi):
                 if end not in (NEG_INF, POS_INF):
                     assert Fraction(a + b * end) / (g + d * end) == piece.value_at(end)
-    assert any(piece.delta not in (0, 1) for piece in skewed_profile().pieces)
+    assert any(piece.delta not in (0, 1) for piece in pieces(skewed_profile()))
 
 
 def test_int_critical_quadratic_has_the_sign_of_the_fraction_one():
     profiles = int_form_profiles()
     for p1, p2 in zip(profiles, profiles[1:] + profiles[:1]):
         ends = [NEG_INF, *sorted({*p1.ends, *p2.ends}), POS_INF]
-        for m1, form1 in zip(p1.pieces, p1.int_forms):
-            for m2, form2 in zip(p2.pieces, p2.int_forms):
+        for m1, form1 in zip(pieces(p1), p1.int_forms):
+            for m2, form2 in zip(pieces(p2), p2.int_forms):
                 q = envelope._difference_critical_quadratic(form1, form2)
                 exact = envelope._difference_critical_quadratic(coeffs(m1), coeffs(m2))
                 assert all(type(v) is int for v in q)

@@ -25,7 +25,7 @@ from maxbv import envelope
 from maxbv.envelope import PerturbationFamily, build_profile
 from maxbv.stepfn import StepFunction, parse
 from maxbv.verify import random_stepfn
-from conftest import exact_n_stepfn
+from conftest import exact_n_stepfn, pieces
 from test_family import SCALES, family_corpus
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -211,7 +211,7 @@ def test_link_ranges_build_the_whole_chain_profile(monkeypatch):
     for f in corpus():
         built = build_profile(f)
         assert_same_profile(built, general(build_profile, f))
-        assert built.dump() == "".join(f"{piece.dump_line()}\n" for piece in built.pieces)
+        assert built.dump() == "".join(f"{piece.dump_line()}\n" for piece in pieces(built))
         inputs += 1
         ties += collinear_points(f) > 0
     assert inputs == 4712 and ties > 100

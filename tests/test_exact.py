@@ -8,7 +8,6 @@ from maxbv.exact import (
     AlgebraicValue,
     decimal_str,
     format_rat,
-    integer_quadratic,
     isolate_quadratic_roots,
     parse_rat,
     rat,
@@ -116,20 +115,6 @@ def test_refine_is_monotone_nesting():
         assert cur.width <= Fraction(1, 2**k)
         assert poly_eval((1, 0, -3), cur.lo) * poly_eval((1, 0, -3), cur.hi) < 0
         prev = cur
-
-
-def test_integer_quadratic_keeps_the_sign_everywhere():
-    assert integer_quadratic((Fraction(1, 2), Fraction(-1, 3), 1)) == (3, -2, 6)
-    assert integer_quadratic((0, 0, 0)) == (0, 0, 0)
-    rng = random.Random(11)
-    for _ in range(200):
-        poly = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
-        ints = integer_quadratic(poly)
-        assert all(isinstance(v, int) for v in ints)
-        for _ in range(5):
-            x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-            assert (poly_eval(poly, x) > 0) == (poly_eval(ints, x) > 0)
-            assert (poly_eval(poly, x) == 0) == (poly_eval(ints, x) == 0)
 
 
 def level0_bracket(q, branch):

@@ -11,7 +11,7 @@ from maxbv import envelope
 from maxbv.envelope import PerturbationFamily, build_profile, variation_of_profile
 from maxbv.stepfn import StepFunction, combine
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import exact_n_stepfn, rand_stepfn
+from conftest import end_values, exact_n_stepfn, pieces, rand_stepfn
 
 CHI_01 = StepFunction.indicator(0, 1)
 SCALES = [Fraction(1, 2**j) for j in range(15)]
@@ -19,11 +19,11 @@ SCALES = [Fraction(1, 2**j) for j in range(15)]
 
 def assert_same_profile(built, reference):
     assert built.ends == reference.ends
-    assert built.end_values == reference.end_values
+    assert end_values(built) == end_values(reference)
     for form, other in zip(built.int_forms, reference.int_forms, strict=True):
         k = next(Fraction(v, w) for v, w in zip(form, other) if w)
         assert k > 0 and form == tuple(k * w for w in other)
-    assert built.pieces == reference.pieces
+    assert pieces(built) == pieces(reference)
 
 
 FAMILY_SCALES = (Fraction(4), Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1))
@@ -67,7 +67,7 @@ def test_family_drops_what_combine_drops():
         h = combine(CHI_01, minus_chi, 1, s)
         assert h.n == (0 if s == 1 else 2)
         assert_same_profile(family.profile(s), build_profile(h))
-    assert family.profile(1).end_values == (0, 0)
+    assert end_values(family.profile(1)) == (0, 0)
 
 
 def skeleton_profiles():
@@ -82,16 +82,16 @@ def skeleton_profiles():
 
 def test_skeleton_fractions_are_those_of_the_int_pairs():
     # The build keeps the skeleton as int pairs with positive dens; the
-    # Fractions read later are those pairs, and the whole-line variation,
-    # summed on the pairs, is the Fraction telescoping sum of end_values.
+    # Fractions of the ends read later are those pairs, and the whole-line
+    # variation, summed on the pairs, is the Fraction telescoping sum of the
+    # end values.
     count = 0
     for profile in skeleton_profiles():
         for pairs in (profile.end_pairs, profile.value_pairs):
             assert all(type(p) is type(q) is int and q > 0 for p, q in pairs)
         variation = variation_of_profile(profile)
         assert profile.ends == tuple(Fraction(p, q) for p, q in profile.end_pairs)
-        assert profile.end_values == tuple(Fraction(p, q) for p, q in profile.value_pairs)
-        values = profile.end_values
+        values = tuple(Fraction(p, q) for p, q in profile.value_pairs)
         total = sum((abs(w - v) for v, w in zip(values, values[1:])), Fraction(0))
         assert variation.lo == variation.hi == total
         count += 1

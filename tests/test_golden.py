@@ -9,8 +9,8 @@ points, so their ``lo..hi`` enclosures hold the certified-variation path
 byte for byte; it is compared with ``tests/golden/distances.txt``.  The
 invariant suite's default run, ``maxbv check --seeds 0:200``, is compared
 with ``tests/golden/check.txt``, its stdout as it is, and again with
-``envelope.MoebiusPiece`` made to raise: the suite reads only the
-profiles' skeletons and tags.  Refresh the files
+``envelope._tags`` made to raise: on passing profiles the suite reads
+only their skeletons and makes no tags.  Refresh the files
 only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -148,15 +148,16 @@ def test_check_report_matches_golden():
     assert check_transcript() == CHECK.read_text(encoding="utf-8")
 
 
-def test_check_report_makes_no_pieces(monkeypatch):
-    # The invariant suite reads the profiles' skeletons and tags; a check
-    # that made a piece would report the error as a FAIL.
+def test_check_report_makes_no_tags(monkeypatch):
+    # The invariant suite reads the profiles' skeletons, and a tag only to
+    # name a failing piece; a check that made tags would report the error
+    # as a FAIL.
     from maxbv import envelope
 
-    def no_pieces(*args):
-        raise AssertionError("a piece was made")
+    def no_tags(*args):
+        raise AssertionError("a tag was made")
 
-    monkeypatch.setattr(envelope, "MoebiusPiece", no_pieces)
+    monkeypatch.setattr(envelope, "_tags", no_tags)
     assert check_transcript() == CHECK.read_text(encoding="utf-8")
 
 

@@ -186,7 +186,7 @@ def test_commands_execute_only_the_modules_they_read(tmp_path, command, executed
 
 def test_package_reexports_resolve_to_the_envelope_objects():
     names = [
-        "MaximalProfile", "MoebiusPiece", "PerturbationFamily", "RegionSet", "VariationEnclosure",
+        "MaximalProfile", "PerturbationFamily", "RegionSet", "VariationEnclosure",
         "build_profile", "bv_distance", "detachment_regions", "profile_derivative",
         "variation_of_difference", "variation_of_profile",
     ]
@@ -198,6 +198,8 @@ def test_package_reexports_resolve_to_the_envelope_objects():
     assert maxbv.envelope is sys.modules["maxbv.envelope"]
     with pytest.raises(AttributeError):
         maxbv.no_such_name
+    with pytest.raises(AttributeError):
+        maxbv.MoebiusPiece
 
 
 def test_tracer_test_passes_alone():

@@ -2,7 +2,7 @@
 
 ``flat_on_touch``, ``finite_difference`` and ``no_interior_max`` read a
 profile's ``ends``, ``int_forms`` and ``tags``.  The piece-based versions
-below, which read ``MoebiusPiece``s, are the oracle: both must return the
+below, which read the tests' ``MoebiusPiece`` view, are the oracle: both must return the
 same (ok, detail) on built profiles, where they pass, and on hand-built
 profiles and regions made to fail each check.
 """
@@ -14,10 +14,10 @@ from fractions import Fraction
 import pytest
 
 from maxbv import verify
-from maxbv.envelope import MoebiusPiece, RegionSet, build_profile, detachment_regions, profile_derivative
+from maxbv.envelope import RegionSet, build_profile, detachment_regions, profile_derivative
 from maxbv.exact import format_rat
 from maxbv.stepfn import NEG_INF, POS_INF
-from conftest import exact_n_stepfn, moebius_profile, piece_containing, profile_from_pieces
+from conftest import MoebiusPiece, exact_n_stepfn, moebius_profile, piece_containing, pieces, profile_from_pieces
 
 CHECKS = dict(verify._SINGLE_CHECKS)
 
@@ -25,7 +25,7 @@ CHECKS = dict(verify._SINGLE_CHECKS)
 def piece_flat_on_touch(f, ctx):
     profile = ctx["profile"]
     _, touch = ctx["regions"]
-    for piece in profile.pieces:
+    for piece in pieces(profile):
         if piece.is_constant:
             continue
         for lo, hi in touch.intervals:
@@ -62,7 +62,7 @@ def piece_no_interior_max(f, ctx):
     regions, _ = ctx["regions"]
     for lo, hi in regions.intervals:
         directions = []
-        for piece in profile.pieces:
+        for piece in pieces(profile):
             if max(piece.lo, lo) < min(piece.hi, hi) and piece.direction != 0:
                 directions.append(piece.direction)
         for first, second in zip(directions, directions[1:]):
@@ -105,7 +105,7 @@ def test_checks_match_the_piece_oracle_on_built_profiles():
 
 def tagged(profile, tags):
     """The hand-built profile with its pieces' tags replaced."""
-    return profile_from_pieces([replace(piece, tag=tag) for piece, tag in zip(profile.pieces, tags, strict=True)])
+    return profile_from_pieces([replace(piece, tag=tag) for piece, tag in zip(pieces(profile), tags, strict=True)])
 
 
 def test_flat_on_touch_fails_on_a_moving_piece_over_a_touch_interval():
@@ -125,14 +125,14 @@ def test_flat_on_touch_fails_on_a_moving_piece_over_a_touch_interval():
 def test_no_interior_max_fails_on_a_rise_then_a_fall():
     # 1/(1 - x) rises on [-2, 0] to 1, and 1/(1 + x) falls from there on [0, 2].
     third = Fraction(1, 3)
-    pieces = (
+    given = (
         MoebiusPiece(third, 0, 1, 0, NEG_INF, Fraction(-2), third, third, "const:tail_left"),
         MoebiusPiece(Fraction(1), 0, Fraction(1), Fraction(-1), Fraction(-2), Fraction(0), third, Fraction(1), "right(1)"),
         MoebiusPiece(Fraction(1), 0, Fraction(1), Fraction(1), Fraction(0), Fraction(2), Fraction(1), third, "left(-1)"),
         MoebiusPiece(third, 0, 1, 0, Fraction(2), POS_INF, third, third, "const:tail_right"),
     )
-    profile = profile_from_pieces(pieces)
-    assert [piece.direction for piece in profile.pieces] == [0, 1, -1, 0]
+    profile = profile_from_pieces(given)
+    assert [piece.direction for piece in pieces(profile)] == [0, 1, -1, 0]
     one_component = (RegionSet(((NEG_INF, POS_INF),)), RegionSet(()))
     assert both("no_interior_max", profile, one_component) == [(False, "rise then fall inside one component")] * 2
     # Split at the peak, each component is monotone.

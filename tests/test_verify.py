@@ -217,7 +217,7 @@ def test_invariant_suite_reports_a_crashing_check_as_fail(monkeypatch):
     original = maxbv.envelope.variation_of_profile
 
     def crashing(profile, *args, **kwargs):
-        if len(profile.pieces) >= 3:
+        if len(profile.int_forms) >= 3:
             raise RuntimeError("variation engine broke")
         return original(profile, *args, **kwargs)
 
