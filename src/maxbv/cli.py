@@ -278,7 +278,7 @@ def cmd_experiment(args) -> int:
     runs = []
     if "file" in config:
         if "perturbation" not in config:
-            raise InputError("config with file= also needs perturbation=")
+            raise InputError(f"{path}:{config['file'][0]}: file= also needs perturbation=")
         runs.append(("file", value("file", None, _load), value("perturbation", None, _load)))
     else:
         for i in range(pairs):
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTIONS = {"--from", "--to", "--x", "--seeds"}
+_VALUE_OPTIONS = {"--from", "--to", "--x", "--seeds", "--file", "--out", "--config", "--corpus"}
 
 
 def _merge_value_options(argv):

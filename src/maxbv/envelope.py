@@ -136,11 +136,12 @@ junction is an int pair, and the exact part is one sum of int pairs,
 reduced up a balanced merge tree, so its cost stays near linear in the
 number of cells.  The variation is an exact sum over the
 junctions of cells without a critical point; only the critical points
-(peaks) get brackets, narrowed to a certified rational enclosure of any
-requested precision.  A peak cell reduces the int quadratic of its two
-forms to that of the two pieces, in lowest ints: a surd's bracket is sized
-by that scaling.  A rational critical point's bracket is the point itself,
-so its peak is exact.
+(peaks) get brackets, at int levels that grow round by round until the
+sum is a certified rational enclosure of any requested precision.  A peak
+cell reduces the int quadratic of its two forms to that of the two
+pieces, in lowest ints: a surd's bracket is sized by that scaling.  A
+rational critical point's bracket is the point itself, so its peak is
+exact.
 """
 
 from __future__ import annotations
@@ -308,9 +309,6 @@ class VariationEnclosure:
     def __str__(self):
         lo = format_rat(self.lo)
         return f"{lo}..{lo if self.lo is self.hi else format_rat(self.hi)}"
-
-
-_ZERO = Fraction(0)
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -882,10 +880,12 @@ def variation_of_difference(
     form's delta (gamma for a constant), its factor over its piece: that is
     the critical quadratic of the pieces, which have delta = 1 (gamma = 1),
     times the lcm of its denominators: the int quadratic that
-    ``isolate_quadratic_roots`` takes.  A surd's bracket width is 1/(2a), so
-    that scaling fixes every enclosure end.  Each round narrows the peaks'
-    brackets, which encloses d there, and reads the poles' signs and the
-    values at the bracket ends off the two int forms.  A rational root's bracket is the point itself, so
+    ``isolate_quadratic_roots`` takes.  A surd's bracket at level L is
+    1/(2a*2**L) wide, so that scaling fixes every enclosure end.  Round k
+    takes each peak to the least level, not below its last, of width at
+    most 2**-(40 + 16k), two more while either piece's pole is in it, and
+    reads the poles' signs and the values at the bracket's int-pair ends off
+    the two int forms.  A rational root's bracket is the point itself, so
     its peak term is exact from the first round on.
     """
     precision = rat(precision)
@@ -898,7 +898,7 @@ def variation_of_difference(
     i = j = 0
     s = _NEG_END
     # The exact cells' steps (d(s), d(t)), and the peaks:
-    # (root, form1, form2, d(s), d(t), sign of d' left of the root).
+    # (root, level, form1, form2, d(s), d(t), sign of d' left of the root).
     steps: List[Tuple[Pair, Pair]] = []
     peaks: List[list] = []
     (num1, den1), (num2, den2) = values1[0], values2[0]
@@ -923,7 +923,7 @@ def variation_of_difference(
             q = tuple([c // common for c in q])
             roots = isolate_quadratic_roots(q)
             root = roots[0] if rise == sign(q[0]) else roots[-1]
-            peaks.append([root, form1, form2, Fraction(*d_s), Fraction(*d_t), rise])
+            peaks.append([root, 0, form1, form2, Fraction(*d_s), Fraction(*d_t), rise])
         elif _both_roots_within(q, s, t, rise, at_t):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
@@ -935,31 +935,32 @@ def variation_of_difference(
         j += step2
 
     exact = _sum_of_steps(steps)
-    width = Fraction(1, 2**40)
+    bits = 40
     while True:
         lo_sum = hi_sum = exact
         for peak in peaks:
-            av, form1, form2, d_s, d_t, rise = peak
-            av = av.refine_below(width)
+            root, level, form1, form2, d_s, d_t, rise = peak
+            # The least level whose bracket width 1/(2a*2**level) is <= 2**-bits.
+            level = max(level, bits + 1 - (2 * root.a).bit_length())
             while True:
-                edges = [(edge.numerator, edge.denominator) for edge in (av.lo, av.hi)]
+                edges = root.bracket(level)
                 at = [_form_at(form, edge) for form in (form1, form2) for edge in edges]
                 signs = [sign(den) for _, den in at]
                 if 0 not in signs and signs[0] == signs[1] and signs[2] == signs[3]:
                     break
-                av = av.refine_below(av.width / 4)
-            peak[0] = av
+                level += 2
+            peak[1] = level
             vals1 = sorted((Fraction(*at[0]), Fraction(*at[1])))
             vals2 = sorted((Fraction(*at[2]), Fraction(*at[3])))
             top_lo, top_hi = vals1[0] - vals2[1], vals1[1] - vals2[0]
             if rise < 0:  # a valley: mirror it into a peak
                 top_lo, top_hi, d_s, d_t = -top_hi, -top_lo, -d_s, -d_t
             for d in (d_s, d_t):
-                lo_sum += max(top_lo - d, _ZERO)
-                hi_sum += max(top_hi - d, _ZERO)
+                lo_sum += max(top_lo - d, 0)
+                hi_sum += max(top_hi - d, 0)
         if hi_sum - lo_sum <= precision:
             return VariationEnclosure(lo_sum, hi_sum)
-        width /= 2**16
+        bits += 16
 
 
 def bv_distance(

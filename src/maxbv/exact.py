@@ -8,20 +8,21 @@ lowest terms, checked against the pair, through ``decimal`` past Python's
 limit on the digits of an int's text; ``format_rat`` prints a Fraction's
 numerator and denominator through it.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
-points of a difference of two profiles, with a dyadic bracket that one
-``math.isqrt`` gives in closed form.  Where a root lies is never asked of
-its bracket: the exact signs of an int quadratic at the ends of a cell
-settle it.  ``isolate_quadratic_roots`` takes the quadratic as the ints it
-is made of, and brackets are narrowed only to enclose a value at the root.
+points of a difference of two profiles.  A surd keeps only its ints, and
+``bracket(level)`` gives its dyadic bracket at any int level as two int
+pairs, from one ``math.isqrt`` in closed form.  Where a root lies is never
+asked of a bracket: the exact signs of an int quadratic at the ends of a
+cell settle it.  ``isolate_quadratic_roots`` takes the quadratic as the
+ints it is made of, and a bracket is read only to enclose a value at the
+root.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 Rat = Fraction
@@ -117,14 +118,11 @@ def sign(q) -> int:
 
 @dataclass(frozen=True)
 class AlgebraicValue:
-    """A real root of an int quadratic, with a rational bracket [lo, hi].
+    """A real root of an int quadratic: a rational ``value``, or a surd.
 
-    A rational root is its ``value``, with a width-zero bracket.  An
-    irrational root (-b + branch*sqrt(disc))/(2a), a > 0, branch = +-1, has
-    the bracket that ``level`` bisections of its level-0 one reach (no
-    midpoint is ever the root): with S = 2**level and T = isqrt(disc*S**2),
-    lo = (-b*S + T)/(2a*S) on the high branch, (-b*S - T - 1)/(2a*S) on the
-    low one, and hi = lo + 1/(2a*S).
+    An irrational root (-b + branch*sqrt(disc))/(2a), a > 0, branch = +-1,
+    has at each int level the bracket that ``level`` bisections of its
+    level-0 one reach (no midpoint is ever the root).
     """
 
     value: Optional[Rat] = None
@@ -132,7 +130,6 @@ class AlgebraicValue:
     b: int = 0
     disc: int = 0
     branch: int = 0
-    level: int = 0
 
     def __post_init__(self):
         if self.value is not None:
@@ -144,41 +141,25 @@ class AlgebraicValue:
     def is_rational(self) -> bool:
         return self.value is not None
 
-    @property
-    def width(self) -> Rat:
-        return Fraction(0) if self.value is not None else Fraction(1, 2 * self.a << self.level)
-
-    @cached_property
-    def lo(self) -> Rat:
+    def bracket(self, level: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """The ends (lo, hi) of the bracket at this level, as int pairs over
+        den = 2a*2**level: with S = 2**level and T = isqrt(disc*S**2), lo's
+        numerator is -b*S + T on the high branch, -b*S - T - 1 on the low one,
+        and hi's is one more.  A rational root's ends are both its value."""
         if self.value is not None:
-            return self.value
-        scale = 1 << self.level
+            end = (self.value.numerator, self.value.denominator)
+            return end, end
+        scale = 1 << level
         t = math.isqrt(self.disc * scale * scale)
-        return Fraction(-self.b * scale + (t if self.branch > 0 else -t - 1), 2 * self.a * scale)
-
-    @cached_property
-    def hi(self) -> Rat:
-        return self.lo + self.width
-
-    def refine(self, k: int) -> "AlgebraicValue":
-        """Return the same value with bracket width at most 2**-k."""
-        return self.refine_below(Fraction(1, 2**k))
-
-    def refine_below(self, width: Rat) -> "AlgebraicValue":
-        """The first level, not above this one, with 1/(2a*2**level) <= width."""
-        if self.value is not None:
-            return self
-        if width <= 0:
-            raise ValueError("an irrational root has no bracket of width <= 0")
-        least = -(-width.denominator // (2 * self.a * width.numerator))  # 2**level >= least
-        level = max(self.level, (least - 1).bit_length())
-        return self if level == self.level else replace(self, level=level)
+        num = -self.b * scale + (t if self.branch > 0 else -t - 1)
+        den = 2 * self.a * scale
+        return (num, den), (num + 1, den)
 
 
 def isolate_quadratic_roots(poly: Tuple[int, int, int]) -> List[AlgebraicValue]:
     """All distinct real roots of a degree <= 2 int polynomial, sorted:
     exact values when the discriminant is a square (0 included), else the
-    two surds at level 0."""
+    two surds."""
     ai, bi, ci = poly
     if not (ai or bi or ci):
         raise ValueError("the zero polynomial has no isolated roots")

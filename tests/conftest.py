@@ -212,6 +212,39 @@ def int_form(coefficients):
     return tuple([v.numerator * (k // v.denominator) for v in coefficients])
 
 
+def level0_bracket(q, branch):
+    """The isolating bracket of width 1/(2a) of the root on this branch of
+    the int quadratic q, a > 0, from isqrt of its discriminant."""
+    a, b, c = q
+    r = math.isqrt(b * b - 4 * a * c)
+    lo = Fraction(-b + r, 2 * a) if branch > 0 else Fraction(-b - r - 1, 2 * a)
+    return lo, lo + Fraction(1, 2 * a)
+
+
+def bisect_below(q, lo, hi, width):
+    """Bisect [lo, hi], which holds one irrational root of the quadratic q,
+    until it is at most width wide."""
+    a, b, c = q
+    sign_lo = sign((a * lo + b) * lo + c)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sign_mid = sign((a * mid + b) * mid + c)
+        assert sign_mid != 0
+        if sign_mid == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def least_level(a, bits, level=0):
+    """The least level, not below the given one, whose bracket width
+    1/(2a*2**level) is at most 2**-bits."""
+    while Fraction(1, 2 * a * 2**level) > Fraction(1, 2**bits):
+        level += 1
+    return level
+
+
 def pair(x):
     """A walk bound as the envelope's int pair: (num, den) for a rational,
     (-1, 0) and (1, 0) for NEG_INF and POS_INF."""

@@ -28,12 +28,16 @@ def _tracing_module():
 
 
 def test_every_tracer_target_resolves_and_is_restored():
+    # Brackets have no refine_below: peaks take int levels, so that one
+    # target is missing and its count reads 0.
     tracer = _tracing_module().Tracer()
-    originals = (maxbv.maximal.maximal_value, vars(maxbv.exact.AlgebraicValue)["refine_below"])
+    originals = (maxbv.maximal.maximal_value, maxbv.exact.isolate_quadratic_roots)
     with tracer.installed():
-        assert tracer.missing == []
+        assert tracer.missing == ["exact.AlgebraicValue.refine_below"]
         assert maxbv.maximal.maximal_value is not originals[0]
-    assert (maxbv.maximal.maximal_value, vars(maxbv.exact.AlgebraicValue)["refine_below"]) == originals
+        maxbv.exact.isolate_quadratic_roots((1, 0, -2))
+        assert tracer.counts["surd_roots"] == 2
+    assert (maxbv.maximal.maximal_value, maxbv.exact.isolate_quadratic_roots) == originals
 
 
 def test_tracer_hooks_read_a_profile_and_a_distance():

@@ -186,6 +186,50 @@ def test_check_empty_corpus_exit_2(tmp_path):
     assert "no step-function" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["var", "--file", "CHI", "--from", "1/0"], 2, "",
+         "error: malformed rational '1/0' (expected 'p' or 'p/q', q > 0)\n"),
+        (["var", "--file", "CHI", "--decimal", "3"], 0, "2\t2.000\n", ""),
+        (["check", "--corpus", "CHI"], 2, "", "error: CHI: not a directory\n"),
+        (["check", "--seeds", "5:5"], 2, "", "error: empty seed range\n"),
+    ],
+)
+def test_input_branches_exit_with_their_line(chi_file, capsys, argv, code, out, err):
+    assert main([arg.replace("CHI", chi_file) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err.replace("CHI", chi_file))
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("profile", [("--file", "-f.txt"), ("--out", "-o.txt")]),
+        ("experiment", [("--config", "-exp.cfg")]),
+        ("check", [("--corpus", "-corpus")]),
+    ],
+)
+def test_path_values_may_begin_with_a_dash(tmp_path, monkeypatch, capsys, command, options):
+    # argparse would read a separate value that begins with '-' as an option.
+    monkeypatch.chdir(tmp_path)
+    Path("-f.txt").write_text(serialize(StepFunction.indicator(0, 1)), encoding="utf-8")
+    Path("-corpus").mkdir()
+    Path("-corpus", "g.txt").write_text(serialize(StepFunction.indicator(0, 1, value="1/4")), encoding="utf-8")
+    Path("-exp.cfg").write_text("file=-f.txt\nperturbation=-corpus/g.txt\n", encoding="utf-8")
+    results = []
+    spaced = [token for option, value in options for token in (option, value)]
+    for spelling in (spaced, [f"{option}={value}" for option, value in options]):
+        code = main([command, *spelling])
+        written = Path("-o.txt").read_text(encoding="utf-8") if Path("-o.txt").exists() else None
+        Path("-o.txt").unlink(missing_ok=True)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err, written))
+    assert results[0] == results[1]
+    code, out, err, written = results[0]
+    assert code == 0 and err == "" and (out or written)
+
+
 def test_counterexample_command(capsys):
     assert main(["counterexample", "--n", "4"]) == 0
     out = capsys.readouterr().out
@@ -257,6 +301,15 @@ def test_experiment_key_errors_name_their_line(tmp_path, capsys, text, line, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {config}:{line}: {message}\n"
+
+
+def test_experiment_file_without_perturbation_names_the_file_line(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("scales=1,1/2\nfile=f.txt\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:2: file= also needs perturbation=\n"
 
 
 def test_round_trip_through_cli_formats(tmp_path):

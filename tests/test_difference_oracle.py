@@ -4,9 +4,11 @@
 and decides every sign on the pieces' int forms.  The reference below is
 the cell-by-cell walk it replaced: it sorts the merged junctions, finds
 each cell's pieces by bisection at a midpoint and takes the critical
-quadratic from the pieces' rationals.  Its peak rounds are the engine's,
-so the two must agree on every enclosure end, not just within the
-precision.
+quadratic from the pieces' rationals.  Its peak rounds follow the
+engine's schedule, but take each level from a loop over widths and each
+bracket from bisection of the level-0 one, so they share no bracket code
+with the engine; the two must still agree on every enclosure end, not
+just within the precision.
 """
 
 import random
@@ -28,8 +30,11 @@ from maxbv.exact import isolate_quadratic_roots, sign
 from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import random_stepfn
 from conftest import (
+    bisect_below,
     end_values,
     int_form,
+    least_level,
+    level0_bracket,
     midpoint,
     moebius_profile,
     pair,
@@ -58,26 +63,35 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
         rise = _sign_at(q, pair(s))
         if rise * _sign_at(q, pair(t)) < 0:
             roots = isolate_quadratic_roots(q)
-            peaks.append([roots[0] if rise == sign(q[0]) else roots[-1], m1, m2, d_s, d_t, rise])
+            root = roots[0] if rise == sign(q[0]) else roots[-1]
+            if root.is_rational:
+                peak = [None, 0, (root.value, root.value)]
+            else:
+                q = q if q[0] > 0 else tuple(-c for c in q)
+                peak = [q, 0, level0_bracket(q, root.branch)]
+            peaks.append(peak + [m1, m2, d_s, d_t, rise])
         else:
             assert not _both_roots_within(q, pair(s), pair(t), _sign_at(q, pair(s)), _sign_at(q, pair(t)))
             exact += abs(d_t - d_s)
         d_s = d_t
 
-    width = Fraction(1, 2**40)
+    bits = 40
     while True:
         lo_sum = hi_sum = exact
         for peak in peaks:
-            av, m1, m2, d_s, d_t, rise = peak
-            av = av.refine_below(width)
+            q, level, (lo, hi), m1, m2, d_s, d_t, rise = peak
+            if q is not None:
+                level = least_level(q[0], bits, level)
+                lo, hi = bisect_below(q, lo, hi, Fraction(1, 2 * q[0] << level))
             while True:
-                signs = [sign(m.gamma + m.delta * edge) for m in (m1, m2) for edge in (av.lo, av.hi)]
+                signs = [sign(m.gamma + m.delta * edge) for m in (m1, m2) for edge in (lo, hi)]
                 if 0 not in signs and signs[0] == signs[1] and signs[2] == signs[3]:
                     break
-                av = av.refine_below(av.width / 4)
-            peak[0] = av
-            vals1 = sorted((m1.value_at(av.lo), m1.value_at(av.hi)))
-            vals2 = sorted((m2.value_at(av.lo), m2.value_at(av.hi)))
+                level += 2
+                lo, hi = bisect_below(q, lo, hi, Fraction(1, 2 * q[0] << level))
+            peak[1:3] = level, (lo, hi)
+            vals1 = sorted((m1.value_at(lo), m1.value_at(hi)))
+            vals2 = sorted((m2.value_at(lo), m2.value_at(hi)))
             top_lo, top_hi = vals1[0] - vals2[1], vals1[1] - vals2[0]
             if rise < 0:
                 top_lo, top_hi, d_s, d_t = -top_hi, -top_lo, -d_s, -d_t
@@ -86,7 +100,7 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
                 hi_sum += max(top_hi - d, Fraction(0))
         if hi_sum - lo_sum <= precision:
             return VariationEnclosure(lo_sum, hi_sum)
-        width /= 2**16
+        bits += 16
 
 
 def assert_same_walk(p1, p2, precision=PRECISION):
@@ -145,6 +159,15 @@ def test_coinciding_junctions_step_both_pointers():
         enclosure = assert_same_walk(doubled, profile)
         assert enclosure.lo == enclosure.hi == variation_of_profile(profile).lo
     assert shared > 0
+
+
+def test_later_rounds_match_the_reference():
+    # The first round's brackets are at most 2**-40 wide, so these
+    # precisions take two and four rounds, each from the level the last left.
+    p1, p2 = build_profile(random_stepfn(10, n_max=9)), build_profile(random_stepfn(1010, n_max=9))
+    for precision in (Fraction(1, 10**15), Fraction(1, 10**25)):
+        enclosure = assert_same_walk(p1, p2, precision)
+        assert 0 < enclosure.hi - enclosure.lo <= precision
 
 
 def test_hand_built_profiles_match_the_reference():

@@ -740,6 +740,19 @@ def test_variation_of_difference_with_rational_critical_point_left_of_the_juncti
     assert partition_variation(p1, p2, junctions) < 3
 
 
+def test_an_enclosure_needs_lo_at_most_hi():
+    with pytest.raises(ValueError, match="enclosure needs lo <= hi"):
+        envelope.VariationEnclosure(1, 0)
+
+
+@pytest.mark.parametrize("measure", [variation_of_difference, bv_distance])
+@pytest.mark.parametrize("precision", [0, Fraction(-1, 2)])
+def test_a_difference_needs_a_positive_precision(measure, precision):
+    profile = build_profile(StepFunction.indicator(0, 1))
+    with pytest.raises(ValueError, match="precision must be positive"):
+        measure(profile, profile, precision)
+
+
 def test_variation_of_difference_narrows_a_bracket_off_the_poles():
     # -1/x and -(1 + 2^-60)/(x - 2^-42) on [2^-44, 3*2^-44]: the poles 0 and
     # 2^-42 are far closer to the irrational critical point

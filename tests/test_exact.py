@@ -11,8 +11,8 @@ from maxbv.exact import (
     isolate_quadratic_roots,
     parse_rat,
     rat,
-    sign,
 )
+from conftest import bisect_below, least_level, level0_bracket
 
 
 def poly_eval(poly, x):
@@ -80,64 +80,50 @@ def test_decimal_rendering():
     assert decimal_str(Fraction(5), 0) == "5"
 
 
+def ends(root, level):
+    """The bracket of root at this level, as Fractions."""
+    return tuple(Fraction(*end) for end in root.bracket(level))
+
+
+def width(root, level):
+    return Fraction(1, 2 * root.a << level)
+
+
 def test_isolate_sqrt2():
     roots = isolate_quadratic_roots((1, 0, -2))
     assert len(roots) == 2
-    lo, hi = roots
-    assert lo.hi < hi.lo
-    tight = hi.refine(30)
-    assert tight.width <= Fraction(1, 10**9)
-    assert tight.lo * tight.lo <= 2 <= tight.hi * tight.hi
+    low, high = roots
+    assert ends(low, 0)[1] < ends(high, 0)[0]
+    lo, hi = ends(high, 30)
+    assert hi - lo <= Fraction(1, 10**9)
+    assert lo * lo <= 2 <= hi * hi
 
 
 def test_isolate_rational_roots():
     roots = isolate_quadratic_roots((1, 0, -1))
     assert all(r.is_rational for r in roots)
-    assert [r.lo for r in roots] == [-1, 1]
-    assert all(r.width == 0 for r in roots)
+    assert [r.value for r in roots] == [-1, 1]
 
 
 def test_isolate_no_real_roots_and_degenerate():
     assert isolate_quadratic_roots((1, 0, 1)) == []
     (root,) = isolate_quadratic_roots((0, 2, -3))
-    assert root.is_rational and root.lo == Fraction(3, 2)
+    assert root.is_rational and root.value == Fraction(3, 2)
     assert isolate_quadratic_roots((0, 0, 5)) == []
     with pytest.raises(ValueError):
         isolate_quadratic_roots((0, 0, 0))
 
 
-def test_refine_is_monotone_nesting():
-    root = isolate_quadratic_roots((1, 0, -3))[1]
-    prev = root
-    for k in (4, 8, 16, 32):
-        cur = root.refine(k)
-        assert prev.lo <= cur.lo <= cur.hi <= prev.hi
-        assert cur.width <= Fraction(1, 2**k)
-        assert poly_eval((1, 0, -3), cur.lo) * poly_eval((1, 0, -3), cur.hi) < 0
+def test_brackets_nest():
+    q = (1, 0, -3)
+    root = isolate_quadratic_roots(q)[1]
+    prev = ends(root, 0)
+    for level in (4, 8, 16, 32):
+        lo, hi = cur = ends(root, level)
+        assert prev[0] <= lo <= hi <= prev[1]
+        assert hi - lo == width(root, level) <= Fraction(1, 2**level)
+        assert poly_eval(q, lo) * poly_eval(q, hi) < 0
         prev = cur
-
-
-def level0_bracket(q, branch):
-    """The isolating bracket of width 1/(2a) from isqrt(disc), a > 0."""
-    a, b, c = q
-    r = math.isqrt(b * b - 4 * a * c)
-    lo = Fraction(-b + r, 2 * a) if branch > 0 else Fraction(-b - r - 1, 2 * a)
-    return lo, lo + Fraction(1, 2 * a)
-
-
-def bisect_below(q, lo, hi, width):
-    """Bisect [lo, hi], which holds one irrational root of q, until it is at
-    most width wide."""
-    sign_lo = sign(poly_eval(q, lo))
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sign_mid = sign(poly_eval(q, mid))
-        assert sign_mid != 0
-        if sign_mid == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def irrational_quadratics(count, seed):
@@ -152,30 +138,32 @@ def irrational_quadratics(count, seed):
     return found
 
 
-def test_refine_below_is_the_bisection_of_the_level0_bracket():
-    widths = [Fraction(1, 2**k) for k in range(81)] + [Fraction(1, 3 * 10**k) for k in range(0, 25, 3)]
+def test_every_level_is_the_bisection_of_the_level0_bracket():
     for q in irrational_quadratics(200, 42):
         roots = isolate_quadratic_roots(q)
         for root, branch in zip(roots, (-1, 1)):
-            assert (root.lo, root.hi) == level0_bracket(q, branch)
-            lo, hi = root.lo, root.hi
-            for width in sorted(widths, reverse=True):
-                lo, hi = bisect_below(q, lo, hi, width)
-                cur = root.refine_below(width)
-                assert (cur.lo, cur.hi) == (lo, hi)
-            cur = root.refine_below(Fraction(1, 2**40))
-            for _ in range(6):  # the pole loop's quarter steps
-                lo, hi = bisect_below(q, cur.lo, cur.hi, cur.width / 4)
-                cur = cur.refine_below(cur.width / 4)
-                assert (cur.lo, cur.hi) == (lo, hi)
-            assert cur.refine_below(1) is cur  # never coarser than the current level
+            lo, hi = level0_bracket(q, branch)
+            assert ends(root, 0) == (lo, hi)
+            for level in range(1, 90):
+                lo, hi = bisect_below(q, lo, hi, width(root, level))
+                assert ends(root, level) == (lo, hi)
+
+
+def test_the_level_rule_is_the_least_level_of_its_width():
+    # The peak rounds take level max(level, bits + 1 - (2a).bit_length()),
+    # never coarser than the level a peak already has.
+    a_values = [1, 2, 3, 4, 5, 7, 8, 9, 2**20 - 1, 2**20, 2**20 + 1, 10**12 + 3]
+    for a in a_values + [q[0] for q in irrational_quadratics(40, 7)]:
+        for bits in (0, 1, 5, 40, 56, 72, 88):
+            for level in (0, 30, 100):
+                assert max(level, bits + 1 - (2 * a).bit_length()) == least_level(a, bits, level)
 
 
 def test_rational_roots_are_never_refined():
     for root in isolate_quadratic_roots((4, -4, -3)) + isolate_quadratic_roots((1, -2, 1)):
-        assert root.is_rational and root.width == 0
-        assert root.refine_below(Fraction(1, 2**60)) is root
-        assert root.refine(80) is root
+        assert root.is_rational
+        end = (root.value.numerator, root.value.denominator)
+        assert all(root.bracket(level) == (end, end) for level in (0, 1, 40, 80))
 
 
 def test_surd_constructor_rejects_what_fixes_no_irrational_root():
@@ -185,5 +173,3 @@ def test_surd_constructor_rejects_what_fixes_no_irrational_root():
                    {"a": 1, "b": 0, "disc": 8, "branch": 0}):
         with pytest.raises(ValueError):
             AlgebraicValue(**fields)
-    with pytest.raises(ValueError):
-        isolate_quadratic_roots((1, 0, -2))[0].refine_below(0)

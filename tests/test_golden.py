@@ -8,9 +8,11 @@ compared byte for byte with ``tests/golden/cli.txt``.  A second list runs
 points, so their ``lo..hi`` enclosures hold the certified-variation path
 byte for byte; it is compared with ``tests/golden/distances.txt``.  The
 invariant suite's default run, ``maxbv check --seeds 0:200``, is compared
-with ``tests/golden/check.txt``, its stdout as it is, and again with
-``envelope._tags`` made to raise: on passing profiles the suite reads
-only their skeletons and makes no tags.  Refresh the files
+with ``tests/golden/check.txt`` once, with ``envelope._tags`` made to
+raise: on passing profiles the suite reads only their skeletons and makes
+no tags.  A tag made inside a check would print a ``raised AssertionError``
+FAIL row, so a run equal to the file made no tag, and the unpatched run
+executes the same code.  Refresh the files
 only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -142,10 +144,6 @@ def test_cli_outputs_match_golden():
 
 def test_irrational_distances_match_golden():
     assert _fresh(distance_transcript) == DISTANCES.read_text(encoding="utf-8")
-
-
-def test_check_report_matches_golden():
-    assert check_transcript() == CHECK.read_text(encoding="utf-8")
 
 
 def test_check_report_makes_no_tags(monkeypatch):
