@@ -34,10 +34,11 @@ chain.  It takes the candidates in the order the envelope meets them: the
 left anchors nearest first, the constant c, the right anchors farthest
 first.  A new candidate that meets the top of the stack strictly inside
 the top's cell is pushed with that crossing as its start; otherwise one of
-the two is above the other on the whole cell, one ``_order`` inside the
-cell says which, and the top is popped (and the next top tried) or the new
-candidate dropped.  Each candidate is pushed or dropped once and popped at
-most once, so a build costs O(n + pieces) after the two hull passes.
+the two is above the other on the whole cell, their values at one lattice
+point inside it, compared by cross-multiplication, say which, and the top
+is popped (and the next top tried) or the new candidate dropped.  Each
+candidate is pushed or dropped once and popped at most once, so a build
+costs O(n + pieces) after the two hull passes.
 
 The order is exact.  On a segment where |f| = l, an anchored average
 satisfies A(x) - l = const/(x - a), so it lies wholly above l, where left
@@ -59,7 +60,8 @@ profiles with.  Every build checks itself at each breakpoint against values
 read off the same two chains without the walk: the vertex a breakpoint's
 point was pushed onto is its best anchor on that side, so one O(n) sweep
 gives the maximal function at every breakpoint.  It also checks that
-adjacent pieces agree at every junction.
+adjacent pieces agree at every junction.  One pass over the walk's cells
+runs both checks and reads the skeleton (below) off them.
 
 The build runs on an integer lattice.  With D the lcm of the breakpoint
 denominators and E that of the |constant| denominators, the points
@@ -130,18 +132,18 @@ difference of two profiles has at most one critical point per common cell,
 and exact signs locate it: its derivative has the sign of an int quadratic,
 which changes sign across the cell exactly when the cell holds a critical
 point.  The difference walk is one two-pointer merge of the two piece
-lists, and it decides every sign on ints: the critical quadratic of two
-int forms and its signs at the cell ends are int expressions, d at a
-junction is an int pair, and the exact part is one sum of int pairs,
-reduced up a balanced merge tree, so its cost stays near linear in the
-number of cells.  The variation is an exact sum over the
-junctions of cells without a critical point; only the critical points
-(peaks) get brackets, at int levels that grow round by round until the
-sum is a certified rational enclosure of any requested precision.  A peak
-cell reduces the int quadratic of its two forms to that of the two
-pieces, in lowest ints: a surd's bracket is sized by that scaling.  A
-rational critical point's bracket is the point itself, so its peak is
-exact.
+lists, and it decides every sign on ints: the nearer junction, the
+critical quadratic of two int forms and its signs at the cell ends are
+int expressions on the loop's locals, d at a junction is an int pair, and
+the exact part is one sum of int pairs, reduced up a balanced merge tree,
+so its cost stays near linear in the number of cells.  The variation is an
+exact sum over the junctions of cells without a critical point; only the
+critical points (peaks) get brackets, at int levels that grow round by
+round until the sum is a certified rational enclosure of any requested
+precision.  A peak cell reduces the int quadratic of its two forms to that
+of the two pieces, in lowest ints: a surd's bracket is sized by that
+scaling.  A rational critical point's bracket is the point itself, so its
+peak is exact.
 """
 
 from __future__ import annotations
@@ -337,34 +339,21 @@ def _crossing(c1: Candidate, c2: Candidate) -> Optional[Point]:
     return (num, slope) if slope > 0 else (-num, -slope)
 
 
-def _order(c1: Candidate, c2: Candidate, x: Point) -> int:
-    """The sign of c1 - c2 at the lattice point x (no pole there)."""
-    p, q = x
-    n1, d1 = c1[0] * q + c1[1] * p, c1[2] * q + c1[3] * p
-    n2, d2 = c2[0] * q + c2[1] * p, c2[2] * q + c2[3] * p
-    diff = n1 * d2 - n2 * d1
-    if (d1 > 0) != (d2 > 0):
-        diff = -diff
-    return (diff > 0) - (diff < 0)
-
-
-def _after(x: Point, v: Optional[int]) -> Point:
-    """A lattice point inside (x, v); None means +oo."""
-    p, q = x
-    return (p + q, q) if v is None else (p + v * q, 2 * q)
-
-
 def _stack_walk(
     candidates: Sequence[Candidate], u: Optional[int], v: Optional[int]
 ) -> List[list]:
     """Envelope over the open lattice segment (u, v) of distinct candidates
     listed in the order the envelope meets them, in one stack pass (see the
     module docstring): its cells [lo, hi, candidate], lo and hi lattice
-    points or None for an infinite end.  The top's cell runs to v."""
+    points or None for an infinite end.  The top's cell runs to v.  Where
+    the new candidate's ``_crossing`` with the top misses the top's cell,
+    the two are compared at a lattice point p/q inside it: one left of v
+    when the cell starts at -oo, else one past lo (v = +oo) or halfway."""
     start = None if u is None else (u, 1)
     end = None if v is None else (v, 1)
     stack = [[start, end, candidates[0]]]
     for cand in candidates[1:]:
+        a, b, g, d = cand
         while stack:
             cell = stack[-1]
             lo, _, top = cell
@@ -379,7 +368,19 @@ def _stack_walk(
                 break
             # One of the two is above the other on the whole cell: the new
             # candidate is dropped, or the top popped and the next top tried.
-            if _order(cand, top, (v - 1, 1) if lo is None else _after(lo, v)) < 0:
+            if lo is None:
+                p, q = v - 1, 1
+            elif v is None:
+                p, q = lo[0] + lo[1], lo[1]
+            else:
+                p, q = lo[0] + v * lo[1], 2 * lo[1]
+            ta, tb, tg, td = top
+            num, den = a * q + b * p, g * q + d * p
+            top_num, top_den = ta * q + tb * p, tg * q + td * p
+            diff = num * top_den - top_num * den
+            if (den > 0) != (top_den > 0):  # cross-multiplied by a negative den
+                diff = -diff
+            if diff < 0:
                 cell[1] = end
                 break
             stack.pop()
@@ -503,17 +504,6 @@ def _tags(
     return tuple(tags)
 
 
-def _lattice_value(x: Optional[Point], cand: Candidate) -> Tuple[int, int]:
-    """The candidate at x as a pair (num, den) of ints, in units of 1/E; at
-    an infinite end (None), its limit there: beta/delta (delta = 1) or the
-    constant."""
-    a, b, g, d = cand
-    if x is None:
-        return (b, d) if d else (a, g)
-    p, q = x
-    return a * q + b * p, g * q + d * p
-
-
 def build_profile(f: StepFunction) -> MaximalProfile:
     """Assemble the exact global profile of the maximal function of f, on
     f's own lattice (checked against f's rationals when it was made)."""
@@ -569,34 +559,42 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
                 cell.append(k)
                 cells.append(cell)
 
-    # Self-checks, on the lattice: adjacent cells agree at their shared
-    # point, and at every breakpoint the cell holding it matches the maximal
-    # function read off the hull chains without the walk.
-    for (_, hi, cand, _), (_, _, rival, _) in zip(cells, cells[1:]):
-        if _order(cand, rival, hi):
-            raise AssertionError("profile pieces disagree at a junction")
-    cell = 0
-    for x, (num, den) in zip(xs, _breakpoint_values(xs, ps, ls, lower, upper)):
-        while cells[cell][1] is not None and cells[cell][1][0] < x * cells[cell][1][1]:
-            cell += 1
-        at_x, below = _lattice_value((x, 1), cells[cell][2])
-        if at_x * den != num * below:
-            raise AssertionError("profile disagrees with the pointwise engine")
-
-    # The skeleton, straight from the cells: each right end (the last is
-    # +oo), the value there and the limit at -oo, as pairs of ints with a
-    # positive den, and each int form, a positive multiple of the piece that
-    # its cell makes: an anchored (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
-    # Their Fractions are made, and checked, on first read; the tags are read
-    # off the forms, each piece's segment and the lattice (see MaximalProfile).
-    end_pairs = tuple([(hi[0], hi[1] * scale) for _, hi, _, _ in cells[:-1]])
-    value_pairs = [_lattice_value(None, cells[0][2])]
-    value_pairs += [_lattice_value(hi, cand) for _, hi, cand, _ in cells]
-    value_pairs = tuple([(num, den * unit) if den > 0 else (-num, -den * unit) for num, den in value_pairs])
-    forms = tuple([
-        (a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0) for _, _, (a, b, g, d), _ in cells
-    ])
-    return MaximalProfile(end_pairs, value_pairs, forms, ([k for *_, k in cells], scale, xs, ls, ps))
+    # One pass over the cells checks them on the lattice and reads off the
+    # skeleton.  A candidate (a, b, g, d) is (a*q + b*p, g*q + d*p) at the
+    # lattice point (p, q), in units of 1/E, and (b, d), or (a, g) for the
+    # constant, at an infinite end.  Adjacent cells must agree at their
+    # shared point, and the cell holding each breakpoint must match the
+    # maximal function read off the hull chains.  The skeleton: each right
+    # end (the last is +oo), the value there and the limit at -oo, as int
+    # pairs with den > 0, and each int form, a positive multiple of the
+    # cell's piece: an anchored (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
+    checks = _breakpoint_values(xs, ps, ls, lower, upper)
+    a, b, g, d = cells[0][2]
+    num, den = (b, d) if d else (a, g)
+    value_pairs = [(num, den * unit) if den > 0 else (-num, -den * unit)]
+    end_pairs, forms, segments = [], [], []
+    i = 0
+    for c, (_, hi, (a, b, g, d), k) in enumerate(cells):
+        if hi is None:  # the last cell
+            num, den = (b, d) if d else (a, g)
+        else:
+            p, q = hi
+            num, den = a * q + b * p, g * q + d * p
+            end_pairs.append((p, q * scale))
+            ra, rb, rg, rd = cells[c + 1][2]
+            if num * (rg * q + rd * p) != (ra * q + rb * p) * den:
+                raise AssertionError("profile pieces disagree at a junction")
+        while i < n and (hi is None or xs[i] * hi[1] <= hi[0]):
+            x = xs[i]
+            at_x, below = a + b * x, g + d * x
+            at, over = checks[i]
+            if at_x * over != at * below:
+                raise AssertionError("profile disagrees with the pointwise engine")
+            i += 1
+        value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
+        forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
+        segments.append(k)
+    return MaximalProfile(tuple(end_pairs), tuple(value_pairs), tuple(forms), (segments, scale, xs, ls, ps))
 
 
 # --- the perturbation family f + s*g -----------------------------------------
@@ -807,47 +805,6 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
     return VariationEnclosure(total, total)
 
 
-def _difference_critical_quadratic(c1: Sequence, c2: Sequence) -> Tuple:
-    """det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2 for two
-    coefficient tuples (alpha, beta, gamma, delta), ints or rationals.  Off
-    the poles, the derivative of the difference has its sign; scaling the
-    tuples by k1, k2 > 0 scales it by k1**2 * k2**2."""
-    a1, b1, g1, e1 = c1
-    a2, b2, g2, e2 = c2
-    det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
-    return (
-        det1 * e2 * e2 - det2 * e1 * e1,
-        2 * (det1 * g2 * e2 - det2 * g1 * e1),
-        det1 * g2 * g2 - det2 * g1 * g1,
-    )
-
-
-def _sign_at(q: Tuple[int, int, int], x: Pair) -> int:
-    """Sign of the int quadratic q at the bound x; at an infinite end, its
-    sign toward that infinity, where its leading term decides it."""
-    a, b, c = q
-    n, d = x
-    if not d:  # the -oo or +oo pair
-        return sign(a) or sign(n) * sign(b) or sign(c)
-    return sign((a * n + b * d) * n + c * d * d)
-
-
-def _both_roots_within(q: Tuple[int, int, int], s: Pair, t: Pair, at_s: int, at_t: int) -> bool:
-    """Whether the int quadratic q, whose signs at the bounds s and t are
-    at_s and at_t, has both its roots (a double root counts twice) in the
-    closed cell [s, t]: q is real-rooted, not on its inner branch at either
-    end, and its vertex lies between them."""
-    a, b, c = q
-    slope = (0, 2 * a, b)
-    return (
-        a != 0
-        and b * b >= 4 * a * c
-        and at_s * a >= 0
-        and at_t * a >= 0
-        and _sign_at(slope, s) * a <= 0 <= _sign_at(slope, t) * a
-    )
-
-
 def variation_of_difference(
     p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
@@ -871,7 +828,10 @@ def variation_of_difference(
     value pairs at -oo and +oo and each piece's int form, its coefficients
     times some k > 0.  So q from the int forms is k1**2 * k2**2 times the
     pieces' q, with the same sign everywhere, and d at a junction is an int
-    pair (num, den); the exact cells' steps are one ``_sum_of_steps``.  The critical
+    pair (num, den); the exact cells' steps are one ``_sum_of_steps``.  A
+    cell is int expressions on the loop's locals: its end t, the values
+    there, q and its signs at s and t, and the self-check that q has not
+    both roots in the closed cell (two critical points).  The critical
     point is located by sign, without narrowing: the cell holds one exactly
     when q has opposite nonzero signs at its ends (at an infinite end, the
     sign of q's leading term there), and the sign at s is the sign of d'
@@ -892,11 +852,13 @@ def variation_of_difference(
     if precision <= 0:
         raise ValueError("precision must be positive")
 
-    ends1, ends2 = p1.end_pairs, p2.end_pairs
+    # Each list of end pairs closes with the +oo pair, which no finite end
+    # passes and where both pointers step.
+    ends1, ends2 = (*p1.end_pairs, _POS_END), (*p2.end_pairs, _POS_END)
     values1, values2 = p1.value_pairs, p2.value_pairs
     forms1, forms2 = p1.int_forms, p2.int_forms
     i = j = 0
-    s = _NEG_END
+    sn, sd = _NEG_END
     # The exact cells' steps (d(s), d(t)), and the peaks:
     # (root, level, form1, form2, d(s), d(t), sign of d' left of the root).
     steps: List[Tuple[Pair, Pair]] = []
@@ -904,33 +866,63 @@ def variation_of_difference(
     (num1, den1), (num2, den2) = values1[0], values2[0]
     d_s = (num1 * den2 - num2 * den1, den1 * den2)
     while True:
-        t, step1, step2 = _next_bound(ends1, i, ends2, j)
+        # The cell's right end t = tn/td: the nearer of the two pieces' right
+        # ends, and whether each pointer steps past it (both, at a shared
+        # junction).
+        (tn, td), (rn, rd) = ends1[i], ends2[j]
+        order = tn * rd - rn * td
+        step1, step2 = order <= 0, order >= 0
+        if not step1:
+            tn, td = rn, rd
         form1, form2 = forms1[i], forms2[j]
+        a1, b1, g1, e1 = form1
+        a2, b2, g2, e2 = form2
         # Each profile's value at t: its value pair at its own junction (or
         # at +oo), else its form at t.
-        num1, den1 = values1[i + 1] if step1 or not step2 else _form_at(form1, t)
-        num2, den2 = values2[j + 1] if step2 or not step1 else _form_at(form2, t)
+        num1, den1 = values1[i + 1] if step1 else (a1 * td + b1 * tn, g1 * td + e1 * tn)
+        num2, den2 = values2[j + 1] if step2 else (a2 * td + b2 * tn, g2 * td + e2 * tn)
         d_t = (num1 * den2 - num2 * den1, den1 * den2)
-        q = _difference_critical_quadratic(form1, form2)
-        rise, at_t = _sign_at(q, s), _sign_at(q, t)
+        # The critical quadratic q = qa*x**2 + qb*x + qc of the two forms, and
+        # its signs at s and t.  At an infinite end, the pair (-1, 0) or
+        # (1, 0), the same int expression is qa, and its sign toward that
+        # infinity falls to that of sn*qb (tn*qb), then qc, where qa is 0.
+        det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
+        qa = det1 * e2 * e2 - det2 * e1 * e1
+        qb = 2 * (det1 * g2 * e2 - det2 * g1 * e1)
+        qc = det1 * g2 * g2 - det2 * g1 * g1
+        at = (qa * sn + qb * sd) * sn + qc * sd * sd or not sd and (sn * qb or qc)
+        rise = (at > 0) - (at < 0)
+        at = (qa * tn + qb * td) * tn + qc * td * td or not td and (tn * qb or qc)
+        at_t = (at > 0) - (at < 0)
         if rise * at_t < 0:
             # One root lies inside.  Left of the low root q has the sign of its
             # leading coefficient, between the roots the other sign; a linear
             # q has a single root.  A form is k > 0 times its piece, k its
             # delta (its gamma for a constant): q over gcd(q, (k1*k2)**2) is
             # the pieces' own q in lowest ints, which sizes a surd's bracket.
-            common = math.gcd(*q, ((form1[3] or form1[2]) * (form2[3] or form2[2])) ** 2)
-            q = tuple([c // common for c in q])
+            common = math.gcd(qa, qb, qc, ((e1 or g1) * (e2 or g2)) ** 2)
+            q = (qa // common, qb // common, qc // common)
             roots = isolate_quadratic_roots(q)
             root = roots[0] if rise == sign(q[0]) else roots[-1]
             peaks.append([root, 0, form1, form2, Fraction(*d_s), Fraction(*d_t), rise])
-        elif _both_roots_within(q, s, t, rise, at_t):
+        elif (
+            # Both roots of q (a double root counts twice) in the closed cell
+            # [s, t]: q is real-rooted, not on its inner branch at either end,
+            # and its vertex, where the slope 2*qa*x + qb changes sign, lies
+            # between them.
+            qa
+            and qb * qb >= 4 * qa * qc
+            and rise * qa >= 0
+            and at_t * qa >= 0
+            and (not sd or (2 * qa * sn + qb * sd) * qa <= 0)
+            and (not td or (2 * qa * tn + qb * td) * qa >= 0)
+        ):
             raise AssertionError("two critical points of a profile difference in one cell")
         else:
             steps.append((d_s, d_t))
-        if not (step1 or step2):
+        if not td:
             break
-        s, d_s = t, d_t
+        sn, sd, d_s = tn, td, d_t
         i += step1
         j += step2
 
@@ -958,7 +950,7 @@ def variation_of_difference(
             for d in (d_s, d_t):
                 lo_sum += max(top_lo - d, 0)
                 hi_sum += max(top_hi - d, 0)
-        if hi_sum - lo_sum <= precision:
+        if hi_sum is lo_sum or hi_sum - lo_sum <= precision:  # no peaks, or narrow enough
             return VariationEnclosure(lo_sum, hi_sum)
         bits += 16
 

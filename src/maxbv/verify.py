@@ -22,6 +22,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # Envelope names are read through the module, so that the divergence
@@ -277,7 +278,9 @@ class ContinuityReport:
 
     The pass thresholds are calibration knobs, not theorems: the continuity
     being exercised is qualitative, so the harness pins down configured
-    scales and tolerances to emit a binary verdict.
+    scales and tolerances to emit a binary verdict.  Each verdict is
+    computed on its first read and kept: the report prints all three and
+    its caller reads ``passed`` again.
     """
 
     rows: Tuple[ExperimentRow, ...]
@@ -286,11 +289,11 @@ class ContinuityReport:
     variation_gap: Rat
     tail_count: int
 
-    @property
+    @cached_property
     def final_distance_ok(self) -> bool:
         return self.rows[-1].distance.hi <= self.threshold
 
-    @property
+    @cached_property
     def distance_eventually_nonincreasing(self) -> bool:
         tail = self.rows[-self.tail_count:]
         return all(
@@ -298,7 +301,7 @@ class ContinuityReport:
             for first, second in zip(tail, tail[1:])
         )
 
-    @property
+    @cached_property
     def variation_converged(self) -> bool:
         # Variations of profiles are exact (width-zero enclosures), so the gap
         # between two of them and the distance of their midpoints are the same
@@ -309,7 +312,7 @@ class ContinuityReport:
             for row in tail
         )
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         return (
             self.final_distance_ok

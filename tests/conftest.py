@@ -9,16 +9,21 @@ its int skeleton and tags; ``pieces`` gives the piece-based references a
 
 import math
 import random
+import sys
+import types
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from maxbv.envelope import MaximalProfile
 from maxbv.exact import format_rat, rat, sign
-from maxbv.stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, variation_on_partition
+from maxbv.stepfn import NEG_INF, POS_INF, AbsIntegral, StepFunction, parse, variation_on_partition
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def rand_fraction(rng, bound=3, denom=4):
@@ -63,6 +68,43 @@ def exact_n_stepfn(rng, n):
         constants.append(c)
     values = [rand_fraction(rng) for _ in range(n)]
     return StepFunction(tail, bps, values, constants)
+
+
+@lru_cache(maxsize=1)
+def bench_workloads():
+    """The benchmark's input generator.  It is compiled from its source
+    text, so nothing is written under ``bench/``."""
+    module = types.ModuleType("bench_workloads")
+    sys.modules[module.__name__] = module  # where its dataclasses look it up
+    try:
+        exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def bench_stepfn(seed, n):
+    """The benchmark generator's function with exactly n breakpoints, read
+    as the program reads it."""
+    bench = bench_workloads()
+    return parse(bench.stepfn_text(*bench.exact_n_stepfn(random.Random(seed), n)))
+
+
+def bench_pairs(count=7):
+    """``count`` pairs (f, g) for each n in 3, 5 and 8, made as the
+    benchmark's continuity workload makes its pairs: two functions of its
+    generator with exactly n breakpoints, g rescaled to BV norm 1/8, read as
+    the program reads them.  The workload seeds its generator with strings,
+    so these int seeds give pairs it never runs; of the first seven at
+    n = 8, one has irrational distances at every scale."""
+    bench = bench_workloads()
+    for n in (3, 5, 8):
+        for seed in range(1000, 1000 + count):
+            rng = random.Random(seed)
+            f, g = bench.exact_n_stepfn(rng, n), bench.exact_n_stepfn(rng, n)
+            scale = bench.PERTURBATION_NORM / bench.bv_norm(*g)
+            g = (g[0] * scale, g[1], [v * scale for v in g[2]], [c * scale for c in g[3]])
+            yield parse(bench.stepfn_text(*f)), parse(bench.stepfn_text(*g))
 
 
 def sweep_variation(f, a, b, rounds=4):
@@ -253,6 +295,66 @@ def pair(x):
     if x == POS_INF:
         return (1, 0)
     return (x.numerator, x.denominator)
+
+
+def order(c1, c2, x):
+    """The sign of the lattice candidates c1 - c2 at the lattice point x
+    (no pole there): the comparison the build's stack walk makes inline."""
+    p, q = x
+    n1, d1 = c1[0] * q + c1[1] * p, c1[2] * q + c1[3] * p
+    n2, d2 = c2[0] * q + c2[1] * p, c2[2] * q + c2[3] * p
+    diff = n1 * d2 - n2 * d1
+    if (d1 > 0) != (d2 > 0):
+        diff = -diff
+    return (diff > 0) - (diff < 0)
+
+
+def after(x, v):
+    """A lattice point inside (x, v); None means +oo."""
+    p, q = x
+    return (p + q, q) if v is None else (p + v * q, 2 * q)
+
+
+def difference_critical_quadratic(c1, c2):
+    """det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2 for two
+    coefficient tuples (alpha, beta, gamma, delta), ints or rationals.  Off
+    the poles, the derivative of the difference has its sign; scaling the
+    tuples by k1, k2 > 0 scales it by k1**2 * k2**2."""
+    a1, b1, g1, e1 = c1
+    a2, b2, g2, e2 = c2
+    det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
+    return (
+        det1 * e2 * e2 - det2 * e1 * e1,
+        2 * (det1 * g2 * e2 - det2 * g1 * e1),
+        det1 * g2 * g2 - det2 * g1 * g1,
+    )
+
+
+def sign_at(q, x):
+    """Sign of the quadratic q at the walk bound x, an int pair; at an
+    infinite end, its sign toward that infinity, where its leading term
+    decides it."""
+    a, b, c = q
+    n, d = x
+    if not d:  # the -oo or +oo pair
+        return sign(a) or sign(n) * sign(b) or sign(c)
+    return sign((a * n + b * d) * n + c * d * d)
+
+
+def both_roots_within(q, s, t, at_s, at_t):
+    """Whether the int quadratic q, whose signs at the bounds s and t are
+    at_s and at_t, has both its roots (a double root counts twice) in the
+    closed cell [s, t]: q is real-rooted, not on its inner branch at either
+    end, and its vertex lies between them."""
+    a, b, c = q
+    slope = (0, 2 * a, b)
+    return (
+        a != 0
+        and b * b >= 4 * a * c
+        and at_s * a >= 0
+        and at_t * a >= 0
+        and sign_at(slope, s) * a <= 0 <= sign_at(slope, t) * a
+    )
 
 
 def profile_from_pieces(given):

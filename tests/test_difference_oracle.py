@@ -8,7 +8,7 @@ quadratic from the pieces' rationals.  Its peak rounds follow the
 engine's schedule, but take each level from a loop over widths and each
 bracket from bisection of the level-0 one, so they share no bracket code
 with the engine; the two must still agree on every enclosure end, not
-just within the precision.
+just within the precision, on family profiles of bench-shaped pairs too.
 """
 
 import random
@@ -18,10 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxbv.envelope import (
+    PerturbationFamily,
     VariationEnclosure,
-    _both_roots_within,
-    _difference_critical_quadratic,
-    _sign_at,
     build_profile,
     variation_of_difference,
     variation_of_profile,
@@ -30,7 +28,10 @@ from maxbv.exact import isolate_quadratic_roots, sign
 from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import random_stepfn
 from conftest import (
+    bench_pairs,
     bisect_below,
+    both_roots_within,
+    difference_critical_quadratic,
     end_values,
     int_form,
     least_level,
@@ -41,8 +42,10 @@ from conftest import (
     piece_containing,
     pieces,
     rand_stepfn,
+    sign_at,
     step_functions,
 )
+from test_family import SCALES
 
 PRECISION = Fraction(1, 10**9)
 
@@ -59,9 +62,9 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
             d_t = end_values(p1)[-1] - end_values(p2)[-1]
         else:
             d_t = m1.value_at(t) - m2.value_at(t)
-        q = int_form(_difference_critical_quadratic(m1.coefficients, m2.coefficients))
-        rise = _sign_at(q, pair(s))
-        if rise * _sign_at(q, pair(t)) < 0:
+        q = int_form(difference_critical_quadratic(m1.coefficients, m2.coefficients))
+        rise = sign_at(q, pair(s))
+        if rise * sign_at(q, pair(t)) < 0:
             roots = isolate_quadratic_roots(q)
             root = roots[0] if rise == sign(q[0]) else roots[-1]
             if root.is_rational:
@@ -71,7 +74,7 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
                 peak = [q, 0, level0_bracket(q, root.branch)]
             peaks.append(peak + [m1, m2, d_s, d_t, rise])
         else:
-            assert not _both_roots_within(q, pair(s), pair(t), _sign_at(q, pair(s)), _sign_at(q, pair(t)))
+            assert not both_roots_within(q, pair(s), pair(t), sign_at(q, pair(s)), sign_at(q, pair(t)))
             exact += abs(d_t - d_s)
         d_s = d_t
 
@@ -120,6 +123,19 @@ def test_continuity_style_pairs_match_the_reference():
         for j in range(15):
             fj = combine(f, g, 1, Fraction(1, 2**j))
             enclosure = assert_same_walk(build_profile(fj), profile_f)
+            irrational += enclosure.lo != enclosure.hi
+    assert irrational > 0  # some pairs reach the peak rounds
+
+
+def test_bench_shaped_family_pairs_match_the_reference():
+    # The continuity workload's distances: family profiles of pairs from the
+    # benchmark's generator, g at BV norm 1/8, at the 15 scales 1 ... 2^-14,
+    # each against f's own profile.
+    irrational = 0
+    for f, g in bench_pairs():
+        profile_f, family = build_profile(f), PerturbationFamily(f, g)
+        for s in SCALES:
+            enclosure = assert_same_walk(family.profile(s), profile_f)
             irrational += enclosure.lo != enclosure.hi
     assert irrational > 0  # some pairs reach the peak rounds
 

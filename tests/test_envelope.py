@@ -34,6 +34,8 @@ from maxbv.verify import continuity_experiment, random_stepfn
 import conftest
 from conftest import (
     MoebiusPiece,
+    both_roots_within,
+    difference_critical_quadratic,
     end_values,
     exact_n_stepfn,
     moebius_profile,
@@ -41,6 +43,7 @@ from conftest import (
     pieces,
     profile_from_pieces,
     rand_stepfn,
+    sign_at,
 )
 
 PRECISION = Fraction(1, 10**9)
@@ -788,7 +791,7 @@ def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cel
 def test_both_roots_within_the_closed_cell():
     def within(q, s, t):
         s, t = pair(s), pair(t)
-        return envelope._both_roots_within(q, s, t, envelope._sign_at(q, s), envelope._sign_at(q, t))
+        return both_roots_within(q, s, t, sign_at(q, s), sign_at(q, t))
     # x^2 - 1 has roots -1 and 1.
     assert within((1, 0, -1), Fraction(-1), Fraction(1))
     assert within((-1, 0, 1), NEG_INF, Fraction(3))
@@ -854,11 +857,11 @@ def test_int_critical_quadratic_has_the_sign_of_the_fraction_one():
         ends = [NEG_INF, *sorted({*p1.ends, *p2.ends}), POS_INF]
         for m1, form1 in zip(pieces(p1), p1.int_forms):
             for m2, form2 in zip(pieces(p2), p2.int_forms):
-                q = envelope._difference_critical_quadratic(form1, form2)
-                exact = envelope._difference_critical_quadratic(coeffs(m1), coeffs(m2))
+                q = difference_critical_quadratic(form1, form2)
+                exact = difference_critical_quadratic(coeffs(m1), coeffs(m2))
                 assert all(type(v) is int for v in q)
                 for x in ends:
-                    assert envelope._sign_at(q, pair(x)) == envelope._sign_at(exact, pair(x))
+                    assert sign_at(q, pair(x)) == sign_at(exact, pair(x))
 
 
 def test_profile_junctions_are_rational():

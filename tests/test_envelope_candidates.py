@@ -9,39 +9,22 @@ reference is the same build with ``_anchors`` walking every chain whole, as
 every segment once did, and ``_upper_envelope`` below, which restarts from
 the current winner at every piece and so assumes no order, in place of the
 stack: both must give the same candidates on the same segments, int forms
-and dumps, and the same junctions and values as rationals.  The count guards
+and dumps, and the same junctions and values as rationals; on the family
+profiles of bench-shaped pairs, the same skeleton tuples.  The count guards
 hold the candidates to O(n) and the crossings to twice the candidates.
 """
 
 import random
-import sys
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from maxbv import envelope
 from maxbv.envelope import PerturbationFamily, build_profile
-from maxbv.stepfn import StepFunction, parse
+from maxbv.stepfn import StepFunction
 from maxbv.verify import random_stepfn
-from conftest import exact_n_stepfn, pieces
+from conftest import after, bench_pairs, bench_stepfn, exact_n_stepfn, order, pieces
 from test_family import SCALES, family_corpus
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-
-
-def bench_stepfn(seed, n):
-    """The benchmark generator's function with exactly n breakpoints, read
-    as the program reads it.  The generator is compiled from its source
-    text, so nothing is written under ``bench/``."""
-    module = types.ModuleType("bench_workloads")
-    sys.modules[module.__name__] = module  # where its dataclasses look it up
-    try:
-        exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return parse(module.stepfn_text(*module.exact_n_stepfn(random.Random(seed), n)))
 
 
 def increasing(n, right_tail=0):
@@ -106,7 +89,7 @@ def _largest(candidates, x):
     """The first of the candidates largest at x."""
     winner = candidates[0]
     for cand in candidates[1:]:
-        if envelope._order(cand, winner, x) > 0:
+        if order(cand, winner, x) > 0:
             winner = cand
     return winner
 
@@ -125,7 +108,7 @@ def _upper_envelope(candidates, u, v):
     fixed up to v).  Candidates tied at a finite u likewise keep one order
     on all of (u, v).
     """
-    crossing, order, after = envelope._crossing, envelope._order, envelope._after
+    crossing = envelope._crossing
     if u is None:
         winner = candidates[0]
         for cand in candidates[1:]:
@@ -219,6 +202,25 @@ def test_link_ranges_build_the_whole_chain_profile(monkeypatch):
         family = PerturbationFamily(f, g)
         for s in SCALES:
             assert_same_profile(family.profile(s), general(family.profile, s))
+
+
+def test_bench_shaped_family_profiles_build_the_whole_chain_profile(monkeypatch):
+    # The continuity workload's builds: family profiles of pairs from the
+    # benchmark's generator, g at BV norm 1/8, at the 15 scales 1 ... 2^-14,
+    # then the same with whole chains and the general walk.  Here the two
+    # builds agree tuple for tuple, not just as rationals.
+    families = [PerturbationFamily(f, g) for f, g in bench_pairs()]
+    runs = [(family, s, family.profile(s)) for family in families for s in SCALES]
+    anchors = envelope._anchors
+    monkeypatch.setattr(envelope, "_anchors", lambda links, i, stop: anchors(links, i, -1))
+    monkeypatch.setattr(envelope, "_stack_walk", _upper_envelope)
+    for family, s, built in runs:
+        reference = family.profile(s)
+        assert built.end_pairs == reference.end_pairs
+        assert built.value_pairs == reference.value_pairs
+        assert built.int_forms == reference.int_forms
+        assert built._tag_source == reference._tag_source
+        assert built.dump() == reference.dump()
 
 
 def counted_candidates(monkeypatch):

@@ -138,6 +138,19 @@ def test_continuity_experiment_scaled_indicator():
     assert "# verdict\tPASS" in tsv
 
 
+def test_continuity_report_computes_each_verdict_once(monkeypatch):
+    # The report prints its three verdicts and the verdict line, and the CLI
+    # reads `passed` again for the exit code: each is computed on its first
+    # read only, so a second read compares no Fraction.
+    report = continuity_experiment(CHI_01, CHI_01, [Fraction(1, 2**j) for j in range(15)], precision=PRECISION)
+    tsv = report.to_tsv()
+    assert "# verdict\tFAIL" in tsv
+    monkeypatch.setattr(Fraction, "__le__", lambda *_: pytest.fail("a verdict was computed again"))
+    monkeypatch.setattr(Fraction, "__ge__", lambda *_: pytest.fail("a verdict was computed again"))
+    assert not report.passed
+    assert report.to_tsv() == tsv
+
+
 def test_continuity_experiment_rejects_bad_scales():
     with pytest.raises(ValueError):
         continuity_experiment(CHI_01, CHI_01, [Fraction(1, 2), Fraction(1, 2)])
