@@ -102,21 +102,22 @@ form.  Of its build a profile keeps only that, and for its tags, made on
 first read, each piece's segment and the lattice (D, X, L, P): an anchored
 form's anchor is its pole, a left one at or before the segment's left end,
 and a constant form's lattice level is C.  These pairs, forms and tags are
-the profile's only representation: distances, whole-line variations, the
-detachment walk and the invariant suite's piece checks decide on them
-alone, and a build makes no Fraction.  A dump prints from ints too: the
-ends from the end pairs, each coefficient as its form's over delta (gamma
-for a constant), each through ``exact.format_pair``.  The one Fraction
-view, ``ends``, is made on its first read: by the detachment set (whose
-printed bounds are ``ends`` and f's breakpoints), point values,
-derivatives, windowed variations and the piece checks.  ``pieces`` is
-``int_forms`` under another name.  Int passes check the way in and back:
+the profile's only representation, and every reader decides on them alone.
+Distances and whole-line variations walk the pairs; point values,
+derivatives and windowed variations place x among the junctions with
+``_locate``, one bisection by cross-multiplication, and read the int form of
+the piece there; the detachment walk merges the end pairs with f's lattice
+points.  A build makes no Fraction, and a reader makes one only to return
+it: a value, a derivative, a variation, or a junction the detachment walk
+reports, the Fraction of its pair.  A dump prints from ints too: the ends
+from the end pairs, each coefficient as its form's over delta (gamma for a
+constant), each through ``exact.format_pair``.  ``pieces`` is ``int_forms``
+under another name.  Int passes check the way in and back:
 ``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
 for f's own rationals b and c when it is made (a family, once, its own
-lattice against the rationals of f and g); ``format_pair`` that each
-printed p/q is its pair (num, den), as p*den == num*q; and the first read
-of ``ends`` that each is its int pair.  So every rational a profile
-prints has been checked.
+lattice against the rationals of f and g), and ``format_pair`` that each
+printed p/q is its pair (num, den), as p*den == num*q.  So every rational a
+dump prints has been checked.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in piece domains and
 region intervals, compared exactly and never computed with; in the lattice
@@ -149,7 +150,7 @@ peak is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -170,21 +171,6 @@ _NEG_END: Pair = (-1, 0)
 _POS_END: Pair = (1, 0)
 
 
-def _next_bound(xs: Sequence[Pair], i: int, ys: Sequence[Pair], j: int) -> Tuple[Pair, bool, bool]:
-    """One step of a two-pointer merge of the increasing pairs xs and ys at
-    i and j: the next bound (the +oo pair once both are done) and whether
-    each pointer steps past it (both, at a shared bound)."""
-    if i < len(xs) and j < len(ys):
-        (p, q), (r, s) = xs[i], ys[j]
-        order = p * s - r * q
-        return (xs[i] if order <= 0 else ys[j]), order <= 0, order >= 0
-    if i < len(xs):
-        return xs[i], True, False
-    if j < len(ys):
-        return ys[j], False, True
-    return _POS_END, False, False
-
-
 def _form_at(form: Sequence[int], x: Pair) -> Pair:
     """An int form's value at the finite bound x, as an int pair."""
     a, b, g, d = form
@@ -192,10 +178,14 @@ def _form_at(form: Sequence[int], x: Pair) -> Pair:
     return a * m + b * n, g * m + d * n
 
 
-def _fractions(pairs: Sequence[Pair]) -> Tuple[Rat, ...]:
-    """The rationals p/q of int pairs (p, q), q > 0.  Tuples here are built
-    from lists, as in ``stepfn``, to keep CPython's tuple free lists flat."""
-    return tuple([Fraction(p, q) for p, q in pairs])
+def _locate(pairs: Sequence[Pair], x: Rat) -> Tuple[int, bool]:
+    """Where the rational x falls among the increasing pairs (p, q), q > 0:
+    the number of pairs below x, as ``bisect_left`` counts it, and whether
+    the next pair is x.  ``bisect_left`` reads only whether a key is below 0,
+    and p*m - n*q has the sign of p/q - x for x = n/m, m > 0."""
+    n, m = x.numerator, x.denominator
+    i = bisect_left(pairs, 0, key=lambda pair: pair[0] * m - n * pair[1])
+    return i, i < len(pairs) and pairs[i][0] * m == n * pairs[i][1]
 
 
 class MaximalProfile:
@@ -210,29 +200,16 @@ class MaximalProfile:
     of the piece, so every sign of the piece is the sign of the form.
     ``tags`` names the candidate that carries each piece; a build keeps,
     to make them on first read, each piece's segment and the lattice
-    (D, X, L, P) it was built on.  ``ends``, the junctions as Fractions,
-    is made on first read and checked there against its pairs (the way
-    back).  ``dump`` prints from the skeleton's ints and the tags.
+    (D, X, L, P) it was built on.  ``dump`` prints from the skeleton's ints
+    and the tags.
     """
 
-    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_tag_source", "_tags", "_ends")
+    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_tag_source", "_tags")
 
     def __init__(self, end_pairs, value_pairs, int_forms, tag_source):
         self.end_pairs, self.value_pairs, self.int_forms = end_pairs, value_pairs, int_forms
         self._tag_source = tag_source  # (segments, D, X, L, P)
-        self._tags = self._ends = None
-
-    @property
-    def ends(self) -> Tuple[Rat, ...]:
-        if self._ends is None:
-            ends = _fractions(self.end_pairs)
-            # The way back, in one int pass: each junction v is its int pair
-            # (w, k), checked as v.numerator*k == w*v.denominator.
-            for v, (w, k) in zip(ends, self.end_pairs, strict=True):
-                if v.numerator * k != w * v.denominator:
-                    raise AssertionError("profile skeleton disagrees with its lattice cells")
-            self._ends = ends
-        return self._ends
+        self._tags = None
 
     @property
     def tags(self) -> Tuple[str, ...]:
@@ -249,7 +226,7 @@ class MaximalProfile:
     def value(self, x) -> Rat:
         """The profile at x, off the int form of the piece holding it."""
         x = rat(x)
-        form = self.int_forms[bisect_left(self.ends, x)]
+        form = self.int_forms[_locate(self.end_pairs, x)[0]]
         return Fraction(*_form_at(form, (x.numerator, x.denominator)))
 
     def dump(self) -> str:
@@ -677,38 +654,42 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
     """Split the line into the open set where the profile strictly exceeds
     the adjusted modulus and its closed complement (touch set).
 
-    One merge of the profile's end pairs with f's lattice points (X, D): an
-    interval between two bounds touches when its int form is the constant
-    level L/E of |f| there, and a bound touches when the profile's value
-    pair there is the larger of the levels beside it.  The walk decides on
-    ints; each bound it reports is one of the profile's ``ends`` or of f's
-    breakpoints, rationals that the way back has checked.
+    One merge of the profile's end pairs with f's lattice points (X, D),
+    each list closed with the +oo pair: an interval between two bounds
+    touches when its int form is the constant level L/E of |f| there, and a
+    bound touches when the profile's value pair there is the larger of the
+    levels beside it.  The walk decides on ints.  Each bound it reports is
+    one of f's breakpoints or, off them, the Fraction of a junction's pair.
     """
     scale, unit, xs, ls = f.lattice[:4]
-    end_pairs, values, forms = profile.end_pairs, profile.value_pairs, profile.int_forms
-    ends, points = profile.ends, f.breakpoints
-    lattice_points = [(x, scale) for x in xs]
+    values, forms = profile.value_pairs, profile.int_forms
+    ends = (*profile.end_pairs, _POS_END)
+    points = [*[(x, scale) for x in xs], _POS_END]
     i = k = 0
     detached = not _touches(forms[0], ls[0], unit)  # the interval left of the next bound
     # A run of detached intervals goes on through detached bounds and closes
     # at each bound where the profile touches the adjusted modulus.
     runs: List[Tuple[End, End]] = []
     start: End = NEG_INF
-    while i < len(end_pairs) or k < len(xs):
-        bound, at_end, at_point = _next_bound(end_pairs, i, lattice_points, k)
-        num, den = values[i + 1] if at_end else _form_at(forms[i], bound)
-        t = ends[i] if at_end else points[k]
+    while i < len(profile.end_pairs) or k < len(xs):
+        # The next bound: the nearer of the next junction and the next lattice
+        # point, and whether each pointer steps past it (both, where they meet).
+        (p, q), (x, d) = ends[i], points[k]
+        order = p * d - x * q
+        at_end, at_point = order <= 0, order >= 0
+        num, den = values[i + 1] if at_end else _form_at(forms[i], points[k])
         level = max(ls[k], ls[k + 1]) if at_point else ls[k]
-        i += at_end
-        k += at_point
-        detached_after = not _touches(forms[i], ls[k], unit)
+        detached_after = not _touches(forms[i + at_end], ls[k + at_point], unit)
         if num * unit == level * den:
+            t = f.breakpoints[k] if at_point else Fraction(p, q)
             if detached:
                 runs.append((start, t))
             start = t
         elif not (detached and detached_after):
             raise AssertionError("detached bound next to a touching interval")
         detached = detached_after
+        i += at_end
+        k += at_point
     if detached:
         runs.append((start, POS_INF))
 
@@ -733,8 +714,8 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
     piece's int form: scaling a form scales its det and (g + d*x)**2 alike.
     """
     x = rat(x)
-    i = bisect_left(profile.ends, x)
-    if i < len(profile.ends) and profile.ends[i] == x:
+    i, at_junction = _locate(profile.end_pairs, x)
+    if at_junction:
         raise ValueError("derivative is one-sided at piece junctions")
     a, b, g, d = profile.int_forms[i]
     den = g * x.denominator + d * x.numerator
@@ -783,8 +764,8 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
     Each piece is monotone, so the variation telescopes over its end values
     (a constant piece adds zero): the answer is exact, an enclosure of width
     zero.  Over the whole line the walk reads only the value pairs; a
-    finite a or b is placed among the ``ends``, and the piece it cuts is
-    evaluated there through its int form.
+    finite a or b is placed among the end pairs by ``_locate``, and where
+    it cuts a piece, that piece is evaluated there through its int form.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
@@ -792,14 +773,17 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
 
     walk = profile.value_pairs
     if not (isinstance(a, float) and isinstance(b, float)):
-        ends, forms = profile.ends, profile.int_forms
-        # Pieces first..last meet (a, b); piece i spans ends[i-1]..ends[i].
-        first = 0 if isinstance(a, float) else bisect_right(ends, a)
-        last = len(ends) if isinstance(b, float) else bisect_left(ends, b)
+        pairs, forms = profile.end_pairs, profile.int_forms
+        # Pieces first..last meet (a, b); piece i spans junctions i - 1 and
+        # i, and value_pairs[i + 1] is the value at junction i, -oo standing
+        # as junction -1 and +oo as junction len(pairs).
+        first, at_a = (-1, True) if isinstance(a, float) else _locate(pairs, a)
+        last, at_b = (len(pairs), True) if isinstance(b, float) else _locate(pairs, b)
+        first += at_a
         walk = list(walk[first : last + 2])
-        if not (isinstance(a, float) or (first and ends[first - 1] == a)):
+        if not at_a:
             walk[0] = _form_at(forms[first], (a.numerator, a.denominator))
-        if not (isinstance(b, float) or (last < len(ends) and ends[last] == b)):
+        if not at_b:
             walk[-1] = _form_at(forms[last], (b.numerator, b.denominator))
     total = _sum_of_steps(zip(walk, walk[1:]))
     return VariationEnclosure(total, total)

@@ -83,8 +83,13 @@ def sample_points(f: StepFunction, rng: random.Random, count: int = 20) -> List[
     for x in f.breakpoints:
         points.add(x + Fraction(1, 17))
         points.add(x - Fraction(1, 19))
-    while len(points) < count + 3 * f.n:
-        points.add(Fraction(rng.randint(-_SAMPLE_SPAN * 8, _SAMPLE_SPAN * 8), 8))
+    # Random points of the grid k/8 of [-_SAMPLE_SPAN, _SAMPLE_SPAN] until
+    # there are enough, or until the points so far and the draws take it all.
+    grid = {x for x in points if 8 % x.denominator == 0 and abs(x) <= _SAMPLE_SPAN}
+    while len(points) < count + 3 * f.n and len(grid) <= 16 * _SAMPLE_SPAN:
+        x = Fraction(rng.randint(-_SAMPLE_SPAN * 8, _SAMPLE_SPAN * 8), 8)
+        points.add(x)
+        grid.add(x)
     return sorted(points)
 
 
@@ -573,10 +578,10 @@ def _check_local_variation_bound(f, ctx):
 
 
 def _bounds(profile) -> Tuple:
-    """NEG_INF, the profile's ends, POS_INF: piece i spans bounds i and i + 1,
-    and meets an interval (lo, hi) in a set with interior when
+    """NEG_INF, the profile's junctions, POS_INF: piece i spans bounds i and
+    i + 1, and meets an interval (lo, hi) in a set with interior when
     max(bounds[i], lo) < min(bounds[i + 1], hi)."""
-    return (sf.NEG_INF, *profile.ends, sf.POS_INF)
+    return (sf.NEG_INF, *[Fraction(p, q) for p, q in profile.end_pairs], sf.POS_INF)
 
 
 def _check_flat_on_touch(f, ctx):
@@ -628,6 +633,7 @@ def _check_derivative_formula(f, ctx):
 def _check_finite_difference(f, ctx):
     rng = ctx["rng"]
     profile = ctx["profile"]
+    bounds = _bounds(profile)
     for _ in range(4):
         x = Fraction(rng.randint(-40, 40), 7)
         try:
@@ -636,8 +642,8 @@ def _check_finite_difference(f, ctx):
             continue
         # The first three steps 2^-t (t >= 6) whose window stays in x's piece:
         # across a junction the difference quotient sees another piece.
-        i = bisect_left(profile.ends, x)
-        start, stop = _bounds(profile)[i : i + 2]
+        i = bisect_left(bounds, x)
+        start, stop = bounds[i - 1 : i + 1]
         steps: List[Fraction] = []
         h = Fraction(1, 2**6)
         while len(steps) < 3:

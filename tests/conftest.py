@@ -211,6 +211,11 @@ class HandBuiltProfile(MaximalProfile):
     __slots__ = ("given",)
 
 
+def ends(profile):
+    """The junctions, the Fractions of the profile's end pairs."""
+    return tuple(Fraction(p, q) for p, q in profile.end_pairs)
+
+
 def end_values(profile):
     """The limit at -oo, the value at each junction and the limit at +oo,
     the Fractions of the profile's value pairs."""
@@ -225,7 +230,8 @@ def pieces(profile):
     it against the form."""
     if isinstance(profile, HandBuiltProfile):
         return profile.given
-    los, his, values = (NEG_INF, *profile.ends), (*profile.ends, POS_INF), end_values(profile)
+    junctions = ends(profile)
+    los, his, values = (NEG_INF, *junctions), (*junctions, POS_INF), end_values(profile)
     view = []
     for i, (form, tag) in enumerate(zip(profile.int_forms, profile.tags, strict=True)):
         k = form[3] or form[2]
@@ -375,7 +381,7 @@ def profile_from_pieces(given):
 
 def piece_containing(profile, x):
     """The piece whose closed domain holds x (the left one at a junction)."""
-    return pieces(profile)[bisect_left(profile.ends, x)]
+    return pieces(profile)[bisect_left(ends(profile), x)]
 
 
 values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))

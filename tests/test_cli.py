@@ -136,6 +136,22 @@ def test_check_corpus_dir(tmp_path):
     assert code == 0 and "# verdict\tPASS" in out
 
 
+def test_check_corpus_whose_breakpoints_fill_the_sampling_grid(tmp_path):
+    # Breakpoints at every k/8 of [-12, 12], the grid the sampler draws its
+    # random points from: the sampler stops once the grid is taken.
+    points = [Fraction(k, 8) for k in range(-96, 97)]
+    f = StepFunction(0, points, [Fraction(1, 2)] * len(points), [(k + 1) % 2 for k in range(len(points))])
+    assert f.n == 193
+    target = tmp_path / "corpus"
+    target.mkdir()
+    (target / "grid.txt").write_text(serialize(f), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxbv.cli", "check", "--corpus", str(target)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and "# verdict\tPASS" in proc.stdout
+
+
 def test_check_seed_range(tmp_path):
     code, out, _ = run_cli(["check", "--seeds", "5:12"])
     assert code == 0 and "# verdict\tPASS" in out

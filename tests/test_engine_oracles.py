@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from maxbv.envelope import build_profile, bv_distance
 from maxbv.maximal import WitnessInterval, candidate_set, maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import StepFunction, combine
-from conftest import step_functions
+from conftest import ends, step_functions
 
 def probe_points(f, profile):
-    marks = sorted({*f.breakpoints, *profile.ends})
+    marks = sorted({*f.breakpoints, *ends(profile)})
     if not marks:
         return [Fraction(0)]
     mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
@@ -71,8 +71,8 @@ def test_profile_matches_candidate_set_maximum_up_to_n_40():
         f = exact_n(seed, n)
         assert f.n == n
         profile = build_profile(f)
-        marks = [None, *profile.ends, None]
-        points = list(profile.ends)
+        marks = [None, *ends(profile), None]
+        points = list(ends(profile))
         for s, t in zip(marks, marks[1:]):
             points.append(s + 1 if t is None else t - 1 if s is None else (s + t) / 2)
         for x in points:
@@ -96,7 +96,7 @@ def test_bv_distance_dominates_pointwise_partition_variation(f, g, scale):
     merged junctions of both profiles and the midpoints between them."""
     fj = combine(f, g, 1, scale)
     profile_f, profile_j = build_profile(f), build_profile(fj)
-    marks = sorted({*profile_f.ends, *profile_j.ends}) or [Fraction(0)]
+    marks = sorted({*ends(profile_f), *ends(profile_j)}) or [Fraction(0)]
     mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
     points = [marks[0] - 1, *sorted([*marks, *mids]), marks[-1] + 1]
     diff = [maximal_value(fj, x).value - maximal_value(f, x).value for x in points]

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -34,9 +35,12 @@ from maxbv.verify import continuity_experiment, random_stepfn
 import conftest
 from conftest import (
     MoebiusPiece,
+    bench_pairs,
+    bench_stepfn,
     both_roots_within,
     difference_critical_quadratic,
     end_values,
+    ends,
     exact_n_stepfn,
     moebius_profile,
     pair,
@@ -242,8 +246,8 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
     for f in oracle_corpus():
         built = build_profile(f)
         view = pieces(built)
-        assert built.ends == tuple(piece.hi for piece in view[:-1])
-        assert built.ends == tuple(piece.lo for piece in view[1:])
+        assert ends(built) == tuple(piece.hi for piece in view[:-1])
+        assert ends(built) == tuple(piece.lo for piece in view[1:])
         assert end_values(built) == (view[0].lo_value, *(piece.hi_value for piece in view))
         assert end_values(built)[1:-1] == tuple(piece.lo_value for piece in view[1:])
         for piece, form in zip(view, built.int_forms, strict=True):
@@ -253,7 +257,7 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
         rebuilt = profile_from_pieces(view)
         assert variation_of_profile(built) == variation_of_profile(rebuilt)
         assert variation_of_profile(built).lo == piece_variation(built, NEG_INF, POS_INF)
-        marks = sorted({*f.breakpoints, *built.ends}) or [Fraction(0)]
+        marks = sorted({*f.breakpoints, *ends(built)}) or [Fraction(0)]
         for a, b in (
             (rng.choice(marks), rng.choice(marks) + Fraction(rng.randint(1, 12), 4)),
             (rng.choice(marks) - Fraction(rng.randint(1, 12), 4), rng.choice(marks) + Fraction(1, 3)),
@@ -293,11 +297,12 @@ def test_distances_and_variations_make_no_tags(monkeypatch, tmp_path, capsys):
     assert main(["e-set", "--file", str(path)]) == 0
     capsys.readouterr()
     profile = build_profile(f)
-    assert len(profile.ends) > 1
-    for x in (*f.breakpoints, *profile.ends):
+    junctions = ends(profile)
+    assert len(junctions) > 1
+    for x in (*f.breakpoints, *junctions):
         profile.value(x)
         for inside in (x - Fraction(1, 7), x + Fraction(1, 7)):
-            if inside not in profile.ends:
+            if inside not in junctions:
                 profile_derivative(profile, inside)
     assert counts == Counter()
     # A distance with a peak isolates the roots of its int forms' critical
@@ -314,29 +319,23 @@ def test_distances_and_variations_make_no_tags(monkeypatch, tmp_path, capsys):
 
 
 def test_continuity_experiment_makes_no_skeleton_fractions(monkeypatch):
-    # Builds, distances and variations read the skeleton's int pairs: the
-    # Fractions of the ends are never made, peaks or not.
+    # Builds, distances and variations read the skeleton's int pairs, peaks
+    # or not: a profile has no Fraction view of its junctions to make.
     calls = Counter()
-    fractions, isolate = envelope._fractions, envelope.isolate_quadratic_roots
-
-    def counted(pairs):
-        calls["fractions"] += 1
-        return fractions(pairs)
+    isolate = envelope.isolate_quadratic_roots
 
     def counted_isolate(q):
         calls["isolations"] += 1
         return isolate(q)
 
-    monkeypatch.setattr(envelope, "_fractions", counted)
     monkeypatch.setattr(envelope, "isolate_quadratic_roots", counted_isolate)
     scales = [Fraction(1, 2**j) for j in range(15)]
     pairs = [(TWO_BUMP, StepFunction.indicator(1, 2)), (random_stepfn(10, n_max=9), random_stepfn(1010, n_max=9))]
     pairs += [(random_stepfn(seed, n_max=9), random_stepfn(seed + 1, n_max=9)) for seed in range(0, 12, 2)]
     for f, g in pairs:
         continuity_experiment(f, g, scales)
-    assert calls["fractions"] == 0 and calls["isolations"] > 0
-    # The counter sees a read of the ends.
-    assert build_profile(TWO_BUMP).ends and calls["fractions"] == 1
+    assert calls["isolations"] > 0
+    assert not hasattr(build_profile(TWO_BUMP), "ends")
 
 
 def fraction_sum_of_steps(steps):
@@ -363,41 +362,14 @@ def test_sum_of_steps_matches_a_fraction_sum():
 def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
     # The first junction, or the limit at -oo (the first end value), one
     # unit of its lattice pair off: the walk and its lattice checks are
-    # untouched.  The build makes no Fraction of the skeleton; the first
-    # read of the ends, where their Fractions are made, sees a junction off
-    # without making a tag, and so does the detachment set, which prints
-    # them.  No Fraction is made of a value pair.
+    # untouched.  A dump prints the first junction from its end pair, and
+    # the limit at -oo as the first piece's beta over delta (alpha over
+    # gamma for a constant) from its int form, and makes no Fraction of the
+    # skeleton: the way back of format_pair sees the pair one unit off.  No
+    # tag prints that pair, so the dump's text is what fails.
     f = exact_n_stepfn(random.Random(5), 6)
     built = build_profile(f)
-    assert built.ends
-    fractions = envelope._fractions
-    calls = []
-
-    def shifted(pairs):
-        values = list(fractions(pairs))
-        values[0] += Fraction(1, pairs[0][1])
-        calls.append(pairs)
-        return tuple(values)
-
-    def no_tags(*args):
-        raise AssertionError("a tag was made")
-
-    monkeypatch.setattr(envelope, "_fractions", shifted)
-    if part == "ends":
-        with monkeypatch.context() as patched:
-            patched.setattr(envelope, "_tags", no_tags)
-            for read in (lambda profile: profile.ends, lambda profile: detachment_regions(f, profile)):
-                profile = build_profile(f)
-                assert calls == []
-                with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
-                    read(profile)
-                assert calls == [profile.end_pairs]
-                calls.clear()
-    # A dump prints the first junction from its end pair, and the limit at
-    # -oo as the first piece's beta over delta (alpha over gamma for a
-    # constant) from its int form, and makes no Fraction of the skeleton:
-    # the way back of format_pair sees the pair one unit off.  No tag prints
-    # that pair, so the dump's text is what fails.
+    assert built.end_pairs
     a, b, g, d = built.int_forms[0]
     target = built.end_pairs[0] if part == "ends" else ((b, d) if d else (a, g))
     assert part == "ends" or Fraction(*target) == Fraction(*built.value_pairs[0])
@@ -406,7 +378,6 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
     assert len(built.tags) == len(built.int_forms)
     with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
         build_profile(f).dump()
-    assert calls == []
 
 
 def _shift_tag(tag, t):
@@ -724,7 +695,7 @@ def test_variation_of_difference_with_rational_critical_point():
     enc = variation_of_difference(p1, p2, PRECISION)
     assert str(enc) == "3..3"
 
-    junctions = sorted({*p1.ends, *p2.ends})
+    junctions = sorted({*ends(p1), *ends(p2)})
     assert partition_variation(p1, p2, sorted({*junctions, Fraction(4)})) == 3
     assert partition_variation(p1, p2, junctions) < 3
 
@@ -738,7 +709,7 @@ def test_variation_of_difference_with_rational_critical_point_left_of_the_juncti
     enc = variation_of_difference(p1, p2, PRECISION)
     assert str(enc) == "3..3"
 
-    junctions = sorted({*p1.ends, *p2.ends})
+    junctions = sorted({*ends(p1), *ends(p2)})
     assert partition_variation(p1, p2, sorted({*junctions, Fraction(-4)})) == 3
     assert partition_variation(p1, p2, junctions) < 3
 
@@ -784,7 +755,7 @@ def test_variation_of_difference_with_linear_critical_quadratic_in_unbounded_cel
     p2 = build_profile(StepFunction.indicator(1, 2, closed=False))
     for first, second in ((p1, p2), (p2, p1)):
         assert str(variation_of_difference(first, second, PRECISION)) == "2..2"
-        junctions = sorted({*first.ends, *second.ends})
+        junctions = sorted({*ends(first), *ends(second)})
         assert partition_variation(first, second, junctions) == 2
 
 
@@ -854,13 +825,13 @@ def test_int_forms_are_positive_int_multiples_with_the_same_end_values():
 def test_int_critical_quadratic_has_the_sign_of_the_fraction_one():
     profiles = int_form_profiles()
     for p1, p2 in zip(profiles, profiles[1:] + profiles[:1]):
-        ends = [NEG_INF, *sorted({*p1.ends, *p2.ends}), POS_INF]
+        bounds = [NEG_INF, *sorted({*ends(p1), *ends(p2)}), POS_INF]
         for m1, form1 in zip(pieces(p1), p1.int_forms):
             for m2, form2 in zip(pieces(p2), p2.int_forms):
                 q = difference_critical_quadratic(form1, form2)
                 exact = difference_critical_quadratic(coeffs(m1), coeffs(m2))
                 assert all(type(v) is int for v in q)
-                for x in ends:
+                for x in bounds:
                     assert sign_at(q, pair(x)) == sign_at(exact, pair(x))
 
 
@@ -870,7 +841,30 @@ def test_profile_junctions_are_rational():
     rng = random.Random(101)
     for _ in range(50):
         profile = build_profile(rand_stepfn(rng))
-        assert all(isinstance(j, Fraction) for j in profile.ends)
+        assert all(type(p) is type(q) is int and q > 0 for p, q in profile.end_pairs)
+
+
+def test_locate_matches_bisection_of_the_junction_fractions():
+    # _locate on the int pairs against bisect_left/bisect_right on their
+    # Fractions: at every junction, between each two, and past both ends,
+    # on the benchmark generator's profiles and on family profiles of its
+    # pairs, whose pairs are not reduced.
+    profiles = [build_profile(StepFunction.constant(1))]
+    profiles += [build_profile(bench_stepfn(seed, n)) for n in (3, 8, 16) for seed in range(3)]
+    for f, g in bench_pairs(2):
+        family = envelope.PerturbationFamily(f, g)
+        profiles += [family.profile(s) for s in (1, Fraction(1, 8), Fraction(-1, 3))]
+    located = 0
+    for profile in profiles:
+        junctions = ends(profile)
+        marks = [junctions[0] - 1, *junctions, junctions[-1] + 1] if junctions else [Fraction(0)]
+        mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
+        for x in (*marks, *mids):
+            i, at_junction = envelope._locate(profile.end_pairs, x)
+            assert i == bisect_left(junctions, x)
+            assert i + at_junction == bisect_right(junctions, x)
+            located += at_junction
+    assert located == sum(len(profile.end_pairs) for profile in profiles) > len(profiles)
 
 
 def test_bv_distance_examples():

@@ -11,14 +11,14 @@ from maxbv import envelope
 from maxbv.envelope import PerturbationFamily, build_profile, variation_of_profile
 from maxbv.stepfn import StepFunction, combine
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import end_values, exact_n_stepfn, pieces, rand_stepfn
+from conftest import end_values, ends, exact_n_stepfn, pieces, rand_stepfn
 
 CHI_01 = StepFunction.indicator(0, 1)
 SCALES = [Fraction(1, 2**j) for j in range(15)]
 
 
 def assert_same_profile(built, reference):
-    assert built.ends == reference.ends
+    assert ends(built) == ends(reference)
     assert end_values(built) == end_values(reference)
     for form, other in zip(built.int_forms, reference.int_forms, strict=True):
         k = next(Fraction(v, w) for v, w in zip(form, other) if w)
@@ -82,16 +82,16 @@ def skeleton_profiles():
 
 def test_skeleton_fractions_are_those_of_the_int_pairs():
     # The build keeps the skeleton as int pairs with positive dens; the
-    # Fractions of the ends read later are those pairs, and the whole-line
-    # variation, summed on the pairs, is the Fraction telescoping sum of the
-    # end values.
+    # point value at each junction's rational is its value pair, and the
+    # whole-line variation, summed on the pairs, is the Fraction telescoping
+    # sum of the end values.
     count = 0
     for profile in skeleton_profiles():
         for pairs in (profile.end_pairs, profile.value_pairs):
             assert all(type(p) is type(q) is int and q > 0 for p, q in pairs)
         variation = variation_of_profile(profile)
-        assert profile.ends == tuple(Fraction(p, q) for p, q in profile.end_pairs)
-        values = tuple(Fraction(p, q) for p, q in profile.value_pairs)
+        values = end_values(profile)
+        assert tuple(profile.value(x) for x in ends(profile)) == values[1:-1]
         total = sum((abs(w - v) for v, w in zip(values, values[1:])), Fraction(0))
         assert variation.lo == variation.hi == total
         count += 1

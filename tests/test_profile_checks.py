@@ -1,7 +1,7 @@
 """The invariant suite's three piece checks, read off the skeleton.
 
 ``flat_on_touch``, ``finite_difference`` and ``no_interior_max`` read a
-profile's ``ends``, ``int_forms`` and ``tags``.  The piece-based versions
+profile's ``end_pairs``, ``int_forms`` and ``tags``.  The piece-based versions
 below, which read the tests' ``MoebiusPiece`` view, are the oracle: both must return the
 same (ok, detail) on built profiles, where they pass, and on hand-built
 profiles and regions made to fail each check.
@@ -101,6 +101,18 @@ def test_checks_match_the_piece_oracle_on_built_profiles():
                 outcomes[name].add(ours)
     # Built profiles pass every check.
     assert all(results == {(True, "")} for results in outcomes.values())
+
+
+def test_invariant_suite_passes_on_profiles_of_many_pieces():
+    # Functions with exactly n breakpoints, where long intervals carry the
+    # maximal function: every profile has several pieces, so point values,
+    # derivatives and windowed variations locate x among real junctions.
+    corpus = [exact_n_stepfn(random.Random(seed), n) for n in (3, 5, 8) for seed in range(4)]
+    assert all(len(build_profile(f).int_forms) >= 2 for f in corpus)
+    report = verify.invariant_suite(corpus)
+    assert report.passed
+    derivatives = [r.detail for r in report.results if r.check == "derivative_formula"]
+    assert len(derivatives) == len(corpus) and all(detail != "0 points" for detail in derivatives)
 
 
 def tagged(profile, tags):

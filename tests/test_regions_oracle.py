@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from maxbv.envelope import RegionSet, build_profile, detachment_regions
 from maxbv.stepfn import NEG_INF, POS_INF
 from maxbv.verify import random_stepfn
-from conftest import midpoint, piece_containing, step_functions
+from conftest import ends, midpoint, piece_containing, step_functions
 
 
 def reference_detachment_regions(f, profile):
-    bounds = sorted({*profile.ends, *f.breakpoints})
-    ends = [NEG_INF, *bounds, POS_INF]
+    bounds = sorted({*ends(profile), *f.breakpoints})
+    walk = [NEG_INF, *bounds, POS_INF]
     detached = []
-    for s, t in zip(ends, ends[1:]):
+    for s, t in zip(walk, walk[1:]):
         x = midpoint(s, t)
         piece = piece_containing(profile, x)
         detached.append(not (piece.is_constant and piece.value_at(x) == abs(f.value(x))))
@@ -45,12 +45,16 @@ def assert_same_regions(f):
     profile = build_profile(f)
     fast = detachment_regions(f, profile)
     assert fast == reference_detachment_regions(f, profile)
-    # Each finite bound is one of the checked rationals it stands for, not
-    # a new Fraction made in the walk.
-    checked = {id(x) for x in (*profile.ends, *f.breakpoints)}
+    # Each finite bound is one of f's breakpoints, not a new Fraction made
+    # in the walk, or else the rational of one of the profile's end pairs.
+    points = {id(x) for x in f.breakpoints}
     for regions in fast:
         for bound in (e for interval in regions.intervals for e in interval):
-            assert bound in (NEG_INF, POS_INF) or id(bound) in checked
+            assert (
+                bound in (NEG_INF, POS_INF)
+                or id(bound) in points
+                or any(bound.numerator * q == p * bound.denominator for p, q in profile.end_pairs)
+            )
     return fast
 
 
