@@ -91,9 +91,13 @@ class WitnessInterval:
 
 @dataclass(frozen=True)
 class MaximalValue:
-    value: Rat
     witness: WitnessInterval
     one_sided_witness: Optional[WitnessInterval] = None
+
+    @property
+    def value(self) -> Rat:
+        """The maximal value, the average its witness attains."""
+        return self.witness.value
 
 
 def candidate_set(f: StepFunction, x) -> List[WitnessInterval]:
@@ -171,7 +175,7 @@ def maximal_value(f: StepFunction, x) -> MaximalValue:
         witness = WitnessInterval("finite", Fraction(best_num, unit * best_den), a, b)
         # Above every limit, the anchored witness is also the one-sided one.
         one_sided = witness if best_num > top * best_den else None
-        return MaximalValue(witness.value, witness, one_sided)
+        return MaximalValue(witness, one_sided)
     kind = limits.index(top)
     value = abs(f.constants[(0, n, lo, hi)[kind]])
-    return MaximalValue(value, WitnessInterval(_LIMIT_KINDS[kind], value))
+    return MaximalValue(WitnessInterval(_LIMIT_KINDS[kind], value))

@@ -469,6 +469,21 @@ def shrink_failure(f: StepFunction, still_fails: Callable[[StepFunction], bool])
     return current
 
 
+def _profile(f: StepFunction, ctx: Dict[str, object]):
+    """f's profile, built on the first read and kept in the context."""
+    if "profile" not in ctx:
+        ctx["profile"] = env.build_profile(f)
+    return ctx["profile"]
+
+
+def _regions(f: StepFunction, ctx: Dict[str, object]):
+    """f's detachment regions and touch set, made on the first read and kept
+    in the context."""
+    if "regions" not in ctx:
+        ctx["regions"] = env.detachment_regions(f, _profile(f, ctx))
+    return ctx["regions"]
+
+
 def _check_modulus_identity(f, ctx):
     windows = [(sf.NEG_INF, sf.POS_INF), (Fraction(-3), Fraction(2))]
     for a, b in windows:
@@ -485,7 +500,7 @@ def _check_partition_bound(f, ctx):
         if len(pts) < 2:
             continue
         if sf.variation_on_partition(f, pts) > sf.variation_on(f, pts[0] - 1, pts[-1] + 1):
-            return False, f"partition {pts}"
+            return False, f"partition {','.join(map(format_rat, pts))}"
     return True, ""
 
 
@@ -545,7 +560,7 @@ def _check_candidate_dominance(f, ctx):
 
 
 def _check_profile_agreement(f, ctx):
-    profile = ctx["profile"]
+    profile = _profile(f, ctx)
     for x in sample_points(f, ctx["rng"], count=12):
         if profile.value(x) != mx.maximal_value(f, x).value:
             return False, f"x={format_rat(x)}"
@@ -553,7 +568,7 @@ def _check_profile_agreement(f, ctx):
 
 
 def _check_contraction(f, ctx):
-    enclosure = env.variation_of_profile(ctx["profile"])
+    enclosure = env.variation_of_profile(_profile(f, ctx))
     if enclosure.hi > sf.variation_on(f):
         return False, f"var={enclosure}"
     return True, ""
@@ -561,7 +576,7 @@ def _check_contraction(f, ctx):
 
 def _check_local_variation_bound(f, ctx):
     rng = ctx["rng"]
-    profile = ctx["profile"]
+    profile = _profile(f, ctx)
     adj = sf.adjusted_modulus(f)
     for _ in range(4):
         a = Fraction(rng.randint(-40, 0), 4)
@@ -585,8 +600,8 @@ def _bounds(profile) -> Tuple:
 
 
 def _check_flat_on_touch(f, ctx):
-    profile = ctx["profile"]
-    _, touch = ctx["regions"]
+    profile = _profile(f, ctx)
+    _, touch = _regions(f, ctx)
     bounds = _bounds(profile)
     for i, (_, b, _, d) in enumerate(profile.int_forms):
         if b == d == 0:  # a constant
@@ -599,8 +614,8 @@ def _check_flat_on_touch(f, ctx):
 
 def _check_derivative_formula(f, ctx):
     rng = ctx["rng"]
-    profile = ctx["profile"]
-    regions, _ = ctx["regions"]
+    profile = _profile(f, ctx)
+    regions, _ = _regions(f, ctx)
     limit = mx.maximal_limit_at_infinity(f)
     tested = 0
     for _ in range(30):
@@ -632,7 +647,7 @@ def _check_derivative_formula(f, ctx):
 
 def _check_finite_difference(f, ctx):
     rng = ctx["rng"]
-    profile = ctx["profile"]
+    profile = _profile(f, ctx)
     bounds = _bounds(profile)
     for _ in range(4):
         x = Fraction(rng.randint(-40, 40), 7)
@@ -658,8 +673,8 @@ def _check_finite_difference(f, ctx):
 
 
 def _check_no_interior_max(f, ctx):
-    profile = ctx["profile"]
-    regions, _ = ctx["regions"]
+    profile = _profile(f, ctx)
+    regions, _ = _regions(f, ctx)
     bounds = _bounds(profile)
     # Each piece's direction, the sign of its form's b*g - a*d.
     directions = [sign(b * g - a * d) for a, b, g, d in profile.int_forms]
@@ -726,26 +741,11 @@ _PAIR_CHECKS = [
     ("combine_exact", _check_combine_exact),
 ]
 
-_PROFILE_CHECKS = {
-    "profile_agreement",
-    "contraction",
-    "local_variation_bound",
-    "flat_on_touch",
-    "derivative_formula",
-    "finite_difference",
-    "no_interior_max",
-}
 
-
-def _run_check(name: str, check, subject, ctx: Dict[str, object]) -> Tuple[bool, str]:
-    """Run one check, first adding the profile and its regions to the context
-    if the check needs them and they are not there yet.  A crash, in the
-    check or in building its context, is a failure that names the exception."""
+def _run_check(check, subject, ctx: Dict[str, object]) -> Tuple[bool, str]:
+    """Run one check.  A crash, in the check or in making an object it reads
+    from the context, is a failure that names the exception."""
     try:
-        if name in _PROFILE_CHECKS and "profile" not in ctx:
-            profile = env.build_profile(subject)
-            ctx["profile"] = profile
-            ctx["regions"] = env.detachment_regions(subject, profile)
         return check(subject, ctx)
     except Exception as exc:
         return False, f"raised {type(exc).__name__}: {exc}"
@@ -761,41 +761,28 @@ def invariant_suite(corpus: Sequence[StepFunction], seed: int = 0) -> InvariantS
     Execution is sequential with deterministic ordering (corpus order, then
     check registration order); the arithmetic is pure CPython, so threads
     would serialize on the interpreter lock anyway.  A check that raises is
-    reported as a failure, and the remaining checks still run.
+    reported as a failure, and the remaining checks still run.  A check
+    reads f's profile and regions through ``_profile`` and ``_regions``, so
+    a crash in making one is charged to each check that reads it.  A failing
+    single check's witness is f shrunk on a fresh context; a failing pair
+    check's is f's file followed by g's.
     """
     if not corpus:
         raise ValueError("invariant_suite needs a nonempty corpus")
     results: List[CheckResult] = []
-
-    def run_single(index: int, f: StepFunction):
+    for index, f in enumerate(corpus):
         # One context, and so one random stream, serves all checks of f.
         ctx = _single_context(seed, index)
         for name, check in _SINGLE_CHECKS:
-            ok, detail = _run_check(name, check, f, ctx)
-            witness = None
-            if not ok:
-                witness = sf.serialize(_shrink_single(f, name, seed, index))
+            ok, detail = _run_check(check, f, ctx)
+            witness = None if ok else sf.serialize(
+                shrink_failure(f, lambda g: not _run_check(check, g, _single_context(seed, index))[0])
+            )
             results.append(CheckResult(f"fn[{index}]", name, ok, detail, witness))
-
-    def run_pair(index: int, f: StepFunction, g: StepFunction):
+    for index, pair in enumerate(zip(corpus, corpus[1:])):
         ctx = {"rng": random.Random(seed * 2_000_003 + index)}
         for name, check in _PAIR_CHECKS:
-            ok, detail = _run_check(name, check, (f, g), ctx)
-            witness = sf.serialize(f) if not ok else None
+            ok, detail = _run_check(check, pair, ctx)
+            witness = None if ok else "".join(map(sf.serialize, pair))
             results.append(CheckResult(f"pair[{index},{index + 1}]", name, ok, detail, witness))
-
-    for index, f in enumerate(corpus):
-        run_single(index, f)
-    for index in range(len(corpus) - 1):
-        run_pair(index, corpus[index], corpus[index + 1])
     return InvariantSuiteReport(tuple(results))
-
-
-def _shrink_single(f: StepFunction, check_name: str, seed: int, index: int) -> StepFunction:
-    check = dict(_SINGLE_CHECKS)[check_name]
-
-    def still_fails(candidate: StepFunction) -> bool:
-        ok, _ = _run_check(check_name, check, candidate, _single_context(seed, index))
-        return not ok
-
-    return shrink_failure(f, still_fails)

@@ -12,7 +12,7 @@ from maxbv.stepfn import StepFunction, serialize
 
 def run_cli(args):
     proc = subprocess.run(
-        [sys.executable, "-m", "maxbv.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "maxbv", *args], capture_output=True, text=True
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -146,7 +146,7 @@ def test_check_corpus_whose_breakpoints_fill_the_sampling_grid(tmp_path):
     target.mkdir()
     (target / "grid.txt").write_text(serialize(f), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "maxbv.cli", "check", "--corpus", str(target)],
+        [sys.executable, "-m", "maxbv", "check", "--corpus", str(target)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0 and "# verdict\tPASS" in proc.stdout

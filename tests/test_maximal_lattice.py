@@ -66,7 +66,7 @@ def fraction_scan(f, x):
     if best > max(shrink_left, shrink_right) and best > maximal_limit_at_infinity(f):
         assert witness.kind == "finite"
         one_sided = witness
-    return MaximalValue(best, witness, one_sided)
+    return MaximalValue(witness, one_sided)
 
 
 def corpus():
