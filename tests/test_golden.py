@@ -6,8 +6,10 @@ from breakpoints too).  Their full text, the serialized inputs included, is
 compared byte for byte with ``tests/golden/cli.txt``.  A second list runs
 ``experiment`` on fixed pairs whose BV distances have irrational critical
 points, so their ``lo..hi`` enclosures hold the certified-variation path
-byte for byte; it is compared with ``tests/golden/distances.txt``.  The
-invariant suite's default run, ``maxbv check --seeds 0:200``, is compared
+byte for byte; it is compared with ``tests/golden/distances.txt``.  A
+third runs ``experiment`` in file mode on ``conftest.bench_pairs()`` (n = 3,
+5 and 8, g at BV norm 1/8) with the continuity workload's pinned config; it
+is compared with ``tests/golden/continuity.txt``.  The invariant suite's default run, ``maxbv check --seeds 0:200``, is compared
 with ``tests/golden/check.txt`` once, with ``envelope._tags`` made to
 raise: on passing profiles the suite reads only their skeletons and makes
 no tags.  A tag made inside a check would print a ``raised AssertionError``
@@ -28,10 +30,18 @@ from pathlib import Path
 from maxbv.cli import main
 from maxbv.stepfn import serialize
 from maxbv.verify import random_stepfn
+from conftest import bench_pairs
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 DISTANCES = Path(__file__).parent / "golden" / "distances.txt"
 CHECK = Path(__file__).parent / "golden" / "check.txt"
+CONTINUITY = Path(__file__).parent / "golden" / "continuity.txt"
+
+# The continuity workload's pinned config: 15 scales 1 ... 2^-14, every key set.
+CONTINUITY_SETTINGS = (
+    "seed=0\npairs=1\nscales=" + ",".join(str(Fraction(1, 2**j)) for j in range(15)) + "\n"
+    "precision=1/1000000000\nthreshold=1/1000\nvariation_gap=1/1000\ntail_count=5\nperturbation_norm=raw\n"
+)
 
 # Seeds of random_stepfn(seed, n_max=9) paired with random_stepfn(seed + 1000,
 # n_max=9): 3 (seed 10, a FAIL verdict) and 4 (seed 30) of the six distances
@@ -126,6 +136,24 @@ def distance_transcript(workdir: Path) -> str:
     return "".join(blocks)
 
 
+def continuity_transcript(workdir: Path) -> str:
+    blocks = []
+    labels = {}
+    for index, (f, g) in enumerate(bench_pairs()):
+        paths = []
+        for name, h in ((f"f{index}", f), (f"g{index}", g)):
+            path = workdir / f"{name}.txt"
+            path.write_text(serialize(h), encoding="utf-8")
+            labels[str(path)] = name
+            paths.append(path)
+            blocks.append(f"# input {name}\n{serialize(h)}")
+        config = workdir / f"continuity-{index}.cfg"
+        config.write_text(f"file={paths[0]}\nperturbation={paths[1]}\n{CONTINUITY_SETTINGS}", encoding="utf-8")
+        labels[str(config)] = f"f{index}+g{index}"
+        blocks.append(_run(("experiment", "--config", str(config)), labels)[0])
+    return "".join(blocks)
+
+
 def check_transcript() -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -144,6 +172,10 @@ def test_cli_outputs_match_golden():
 
 def test_irrational_distances_match_golden():
     assert _fresh(distance_transcript) == DISTANCES.read_text(encoding="utf-8")
+
+
+def test_continuity_experiments_match_golden():
+    assert _fresh(continuity_transcript) == CONTINUITY.read_text(encoding="utf-8")
 
 
 def test_check_report_makes_no_tags(monkeypatch):
@@ -165,4 +197,5 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(_fresh(transcript), encoding="utf-8")
     DISTANCES.write_text(_fresh(distance_transcript), encoding="utf-8")
+    CONTINUITY.write_text(_fresh(continuity_transcript), encoding="utf-8")
     CHECK.write_text(check_transcript(), encoding="utf-8")
