@@ -28,6 +28,11 @@ that its right end pops off the lower chain, less its left end, plus the
 one that end is pushed onto, and likewise on the right in the reversed
 pass; each point is popped at most once, so the bounded segments share at
 most 2n anchors, and the two unbounded segments take their one chain whole.
+Of those, a segment keeps only the anchors whose average at its end on
+their side is above its constant: above the local level a left average
+falls and a right one rises (see below), so one at or below the constant
+there stays so on the whole segment and never carries a cell.  Along a
+chain those averages fall, so the chain walk stops at the first such one.
 
 The envelope is then one ordered-stack walk per segment, as in Andrew's
 chain.  It takes the candidates in the order the envelope meets them: the
@@ -127,24 +132,35 @@ their end values there are their limits, the maximal function's limits at
 infinity, so variations read them like any other end value.
 
 Because each non-constant piece is a Moebius function with its pole strictly
-outside the closed piece domain, every piece is monotone, and the variation
-of a profile is an exact telescoping sum of endpoint values.  The
-difference of two profiles has at most one critical point per common cell,
-and exact signs locate it: its derivative has the sign of an int quadratic,
-which changes sign across the cell exactly when the cell holds a critical
-point.  The difference walk is one two-pointer merge of the two piece
-lists, and it decides every sign on ints: the nearer junction, the
-critical quadratic of two int forms and its signs at the cell ends are
-int expressions on the loop's locals, d at a junction is an int pair, and
-the exact part is one sum of int pairs, reduced up a balanced merge tree,
-so its cost stays near linear in the number of cells.  The variation is an
-exact sum over the junctions of cells without a critical point; only the
-critical points (peaks) get brackets, at int levels that grow round by
-round until the sum is a certified rational enclosure of any requested
-precision.  A peak cell reduces the int quadratic of its two forms to that
-of the two pieces, in lowest ints: a surd's bracket is sized by that
-scaling.  A rational critical point's bracket is the point itself, so its
-peak is exact.
+outside the closed piece domain, every piece is monotone, its direction the
+sign of its int form's det b*g - a*d (0 for a constant).  So the variation
+of a walk of end values is exact and is summed at its turning points only:
+the sum of |v[k+1] - v[k]| is the sum of v[k]*(s[k-1] - s[k]), with s[k] the
+direction of the step from v[k] and s = 0 beyond both ends.
+
+The difference of two profiles has at most one critical point per common
+cell, and exact signs locate it: its derivative has the sign of the int
+critical quadratic q = det1*B**2 - det2*A**2, with A and B the two pieces'
+denominators, neither of which vanishes on the cell.  Where det1*det2 <= 0,
+one piece rises while the other falls or one is flat, q has one sign and no
+root: the cell is exact, its direction that of det1 - det2, and no
+quadratic is formed.  Where the pieces move the same way, q changes sign
+across the cell exactly when the cell holds a critical point, and the walk
+reads the cell's direction off q's signs at its ends.  The difference walk
+is one two-pointer merge of the two piece lists, and it decides every sign
+on ints: the nearer junction, the dets, q and its signs at the cell ends
+are int expressions on the loop's locals, and d is read, as an int pair,
+only at a turning point or at the ends of a peak cell.  The exact part is
+one sum of int pairs at the turning points, a peak cell counting as flat,
+reduced up a balanced merge tree, so its cost stays near linear in the
+number of cells.  Only the critical points (peaks) get brackets, at int
+levels that grow round by round until the sum is a certified rational
+enclosure of any requested precision.  Each round adds its peak terms as
+int pairs and compares its width with the precision on ints, so the
+enclosure's two ends are its only Fractions.  A peak cell reduces the int
+quadratic of its two forms to that of the two pieces, in lowest ints: a
+surd's bracket is sized by that scaling.  A rational critical point's
+bracket is the point itself, so its peak is exact.
 """
 
 from __future__ import annotations
@@ -396,14 +412,23 @@ def _hull_links(points: Sequence[Tuple[Rat, Rat]]) -> List[int]:
     return links
 
 
-def _anchors(links: List[int], i: int, stop: int) -> List[int]:
+def _anchors(points: Sequence[Point], links: List[int], i: int, stop: int, c: int) -> List[int]:
     """Chain vertices after the point i itself, nearest first, out to the
     vertex stop (inclusive): none when stop is i, the whole chain when stop
     is -1.  With stop the link of the point after i, these are the vertices
-    that point pops off the chain, less i, plus the one it is pushed onto."""
+    that point pops off the chain, less i, plus the one it is pushed onto.
+
+    Of those, only the vertices whose average with the point i, the slope
+    between the two, is above c.  The chain turns strictly left at every
+    vertex, so that slope falls strictly along it, and the walk ends at the
+    first vertex at or below c."""
+    x, y = points[i]
     vertices = []
     while i != stop and links[i] >= 0:
         i = links[i]
+        run = x - points[i][0]
+        if (y - points[i][1]) * run <= c * run * run:
+            break
         vertices.append(i)
     return vertices
 
@@ -494,8 +519,9 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     ``PerturbationFamily``)."""
     n = len(xs)
     points = list(zip(xs, ps))
+    backward = points[::-1]
     lower = _hull_links(points)
-    upper = _hull_links(points[::-1])
+    upper = _hull_links(backward)
     tails = max(ls[0], ls[-1])
 
     # [lo, hi, candidate, segment of the first cell]; adjacent cells with
@@ -512,20 +538,25 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
         y0 = ps[ref] - ell * xs[ref] if n else 0
         # Only the chain vertices between the links of the segment's two ends
         # can be the tangent from (X, P(X)) on that side (see the module
-        # docstring); an unbounded segment takes its one chain whole.  The
-        # walk takes them in the order the envelope meets them: the left
-        # anchors nearest first, the constant, the right anchors farthest
-        # first.  Anchors whose average with the segment is the local
-        # constant (the segment ends among them) are already covered.
+        # docstring); an unbounded segment takes its one chain whole.  Of
+        # those, an anchor above the constant c = max(ell, tails) is highest
+        # at the segment's end on its own side (a left average above ell
+        # falls, a right one rises), so one whose average there is at or
+        # below c never carries a cell and is left out.  The walk takes them
+        # in the order the envelope meets them: the left anchors nearest
+        # first, the constant, the right anchors farthest first.  Anchors
+        # whose average with the segment is the local constant (the segment
+        # ends among them) are already covered.
+        c = max(ell, tails)
         candidates = []
         if k >= 1:
-            for i in _anchors(lower, k - 1, lower[k] if k <= n - 1 else -1):
+            for i in _anchors(points, lower, k - 1, lower[k] if k <= n - 1 else -1, c):
                 alpha, q = y0 - ps[i], xs[i]
                 if alpha + ell * q:
                     candidates.append((alpha, ell, -q, 1))
-        candidates.append((max(ell, tails), 0, 1, 0))
+        candidates.append((c, 0, 1, 0))
         if k <= n - 1:
-            for j in reversed(_anchors(upper, n - 1 - k, upper[n - k] if k >= 1 else -1)):
+            for j in reversed(_anchors(backward, upper, n - 1 - k, upper[n - k] if k >= 1 else -1, c)):
                 alpha, q = y0 - ps[n - 1 - j], xs[n - 1 - j]
                 if alpha + ell * q:
                     candidates.append((alpha, ell, -q, 1))
@@ -725,25 +756,30 @@ def profile_derivative(profile: MaximalProfile, x) -> Rat:
 # --- certified variation ---------------------------------------------------
 
 
-# The size, in bits of its den, at which a run of steps summed as one
+# The size, in bits of its den, at which a run of terms summed as one
 # unreduced pair goes up the merge tree.
 _RUN_BITS = 512
 
 
-def _sum_of_steps(steps: Iterable[Tuple[Pair, Pair]]) -> Rat:
-    """The sum of |t - s| over the steps (s, t) of int pairs (num, den),
-    den != 0.
+def _sum_at_turns(turns: Iterable[Tuple[int, Pair]]) -> Pair:
+    """The sum of c*num/den over the terms (c, (num, den)), den != 0, as an
+    int pair (num, den), den != 0, not reduced; den > 0 when every term's is.
 
-    Steps are summed as one unreduced pair until its den passes
+    A walk of values v[0], ..., v[m] whose step from v[k] to v[k + 1] has
+    the direction s[k] (its sign, or any sign where the step is 0) has the
+    variation sum of s[k]*(v[k + 1] - v[k]) = sum of v[k]*(s[k - 1] - s[k]),
+    with s = 0 before the first value and after the last: only the turning
+    points, where the direction changes, enter, each with c = s[k - 1] - s[k].
+
+    Terms are summed as one unreduced pair until its den passes
     ``_RUN_BITS``; the run sums are merged like a binary counter, two
     partial sums of 2**k runs into one of 2**(k + 1), each merge reduced.
-    So no operand grows with the number of steps, and n steps cost about
+    So no operand grows with the number of terms, and n terms cost about
     n log n multiplications of one run's size, not n**2."""
     partial: List[Tuple[int, int, int]] = []  # (num, den, k): the sum of 2**k runs
     num, den = 0, 1
-    for (ns, ds), (nt, dt) in steps:
-        size = abs(ds * dt)
-        num, den = num * size + abs(nt * ds - ns * dt) * den, den * size
+    for c, (n, d) in turns:
+        num, den = num * d + c * n * den, den * d
         if den.bit_length() > _RUN_BITS:
             k = 0
             while partial and partial[-1][2] == k:
@@ -755,37 +791,55 @@ def _sum_of_steps(steps: Iterable[Tuple[Pair, Pair]]) -> Rat:
             num, den = 0, 1
     for other, below, _ in partial:
         num, den = num * below + other * den, den * below
-    return Fraction(num, den)
+    return num, den
+
+
+def _gap(value1: Pair, value2: Pair) -> Pair:
+    """value1 - value2 of two int pairs, as an int pair."""
+    (num1, den1), (num2, den2) = value1, value2
+    return num1 * den2 - num2 * den1, den1 * den2
 
 
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
     """Total variation of the profile over the open interval (a, b).
 
-    Each piece is monotone, so the variation telescopes over its end values
-    (a constant piece adds zero): the answer is exact, an enclosure of width
-    zero.  Over the whole line the walk reads only the value pairs; a
-    finite a or b is placed among the end pairs by ``_locate``, and where
-    it cuts a piece, that piece is evaluated there through its int form.
+    Each piece is monotone, its direction the sign of its int form's det
+    b*g - a*d (0 for a constant), so the variation is a sum over the end
+    values at the turning points, where the direction changes
+    (``_sum_at_turns``): the answer is exact, an enclosure of width zero.  Over the whole line the walk reads only the
+    value pairs; a finite a or b is placed among the end pairs by
+    ``_locate``, and where it cuts a piece, that piece is evaluated there
+    through its int form.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
 
-    walk = profile.value_pairs
+    walk, forms = profile.value_pairs, profile.int_forms
     if not (isinstance(a, float) and isinstance(b, float)):
-        pairs, forms = profile.end_pairs, profile.int_forms
+        pairs = profile.end_pairs
         # Pieces first..last meet (a, b); piece i spans junctions i - 1 and
         # i, and value_pairs[i + 1] is the value at junction i, -oo standing
         # as junction -1 and +oo as junction len(pairs).
         first, at_a = (-1, True) if isinstance(a, float) else _locate(pairs, a)
         last, at_b = (len(pairs), True) if isinstance(b, float) else _locate(pairs, b)
         first += at_a
-        walk = list(walk[first : last + 2])
+        walk, forms = list(walk[first : last + 2]), forms[first : last + 1]
         if not at_a:
-            walk[0] = _form_at(forms[first], (a.numerator, a.denominator))
+            walk[0] = _form_at(forms[0], (a.numerator, a.denominator))
         if not at_b:
-            walk[-1] = _form_at(forms[last], (b.numerator, b.denominator))
-    total = _sum_of_steps(zip(walk, walk[1:]))
+            walk[-1] = _form_at(forms[-1], (b.numerator, b.denominator))
+    turns = []
+    before = 0  # the direction of the last piece
+    for (fa, fb, fg, fd), value in zip(forms, walk):
+        det = fb * fg - fa * fd
+        direction = (det > 0) - (det < 0)
+        if direction != before:
+            turns.append((before - direction, value))
+            before = direction
+    if before:
+        turns.append((before, walk[-1]))
+    total = Fraction(*_sum_at_turns(turns))
     return VariationEnclosure(total, total)
 
 
@@ -798,42 +852,57 @@ def variation_of_difference(
     (s, t) ends at the nearer of the current pieces' right ends, and each
     piece that ends there steps on (both, at a shared junction).  On the cell
     the derivative of d = m1 - m2 has the sign of the critical quadratic
-    q = det1*(gamma2 + delta2*x)**2 - det2*(gamma1 + delta1*x)**2.  Neither
-    piece has its pole on the closed cell, so the ratio
-    r = (gamma1 + delta1*x)/(gamma2 + delta2*x) keeps one sign there and is
-    monotone; q vanishes exactly where r**2 = det1/det2, and r meets the one
-    square root of that ratio with its own sign at most once (a constant r
-    makes q vanish everywhere or nowhere on the cell).  Hence q has at most
-    one root on the closed cell and changes sign there: the cell splits into
-    at most two monotone stretches, whose endpoint differences telescope.
-    Profiles are continuous, so d is exact at every junction.
+    q = det1*B**2 - det2*A**2, with A = gamma1 + delta1*x and
+    B = gamma2 + delta2*x.  Neither piece has its pole on the closed cell,
+    so neither A nor B vanishes there.
 
-    The walk reads the profiles' skeletons of ints: their end pairs, their
+    Where det1*det2 <= 0, one piece rises while the other falls, or one of
+    them is flat: the two terms of q never have opposite signs and do not
+    both vanish, so q has one sign on the cell, that of det1 - det2 (0 when
+    both pieces are flat), and no root.  Such a cell is exact, with that
+    direction, and needs no quadratic.
+
+    Elsewhere the two pieces move the same way.  The ratio r = A/B keeps
+    one sign on the cell and is monotone; q vanishes exactly where
+    r**2 = det1/det2, and r meets the one square root of that ratio with its
+    own sign at most once (a constant r makes q vanish everywhere or nowhere
+    on the cell).  Hence q has at most one root on the closed cell and
+    changes sign there: the cell splits into at most two monotone stretches.
+    The walk forms q and its signs at s and t, and checks that q has not
+    both roots in the closed cell (two critical points), testing the two
+    sign conditions before the discriminant.  The cell holds a critical
+    point exactly when q has opposite nonzero signs at its ends (at an
+    infinite end, the sign of q's leading term there), and the sign at s is
+    the sign of d' left of it.  Any other cell is exact, its direction the
+    sign of q at either end where it is nonzero.
+
+    Profiles are continuous, so d is exact at every junction, and the exact
+    cells' variation is the sum of d at their turning points
+    (``_sum_at_turns``), a cell with a critical point counting as direction
+    0: d is an int pair there, read only at a turn, and so is the sum.  The
+    walk reads the profiles' skeletons of ints: their end pairs, their
     value pairs at -oo and +oo and each piece's int form, its coefficients
     times some k > 0.  So q from the int forms is k1**2 * k2**2 times the
-    pieces' q, with the same sign everywhere, and d at a junction is an int
-    pair (num, den); the exact cells' steps are one ``_sum_of_steps``.  A
-    cell is int expressions on the loop's locals: its end t, the values
-    there, q and its signs at s and t, and the self-check that q has not
-    both roots in the closed cell (two critical points).  The critical
-    point is located by sign, without narrowing: the cell holds one exactly
-    when q has opposite nonzero signs at its ends (at an infinite end, the
-    sign of q's leading term there), and the sign at s is the sign of d'
-    left of it.  Only such a cell isolates the roots of q and keeps the one
-    inside as a peak.  It first divides q by gcd(q, (k1*k2)**2), with k a
-    form's delta (gamma for a constant), its factor over its piece: that is
-    the critical quadratic of the pieces, which have delta = 1 (gamma = 1),
-    times the lcm of its denominators: the int quadratic that
+    pieces' q, with the same sign everywhere.
+
+    Only a cell with a critical point isolates the roots of q and keeps the
+    one inside as a peak.  It first divides q by gcd(q, (k1*k2)**2), with k
+    a form's delta (gamma for a constant), its factor over its piece: that
+    is the critical quadratic of the pieces, which have delta = 1
+    (gamma = 1), times the lcm of its denominators: the int quadratic that
     ``isolate_quadratic_roots`` takes.  A surd's bracket at level L is
     1/(2a*2**L) wide, so that scaling fixes every enclosure end.  Round k
     takes each peak to the least level, not below its last, of width at
     most 2**-(40 + 16k), two more while either piece's pole is in it, and
     reads the poles' signs and the values at the bracket's int-pair ends off
-    the two int forms.  A rational root's bracket is the point itself, so
-    its peak term is exact from the first round on.
+    the two int forms.  The round's peak terms are int pairs, summed like
+    the turning points, and its width is compared with the precision on
+    ints; the enclosure ends are the only Fractions.  A rational root's
+    bracket is the point itself, so its peak term is exact from the first
+    round on.
     """
     precision = rat(precision)
-    if precision <= 0:
+    if precision.numerator <= 0:
         raise ValueError("precision must be positive")
 
     # Each list of end pairs closes with the +oo pair, which no finite end
@@ -843,12 +912,14 @@ def variation_of_difference(
     forms1, forms2 = p1.int_forms, p2.int_forms
     i = j = 0
     sn, sd = _NEG_END
-    # The exact cells' steps (d(s), d(t)), and the peaks:
+    # Whether s is the left end of each current piece, where its value pair
+    # holds its value: at -oo, and after each step of its pointer.
+    left1 = left2 = True
+    # The exact cells' turning points (c, d(s)), and the peaks:
     # (root, level, form1, form2, d(s), d(t), sign of d' left of the root).
-    steps: List[Tuple[Pair, Pair]] = []
+    turns: List[Tuple[int, Pair]] = []
     peaks: List[list] = []
-    (num1, den1), (num2, den2) = values1[0], values2[0]
-    d_s = (num1 * den2 - num2 * den1, den1 * den2)
+    before = 0  # the direction of d on the last cell
     while True:
         # The cell's right end t = tn/td: the nearer of the two pieces' right
         # ends, and whether each pointer steps past it (both, at a shared
@@ -861,59 +932,87 @@ def variation_of_difference(
         form1, form2 = forms1[i], forms2[j]
         a1, b1, g1, e1 = form1
         a2, b2, g2, e2 = form2
-        # Each profile's value at t: its value pair at its own junction (or
-        # at +oo), else its form at t.
-        num1, den1 = values1[i + 1] if step1 else (a1 * td + b1 * tn, g1 * td + e1 * tn)
-        num2, den2 = values2[j + 1] if step2 else (a2 * td + b2 * tn, g2 * td + e2 * tn)
-        d_t = (num1 * den2 - num2 * den1, den1 * den2)
-        # The critical quadratic q = qa*x**2 + qb*x + qc of the two forms, and
-        # its signs at s and t.  At an infinite end, the pair (-1, 0) or
-        # (1, 0), the same int expression is qa, and its sign toward that
-        # infinity falls to that of sn*qb (tn*qb), then qc, where qa is 0.
         det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
-        qa = det1 * e2 * e2 - det2 * e1 * e1
-        qb = 2 * (det1 * g2 * e2 - det2 * g1 * e1)
-        qc = det1 * g2 * g2 - det2 * g1 * g1
-        at = (qa * sn + qb * sd) * sn + qc * sd * sd or not sd and (sn * qb or qc)
-        rise = (at > 0) - (at < 0)
-        at = (qa * tn + qb * td) * tn + qc * td * td or not td and (tn * qb or qc)
-        at_t = (at > 0) - (at < 0)
-        if rise * at_t < 0:
-            # One root lies inside.  Left of the low root q has the sign of its
-            # leading coefficient, between the roots the other sign; a linear
-            # q has a single root.  A form is k > 0 times its piece, k its
-            # delta (its gamma for a constant): q over gcd(q, (k1*k2)**2) is
-            # the pieces' own q in lowest ints, which sizes a surd's bracket.
-            common = math.gcd(qa, qb, qc, ((e1 or g1) * (e2 or g2)) ** 2)
-            q = (qa // common, qb // common, qc // common)
-            roots = isolate_quadratic_roots(q)
-            root = roots[0] if rise == sign(q[0]) else roots[-1]
-            peaks.append([root, 0, form1, form2, Fraction(*d_s), Fraction(*d_t), rise])
-        elif (
-            # Both roots of q (a double root counts twice) in the closed cell
-            # [s, t]: q is real-rooted, not on its inner branch at either end,
-            # and its vertex, where the slope 2*qa*x + qb changes sign, lies
-            # between them.
-            qa
-            and qb * qb >= 4 * qa * qc
-            and rise * qa >= 0
-            and at_t * qa >= 0
-            and (not sd or (2 * qa * sn + qb * sd) * qa <= 0)
-            and (not td or (2 * qa * tn + qb * td) * qa >= 0)
-        ):
-            raise AssertionError("two critical points of a profile difference in one cell")
+        if det1 * det2 <= 0:  # the pieces move apart, or one is flat
+            direction = (det1 > det2) - (det1 < det2)
         else:
-            steps.append((d_s, d_t))
+            # The critical quadratic q = qa*x**2 + qb*x + qc of the two forms,
+            # and its signs at s and t.  At an infinite end, the pair (-1, 0)
+            # or (1, 0), the same int expression is qa, and its sign toward
+            # that infinity falls to that of sn*qb (tn*qb), then qc, where qa
+            # is 0.
+            qa = det1 * e2 * e2 - det2 * e1 * e1
+            qb = 2 * (det1 * g2 * e2 - det2 * g1 * e1)
+            qc = det1 * g2 * g2 - det2 * g1 * g1
+            at = (qa * sn + qb * sd) * sn + qc * sd * sd or not sd and (sn * qb or qc)
+            rise = (at > 0) - (at < 0)
+            at = (qa * tn + qb * td) * tn + qc * td * td or not td and (tn * qb or qc)
+            at_t = (at > 0) - (at < 0)
+            if rise * at_t < 0:
+                # One root lies inside.  Left of the low root q has the sign of
+                # its leading coefficient, between the roots the other sign; a
+                # linear q has a single root.  A form is k > 0 times its piece,
+                # k its delta (its gamma for a constant): q over
+                # gcd(q, (k1*k2)**2) is the pieces' own q in lowest ints, which
+                # sizes a surd's bracket.
+                common = math.gcd(qa, qb, qc, ((e1 or g1) * (e2 or g2)) ** 2)
+                q = (qa // common, qb // common, qc // common)
+                roots = isolate_quadratic_roots(q)
+                root = roots[0] if rise == sign(q[0]) else roots[-1]
+                d_pairs = []
+                for num, den in (
+                    _gap(
+                        values1[i] if left1 else _form_at(form1, (sn, sd)),
+                        values2[j] if left2 else _form_at(form2, (sn, sd)),
+                    ),
+                    _gap(
+                        values1[i + 1] if step1 else _form_at(form1, (tn, td)),
+                        values2[j + 1] if step2 else _form_at(form2, (tn, td)),
+                    ),
+                ):
+                    d_pairs.append((num, den) if den > 0 else (-num, -den))
+                peaks.append([root, 0, form1, form2, *d_pairs, rise])
+                direction = 0
+            elif (
+                # Both roots of q (a double root counts twice) in the closed
+                # cell [s, t]: q is not on its inner branch at either end, is
+                # real-rooted, and its vertex, where the slope 2*qa*x + qb
+                # changes sign, lies between them.
+                qa
+                and rise * qa >= 0
+                and at_t * qa >= 0
+                and qb * qb >= 4 * qa * qc
+                and (not sd or (2 * qa * sn + qb * sd) * qa <= 0)
+                and (not td or (2 * qa * tn + qb * td) * qa >= 0)
+            ):
+                raise AssertionError("two critical points of a profile difference in one cell")
+            else:
+                direction = rise or at_t
+        if direction != before:
+            turns.append((
+                before - direction,
+                _gap(
+                    values1[i] if left1 else _form_at(form1, (sn, sd)),
+                    values2[j] if left2 else _form_at(form2, (sn, sd)),
+                ),
+            ))
+            before = direction
         if not td:
             break
-        sn, sd, d_s = tn, td, d_t
+        sn, sd, left1, left2 = tn, td, step1, step2
         i += step1
         j += step2
+    if before:
+        turns.append((before, _gap(values1[-1], values2[-1])))
 
-    exact = _sum_of_steps(steps)
+    exact = _sum_at_turns(turns)
+    if not peaks:
+        total = Fraction(*exact)
+        return VariationEnclosure(total, total)
     bits = 40
     while True:
-        lo_sum = hi_sum = exact
+        lo_terms: List[Tuple[int, Pair]] = []
+        hi_terms: List[Tuple[int, Pair]] = []
         for peak in peaks:
             root, level, form1, form2, d_s, d_t, rise = peak
             # The least level whose bracket width 1/(2a*2**level) is <= 2**-bits.
@@ -926,16 +1025,30 @@ def variation_of_difference(
                     break
                 level += 2
             peak[1] = level
-            vals1 = sorted((Fraction(*at[0]), Fraction(*at[1])))
-            vals2 = sorted((Fraction(*at[2]), Fraction(*at[3])))
-            top_lo, top_hi = vals1[0] - vals2[1], vals1[1] - vals2[0]
+            # Each form's values at the two edges, over a positive den, low
+            # then high.
+            ordered = []
+            for low, high in (at[:2], at[2:]):
+                if low[1] < 0:
+                    low, high = (-low[0], -low[1]), (-high[0], -high[1])
+                ordered.append((low, high) if low[0] * high[1] <= high[0] * low[1] else (high, low))
+            (low1, high1), (low2, high2) = ordered
+            top_lo, top_hi = _gap(low1, high2), _gap(high1, low2)
             if rise < 0:  # a valley: mirror it into a peak
-                top_lo, top_hi, d_s, d_t = -top_hi, -top_lo, -d_s, -d_t
+                top_lo, top_hi = (-top_hi[0], top_hi[1]), (-top_lo[0], top_lo[1])
+                d_s, d_t = (-d_s[0], d_s[1]), (-d_t[0], d_t[1])
             for d in (d_s, d_t):
-                lo_sum += max(top_lo - d, 0)
-                hi_sum += max(top_hi - d, 0)
-        if hi_sum is lo_sum or hi_sum - lo_sum <= precision:  # no peaks, or narrow enough
-            return VariationEnclosure(lo_sum, hi_sum)
+                for top, terms in ((top_lo, lo_terms), (top_hi, hi_terms)):
+                    above = _gap(top, d)
+                    if above[0] > 0:
+                        terms.append((1, above))
+        (lo_num, lo_den), (hi_num, hi_den) = _sum_at_turns(lo_terms), _sum_at_turns(hi_terms)
+        if (hi_num * lo_den - lo_num * hi_den) * precision.denominator <= precision.numerator * hi_den * lo_den:
+            num, den = exact
+            return VariationEnclosure(
+                Fraction(num * lo_den + lo_num * den, den * lo_den),
+                Fraction(num * hi_den + hi_num * den, den * hi_den),
+            )
         bits += 16
 
 

@@ -5,8 +5,9 @@ reduced), exact total arithmetic, arbitrary-precision integers.  Their text
 form goes through ints both ways: ``parse_rat`` takes p and q from the groups
 of its one regex match, and ``format_pair`` prints an int pair num/den in
 lowest terms, checked against the pair, through ``decimal`` past Python's
-limit on the digits of an int's text; ``format_rat`` prints a Fraction's
-numerator and denominator through it.
+limit on the digits of an int's text; ``format_rat`` prints a Fraction
+straight from its numerator and denominator, already in lowest terms, with
+the same fallback past that limit.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
 points of a difference of two profiles.  A surd keeps only its ints, and
 ``bracket(level)`` gives its dyadic bracket at any int level as two int
@@ -71,6 +72,14 @@ def _lowest(num: int, den: int) -> Tuple[int, int]:
     return num // common, den // common
 
 
+def _text(p: int, q: int) -> str:
+    """'p' or 'p/q' for ints p and q > 0 in lowest terms."""
+    try:
+        return f"{p}/{q}" if q != 1 else str(p)
+    except ValueError:  # past the digit limit of str
+        return f"{_digits(p)}/{_digits(q)}" if q != 1 else _digits(p)
+
+
 def format_pair(num: int, den: int) -> str:
     """Canonical text form of the int pair num/den, den != 0: 'p' or 'p/q'
     in lowest terms with q > 0.  The way back checks p*den == num*q, so
@@ -78,10 +87,7 @@ def format_pair(num: int, den: int) -> str:
     p, q = _lowest(num, den)
     if p * den != num * q:
         raise AssertionError("rational text disagrees with its int pair")
-    try:
-        return f"{p}/{q}" if q != 1 else str(p)
-    except ValueError:  # past the digit limit of str
-        return f"{_digits(p)}/{_digits(q)}" if q != 1 else _digits(p)
+    return _text(p, q)
 
 
 def format_rat(value) -> str:
@@ -93,7 +99,9 @@ def format_rat(value) -> str:
                 return "inf" if value > 0 else "-inf"
             raise TypeError("refusing float input; exact arithmetic only")
         value = Fraction(value)
-    return format_pair(value.numerator, value.denominator)
+    # A Fraction's numerator and denominator are already in lowest terms,
+    # with the denominator positive.
+    return _text(value.numerator, value.denominator)
 
 
 def decimal_str(value, digits: int = 9) -> str:

@@ -233,17 +233,28 @@ def variation_on(f: StepFunction, a=NEG_INF, b=POS_INF) -> Rat:
 
     Partitions live strictly inside (a, b), so breakpoints sitting exactly at
     a or b contribute nothing.  For a step function the supremum is the sum
-    of |v_k - c_{k-1}| + |c_k - v_k| over breakpoints strictly inside.
+    of |v_k - c_{k-1}| + |c_k - v_k| over breakpoints strictly inside.  The
+    jumps are summed on the ints of the rationals, over the lcm of their
+    denominators, into one Fraction.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_on needs a < b")
-    total = Fraction(0)
-    consts = f.constants
-    for k, x in enumerate(f.breakpoints):
-        if a < x < b:
-            total += abs(f.point_values[k] - consts[k]) + abs(consts[k + 1] - f.point_values[k])
-    return total
+    # The breakpoints strictly inside (a, b), by bisection; an infinite end,
+    # told by its type, cuts none off (comparing a Fraction with a float
+    # infinity costs about 3 us).
+    bps, consts, values = f.breakpoints, f.constants, f.point_values
+    first = 0 if isinstance(a, float) else bisect_right(bps, a)
+    last = len(bps) if isinstance(b, float) else bisect_left(bps, b)
+    num, den = 0, 1
+    for k in range(first, last):
+        p, q = values[k].numerator, values[k].denominator
+        for c in (consts[k], consts[k + 1]):
+            below = q * c.denominator
+            common = math.lcm(den, below)
+            num = num * (common // den) + abs(p * c.denominator - c.numerator * q) * (common // below)
+            den = common
+    return Fraction(num, den)
 
 
 def bv_norm(f: StepFunction) -> Rat:

@@ -361,7 +361,9 @@ def continuity_experiment(
 
     Scales must decrease strictly toward zero and the perturbation is a
     fixed BV function, so the perturbed family converges to f in BV norm:
-    the hypotheses under which distances must vanish.
+    the hypotheses under which distances must vanish.  The scales are
+    checked on their ints, by cross-multiplication.  The report's verdicts
+    read its last ``tail_count`` rows, so tail_count must be at least 1.
 
     Every f_j is built on one ``envelope.PerturbationFamily`` lattice.  Read
     once: the merged breakpoints of f and the perturbation, their scale D
@@ -377,10 +379,16 @@ def continuity_experiment(
     skeleton's ends or end values and no tag.
     """
     scales = [rat(s) for s in scales]
-    if not scales or any(s <= 0 for s in scales):
+    if not scales or any(s.numerator <= 0 for s in scales):
         raise ValueError("scales must be positive")
-    if any(second >= first for first, second in zip(scales, scales[1:])):
+    # By cross-multiplication: p2/q2 >= p1/q1 when p2*q1 >= p1*q2, q > 0.
+    if any(
+        second.numerator * first.denominator >= first.numerator * second.denominator
+        for first, second in zip(scales, scales[1:])
+    ):
         raise ValueError("scales must be strictly decreasing")
+    if tail_count < 1:
+        raise ValueError("tail_count must be at least 1")
 
     profile_f = env.build_profile(f)
     base_variation = env.variation_of_profile(profile_f)

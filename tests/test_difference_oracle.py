@@ -14,6 +14,7 @@ just within the precision, on family profiles of bench-shaped pairs too.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,6 +196,52 @@ def test_hand_built_profiles_match_the_reference():
                      moebius_profile(-(1 + Fraction(1, 2**60)), -Fraction(1, 2**42), s, t))
     assert_same_walk(moebius_profile(Fraction(2, 3), Fraction(5, 7), Fraction(1, 2), Fraction(9, 4)),
                      moebius_profile(Fraction(-3, 5), Fraction(1, 6), Fraction(1, 3), Fraction(3)))
+
+
+def cell_kinds(p1, p2):
+    """The kind of each common cell of two profiles, read off their pieces'
+    directions and the critical quadratic: "apart" (one piece rises, the
+    other falls), "one flat", "both flat", "same" (both rise or both fall)
+    and "same, peak" (and a critical point inside)."""
+    walk = [NEG_INF, *sorted({*ends(p1), *ends(p2)}), POS_INF]
+    kinds = set()
+    for s, t in zip(walk, walk[1:]):
+        m1, m2 = piece_containing(p1, midpoint(s, t)), piece_containing(p2, midpoint(s, t))
+        flat = (m1.direction == 0) + (m2.direction == 0)
+        if flat:
+            kinds.add("both flat" if flat == 2 else "one flat")
+        elif m1.direction != m2.direction:
+            kinds.add("apart")
+        else:
+            q = int_form(difference_critical_quadratic(m1.coefficients, m2.coefficients))
+            kinds.add("same, peak" if sign_at(q, pair(s)) * sign_at(q, pair(t)) < 0 else "same")
+    return kinds
+
+
+# Hand-built pairs, each with a cell of the named kind: alpha/(gamma + x)
+# on [s, t], constant outside, falls for alpha > 0 and rises for alpha < 0.
+# Every pair has both pieces flat on its two unbounded cells.
+CELL_PAIRS = {
+    "apart": ((1, 0, 1, 2), (-1, 0, 1, 2)),
+    "one flat": ((1, 0, 1, 2), (1, 0, 3, 4)),
+    "both flat": ((1, 0, 1, 2), (2, 0, 3, 4)),
+    "same": ((1, 0, 1, 2), (Fraction(1, 2), 0, 1, 2)),
+    # d' = -1/x**2 + 4/(x + 3)**2 vanishes at x = 3.
+    "same, peak": ((1, 0, 1, 8), (4, 3, 1, 8)),
+    # d' = -1/x**2 + 2/(x + 2)**2 vanishes at x = 2*(sqrt(2) + 1).
+    "same, irrational peak": ((1, 0, 1, 8), (2, 2, 1, 8)),
+}
+
+
+@pytest.mark.parametrize("kind", CELL_PAIRS)
+@pytest.mark.parametrize("swap", [False, True], ids=["", "swapped"])
+def test_each_kind_of_cell_matches_the_reference(kind, swap):
+    p1, p2 = [moebius_profile(*[Fraction(v) for v in args]) for args in CELL_PAIRS[kind]]
+    if swap:  # a valley for a peak, and each direction of the walk's terms
+        p1, p2 = p2, p1
+    assert kind.replace("irrational ", "") in cell_kinds(p1, p2)
+    enclosure = assert_same_walk(p1, p2)
+    assert (enclosure.lo != enclosure.hi) == (kind == "same, irrational peak")
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -18,7 +18,7 @@ from maxbv.envelope import (
     variation_of_difference,
     variation_of_profile,
 )
-from maxbv.exact import format_rat, parse_rat
+from maxbv.exact import format_rat, parse_rat, sign
 from maxbv.maximal import maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import (
     NEG_INF,
@@ -131,7 +131,7 @@ def test_self_check_catches_a_walk_that_drops_a_hull_anchor(monkeypatch):
     assert str(maximal_value(f, -6).witness) == "finite(-6,8)"
     build_profile(f)
     anchors = envelope._anchors
-    monkeypatch.setattr(envelope, "_anchors", lambda links, i, stop: [j for j in anchors(links, i, stop) if j])
+    monkeypatch.setattr(envelope, "_anchors", lambda *args: [j for j in anchors(*args) if j])
     with pytest.raises(AssertionError, match="profile disagrees with the pointwise engine"):
         build_profile(f)
 
@@ -343,8 +343,10 @@ def fraction_sum_of_steps(steps):
 
 
 def test_sum_of_steps_matches_a_fraction_sum():
-    # Ints of a few bits (one run) up to a few hundred (a run per step, many
-    # merge levels), dens of either sign, lengths across partial counters.
+    # The sum at turning points, fed each step (s, t) as the two terms
+    # (-d, s) and (d, t), d the sign of t - s: the sum of |t - s|.  Ints of a
+    # few bits (one run) up to a few hundred (a run per step, many merge
+    # levels), dens of either sign, lengths across partial counters.
     rng = random.Random(41)
     for bits in (3, 20, 300):
         for length in [*range(0, 20), 31, 32, 33, 200]:
@@ -354,8 +356,14 @@ def test_sum_of_steps_matches_a_fraction_sum():
                 return (rng.randint(-(2**bits), 2**bits), den)
 
             steps = [(draw(), draw()) for _ in range(length)]
-            total = envelope._sum_of_steps(steps)
-            assert type(total) is Fraction and total == fraction_sum_of_steps(steps)
+            turns = []
+            for s, t in steps:
+                d = sign(Fraction(*t) - Fraction(*s))
+                turns += [(-d, s), (d, t)]
+            num, den = envelope._sum_at_turns(turns)
+            assert den != 0 and Fraction(num, den) == fraction_sum_of_steps(steps)
+            positive = [(c, (n, abs(d))) for c, (n, d) in turns]
+            assert envelope._sum_at_turns(positive)[1] > 0
 
 
 @pytest.mark.parametrize("part", ["ends", "end_values"])

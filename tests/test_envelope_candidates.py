@@ -3,10 +3,12 @@ envelope walk over whole hull chains that they replaced, and the dump
 printed from the int skeleton against the dump lines of its pieces.
 
 On segment k the build hands ``_stack_walk`` only the chain vertices
-between the links of the segment's two ends, on each side, in the order the
+between the links of the segment's two ends whose average at the segment's
+end on their side is above its constant, on each side, in the order the
 envelope meets them, and the walk pushes and pops each at most once.  The
-reference is the same build with ``_anchors`` walking every chain whole, as
-every segment once did, and ``_upper_envelope`` below, which restarts from
+reference is the same build with ``_anchors`` replaced by ``whole_chain``,
+every vertex of every chain, as every segment once took them, and
+``_upper_envelope`` below, which restarts from
 the current winner at every piece and so assumes no order, in place of the
 stack: both must give the same candidates on the same segments, int forms
 and dumps, and the same junctions and values as rationals; on the family
@@ -83,6 +85,16 @@ def collinear_points(f):
         (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
         for (ax, ay), (bx, by), (cx, cy) in zip(points, points[1:], points[2:])
     )
+
+
+def whole_chain(points, links, i, stop, c):
+    """Every vertex of the chain after the point i, nearest first: the
+    anchors of a segment before link ranges and pruning."""
+    vertices = []
+    while links[i] >= 0:
+        i = links[i]
+        vertices.append(i)
+    return vertices
 
 
 def _largest(candidates, x):
@@ -181,12 +193,10 @@ def assert_same_profile(built, reference):
 
 
 def test_link_ranges_build_the_whole_chain_profile(monkeypatch):
-    anchors = envelope._anchors
-
     def general(build, *args):
         """The profile built with whole chains and the general walk."""
         with monkeypatch.context() as patched:
-            patched.setattr(envelope, "_anchors", lambda links, i, stop: anchors(links, i, -1))
+            patched.setattr(envelope, "_anchors", whole_chain)
             patched.setattr(envelope, "_stack_walk", _upper_envelope)
             return build(*args)
 
@@ -211,8 +221,7 @@ def test_bench_shaped_family_profiles_build_the_whole_chain_profile(monkeypatch)
     # builds agree tuple for tuple, not just as rationals.
     families = [PerturbationFamily(f, g) for f, g in bench_pairs()]
     runs = [(family, s, family.profile(s)) for family in families for s in SCALES]
-    anchors = envelope._anchors
-    monkeypatch.setattr(envelope, "_anchors", lambda links, i, stop: anchors(links, i, -1))
+    monkeypatch.setattr(envelope, "_anchors", whole_chain)
     monkeypatch.setattr(envelope, "_stack_walk", _upper_envelope)
     for family, s, built in runs:
         reference = family.profile(s)
@@ -255,6 +264,23 @@ def test_candidates_stay_linear_on_convex_inputs(monkeypatch, family):
         counts.clear()
         build_profile(f)
         assert len(counts) == f.n + 1 and sum(counts) <= 6 * f.n + 6
+
+
+def test_anchors_at_or_below_the_constant_are_left_out(monkeypatch):
+    # With right tail n the profile is the one constant n, and every anchor's
+    # average stays below it: each segment hands the walk the constant alone.
+    # The same link ranges unpruned (a constant of -1, below every average of
+    # |f|) give 3n - 1 candidates.
+    counts = counted_candidates(monkeypatch)
+    for n in (20, 160, 640):
+        counts.clear()
+        build_profile(increasing(n, n))
+        assert counts == [1] * (n + 1)
+    anchors = envelope._anchors
+    monkeypatch.setattr(envelope, "_anchors", lambda points, links, i, stop, c: anchors(points, links, i, stop, -1))
+    counts.clear()
+    build_profile(increasing(640, 640))
+    assert sum(counts) == 3 * 640 - 1
 
 
 @pytest.mark.parametrize(

@@ -158,6 +158,31 @@ def test_continuity_experiment_rejects_bad_scales():
         continuity_experiment(CHI_01, CHI_01, [])
 
 
+@pytest.mark.parametrize(
+    "scales, message",
+    [
+        ([1, 0], "scales must be positive"),
+        ([1, Fraction(-1, 2)], "scales must be positive"),
+        ([Fraction(1, 3), Fraction(1, 2)], "scales must be strictly decreasing"),
+        ([Fraction(2, 3), Fraction(4, 6)], "scales must be strictly decreasing"),
+        ([Fraction(7, 3), 2, Fraction(5, 2)], "scales must be strictly decreasing"),
+    ],
+)
+def test_continuity_experiment_names_what_is_wrong_with_its_scales(scales, message):
+    with pytest.raises(ValueError, match=message):
+        continuity_experiment(CHI_01, CHI_01, scales)
+
+
+@pytest.mark.parametrize("tail_count", [0, -2])
+def test_continuity_experiment_rejects_a_tail_count_below_one(tail_count):
+    # The report reads its tail as rows[-tail_count:], so a tail count of 0
+    # would check every row and one of -2 all rows but the first two.
+    scales = [Fraction(1, 2**j) for j in range(6)]
+    with pytest.raises(ValueError, match="tail_count must be at least 1"):
+        continuity_experiment(random_stepfn(3), random_stepfn(4), scales, tail_count=tail_count)
+    assert continuity_experiment(random_stepfn(3), random_stepfn(4), scales, tail_count=1).tail_count == 1
+
+
 def test_delta_norm_is_the_norm_of_the_difference():
     # The experiment scales the perturbation's norm; the reference combines
     # f_j and f and takes the norm of the difference.
