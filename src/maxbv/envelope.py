@@ -419,15 +419,18 @@ def _anchors(points: Sequence[Point], links: List[int], i: int, stop: int, c: in
     that point pops off the chain, less i, plus the one it is pushed onto.
 
     Of those, only the vertices whose average with the point i, the slope
-    between the two, is above c.  The chain turns strictly left at every
-    vertex, so that slope falls strictly along it, and the walk ends at the
-    first vertex at or below c."""
+    between the two, is above c: on points in increasing x, those below the
+    line of slope c through the point i.  (The reversed pass takes its
+    points turned by 180 degrees, which keeps every slope and orientation.)
+    The chain turns strictly left at every vertex, so that slope falls
+    strictly along it, and the walk ends at the first vertex at or below c."""
     x, y = points[i]
+    level = y - c * x
     vertices = []
     while i != stop and links[i] >= 0:
         i = links[i]
-        run = x - points[i][0]
-        if (y - points[i][1]) * run <= c * run * run:
+        qx, qy = points[i]
+        if qy - c * qx >= level:
             break
         vertices.append(i)
     return vertices
@@ -519,7 +522,10 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     ``PerturbationFamily``)."""
     n = len(xs)
     points = list(zip(xs, ps))
-    backward = points[::-1]
+    # The points in decreasing x, turned by 180 degrees, which keeps every
+    # orientation and slope: the chains of this pass are the upper hulls of
+    # suffixes, and ``_anchors`` reads the same test on both passes.
+    backward = [(-x, -y) for x, y in reversed(points)]
     lower = _hull_links(points)
     upper = _hull_links(backward)
     tails = max(ls[0], ls[-1])
@@ -795,9 +801,10 @@ def _sum_at_turns(turns: Iterable[Tuple[int, Pair]]) -> Pair:
 
 
 def _gap(value1: Pair, value2: Pair) -> Pair:
-    """value1 - value2 of two int pairs, as an int pair."""
+    """value1 - value2 of two int pairs, den != 0, as an int pair, den > 0."""
     (num1, den1), (num2, den2) = value1, value2
-    return num1 * den2 - num2 * den1, den1 * den2
+    num, den = num1 * den2 - num2 * den1, den1 * den2
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
@@ -895,9 +902,11 @@ def variation_of_difference(
     takes each peak to the least level, not below its last, of width at
     most 2**-(40 + 16k), two more while either piece's pole is in it, and
     reads the poles' signs and the values at the bracket's int-pair ends off
-    the two int forms.  The round's peak terms are int pairs, summed like
-    the turning points, and its width is compared with the precision on
-    ints; the enclosure ends are the only Fractions.  A rational root's
+    the two int forms.  The two pieces move the same way, so each is lowest
+    at one end of the bracket and highest at the other.  The round's peak
+    terms are int pairs, summed like the turning points, and its width is
+    compared with the precision on ints; the enclosure ends are the only
+    Fractions.  A rational root's
     bracket is the point itself, so its peak term is exact from the first
     round on.
     """
@@ -959,19 +968,15 @@ def variation_of_difference(
                 q = (qa // common, qb // common, qc // common)
                 roots = isolate_quadratic_roots(q)
                 root = roots[0] if rise == sign(q[0]) else roots[-1]
-                d_pairs = []
-                for num, den in (
-                    _gap(
-                        values1[i] if left1 else _form_at(form1, (sn, sd)),
-                        values2[j] if left2 else _form_at(form2, (sn, sd)),
-                    ),
-                    _gap(
-                        values1[i + 1] if step1 else _form_at(form1, (tn, td)),
-                        values2[j + 1] if step2 else _form_at(form2, (tn, td)),
-                    ),
-                ):
-                    d_pairs.append((num, den) if den > 0 else (-num, -den))
-                peaks.append([root, 0, form1, form2, *d_pairs, rise])
+                d_s = _gap(
+                    values1[i] if left1 else _form_at(form1, (sn, sd)),
+                    values2[j] if left2 else _form_at(form2, (sn, sd)),
+                )
+                d_t = _gap(
+                    values1[i + 1] if step1 else _form_at(form1, (tn, td)),
+                    values2[j + 1] if step2 else _form_at(form2, (tn, td)),
+                )
+                peaks.append([root, 0, form1, form2, d_s, d_t, rise])
                 direction = 0
             elif (
                 # Both roots of q (a double root counts twice) in the closed
@@ -1025,23 +1030,21 @@ def variation_of_difference(
                     break
                 level += 2
             peak[1] = level
-            # Each form's values at the two edges, over a positive den, low
-            # then high.
-            ordered = []
-            for low, high in (at[:2], at[2:]):
-                if low[1] < 0:
-                    low, high = (-low[0], -low[1]), (-high[0], -high[1])
-                ordered.append((low, high) if low[0] * high[1] <= high[0] * low[1] else (high, low))
-            (low1, high1), (low2, high2) = ordered
-            top_lo, top_hi = _gap(low1, high2), _gap(high1, low2)
-            if rise < 0:  # a valley: mirror it into a peak
-                top_lo, top_hi = (-top_hi[0], top_hi[1]), (-top_lo[0], top_lo[1])
-                d_s, d_t = (-d_s[0], d_s[1]), (-d_t[0], d_t[1])
+            # Both pieces of a peak cell move the same way, and neither has its
+            # pole in the bracket: each is lowest at one edge and highest at
+            # the other, at the low edge when they rise.  So d over the
+            # bracket lies between top_lo and top_hi.
+            if form1[1] * form1[2] > form1[0] * form1[3]:
+                top_lo, top_hi = _gap(at[0], at[3]), _gap(at[1], at[2])
+            else:
+                top_lo, top_hi = _gap(at[1], at[2]), _gap(at[0], at[3])
             for d in (d_s, d_t):
-                for top, terms in ((top_lo, lo_terms), (top_hi, hi_terms)):
-                    above = _gap(top, d)
-                    if above[0] > 0:
-                        terms.append((1, above))
+                # How far the top rises above d, or at a valley (rise < 0)
+                # falls below it.
+                gaps = (_gap(top_lo, d), _gap(top_hi, d)) if rise > 0 else (_gap(d, top_hi), _gap(d, top_lo))
+                for (num, den), terms in zip(gaps, (lo_terms, hi_terms)):
+                    if num > 0:
+                        terms.append((1, (num, den)))
         (lo_num, lo_den), (hi_num, hi_den) = _sum_at_turns(lo_terms), _sum_at_turns(hi_terms)
         if (hi_num * lo_den - lo_num * hi_den) * precision.denominator <= precision.numerator * hi_den * lo_den:
             num, den = exact
