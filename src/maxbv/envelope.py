@@ -144,9 +144,12 @@ critical quadratic q = det1*B**2 - det2*A**2, with A and B the two pieces'
 denominators, neither of which vanishes on the cell.  Where det1*det2 <= 0,
 one piece rises while the other falls or one is flat, q has one sign and no
 root: the cell is exact, its direction that of det1 - det2, and no
-quadratic is formed.  Where the pieces move the same way, q changes sign
-across the cell exactly when the cell holds a critical point, and the walk
-reads the cell's direction off q's signs at its ends.  The difference walk
+quadratic is formed.  Where the two pieces share their pole, q is its
+leading coefficient times a square that does not vanish on the cell, and
+only that coefficient is formed.  On the other cells, where the pieces move
+the same way about two poles, q changes sign across the cell exactly when
+the cell holds a critical point, and the walk reads the cell's direction
+off q's signs at its ends.  The difference walk
 is one two-pointer merge of the two piece lists, and it decides every sign
 on ints: the nearer junction, the dets, q and its signs at the cell ends
 are int expressions on the loop's locals, and d is read, as an int pair,
@@ -867,7 +870,10 @@ def variation_of_difference(
     them is flat: the two terms of q never have opposite signs and do not
     both vanish, so q has one sign on the cell, that of det1 - det2 (0 when
     both pieces are flat), and no root.  Such a cell is exact, with that
-    direction, and needs no quadratic.
+    direction, and needs no quadratic.  So is a cell whose two pieces share
+    their pole, g1*e2 = g2*e1: there A = (e1/e2)*B, and q is its leading
+    coefficient qa = det1*e2**2 - det2*e1**2 times (B/e2)**2, whose double
+    root is the pole, off the closed cell.
 
     Elsewhere the two pieces move the same way.  The ratio r = A/B keeps
     one sign on the cell and is monotone; q vanishes exactly where
@@ -944,6 +950,9 @@ def variation_of_difference(
         det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
         if det1 * det2 <= 0:  # the pieces move apart, or one is flat
             direction = (det1 > det2) - (det1 < det2)
+        elif g1 * e2 == g2 * e1:  # one pole: q is qa*(x - pole)**2 over e2**2
+            at = det1 * e2 * e2 - det2 * e1 * e1
+            direction = (at > 0) - (at < 0)
         else:
             # The critical quadratic q = qa*x**2 + qb*x + qc of the two forms,
             # and its signs at s and t.  At an infinite end, the pair (-1, 0)

@@ -200,9 +200,10 @@ def test_hand_built_profiles_match_the_reference():
 
 def cell_kinds(p1, p2):
     """The kind of each common cell of two profiles, read off their pieces'
-    directions and the critical quadratic: "apart" (one piece rises, the
-    other falls), "one flat", "both flat", "same" (both rise or both fall)
-    and "same, peak" (and a critical point inside)."""
+    directions, poles and critical quadratic: "apart" (one piece rises, the
+    other falls), "one flat", "both flat", "same, one pole" (both rise or
+    both fall, about the same pole), "same" (about two poles) and
+    "same, peak" (and a critical point inside)."""
     walk = [NEG_INF, *sorted({*ends(p1), *ends(p2)}), POS_INF]
     kinds = set()
     for s, t in zip(walk, walk[1:]):
@@ -212,6 +213,8 @@ def cell_kinds(p1, p2):
             kinds.add("both flat" if flat == 2 else "one flat")
         elif m1.direction != m2.direction:
             kinds.add("apart")
+        elif m1.gamma * m2.delta == m2.gamma * m1.delta:
+            kinds.add("same, one pole")
         else:
             q = int_form(difference_critical_quadratic(m1.coefficients, m2.coefficients))
             kinds.add("same, peak" if sign_at(q, pair(s)) * sign_at(q, pair(t)) < 0 else "same")
@@ -225,7 +228,8 @@ CELL_PAIRS = {
     "apart": ((1, 0, 1, 2), (-1, 0, 1, 2)),
     "one flat": ((1, 0, 1, 2), (1, 0, 3, 4)),
     "both flat": ((1, 0, 1, 2), (2, 0, 3, 4)),
-    "same": ((1, 0, 1, 2), (Fraction(1, 2), 0, 1, 2)),
+    "same, one pole": ((1, 0, 1, 2), (2, 0, 1, 2)),
+    "same": ((1, 0, 1, 2), (1, 1, 1, 2)),
     # d' = -1/x**2 + 4/(x + 3)**2 vanishes at x = 3.
     "same, peak": ((1, 0, 1, 8), (4, 3, 1, 8)),
     # d' = -1/x**2 + 2/(x + 2)**2 vanishes at x = 2*(sqrt(2) + 1).

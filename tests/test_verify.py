@@ -156,21 +156,15 @@ def test_continuity_experiment_rejects_bad_scales():
         continuity_experiment(CHI_01, CHI_01, [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         continuity_experiment(CHI_01, CHI_01, [])
-
-
-@pytest.mark.parametrize(
-    "scales, message",
-    [
+    for scales, message in (
         ([1, 0], "scales must be positive"),
         ([1, Fraction(-1, 2)], "scales must be positive"),
         ([Fraction(1, 3), Fraction(1, 2)], "scales must be strictly decreasing"),
         ([Fraction(2, 3), Fraction(4, 6)], "scales must be strictly decreasing"),
         ([Fraction(7, 3), 2, Fraction(5, 2)], "scales must be strictly decreasing"),
-    ],
-)
-def test_continuity_experiment_names_what_is_wrong_with_its_scales(scales, message):
-    with pytest.raises(ValueError, match=message):
-        continuity_experiment(CHI_01, CHI_01, scales)
+    ):
+        with pytest.raises(ValueError, match=message):
+            continuity_experiment(CHI_01, CHI_01, scales)
 
 
 @pytest.mark.parametrize("tail_count", [0, -2])
