@@ -149,21 +149,21 @@ leading coefficient times a square that does not vanish on the cell, and
 only that coefficient is formed.  On the other cells, where the pieces move
 the same way about two poles, q changes sign across the cell exactly when
 the cell holds a critical point, and the walk reads the cell's direction
-off q's signs at its ends.  The difference walk
-is one two-pointer merge of the two piece lists, and it decides every sign
-on ints: the nearer junction, the dets, q and its signs at the cell ends
-are int expressions on the loop's locals, and d is read, as an int pair,
-only at a turning point or at the ends of a peak cell.  The exact part is
-one sum of int pairs at the turning points, a peak cell counting as flat,
-reduced up a balanced merge tree, so its cost stays near linear in the
-number of cells.  Only the critical points (peaks) get brackets, at int
-levels that grow round by round until the sum is a certified rational
-enclosure of any requested precision.  Each round adds its peak terms as
-int pairs and compares its width with the precision on ints, so the
-enclosure's two ends are its only Fractions.  A peak cell reduces the int
-quadratic of its two forms to that of the two pieces, in lowest ints: a
-surd's bracket is sized by that scaling.  A rational critical point's
-bracket is the point itself, so its peak is exact.
+off q's signs at its ends.  The difference walk is one two-pointer merge of
+the two piece lists, and it decides every sign on ints: the nearer
+junction, the dets, q and its signs at the cell ends are int expressions on
+the loop's locals, and d is read, as an int pair, only at a turning point
+or at the ends of a peak cell.  The exact part is one sum of int pairs at
+the turning points, a peak cell counting as flat, reduced up a balanced
+merge tree, so its cost stays near linear in the number of cells.  Only the
+critical points (peaks) get brackets, at int levels that grow round by
+round until the sum is a certified rational enclosure of any requested
+precision.  Each round adds its peak terms as int pairs and compares its
+width with the precision on ints, so the enclosure's two ends are its only
+Fractions.  A peak cell reduces the int quadratic of its two forms to that
+of the two pieces, in lowest ints: a surd's bracket is sized by that
+scaling.  A rational critical point's bracket is the point itself, so its
+peak is exact.
 """
 
 from __future__ import annotations
@@ -415,7 +415,7 @@ def _hull_links(points: Sequence[Tuple[Rat, Rat]]) -> List[int]:
     return links
 
 
-def _anchors(points: Sequence[Point], links: List[int], i: int, stop: int, c: int) -> List[int]:
+def _anchors(points: Sequence[Tuple[int, int]], links: List[int], i: int, stop: int, c: int) -> List[int]:
     """Chain vertices after the point i itself, nearest first, out to the
     vertex stop (inclusive): none when stop is i, the whole chain when stop
     is -1.  With stop the link of the point after i, these are the vertices
@@ -816,10 +816,10 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
     Each piece is monotone, its direction the sign of its int form's det
     b*g - a*d (0 for a constant), so the variation is a sum over the end
     values at the turning points, where the direction changes
-    (``_sum_at_turns``): the answer is exact, an enclosure of width zero.  Over the whole line the walk reads only the
-    value pairs; a finite a or b is placed among the end pairs by
-    ``_locate``, and where it cuts a piece, that piece is evaluated there
-    through its int form.
+    (``_sum_at_turns``): the answer is exact, an enclosure of width zero.
+    Over the whole line the walk reads only the value pairs; a finite a or
+    b is placed among the end pairs by ``_locate``, and where it cuts a
+    piece, that piece is evaluated there through its int form.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
@@ -875,15 +875,15 @@ def variation_of_difference(
     coefficient qa = det1*e2**2 - det2*e1**2 times (B/e2)**2, whose double
     root is the pole, off the closed cell.
 
-    Elsewhere the two pieces move the same way.  The ratio r = A/B keeps
-    one sign on the cell and is monotone; q vanishes exactly where
-    r**2 = det1/det2, and r meets the one square root of that ratio with its
-    own sign at most once (a constant r makes q vanish everywhere or nowhere
-    on the cell).  Hence q has at most one root on the closed cell and
-    changes sign there: the cell splits into at most two monotone stretches.
-    The walk forms q and its signs at s and t, and checks that q has not
-    both roots in the closed cell (two critical points), testing the two
-    sign conditions before the discriminant.  The cell holds a critical
+    Elsewhere the two pieces move the same way about two poles.  The ratio
+    r = A/B keeps one sign on the cell and is monotone; q vanishes exactly
+    where r**2 = det1/det2, and r meets the one square root of that ratio
+    with its own sign at most once (a constant r makes q vanish everywhere
+    or nowhere on the cell).  Hence q has at most one root on the closed
+    cell and changes sign there: the cell splits into at most two monotone
+    stretches.  The walk forms q and its signs at s and t, and checks that q
+    has not both roots in the closed cell (two critical points), testing the
+    two sign conditions before the discriminant.  The cell holds a critical
     point exactly when q has opposite nonzero signs at its ends (at an
     infinite end, the sign of q's leading term there), and the sign at s is
     the sign of d' left of it.  Any other cell is exact, its direction the
@@ -912,9 +912,8 @@ def variation_of_difference(
     at one end of the bracket and highest at the other.  The round's peak
     terms are int pairs, summed like the turning points, and its width is
     compared with the precision on ints; the enclosure ends are the only
-    Fractions.  A rational root's
-    bracket is the point itself, so its peak term is exact from the first
-    round on.
+    Fractions.  A rational root's bracket is the point itself, so its peak
+    term is exact from the first round on.
     """
     precision = rat(precision)
     if precision.numerator <= 0:
