@@ -65,8 +65,12 @@ profiles with.  Every build checks itself at each breakpoint against values
 read off the same two chains without the walk: the vertex a breakpoint's
 point was pushed onto is its best anchor on that side, so one O(n) sweep
 gives the maximal function at every breakpoint.  It also checks that
-adjacent pieces agree at every junction.  One pass over the walk's cells
-runs both checks and reads the skeleton (below) off them.
+adjacent pieces agree at every junction.  Both checks run in the walks' one
+pass, which also reads off the skeleton (below): a cell stays open while
+the walks repeat its candidate, across breakpoints too, and closes as soon
+as the next distinct candidate starts, with the junction check there, the
+checks of the breakpoints up to it and its skeleton entries; the last cell
+closes after the walks, with the breakpoints past the last junction.
 
 The build runs on an integer lattice.  With D the lcm of the breakpoint
 denominators and E that of the |constant| denominators, the points
@@ -85,12 +89,14 @@ and shared with the pointwise engine ``maximal.maximal_value``, and
 
 The family lattice is read once for f and g.  Fixed across scales are the
 merged breakpoints with their scale D (the lcm over all of them) and points
-X, and f's signed int levels a in the unit e_f and g's b in e_g; each is
-checked once against the rational it came from.  At a scale s = p/q only
-the levels L = |a*e_g*q + b*e_f*p|, the unit E = e_f*e_g*q and the sums P
-change, and a merged breakpoint where the value of f + s*g equals both
-neighbouring constants is dropped, as canonical form drops it.  Only where
-the two signed levels are equal is that value read, on rationals.  E is a
+X, and f's signed int levels a in the unit e_f and g's b in e_g, read in
+one merge of the two functions' points on ints that takes each function's
+constant left of every merged point as it goes; each is checked once
+against the rational it came from.  At a scale s = p/q only the levels
+L = |a*e_g*q + b*e_f*p|, the unit E = e_f*e_g*q and the sums P change, and
+a merged breakpoint where the value of f + s*g equals both neighbouring
+constants is dropped, as canonical form drops it.  Only where the two
+signed levels are equal is that value read, on rationals.  E is a
 positive multiple of the lcm of the constant denominators of f + s*g, and D
 of its breakpoint denominators: the scaling stays positive in both
 coordinates, every output is a reduced Fraction, a sign, or an int pair
@@ -160,10 +166,11 @@ critical points (peaks) get brackets, at int levels that grow round by
 round until the sum is a certified rational enclosure of any requested
 precision.  Each round adds its peak terms as int pairs and compares its
 width with the precision on ints, so the enclosure's two ends are its only
-Fractions.  A peak cell reduces the int quadratic of its two forms to that
-of the two pieces, in lowest ints: a surd's bracket is sized by that
-scaling.  A rational critical point's bracket is the point itself, so its
-peak is exact.
+Fractions; a BV distance adds the gap of the limits at -oo to those ends
+while they are still int pairs.  A peak cell reduces the int quadratic of
+its two forms to that of the two pieces, in lowest ints: a surd's bracket
+is sized by that scaling.  A rational critical point's bracket is the point
+itself, so its peak is exact.
 """
 
 from __future__ import annotations
@@ -532,18 +539,34 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     lower = _hull_links(points)
     upper = _hull_links(backward)
     tails = max(ls[0], ls[-1])
+    checks = _breakpoint_values(xs, ps, ls, lower, upper)
 
-    # [lo, hi, candidate, segment of the first cell]; adjacent cells with
-    # identical coefficients merge (continuity across breakpoints makes the
-    # shared function one piece).
-    cells: List[list] = []
+    # The walks' cells are checked on the lattice and read into the
+    # skeleton as they come.  Adjacent cells with identical coefficients
+    # merge (continuity across breakpoints makes the shared function one
+    # piece), so the open cell, candidate top from segment first on, runs to
+    # end until the next distinct candidate starts there and closes it.  A
+    # candidate (a, b, g, d) is (a*q + b*p, g*q + d*p) at the lattice point
+    # (p, q), in units of 1/E, and (b, d), or (a, g) for the constant, at an
+    # infinite end.  Adjacent cells must agree at their shared point, and
+    # the cell holding each breakpoint must match the maximal function read
+    # off the hull chains.  The skeleton: each right end (the last is +oo),
+    # the value there and the limit at -oo, as int pairs with den > 0, and
+    # each int form, a positive multiple of the cell's piece: an anchored
+    # (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
+    end_pairs: List[Pair] = []
+    value_pairs: List[Pair] = []
+    forms: List[Candidate] = []
+    segments: List[int] = []
+    top = end = None
+    first = checked = 0  # checked: the breakpoints checked so far
     for k in range(n + 1):
         u = xs[k - 1] if k >= 1 else None
         v = xs[k] if k <= n - 1 else None
         ell = ls[k]
         # P(X) = y0 + ell*X on the segment, so the lattice average over the
         # interval between X and an anchor Q is (y0 - P(Q) + ell*X)/(X - Q).
-        ref = max(k - 1, 0)
+        ref = k - 1 if k else 0
         y0 = ps[ref] - ell * xs[ref] if n else 0
         # Only the chain vertices between the links of the segment's two ends
         # can be the tangent from (X, P(X)) on that side (see the module
@@ -556,7 +579,7 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
         # first, the constant, the right anchors farthest first.  Anchors
         # whose average with the segment is the local constant (the segment
         # ends among them) are already covered.
-        c = max(ell, tails)
+        c = ell if ell > tails else tails
         candidates = []
         if k >= 1:
             for i in _anchors(points, lower, k - 1, lower[k] if k <= n - 1 else -1, c):
@@ -569,48 +592,45 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
                 alpha, q = y0 - ps[n - 1 - j], xs[n - 1 - j]
                 if alpha + ell * q:
                     candidates.append((alpha, ell, -q, 1))
-        for cell in _stack_walk(candidates, u, v):
-            if cells and cell[2] == cells[-1][2]:
-                cells[-1][1] = cell[1]
-            else:
-                cell.append(k)
-                cells.append(cell)
+        for _, hi, cand in _stack_walk(candidates, u, v):
+            if cand == top:
+                end = hi
+                continue
+            if top is None:  # the first cell: the limit at -oo
+                a, b, g, d = cand
+                num, den = (b, d) if d else (a, g)
+            else:  # the open cell closes at end, where cand starts
+                a, b, g, d = top
+                p, q = end
+                num, den = a * q + b * p, g * q + d * p
+                end_pairs.append((p, q * scale))
+                ra, rb, rg, rd = cand
+                if num * (rg * q + rd * p) != (ra * q + rb * p) * den:
+                    raise AssertionError("profile pieces disagree at a junction")
+                while checked < n and xs[checked] * q <= p:
+                    x = xs[checked]
+                    at, over = checks[checked]
+                    if (a + b * x) * over != at * (g + d * x):
+                        raise AssertionError("profile disagrees with the pointwise engine")
+                    checked += 1
+                forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
+                segments.append(first)
+            value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
+            top, end, first = cand, hi, k
 
-    # One pass over the cells checks them on the lattice and reads off the
-    # skeleton.  A candidate (a, b, g, d) is (a*q + b*p, g*q + d*p) at the
-    # lattice point (p, q), in units of 1/E, and (b, d), or (a, g) for the
-    # constant, at an infinite end.  Adjacent cells must agree at their
-    # shared point, and the cell holding each breakpoint must match the
-    # maximal function read off the hull chains.  The skeleton: each right
-    # end (the last is +oo), the value there and the limit at -oo, as int
-    # pairs with den > 0, and each int form, a positive multiple of the
-    # cell's piece: an anchored (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
-    checks = _breakpoint_values(xs, ps, ls, lower, upper)
-    a, b, g, d = cells[0][2]
+    # The last cell runs to +oo: its limit there, and the breakpoints past
+    # the last junction.
+    a, b, g, d = top
     num, den = (b, d) if d else (a, g)
-    value_pairs = [(num, den * unit) if den > 0 else (-num, -den * unit)]
-    end_pairs, forms, segments = [], [], []
-    i = 0
-    for c, (_, hi, (a, b, g, d), k) in enumerate(cells):
-        if hi is None:  # the last cell
-            num, den = (b, d) if d else (a, g)
-        else:
-            p, q = hi
-            num, den = a * q + b * p, g * q + d * p
-            end_pairs.append((p, q * scale))
-            ra, rb, rg, rd = cells[c + 1][2]
-            if num * (rg * q + rd * p) != (ra * q + rb * p) * den:
-                raise AssertionError("profile pieces disagree at a junction")
-        while i < n and (hi is None or xs[i] * hi[1] <= hi[0]):
-            x = xs[i]
-            at_x, below = a + b * x, g + d * x
-            at, over = checks[i]
-            if at_x * over != at * below:
-                raise AssertionError("profile disagrees with the pointwise engine")
-            i += 1
-        value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
-        forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
-        segments.append(k)
+    while checked < n:
+        x = xs[checked]
+        at, over = checks[checked]
+        if (a + b * x) * over != at * (g + d * x):
+            raise AssertionError("profile disagrees with the pointwise engine")
+        checked += 1
+    value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
+    forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
+    segments.append(first)
     return MaximalProfile(tuple(end_pairs), tuple(value_pairs), tuple(forms), (segments, scale, xs, ls, ps))
 
 
@@ -622,14 +642,28 @@ def _family_lattice(f: StepFunction, g: StepFunction) -> tuple:
     lcm of their denominators) and points X = D*b, then for each of f and g
     its constants c on the merged segments, its unit e (the lcm of its
     constant denominators) and its signed levels e*c."""
-    points = sorted({*f.breakpoints, *g.breakpoints})
-    scale = math.lcm(*[b.denominator for b in points])
-    reads = []
-    for h in (f, g):
-        constants = [*[h.left_limit(t) for t in points], h.constants[-1]]
-        unit = math.lcm(*[c.denominator for c in h.constants])
-        reads.append((constants, unit, _scaled(constants, unit)))
-    return (points, scale, _scaled(points, scale), *reads)
+    fb, gb, fc, gc = f.breakpoints, g.breakpoints, f.constants, g.constants
+    scale = math.lcm(*[b.denominator for b in fb], *[b.denominator for b in gb])
+    # One merge of the two lists of points on ints, as in ``stepfn.combine``:
+    # with i of f's points below a merged point, f is constants[i] left of it.
+    fx, gx = _scaled(fb, scale), _scaled(gb, scale)
+    points, xs, cf, cg = [], [], [], []
+    i = j = 0
+    nf, ng = len(fx), len(gx)
+    while i < nf or j < ng:
+        on_f = j == ng or i < nf and fx[i] <= gx[j]
+        on_g = i == nf or j < ng and gx[j] <= fx[i]
+        cf.append(fc[i])
+        cg.append(gc[j])
+        xs.append(fx[i] if on_f else gx[j])
+        points.append(fb[i] if on_f else gb[j])
+        i += on_f
+        j += on_g
+    cf.append(fc[-1])
+    cg.append(gc[-1])
+    reads = [(constants, unit, _scaled(constants, unit)) for constants, unit in (
+        (cf, math.lcm(*[c.denominator for c in fc])), (cg, math.lcm(*[c.denominator for c in gc])))]
+    return (points, scale, tuple(xs), *reads)
 
 
 class PerturbationFamily:
@@ -648,7 +682,8 @@ class PerturbationFamily:
     def __init__(self, f: StepFunction, g: StepFunction):
         points, scale, xs, (cf, e_f, a), (cg, e_g, b) = _family_lattice(f, g)
         # The way back, once for the family: each int against the rational
-        # it came from, read off f and g without the merge.
+        # of f or g that the merge read it from, a point X against its
+        # breakpoint and a level against its constant.
         for x, t in zip(xs, points, strict=True):
             if x * t.denominator != t.numerator * scale:
                 raise AssertionError("family lattice disagrees with the merged breakpoints")
@@ -803,6 +838,13 @@ def _sum_at_turns(turns: Iterable[Tuple[int, Pair]]) -> Pair:
     return num, den
 
 
+def _enclosure(lo: Pair, hi: Pair) -> VariationEnclosure:
+    """The enclosure between two int pairs, den != 0, with one Fraction for
+    both ends when they are one pair."""
+    low = Fraction(*lo)
+    return VariationEnclosure(low, low if hi is lo else Fraction(*hi))
+
+
 def _gap(value1: Pair, value2: Pair) -> Pair:
     """value1 - value2 of two int pairs, den != 0, as an int pair, den > 0."""
     (num1, den1), (num2, den2) = value1, value2
@@ -849,8 +891,8 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
             before = direction
     if before:
         turns.append((before, walk[-1]))
-    total = Fraction(*_sum_at_turns(turns))
-    return VariationEnclosure(total, total)
+    total = _sum_at_turns(turns)
+    return _enclosure(total, total)
 
 
 def variation_of_difference(
@@ -915,6 +957,12 @@ def variation_of_difference(
     Fractions.  A rational root's bracket is the point itself, so its peak
     term is exact from the first round on.
     """
+    return _enclosure(*_difference_ends(p1, p2, precision))
+
+
+def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple[Pair, Pair]:
+    """The ends of ``variation_of_difference``'s enclosure as int pairs with
+    den > 0, not reduced: one pair, twice, when the variation is exact."""
     precision = rat(precision)
     if precision.numerator <= 0:
         raise ValueError("precision must be positive")
@@ -1020,8 +1068,7 @@ def variation_of_difference(
 
     exact = _sum_at_turns(turns)
     if not peaks:
-        total = Fraction(*exact)
-        return VariationEnclosure(total, total)
+        return exact, exact
     bits = 40
     while True:
         lo_terms: List[Tuple[int, Pair]] = []
@@ -1056,10 +1103,7 @@ def variation_of_difference(
         (lo_num, lo_den), (hi_num, hi_den) = _sum_at_turns(lo_terms), _sum_at_turns(hi_terms)
         if (hi_num * lo_den - lo_num * hi_den) * precision.denominator <= precision.numerator * hi_den * lo_den:
             num, den = exact
-            return VariationEnclosure(
-                Fraction(num * lo_den + lo_num * den, den * lo_den),
-                Fraction(num * hi_den + hi_num * den, den * hi_den),
-            )
+            return (num * lo_den + lo_num * den, den * lo_den), (num * hi_den + hi_num * den, den * hi_den)
         bits += 16
 
 
@@ -1069,13 +1113,10 @@ def bv_distance(
     """BV distance between two maximal functions, given by their profiles:
     the gap of their limits at infinity plus the variation of their
     difference.  Only a peak of the difference can be irrational, so the
-    precision bounds the enclosure's width."""
+    precision bounds the enclosure's width.  The gap is added to the
+    variation's int-pair ends, and each end of the sum is one Fraction."""
     (num1, den1), (num2, den2) = p1.value_pairs[0], p2.value_pairs[0]
     gap, below = abs(num1 * den2 - num2 * den1), den1 * den2
-    spread = variation_of_difference(p1, p2, precision)
-
-    def plus_gap(v: Rat) -> Rat:  # on the ints of the gap and of v
-        return Fraction(gap * v.denominator + v.numerator * below, below * v.denominator)
-
-    lo = plus_gap(spread.lo)
-    return VariationEnclosure(lo, lo if spread.hi is spread.lo else plus_gap(spread.hi))
+    lo, hi = _difference_ends(p1, p2, precision)
+    low = (gap * lo[1] + lo[0] * below, below * lo[1])
+    return _enclosure(low, low if hi is lo else (gap * hi[1] + hi[0] * below, below * hi[1]))

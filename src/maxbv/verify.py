@@ -366,17 +366,19 @@ def continuity_experiment(
     read its last ``tail_count`` rows, so tail_count must be at least 1.
 
     Every f_j is built on one ``envelope.PerturbationFamily`` lattice.  Read
-    once: the merged breakpoints of f and the perturbation, their scale D
-    and points X, and the signed int levels of both functions, each checked
-    against the rational it came from.  Per scale s = p/q: the levels
-    |f + s*g| in the unit E = e_f*e_g*q, the antiderivative values and any
-    breakpoint that canonical form would drop there, read on rationals only
-    between two equal levels.  E is a positive multiple of the lcm that
-    ``build_profile`` would take on ``stepfn.combine(f, perturbation, 1, s)``,
-    and every reported value is a reduced Fraction, so the report is the
-    same byte for byte.  The distances and variations read only the
-    profiles' int skeletons, peaks included, and make no Fraction of a
-    skeleton's ends or end values and no tag.
+    once, in one int merge of the two functions' breakpoints: the merged
+    breakpoints of f and the perturbation, their scale D and points X, and
+    the signed int levels of both functions, each checked against the
+    rational it came from.  Per scale s = p/q: the levels |f + s*g| in the
+    unit E = e_f*e_g*q, the antiderivative values and any breakpoint that
+    canonical form would drop there, read on rationals only between two
+    equal levels; the build then checks and emits each piece in its walks'
+    one pass.  E is a positive multiple of the lcm that ``build_profile``
+    would take on ``stepfn.combine(f, perturbation, 1, s)``, and every
+    reported value is a reduced Fraction, so the report is the same byte for
+    byte.  The distances and variations read only the profiles' int
+    skeletons, peaks included, and make no Fraction of a skeleton's ends or
+    end values and no tag; a distance makes one Fraction per enclosure end.
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s.numerator <= 0 for s in scales):

@@ -58,6 +58,23 @@ def test_family_profiles_match_combine_and_build():
     assert all(seen.values()), seen
 
 
+def test_family_lattice_merges_the_breakpoints_and_reads_the_constants():
+    # The one int merge of f's and g's breakpoints gives the sorted set of
+    # both, and each function's constant left of each merged point, then its
+    # right tail.  The corpus must hold shared breakpoints and functions
+    # with none.
+    seen = {"shared": 0, "none": 0}
+    for f, g in family_corpus():
+        points, scale, xs, (cf, _, _), (cg, _, _) = envelope._family_lattice(f, g)
+        assert points == sorted({*f.breakpoints, *g.breakpoints})
+        seen["shared"] += len(points) < f.n + g.n
+        seen["none"] += not (f.n and g.n)
+        assert list(xs) == [t * scale for t in points]
+        for h, constants in ((f, cf), (g, cg)):
+            assert constants == [*[h.left_limit(t) for t in points], h.constants[-1]]
+    assert all(seen.values()), seen
+
+
 def test_family_drops_what_combine_drops():
     # f + 1*g is the zero function: both merged breakpoints go, as in
     # combine; at other scales they stay.
