@@ -659,10 +659,11 @@ def _family_lattice(f: StepFunction, g: StepFunction) -> tuple:
         points.append(fb[i] if on_f else gb[j])
         i += on_f
         j += on_g
-    cf.append(fc[-1])
-    cg.append(gc[-1])
-    reads = [(constants, unit, _scaled(constants, unit)) for constants, unit in (
-        (cf, math.lcm(*[c.denominator for c in fc])), (cg, math.lcm(*[c.denominator for c in gc])))]
+    reads = []
+    for h, constants in ((f, cf), (g, cg)):
+        constants.append(h.constants[-1])
+        unit = math.lcm(*[c.denominator for c in h.constants])
+        reads.append((constants, unit, _scaled(constants, unit)))
     return (points, scale, tuple(xs), *reads)
 
 
