@@ -104,45 +104,50 @@ or int form up to a positive factor, and so the family's profiles are those
 of ``build_profile`` on f + s*g byte for byte.
 
 A built profile is a skeleton of ints read straight off the merged cells:
-each junction is one pair (p, q*D) and each end value (the limits at -oo
-and +oo among them) one pair (num, den*E) with den > 0, and each piece's int
-form is the cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E)
-for an anchored cell and (C, 0, E, 0) for a constant, a positive multiple
-of the piece, not reduced, so that every sign of the piece is a sign of its
-form.  Of its build a profile keeps only that, and for its tags, made on
-first read, each piece's segment and the lattice (D, X, L, P): an anchored
-form's anchor is its pole, a left one at or before the segment's left end,
-and a constant form's lattice level is C.  These pairs, forms and tags are
-the profile's only representation, and every reader decides on them alone.
-Distances and whole-line variations walk the pairs; point values,
-derivatives and windowed variations place x among the junctions with
-``_locate``, one bisection by cross-multiplication, and read the int form of
-the piece there; the detachment walk merges the end pairs with f's lattice
-points.  A build makes no Fraction, and a reader makes one only to return
-it: a value, a derivative, a variation, or a junction the detachment walk
-reports, the Fraction of its pair.  A dump prints from ints too: the ends
-from the end pairs, each coefficient as its form's over delta (gamma for a
-constant), each through ``exact.format_pair``.  ``pieces`` is ``int_forms``
-under another name.  Int passes check the way in and back:
+each junction is one pair (p, q*D) with q > 0, and each piece's int form is
+the cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E) for an
+anchored cell and (C, 0, E, 0) for a constant, a positive multiple of the
+piece, not reduced, so that every sign of the piece is a sign of its form.
+Of its build a profile keeps only that, and for its tags, made on first
+read, each piece's segment and the lattice (D, X, L, P): an anchored form's
+anchor is its pole, a left one at or before the segment's left end, and a
+constant form's lattice level is C.  These junctions, forms and tags are the
+profile's only representation, and every reader decides on them alone.  A
+value is a form at a bound, an int pair whose den may be negative, as
+``_form_at`` reads it: at a junction either piece's form (the build checks
+that they agree), and at an infinite pair the form's limit there.  Distances and
+variations walk the junctions and read forms only at turning points; point
+values and derivatives place x among the junctions with ``_locate``, one
+bisection by cross-multiplication, and read the int form of the piece
+there, as windowed variations place their ends; the detachment walk merges
+the end pairs with f's lattice points.  A build makes no Fraction, and a
+reader makes one only to return it: a value, a derivative, a variation, or
+a junction the detachment walk reports, the Fraction of its pair.  A dump
+prints from ints too: the ends from the end pairs, each coefficient as its
+form's over delta (gamma for a constant), each through
+``exact.format_pair``.  ``pieces`` is ``int_forms`` under another name.
+Int passes check the way in and back:
 ``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
 for f's own rationals b and c when it is made (a family, once, its own
 lattice against the rationals of f and g), and ``format_pair`` that each
 printed p/q is its pair (num, den), as p*den == num*q.  So every rational a
 dump prints has been checked.
 
-An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in piece domains and
+An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in variation windows and
 region intervals, compared exactly and never computed with; in the lattice
 walk an unbounded end is None, and in the skeleton walks the pair (-1, 0)
-or (1, 0).  The first piece starts at -oo and the last ends at +oo, and
-their end values there are their limits, the maximal function's limits at
-infinity, so variations read them like any other end value.
+or (1, 0).  The first piece starts at -oo and the last ends at +oo, and a
+form's value at such a pair is its limit there, (b, d), or (a, g) for a
+constant: the maximal function's limits at infinity, which variations read
+like any other value at a bound.
 
 Because each non-constant piece is a Moebius function with its pole strictly
-outside the closed piece domain, every piece is monotone, its direction the
-sign of its int form's det b*g - a*d (0 for a constant).  So the variation
-of a walk of end values is exact and is summed at its turning points only:
-the sum of |v[k+1] - v[k]| is the sum of v[k]*(s[k-1] - s[k]), with s[k] the
-direction of the step from v[k] and s = 0 beyond both ends.
+outside the closed interval it spans, every piece is monotone, its direction
+the sign of its int form's det b*g - a*d (0 for a constant).  So the
+variation of a walk of values at bounds is exact and is summed at its
+turning points only: the sum of |v[k+1] - v[k]| is the sum of
+v[k]*(s[k-1] - s[k]), with s[k] the direction of the step from v[k] and
+s = 0 beyond both ends.
 
 The difference of two profiles has at most one critical point per common
 cell, and exact signs locate it: its derivative has the sign of the int
@@ -158,10 +163,11 @@ the cell holds a critical point, and the walk reads the cell's direction
 off q's signs at its ends.  The difference walk is one two-pointer merge of
 the two piece lists, and it decides every sign on ints: the nearer
 junction, the dets, q and its signs at the cell ends are int expressions on
-the loop's locals, and d is read, as an int pair, only at a turning point
-or at the ends of a peak cell.  The exact part is one sum of int pairs at
-the turning points, a peak cell counting as flat, reduced up a balanced
-merge tree, so its cost stays near linear in the number of cells.  Only the
+the loop's locals, and d is read off the two forms, as an int pair, only
+at a turning point or at the ends of a peak cell.  The exact part is one
+sum of int pairs at the turning points, a peak cell counting as flat,
+reduced up a balanced merge tree, so its cost stays near linear in the
+number of cells.  Only the
 critical points (peaks) get brackets, at int levels that grow round by
 round until the sum is a certified rational enclosure of any requested
 precision.  Each round adds its peak terms as int pairs and compares its
@@ -198,10 +204,15 @@ _POS_END: Pair = (1, 0)
 
 
 def _form_at(form: Sequence[int], x: Pair) -> Pair:
-    """An int form's value at the finite bound x, as an int pair."""
+    """An int form's value at the bound x, as an int pair, den != 0.  A
+    profile's value is always a form at a bound: at a finite pair (n, m) it
+    is (a*m + b*n, g*m + d*n), and at the infinite pairs (-1, 0) and (1, 0)
+    it is the form's limit there, (b, d), or (a, g) for a constant."""
     a, b, g, d = form
     n, m = x
-    return a * m + b * n, g * m + d * n
+    if m:
+        return a * m + b * n, g * m + d * n
+    return (b, d) if d else (a, g)
 
 
 def _locate(pairs: Sequence[Pair], x: Rat) -> Tuple[int, bool]:
@@ -219,21 +230,20 @@ class MaximalProfile:
     construction (adjacent pieces agree at junctions).
 
     A profile is its skeleton of ints and its tags.  ``end_pairs`` holds
-    each junction in increasing order as a pair (p, q) with q > 0;
-    ``value_pairs`` the limit at -oo, the value at each junction and the
-    limit at +oo, each a pair (num, den) with den > 0; and ``int_forms``
-    each piece's (alpha, beta, gamma, delta) as ints, a positive multiple
-    of the piece, so every sign of the piece is the sign of the form.
-    ``tags`` names the candidate that carries each piece; a build keeps,
-    to make them on first read, each piece's segment and the lattice
-    (D, X, L, P) it was built on.  ``dump`` prints from the skeleton's ints
-    and the tags.
+    each junction in increasing order as a pair (p, q) with q > 0, and
+    ``int_forms`` each piece's (alpha, beta, gamma, delta) as ints, a
+    positive multiple of the piece, so every sign of the piece is the sign
+    of the form.  Every value, the limits at -oo and +oo among them, is a
+    form at a bound (``_form_at``).  ``tags`` names the candidate that
+    carries each piece; a build keeps, to make them on first read, each
+    piece's segment and the lattice (D, X, L, P) it was built on.  ``dump``
+    prints from the skeleton's ints and the tags.
     """
 
-    __slots__ = ("end_pairs", "value_pairs", "int_forms", "_tag_source", "_tags")
+    __slots__ = ("end_pairs", "int_forms", "_tag_source", "_tags")
 
-    def __init__(self, end_pairs, value_pairs, int_forms, tag_source):
-        self.end_pairs, self.value_pairs, self.int_forms = end_pairs, value_pairs, int_forms
+    def __init__(self, end_pairs, int_forms, tag_source):
+        self.end_pairs, self.int_forms = end_pairs, int_forms
         self._tag_source = tag_source  # (segments, D, X, L, P)
         self._tags = None
 
@@ -547,15 +557,13 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     # piece), so the open cell, candidate top from segment first on, runs to
     # end until the next distinct candidate starts there and closes it.  A
     # candidate (a, b, g, d) is (a*q + b*p, g*q + d*p) at the lattice point
-    # (p, q), in units of 1/E, and (b, d), or (a, g) for the constant, at an
-    # infinite end.  Adjacent cells must agree at their shared point, and
-    # the cell holding each breakpoint must match the maximal function read
-    # off the hull chains.  The skeleton: each right end (the last is +oo),
-    # the value there and the limit at -oo, as int pairs with den > 0, and
-    # each int form, a positive multiple of the cell's piece: an anchored
-    # (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
+    # (p, q), in units of 1/E.  Adjacent cells must agree at their shared
+    # point, and the cell holding each breakpoint must match the maximal
+    # function read off the hull chains.  The skeleton: each finite right
+    # end as an int pair with den > 0, and each int form, a positive
+    # multiple of the cell's piece: an anchored (a, b*D, g*E, D*E), a
+    # constant (a, 0, E, 0).
     end_pairs: List[Pair] = []
-    value_pairs: List[Pair] = []
     forms: List[Candidate] = []
     segments: List[int] = []
     top = end = None
@@ -596,10 +604,7 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
             if cand == top:
                 end = hi
                 continue
-            if top is None:  # the first cell: the limit at -oo
-                a, b, g, d = cand
-                num, den = (b, d) if d else (a, g)
-            else:  # the open cell closes at end, where cand starts
+            if top is not None:  # the open cell closes at end, where cand starts
                 a, b, g, d = top
                 p, q = end
                 num, den = a * q + b * p, g * q + d * p
@@ -615,23 +620,19 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
                     checked += 1
                 forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
                 segments.append(first)
-            value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
             top, end, first = cand, hi, k
 
-    # The last cell runs to +oo: its limit there, and the breakpoints past
-    # the last junction.
+    # The last cell runs to +oo: the breakpoints past the last junction.
     a, b, g, d = top
-    num, den = (b, d) if d else (a, g)
     while checked < n:
         x = xs[checked]
         at, over = checks[checked]
         if (a + b * x) * over != at * (g + d * x):
             raise AssertionError("profile disagrees with the pointwise engine")
         checked += 1
-    value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
     forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
     segments.append(first)
-    return MaximalProfile(tuple(end_pairs), tuple(value_pairs), tuple(forms), (segments, scale, xs, ls, ps))
+    return MaximalProfile(tuple(end_pairs), tuple(forms), (segments, scale, xs, ls, ps))
 
 
 # --- the perturbation family f + s*g -----------------------------------------
@@ -721,11 +722,6 @@ class PerturbationFamily:
 # --- detachment set --------------------------------------------------------
 
 
-def _touches(form: Sequence[int], level: int, unit: int) -> bool:
-    """Whether the piece of an int form is the constant level/unit."""
-    return form[1] == form[3] == 0 and form[0] * unit == level * form[2]
-
-
 def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[RegionSet, RegionSet]:
     """Split the line into the open set where the profile strictly exceeds
     the adjusted modulus and its closed complement (touch set).
@@ -733,29 +729,36 @@ def detachment_regions(f: StepFunction, profile: MaximalProfile) -> Tuple[Region
     One merge of the profile's end pairs with f's lattice points (X, D),
     each list closed with the +oo pair: an interval between two bounds
     touches when its int form is the constant level L/E of |f| there, and a
-    bound touches when the profile's value pair there is the larger of the
-    levels beside it.  The walk decides on ints.  Each bound it reports is
-    one of f's breakpoints or, off them, the Fraction of a junction's pair.
+    bound touches when the form of the piece left of it, read there, is the
+    larger of the levels beside it.  The walk decides on ints.  Each bound
+    it reports is one of f's breakpoints or, off them, the Fraction of a
+    junction's pair.
     """
     scale, unit, xs, ls = f.lattice[:4]
-    values, forms = profile.value_pairs, profile.int_forms
+    forms = profile.int_forms
     ends = (*profile.end_pairs, _POS_END)
     points = [*[(x, scale) for x in xs], _POS_END]
     i = k = 0
-    detached = not _touches(forms[0], ls[0], unit)  # the interval left of the next bound
+    junctions, breakpoints = len(profile.end_pairs), len(xs)
+    # An interval touches where its form (a, b, g, e) is the constant level
+    # L/E of |f| there: b = e = 0 and a*E = L*g.
+    a, b, g, e = forms[0]
+    detached = not (b == e == 0 and a * unit == ls[0] * g)  # the interval left of the next bound
     # A run of detached intervals goes on through detached bounds and closes
     # at each bound where the profile touches the adjusted modulus.
     runs: List[Tuple[End, End]] = []
     start: End = NEG_INF
-    while i < len(profile.end_pairs) or k < len(xs):
+    while i < junctions or k < breakpoints:
         # The next bound: the nearer of the next junction and the next lattice
         # point, and whether each pointer steps past it (both, where they meet).
         (p, q), (x, d) = ends[i], points[k]
         order = p * d - x * q
         at_end, at_point = order <= 0, order >= 0
-        num, den = values[i + 1] if at_end else _form_at(forms[i], points[k])
-        level = max(ls[k], ls[k + 1]) if at_point else ls[k]
-        detached_after = not _touches(forms[i + at_end], ls[k + at_point], unit)
+        a, b, g, e = forms[i]
+        num, den = (a * d + b * x, g * d + e * x) if at_point else (a * q + b * p, g * q + e * p)
+        level = ls[k + 1] if at_point and ls[k + 1] > ls[k] else ls[k]
+        a, b, g, e = forms[i + at_end]
+        detached_after = not (b == e == 0 and a * unit == ls[k + at_point] * g)
         if num * unit == level * den:
             t = f.breakpoints[k] if at_point else Fraction(p, q)
             if detached:
@@ -853,45 +856,65 @@ def _gap(value1: Pair, value2: Pair) -> Pair:
     return (num, den) if den > 0 else (-num, -den)
 
 
+def _gap_at(form1: Sequence[int], form2: Sequence[int], x: Pair) -> Pair:
+    """form1 - form2 at the bound x, as an int pair, den > 0: the ``_gap`` of
+    their ``_form_at`` values, read in one call where x is finite."""
+    n, m = x
+    if not m:
+        return _gap(_form_at(form1, x), _form_at(form2, x))
+    a1, b1, g1, d1 = form1
+    a2, b2, g2, d2 = form2
+    den1, den2 = g1 * m + d1 * n, g2 * m + d2 * n
+    num, den = (a1 * m + b1 * n) * den2 - (a2 * m + b2 * n) * den1, den1 * den2
+    return (num, den) if den > 0 else (-num, -den)
+
+
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
     """Total variation of the profile over the open interval (a, b).
 
     Each piece is monotone, its direction the sign of its int form's det
-    b*g - a*d (0 for a constant), so the variation is a sum over the end
-    values at the turning points, where the direction changes
-    (``_sum_at_turns``): the answer is exact, an enclosure of width zero.
-    Over the whole line the walk reads only the value pairs; a finite a or
-    b is placed among the end pairs by ``_locate``, and where it cuts a
-    piece, that piece is evaluated there through its int form.
+    b*g - a*d (0 for a constant), so the variation is a sum over the values
+    at the turning points, where the direction changes (``_sum_at_turns``):
+    the answer is exact, an enclosure of width zero.  A finite a or b is
+    placed among the end pairs by ``_locate``; the walk's bounds are a, the
+    junctions between and b.  The turns into and out of a run of flat pieces
+    share one value, read once as the run's first piece's limit (a flat
+    piece has one value at every bound), and make one term of the sum; a
+    turn between two monotone pieces reads the later one's form at its left
+    bound, and the last turn the last piece's form at b.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
 
-    walk, forms = profile.value_pairs, profile.int_forms
-    if not (isinstance(a, float) and isinstance(b, float)):
-        pairs = profile.end_pairs
-        # Pieces first..last meet (a, b); piece i spans junctions i - 1 and
-        # i, and value_pairs[i + 1] is the value at junction i, -oo standing
-        # as junction -1 and +oo as junction len(pairs).
-        first, at_a = (-1, True) if isinstance(a, float) else _locate(pairs, a)
-        last, at_b = (len(pairs), True) if isinstance(b, float) else _locate(pairs, b)
-        first += at_a
-        walk, forms = list(walk[first : last + 2]), forms[first : last + 1]
-        if not at_a:
-            walk[0] = _form_at(forms[0], (a.numerator, a.denominator))
-        if not at_b:
-            walk[-1] = _form_at(forms[-1], (b.numerator, b.denominator))
+    # Pieces first..last meet (a, b); piece i spans junctions i - 1 and i.
+    pairs, forms = profile.end_pairs, profile.int_forms
+    first, last, lo, hi = 0, len(pairs), _NEG_END, _POS_END
+    if not isinstance(a, float):
+        first, at_a = _locate(pairs, a)
+        first, lo = first + at_a, (a.numerator, a.denominator)
+    if not isinstance(b, float):
+        last, hi = _locate(pairs, b)[0], (b.numerator, b.denominator)
     turns = []
-    before = 0  # the direction of the last piece
-    for (fa, fb, fg, fd), value in zip(forms, walk):
+    before = 0  # the direction of the last monotone piece
+    value = None  # the value of the flat pieces after it, the same at every bound
+    for form, left in zip(forms[first : last + 1], (lo, *pairs[first:last])):
+        fa, fb, fg, fd = form
         det = fb * fg - fa * fd
-        direction = (det > 0) - (det < 0)
-        if direction != before:
+        if not det:
+            if value is None:
+                value = _form_at(form, _POS_END)
+            continue
+        direction = 1 if det > 0 else -1
+        if direction != before:  # a turn: at the flat pieces, else at the piece's left bound
+            if value is None:
+                n, m = left
+                value = (fa * m + fb * n, fg * m + fd * n) if m else _form_at(form, left)
             turns.append((before - direction, value))
             before = direction
+        value = None
     if before:
-        turns.append((before, walk[-1]))
+        turns.append((before, _form_at(forms[last], hi) if value is None else value))
     total = _sum_at_turns(turns)
     return _enclosure(total, total)
 
@@ -936,10 +959,10 @@ def variation_of_difference(
     cells' variation is the sum of d at their turning points
     (``_sum_at_turns``), a cell with a critical point counting as direction
     0: d is an int pair there, read only at a turn, and so is the sum.  The
-    walk reads the profiles' skeletons of ints: their end pairs, their
-    value pairs at -oo and +oo and each piece's int form, its coefficients
-    times some k > 0.  So q from the int forms is k1**2 * k2**2 times the
-    pieces' q, with the same sign everywhere.
+    walk reads the profiles' skeletons of ints: their end pairs and each
+    piece's int form, its coefficients times some k > 0, whose value at -oo
+    and +oo is its limit there.  So q from the int forms is k1**2 * k2**2
+    times the pieces' q, with the same sign everywhere.
 
     Only a cell with a critical point isolates the roots of q and keeps the
     one inside as a peak.  It first divides q by gcd(q, (k1*k2)**2), with k
@@ -971,13 +994,9 @@ def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple
     # Each list of end pairs closes with the +oo pair, which no finite end
     # passes and where both pointers step.
     ends1, ends2 = (*p1.end_pairs, _POS_END), (*p2.end_pairs, _POS_END)
-    values1, values2 = p1.value_pairs, p2.value_pairs
     forms1, forms2 = p1.int_forms, p2.int_forms
     i = j = 0
     sn, sd = _NEG_END
-    # Whether s is the left end of each current piece, where its value pair
-    # holds its value: at -oo, and after each step of its pointer.
-    left1 = left2 = True
     # The exact cells' turning points (c, d(s)), and the peaks:
     # (root, level, form1, form2, d(s), d(t), sign of d' left of the root).
     turns: List[Tuple[int, Pair]] = []
@@ -1025,14 +1044,7 @@ def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple
                 q = (qa // common, qb // common, qc // common)
                 roots = isolate_quadratic_roots(q)
                 root = roots[0] if rise == sign(q[0]) else roots[-1]
-                d_s = _gap(
-                    values1[i] if left1 else _form_at(form1, (sn, sd)),
-                    values2[j] if left2 else _form_at(form2, (sn, sd)),
-                )
-                d_t = _gap(
-                    values1[i + 1] if step1 else _form_at(form1, (tn, td)),
-                    values2[j + 1] if step2 else _form_at(form2, (tn, td)),
-                )
+                d_s, d_t = _gap_at(form1, form2, (sn, sd)), _gap_at(form1, form2, (tn, td))
                 peaks.append([root, 0, form1, form2, d_s, d_t, rise])
                 direction = 0
             elif (
@@ -1051,21 +1063,15 @@ def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple
             else:
                 direction = rise or at_t
         if direction != before:
-            turns.append((
-                before - direction,
-                _gap(
-                    values1[i] if left1 else _form_at(form1, (sn, sd)),
-                    values2[j] if left2 else _form_at(form2, (sn, sd)),
-                ),
-            ))
+            turns.append((before - direction, _gap_at(form1, form2, (sn, sd))))
             before = direction
         if not td:
             break
-        sn, sd, left1, left2 = tn, td, step1, step2
+        sn, sd = tn, td
         i += step1
         j += step2
     if before:
-        turns.append((before, _gap(values1[-1], values2[-1])))
+        turns.append((before, _gap_at(form1, form2, _POS_END)))
 
     exact = _sum_at_turns(turns)
     if not peaks:
@@ -1114,10 +1120,11 @@ def bv_distance(
     """BV distance between two maximal functions, given by their profiles:
     the gap of their limits at infinity plus the variation of their
     difference.  Only a peak of the difference can be irrational, so the
-    precision bounds the enclosure's width.  The gap is added to the
+    precision bounds the enclosure's width.  The gap, an int pair with
+    den > 0 whatever the signs of the forms' dens, is added to the
     variation's int-pair ends, and each end of the sum is one Fraction."""
-    (num1, den1), (num2, den2) = p1.value_pairs[0], p2.value_pairs[0]
-    gap, below = abs(num1 * den2 - num2 * den1), den1 * den2
+    num, below = _gap_at(p1.int_forms[0], p2.int_forms[0], _NEG_END)
+    gap = abs(num)
     lo, hi = _difference_ends(p1, p2, precision)
     low = (gap * lo[1] + lo[0] * below, below * lo[1])
     return _enclosure(low, low if hi is lo else (gap * hi[1] + hi[0] * below, below * hi[1]))

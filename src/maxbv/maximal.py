@@ -46,7 +46,6 @@ from .exact import Rat, format_rat, rat
 from .stepfn import AbsIntegral, StepFunction
 
 _LIMIT_KINDS = ("tail_left", "tail_right", "shrink_left", "shrink_right")
-_LIMIT_ORDER = {kind: k for k, kind in enumerate(_LIMIT_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -67,21 +66,8 @@ class WitnessInterval:
         if self.kind == "finite":
             if self.a is None or self.b is None or not self.a < self.b:
                 raise ValueError("finite witness needs endpoints a < b")
-        elif self.kind not in _LIMIT_ORDER:
+        elif self.kind not in _LIMIT_KINDS:
             raise ValueError(f"unknown witness kind {self.kind!r}")
-
-    @property
-    def length(self) -> Optional[Rat]:
-        if self.kind == "finite":
-            return self.b - self.a
-        return None
-
-    def sort_key(self):
-        """Deterministic preference: finite first, then shorter, then leftmost;
-        limit kinds in the documented fixed order."""
-        if self.kind == "finite":
-            return (0, self.length, self.a)
-        return (1, _LIMIT_ORDER[self.kind], 0)
 
     def __str__(self):
         if self.kind == "finite":

@@ -376,9 +376,9 @@ def continuity_experiment(
     one pass.  E is a positive multiple of the lcm that ``build_profile``
     would take on ``stepfn.combine(f, perturbation, 1, s)``, and every
     reported value is a reduced Fraction, so the report is the same byte for
-    byte.  The distances and variations read only the profiles' int
-    skeletons, peaks included, and make no Fraction of a skeleton's ends or
-    end values and no tag; a distance makes one Fraction per enclosure end.
+    byte.  The distances and variations read only the profiles' junction
+    pairs and int forms, peaks included, and make no Fraction of a junction
+    or of a value and no tag; a distance makes one Fraction per enclosure end.
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s.numerator <= 0 for s in scales):

@@ -218,8 +218,13 @@ def ends(profile):
 
 def end_values(profile):
     """The limit at -oo, the value at each junction and the limit at +oo,
-    the Fractions of the profile's value pairs."""
-    return tuple(Fraction(p, q) for p, q in profile.value_pairs)
+    read off the int forms: the first form's limit, beta/delta (alpha/gamma
+    for a constant), the form of the piece right of each junction there, and
+    the last form's limit."""
+    forms = profile.int_forms
+    limits = [Fraction(b, d) if d else Fraction(a, g) for a, b, g, d in (forms[0], forms[-1])]
+    at_junctions = [Fraction(a * q + b * p, g * q + d * p) for (p, q), (a, b, g, d) in zip(profile.end_pairs, forms[1:])]
+    return (limits[0], *at_junctions, limits[1])
 
 
 @lru_cache(maxsize=128)  # a reference reads one profile's pieces many times
@@ -365,12 +370,10 @@ def both_roots_within(q, s, t, at_s, at_t):
 
 def profile_from_pieces(given):
     """A profile of hand-built pieces, its skeleton derived from them: the
-    junctions and the end values as int pairs, each piece's int form and
-    its tag."""
+    junctions as int pairs, each piece's int form and its tag."""
     given = tuple(given)
     profile = HandBuiltProfile(
         tuple([pair(piece.hi) for piece in given[:-1]]),
-        tuple([pair(v) for v in (given[0].lo_value, *[piece.hi_value for piece in given])]),
         tuple([int_form(piece.coefficients) for piece in given]),
         None,
     )

@@ -62,15 +62,10 @@ def two_pass_build(scale, unit, xs, ls, ps):
                 cells.append(cell)
 
     checks = envelope._breakpoint_values(xs, ps, ls, lower, upper)
-    a, b, g, d = cells[0][2]
-    num, den = (b, d) if d else (a, g)
-    value_pairs = [(num, den * unit) if den > 0 else (-num, -den * unit)]
     end_pairs, forms, segments = [], [], []
     i = 0
     for c, (_, hi, (a, b, g, d), k) in enumerate(cells):
-        if hi is None:  # the last cell
-            num, den = (b, d) if d else (a, g)
-        else:
+        if hi is not None:  # not the last cell
             p, q = hi
             num, den = a * q + b * p, g * q + d * p
             end_pairs.append((p, q * scale))
@@ -83,14 +78,13 @@ def two_pass_build(scale, unit, xs, ls, ps):
             if (a + b * x) * over != at * (g + d * x):
                 raise AssertionError("profile disagrees with the pointwise engine")
             i += 1
-        value_pairs.append((num, den * unit) if den > 0 else (-num, -den * unit))
         forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
         segments.append(k)
-    return MaximalProfile(tuple(end_pairs), tuple(value_pairs), tuple(forms), (segments, scale, xs, ls, ps))
+    return MaximalProfile(tuple(end_pairs), tuple(forms), (segments, scale, xs, ls, ps))
 
 
 def skeleton(profile):
-    return profile.end_pairs, profile.value_pairs, profile.int_forms, profile._tag_source
+    return profile.end_pairs, profile.int_forms, profile._tag_source
 
 
 def test_one_pass_build_matches_the_two_pass_assembly(monkeypatch):

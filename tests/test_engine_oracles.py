@@ -18,7 +18,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from maxbv.envelope import build_profile, bv_distance
-from maxbv.maximal import WitnessInterval, candidate_set, maximal_limit_at_infinity, maximal_value
+from maxbv.maximal import _LIMIT_KINDS, candidate_set, maximal_limit_at_infinity, maximal_value
 from maxbv.stepfn import StepFunction, combine
 from conftest import ends, step_functions
 
@@ -30,16 +30,24 @@ def probe_points(f, profile):
     return [marks[0] - 1, *marks, *mids, marks[-1] + 1]
 
 
+def preference(witness):
+    """Deterministic preference among tied witnesses: finite first, then
+    shorter, then leftmost; limit kinds in their fixed order."""
+    if witness.kind == "finite":
+        return (0, witness.b - witness.a, witness.a)
+    return (1, _LIMIT_KINDS.index(witness.kind), 0)
+
+
 def oracle_maximal(f, x):
     """(value, witness, one-sided witness) as an argmin over the full candidate set."""
     candidates = candidate_set(f, x)
     best = max(c.value for c in candidates)
     tied = [c for c in candidates if c.value == best]
-    witness = min(tied, key=WitnessInterval.sort_key)
+    witness = min(tied, key=preference)
     one_sided = None
     if best > max(abs(f.left_limit(x)), abs(f.right_limit(x))) and best > maximal_limit_at_infinity(f):
         sided = [c for c in tied if c.kind == "finite" and x in (c.a, c.b)]
-        one_sided = min(sided, key=WitnessInterval.sort_key)
+        one_sided = min(sided, key=preference)
     return best, witness, one_sided
 
 

@@ -3,6 +3,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -380,7 +381,6 @@ def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
     assert built.end_pairs
     a, b, g, d = built.int_forms[0]
     target = built.end_pairs[0] if part == "ends" else ((b, d) if d else (a, g))
-    assert part == "ends" or Fraction(*target) == Fraction(*built.value_pairs[0])
     lowest = exact._lowest
     monkeypatch.setattr(exact, "_lowest", lambda num, den: lowest(num + ((num, den) == target), den))
     assert len(built.tags) == len(built.int_forms)
@@ -884,6 +884,19 @@ def test_bv_distance_examples():
     enc = bv_distance(profile_f, build_profile(g), PRECISION)
     assert enc.lo <= Fraction(1, 50) <= enc.hi
     assert enc.hi <= Fraction(1, 25)  # well under 2*bv_norm(f-g) + limit gap
+
+    # A hand-built profile and the same function with every coefficient of
+    # its constant end pieces negated (gamma = -1), whose end forms have
+    # negative dens: the limit gap and the distance keep their sign.
+    hand = skewed_profile()
+    view = pieces(hand)
+    negated = profile_from_pieces((
+        replace(view[0], alpha=-view[0].alpha, gamma=-1), *view[1:-1], replace(view[-1], alpha=-view[-1].alpha, gamma=-1),
+    ))
+    assert negated.int_forms[0][2] < 0 and negated.int_forms[-1][2] < 0
+    for other in (profile_f, hand):
+        assert bv_distance(negated, other, PRECISION) == bv_distance(hand, other, PRECISION) == bv_distance(other, negated, PRECISION)
+    assert bv_distance(negated, profile_f, PRECISION).lo > 0
 
 
 def test_bv_distance_on_random_pairs_is_symmetric_and_nonnegative():

@@ -98,14 +98,14 @@ def skeleton_profiles():
 
 
 def test_skeleton_fractions_are_those_of_the_int_pairs():
-    # The build keeps the skeleton as int pairs with positive dens; the
-    # point value at each junction's rational is its value pair, and the
-    # whole-line variation, summed on the pairs, is the Fraction telescoping
+    # The build keeps the junctions as int pairs with positive dens; the
+    # point value at each junction's rational, off the piece left of it, is
+    # the value of the piece right of it there, and the whole-line
+    # variation, summed at its turning points, is the Fraction telescoping
     # sum of the end values.
     count = 0
     for profile in skeleton_profiles():
-        for pairs in (profile.end_pairs, profile.value_pairs):
-            assert all(type(p) is type(q) is int and q > 0 for p, q in pairs)
+        assert all(type(p) is type(q) is int and q > 0 for p, q in profile.end_pairs)
         variation = variation_of_profile(profile)
         values = end_values(profile)
         assert tuple(profile.value(x) for x in ends(profile)) == values[1:-1]
