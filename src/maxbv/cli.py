@@ -100,7 +100,8 @@ def _load(path: str) -> StepFunction:
 def _emit(text: str, out: Optional[str]):
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "wb") as handle:
+                handle.write(text.encode("utf-8"))
         except OSError as exc:
             raise InputError(f"{out}: {exc.strerror or exc}") from None
     else:
@@ -191,7 +192,7 @@ def _read_config(path: str, keys) -> dict:
     """key -> (line number, value text) from a line-oriented key=value file
     whose keys are among keys; an error names the first bad line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = sf.read_text(path)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:

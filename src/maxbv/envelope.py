@@ -122,7 +122,11 @@ bisection by cross-multiplication, and read the int form of the piece
 there, as windowed variations place their ends; the detachment walk merges
 the end pairs with f's lattice points.  A build makes no Fraction, and a
 reader makes one only to return it: a value, a derivative, a variation, or
-a junction the detachment walk reports, the Fraction of its pair.  A dump
+a junction the detachment walk reports, the Fraction of its pair.  A
+whole-line variation and a BV distance each have an int-pair core,
+``variation_pair`` and ``bv_distance_ends``, which makes none; the
+enclosures ``variation_of_profile`` and ``bv_distance`` are thin wrappers
+over them.  A dump
 prints from ints too: the ends from the end pairs, each coefficient as its
 form's over delta (gamma for a constant), each through
 ``exact.format_pair``.  ``pieces`` is ``int_forms`` under another name.
@@ -171,9 +175,8 @@ number of cells.  Only the
 critical points (peaks) get brackets, at int levels that grow round by
 round until the sum is a certified rational enclosure of any requested
 precision.  Each round adds its peak terms as int pairs and compares its
-width with the precision on ints, so the enclosure's two ends are its only
-Fractions; a BV distance adds the gap of the limits at -oo to those ends
-while they are still int pairs.  A peak cell reduces the int quadratic of
+width with the precision on ints, so the enclosure's two ends come out as
+int pairs; a BV distance adds the gap of the limits at -oo to those pairs.  A peak cell reduces the int quadratic of
 its two forms to that of the two pieces, in lowest ints: a surd's bracket
 is sized by that scaling.  A rational critical point's bracket is the point
 itself, so its peak is exact.
@@ -324,6 +327,13 @@ class VariationEnclosure:
     def __str__(self):
         lo = format_rat(self.lo)
         return f"{lo}..{lo if self.lo is self.hi else format_rat(self.hi)}"
+
+    @classmethod
+    def from_pairs(cls, lo: Pair, hi: Pair) -> "VariationEnclosure":
+        """The enclosure between two int pairs, den != 0, with one Fraction
+        for both ends when they are one pair."""
+        low = Fraction(*lo)
+        return cls(low, low if hi is lo else Fraction(*hi))
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -842,13 +852,6 @@ def _sum_at_turns(turns: Iterable[Tuple[int, Pair]]) -> Pair:
     return num, den
 
 
-def _enclosure(lo: Pair, hi: Pair) -> VariationEnclosure:
-    """The enclosure between two int pairs, den != 0, with one Fraction for
-    both ends when they are one pair."""
-    low = Fraction(*lo)
-    return VariationEnclosure(low, low if hi is lo else Fraction(*hi))
-
-
 def _gap(value1: Pair, value2: Pair) -> Pair:
     """value1 - value2 of two int pairs, den != 0, as an int pair, den > 0."""
     (num1, den1), (num2, den2) = value1, value2
@@ -870,18 +873,27 @@ def _gap_at(form1: Sequence[int], form2: Sequence[int], x: Pair) -> Pair:
 
 
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
-    """Total variation of the profile over the open interval (a, b).
+    """Total variation of the profile over the open interval (a, b): the
+    ``variation_pair`` as an enclosure of width zero, one Fraction for both
+    ends."""
+    total = variation_pair(profile, a, b)
+    return VariationEnclosure.from_pairs(total, total)
+
+
+def variation_pair(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Pair:
+    """Total variation of the profile over the open interval (a, b), as an
+    int pair (num, den), den != 0 of either sign, not reduced.
 
     Each piece is monotone, its direction the sign of its int form's det
     b*g - a*d (0 for a constant), so the variation is a sum over the values
     at the turning points, where the direction changes (``_sum_at_turns``):
-    the answer is exact, an enclosure of width zero.  A finite a or b is
-    placed among the end pairs by ``_locate``; the walk's bounds are a, the
-    junctions between and b.  The turns into and out of a run of flat pieces
-    share one value, read once as the run's first piece's limit (a flat
-    piece has one value at every bound), and make one term of the sum; a
-    turn between two monotone pieces reads the later one's form at its left
-    bound, and the last turn the last piece's form at b.
+    the answer is exact.  A finite a or b is placed among the end pairs by
+    ``_locate``; the walk's bounds are a, the junctions between and b.  The
+    turns into and out of a run of flat pieces share one value, read once as
+    the run's first piece's limit (a flat piece has one value at every
+    bound), and make one term of the sum; a turn between two monotone pieces
+    reads the later one's form at its left bound, and the last turn the
+    last piece's form at b.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
@@ -915,8 +927,7 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
         value = None
     if before:
         turns.append((before, _form_at(forms[last], hi) if value is None else value))
-    total = _sum_at_turns(turns)
-    return _enclosure(total, total)
+    return _sum_at_turns(turns)
 
 
 def variation_of_difference(
@@ -981,7 +992,7 @@ def variation_of_difference(
     Fractions.  A rational root's bracket is the point itself, so its peak
     term is exact from the first round on.
     """
-    return _enclosure(*_difference_ends(p1, p2, precision))
+    return VariationEnclosure.from_pairs(*_difference_ends(p1, p2, precision))
 
 
 def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple[Pair, Pair]:
@@ -1118,13 +1129,21 @@ def bv_distance(
     p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
     """BV distance between two maximal functions, given by their profiles:
-    the gap of their limits at infinity plus the variation of their
-    difference.  Only a peak of the difference can be irrational, so the
-    precision bounds the enclosure's width.  The gap, an int pair with
+    the ``bv_distance_ends`` as an enclosure, one Fraction per end (one for
+    both when the distance is exact)."""
+    return VariationEnclosure.from_pairs(*bv_distance_ends(p1, p2, precision))
+
+
+def bv_distance_ends(p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)) -> Tuple[Pair, Pair]:
+    """The ends of the BV distance's enclosure, as int pairs with den > 0,
+    not reduced, the one pair twice when the distance is exact: the gap of
+    the two maximal functions' limits at infinity plus the variation of
+    their difference.  Only a peak of the difference can be irrational, so
+    the precision bounds the enclosure's width.  The gap, an int pair with
     den > 0 whatever the signs of the forms' dens, is added to the
-    variation's int-pair ends, and each end of the sum is one Fraction."""
+    variation's int-pair ends."""
     num, below = _gap_at(p1.int_forms[0], p2.int_forms[0], _NEG_END)
     gap = abs(num)
     lo, hi = _difference_ends(p1, p2, precision)
     low = (gap * lo[1] + lo[0] * below, below * lo[1])
-    return _enclosure(low, low if hi is lo else (gap * hi[1] + hi[0] * below, below * hi[1]))
+    return low, low if hi is lo else (gap * hi[1] + hi[0] * below, below * hi[1])

@@ -401,6 +401,16 @@ def parse(text: str) -> StepFunction:
     return StepFunction(tail, tuple(bps), tuple(vals), tuple(cons))
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, in one bytes read and one decode,
+    with its newlines read as text mode reads them: CR LF and a lone CR
+    become LF.  A file that is not UTF-8 raises UnicodeDecodeError."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load(path) -> StepFunction:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    return parse(read_text(path))

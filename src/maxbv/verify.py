@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import envelope as env
 from . import maximal as mx
 from . import stepfn as sf
-from .exact import Rat, format_rat, rat, sign
+from .exact import Rat, format_pair, format_rat, rat, sign
 from .stepfn import AbsIntegral, StepFunction
 
 
@@ -277,44 +277,90 @@ class ExperimentRow:
     variation: env.VariationEnclosure
 
 
+def _at_most(x: env.Pair, y: env.Pair) -> bool:
+    """x <= y for two int pairs with den > 0, by cross-multiplication."""
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def _span_text(lo: env.Pair, hi: env.Pair) -> str:
+    """'lo..hi' for the enclosure between two int pairs, as
+    ``VariationEnclosure.__str__`` prints it, each end through
+    ``format_pair``; the one pair twice prints its text twice."""
+    low = format_pair(*lo)
+    return f"{low}..{low if hi is lo else format_pair(*hi)}"
+
+
 @dataclass(frozen=True)
 class ContinuityReport:
     """Per-scale record of BV distances and maximal variations, with verdicts.
 
     The pass thresholds are calibration knobs, not theorems: the continuity
     being exercised is qualitative, so the harness pins down configured
-    scales and tolerances to emit a binary verdict.  Each verdict is
-    computed on its first read and kept: the report prints all three and
-    its caller reads ``passed`` again.
+    scales and tolerances to emit a binary verdict.
+
+    The report holds int pairs (num, den), den != 0, not reduced: each
+    distance's two enclosure ends (one pair twice when it is exact), each
+    variation, the base variation and the perturbation's BV norm.  A
+    distance's dens are positive, a variation's may be negative.  The
+    verdicts compare them with the threshold and the variation gap by
+    cross-multiplication (``_at_most``), a pair with a negative den made
+    positive first, and ``to_tsv`` prints them through ``format_pair``, with
+    the text ``VariationEnclosure.__str__`` gives: neither makes a Fraction.
+    ``rows`` and ``base_variation`` are readers made on first read, with the
+    values ``bv_distance`` and ``variation_of_profile`` return.  Each
+    verdict is computed on its first read and kept: the report prints all
+    three and its caller reads ``passed`` again.
     """
 
-    rows: Tuple[ExperimentRow, ...]
-    base_variation: env.VariationEnclosure
+    scales: Tuple[Rat, ...]
+    distances: Tuple[Tuple[env.Pair, env.Pair], ...]
+    variations: Tuple[env.Pair, ...]
+    base: env.Pair
+    perturbation_norm: env.Pair
     threshold: Rat
     variation_gap: Rat
     tail_count: int
 
+    def _delta_norm(self, scale: Rat) -> env.Pair:
+        """The BV norm of f_j - f at this scale, scale times the
+        perturbation's, as the int pair (p*n, q*d)."""
+        num, den = self.perturbation_norm
+        return scale.numerator * num, scale.denominator * den
+
+    @cached_property
+    def rows(self) -> Tuple[ExperimentRow, ...]:
+        enclosure = env.VariationEnclosure.from_pairs
+        return tuple([
+            ExperimentRow(index, scale, Fraction(*self._delta_norm(scale)), enclosure(*ends), enclosure(v, v))
+            for index, (scale, ends, v) in enumerate(zip(self.scales, self.distances, self.variations), start=1)
+        ])
+
+    @cached_property
+    def base_variation(self) -> env.VariationEnclosure:
+        return env.VariationEnclosure.from_pairs(self.base, self.base)
+
     @cached_property
     def final_distance_ok(self) -> bool:
-        return self.rows[-1].distance.hi <= self.threshold
+        threshold = self.threshold
+        return _at_most(self.distances[-1][1], (threshold.numerator, threshold.denominator))
 
     @cached_property
     def distance_eventually_nonincreasing(self) -> bool:
-        tail = self.rows[-self.tail_count:]
-        return all(
-            second.distance.lo <= first.distance.hi
-            for first, second in zip(tail, tail[1:])
-        )
+        tail = self.distances[-self.tail_count:]
+        return all(_at_most(second[0], first[1]) for first, second in zip(tail, tail[1:]))
 
     @cached_property
     def variation_converged(self) -> bool:
         # Variations of profiles are exact (width-zero enclosures), so the gap
         # between two of them and the distance of their midpoints are the same
-        # number, |v_j - v_base|; it must fit inside the configured gap.
-        tail = self.rows[-self.tail_count:]
+        # number, |v_j - v_base|; it must fit inside the configured gap.  A
+        # variation's den may be negative, so the difference's pair is made
+        # positive in both parts before it is compared.
+        gap = (self.variation_gap.numerator, self.variation_gap.denominator)
+        base_num, base_den = self.base
         return all(
-            abs(row.variation.lo - self.base_variation.lo) <= self.variation_gap
-            for row in tail
+            _at_most((abs(num * base_den - base_num * den), abs(den * base_den)), gap)
+            for num, den in self.variations[-self.tail_count:]
         )
 
     @cached_property
@@ -327,17 +373,17 @@ class ContinuityReport:
 
     def to_tsv(self) -> str:
         lines = ["j\tscale\tbv_norm_delta\tbv_distance\tvar_maximal_j\tvar_maximal_base"]
-        base_variation = str(self.base_variation)
-        for row in self.rows:
+        base = _span_text(self.base, self.base)
+        for index, (scale, ends, variation) in enumerate(zip(self.scales, self.distances, self.variations), start=1):
             lines.append(
                 "\t".join(
                     (
-                        str(row.index),
-                        format_rat(row.scale),
-                        format_rat(row.delta_norm),
-                        str(row.distance),
-                        str(row.variation),
-                        base_variation,
+                        str(index),
+                        format_rat(scale),
+                        format_pair(*self._delta_norm(scale)),
+                        _span_text(*ends),
+                        _span_text(variation, variation),
+                        base,
                     )
                 )
             )
@@ -375,10 +421,15 @@ def continuity_experiment(
     equal levels; the build then checks and emits each piece in its walks'
     one pass.  E is a positive multiple of the lcm that ``build_profile``
     would take on ``stepfn.combine(f, perturbation, 1, s)``, and every
-    reported value is a reduced Fraction, so the report is the same byte for
-    byte.  The distances and variations read only the profiles' junction
-    pairs and int forms, peaks included, and make no Fraction of a junction
-    or of a value and no tag; a distance makes one Fraction per enclosure end.
+    reported value is printed in lowest terms, so the report is the same
+    byte for byte.  The distances and variations read only the profiles'
+    junction pairs and int forms, peaks included, through their int-pair
+    cores ``envelope.bv_distance_ends`` and ``envelope.variation_pair``:
+    they make no Fraction of a junction, of a value or of an enclosure end,
+    and no tag.  The perturbation's BV norm n/d is read once, and each
+    row's delta norm is the pair (p*n, q*d): f_j - f = s * perturbation
+    pointwise and s > 0.  The report keeps those pairs (see
+    ``ContinuityReport``).
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s.numerator <= 0 for s in scales):
@@ -393,19 +444,16 @@ def continuity_experiment(
         raise ValueError("tail_count must be at least 1")
 
     profile_f = env.build_profile(f)
-    base_variation = env.variation_of_profile(profile_f)
-    # f_j - f = scale * perturbation pointwise and scale > 0, so its BV norm
-    # is scale times the perturbation's.
-    perturbation_norm = sf.bv_norm(perturbation)
+    norm = sf.bv_norm(perturbation)
     family = env.PerturbationFamily(f, perturbation)
-    rows = []
-    for index, scale in enumerate(scales, start=1):
+    distances, variations = [], []
+    for scale in scales:
         profile_j = family.profile(scale)
-        distance = env.bv_distance(profile_j, profile_f, precision)
-        variation = env.variation_of_profile(profile_j)
-        rows.append(ExperimentRow(index, scale, scale * perturbation_norm, distance, variation))
+        distances.append(env.bv_distance_ends(profile_j, profile_f, precision))
+        variations.append(env.variation_pair(profile_j))
     return ContinuityReport(
-        tuple(rows), base_variation, rat(threshold), rat(variation_gap), tail_count
+        tuple(scales), tuple(distances), tuple(variations), env.variation_pair(profile_f),
+        (norm.numerator, norm.denominator), rat(threshold), rat(variation_gap), tail_count,
     )
 
 

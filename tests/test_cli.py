@@ -565,3 +565,76 @@ def test_python_dash_m_maxbv_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "maxbv", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: maxbv")
+
+
+# --- files are read and written as bytes, with text mode's newlines ---------
+
+
+def _newlines(text: str, newline: str) -> bytes:
+    return text.replace("\n", newline).encode("utf-8")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_files_read_as_lf(tmp_path, capsys, newline):
+    # Text mode reads CR LF and a lone CR as LF; the bytes read does too, in
+    # step-function files and in configs alike.
+    f = StepFunction(Fraction(-1, 2), (0, 1, Fraction(5, 2)), (2, 0, 1), (1, -1, Fraction(1, 3)))
+    g = StepFunction.indicator(-1, 2, Fraction(1, 4))
+    outputs = {}
+    for name, ending in (("lf", "\n"), ("other", newline)):
+        paths = []
+        for stem, h in (("f", f), ("g", g)):
+            path = tmp_path / f"{stem}-{name}.txt"
+            path.write_bytes(_newlines(serialize(h), ending))
+            paths.append(path)
+        config = tmp_path / f"exp-{name}.cfg"
+        config.write_bytes(_newlines(
+            f"# fixed pair\nfile={paths[0]}\nperturbation={paths[1]}\n\nscales=1,1/2,1/4\ntail_count=2\n", ending
+        ))
+        texts = []
+        for argv in (
+            ["profile", "--file", str(paths[0])],
+            ["eval", "--file", str(paths[0]), "--x", "1/3"],
+            ["var", "--maximal", "--file", str(paths[0])],
+            ["e-set", "--file", str(paths[0])],
+            ["experiment", "--config", str(config)],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            texts.append((code, captured.out.replace(f"-{name}.", "."), captured.err))
+        outputs[name] = texts
+    assert outputs["other"] == outputs["lf"]
+    assert all(code in (0, 1) and out and not err for code, out, err in outputs["lf"])
+
+
+@pytest.mark.parametrize("command", ["eval", "experiment"])
+def test_a_file_that_is_not_utf8_names_itself(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("stepfn/1\ntail 0\n# déjà\n".encode("latin-1"))
+    argv = ["eval", "--file", str(path), "--x", "0"] if command == "eval" else ["experiment", "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: not UTF-8 text\n")
+
+
+def test_out_bytes_equal_stdout_bytes_for_every_golden_command(tmp_path, monkeypatch):
+    # Each command line of tests/golden/cli.txt runs twice, once to stdout and
+    # once with --out; the file holds the bytes stdout received, and the
+    # transcript still matches the golden file.
+    import test_golden
+
+    run = test_golden._run
+    out = tmp_path / "out.txt"
+    commands = []
+
+    def run_both(argv, labels):
+        block, text = run(argv, labels)
+        out.write_bytes(b"stale\n" * 4096)  # --out replaces what the file held
+        assert main([*argv, "--out", str(out)]) == int(block.rsplit("[exit ", 1)[1][:-2])
+        assert out.read_bytes() == text.encode("utf-8")
+        commands.append(argv[0])
+        return block, text
+
+    monkeypatch.setattr(test_golden, "_run", run_both)
+    assert test_golden._fresh(test_golden.transcript) == test_golden.GOLDEN.read_text(encoding="utf-8")
+    assert set(commands) == {"profile", "e-set", "var", "eval", "counterexample", "experiment"}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import maxbv.stepfn as sf
+import maxbv.verify as verify
 from maxbv.envelope import build_profile, bv_distance
 from maxbv.maximal import maximal_value
 from maxbv.stepfn import StepFunction
@@ -141,12 +142,21 @@ def test_continuity_experiment_scaled_indicator():
 def test_continuity_report_computes_each_verdict_once(monkeypatch):
     # The report prints its three verdicts and the verdict line, and the CLI
     # reads `passed` again for the exit code: each is computed on its first
-    # read only, so a second read compares no Fraction.
+    # read only, so a second read makes no comparison.  Every verdict
+    # compares its int pairs through the report's one comparison helper.
     report = continuity_experiment(CHI_01, CHI_01, [Fraction(1, 2**j) for j in range(15)], precision=PRECISION)
+    compare = verify._at_most
+    calls = []
+
+    def counted(*pairs):
+        calls.append(pairs)
+        return compare(*pairs)
+
+    monkeypatch.setattr(verify, "_at_most", counted)
     tsv = report.to_tsv()
     assert "# verdict\tFAIL" in tsv
-    monkeypatch.setattr(Fraction, "__le__", lambda *_: pytest.fail("a verdict was computed again"))
-    monkeypatch.setattr(Fraction, "__ge__", lambda *_: pytest.fail("a verdict was computed again"))
+    assert calls  # the first read compared
+    monkeypatch.setattr(verify, "_at_most", lambda *_: pytest.fail("a verdict was computed again"))
     assert not report.passed
     assert report.to_tsv() == tsv
 
