@@ -121,12 +121,10 @@ values and derivatives place x among the junctions with ``_locate``, one
 bisection by cross-multiplication, and read the int form of the piece
 there, as windowed variations place their ends; the detachment walk merges
 the end pairs with f's lattice points.  A build makes no Fraction, and a
-reader makes one only to return it: a value, a derivative, a variation, or
-a junction the detachment walk reports, the Fraction of its pair.  A
-whole-line variation and a BV distance each have an int-pair core,
-``variation_pair`` and ``bv_distance_ends``, which makes none; the
-enclosures ``variation_of_profile`` and ``bv_distance`` are thin wrappers
-over them.  A dump
+reader makes one only to return it: a value, a derivative, or a junction
+the detachment walk reports, the Fraction of its pair.  A variation or a
+BV distance is a ``VariationEnclosure``, which holds its ends as int pairs
+in lowest terms and makes a Fraction of one only when it is read.  A dump
 prints from ints too: the ends from the end pairs, each coefficient as its
 form's over delta (gamma for a constant), each through
 ``exact.format_pair``.  ``pieces`` is ``int_forms`` under another name.
@@ -176,8 +174,10 @@ critical points (peaks) get brackets, at int levels that grow round by
 round until the sum is a certified rational enclosure of any requested
 precision.  Each round adds its peak terms as int pairs and compares its
 width with the precision on ints, so the enclosure's two ends come out as
-int pairs; a BV distance adds the gap of the limits at -oo to those pairs.  A peak cell reduces the int quadratic of
-its two forms to that of the two pieces, in lowest ints: a surd's bracket
+int pairs.  A BV distance is the same walk started as if d came from 0
+before -oo, so its first turn adds the gap of the limits at -oo.  A peak
+cell reduces the int quadratic of its two forms to that of the two pieces,
+in lowest ints: a surd's bracket
 is sized by that scaling.  A rational critical point's bracket is the point
 itself, so its peak is exact.
 """
@@ -190,7 +190,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exact import Rat, format_pair, format_rat, isolate_quadratic_roots, rat, sign
+from .exact import Rat, _text, format_pair, isolate_quadratic_roots, lowest_pair, rat, sign
 from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint, _scaled
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
@@ -305,35 +305,50 @@ class RegionSet:
         return any(lo < x < hi for lo, hi in self.intervals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class VariationEnclosure:
-    """Certified rational interval around a variation value."""
+    """Certified rational interval around a variation value.
 
-    lo: Rat
-    hi: Rat
+    Its two ends are int pairs (num, den), each put in lowest terms with
+    den > 0 by ``exact.lowest_pair`` when the enclosure is made; an exact
+    value is the one pair twice.  ``lo``, ``hi``, ``width`` and ``midpoint``
+    are Fractions made when read, and ``str`` prints the pairs.  An
+    experiment makes one per distance and variation, so the class has slots
+    and its own ``__init__``, which sets each field once.
+    """
 
-    def __post_init__(self):
-        if self.lo is not self.hi and self.lo > self.hi:
+    lo_pair: Pair
+    hi_pair: Pair
+
+    def __init__(self, lo_pair: Pair, hi_pair: Pair):
+        lo = lowest_pair(*lo_pair)
+        hi = lo if hi_pair is lo_pair else lowest_pair(*hi_pair)
+        if hi is not lo and lo[0] * hi[1] > hi[0] * lo[1]:
             raise ValueError("enclosure needs lo <= hi")
+        object.__setattr__(self, "lo_pair", lo)
+        object.__setattr__(self, "hi_pair", hi)
+
+    @property
+    def lo(self) -> Rat:
+        return Fraction(*self.lo_pair)
+
+    @property
+    def hi(self) -> Rat:
+        return Fraction(*self.hi_pair)
 
     @property
     def width(self) -> Rat:
-        return self.hi - self.lo
+        (lo_num, lo_den), (hi_num, hi_den) = self.lo_pair, self.hi_pair
+        return Fraction(hi_num * lo_den - lo_num * hi_den, lo_den * hi_den)
 
     @property
     def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
+        (lo_num, lo_den), (hi_num, hi_den) = self.lo_pair, self.hi_pair
+        return Fraction(lo_num * hi_den + hi_num * lo_den, 2 * lo_den * hi_den)
 
     def __str__(self):
-        lo = format_rat(self.lo)
-        return f"{lo}..{lo if self.lo is self.hi else format_rat(self.hi)}"
-
-    @classmethod
-    def from_pairs(cls, lo: Pair, hi: Pair) -> "VariationEnclosure":
-        """The enclosure between two int pairs, den != 0, with one Fraction
-        for both ends when they are one pair."""
-        low = Fraction(*lo)
-        return cls(low, low if hi is lo else Fraction(*hi))
+        lo = _text(*self.lo_pair)
+        return f"{lo}..{lo if self.hi_pair is self.lo_pair else _text(*self.hi_pair)}"
 
 
 # --- the build, on the integer lattice --------------------------------------
@@ -873,16 +888,8 @@ def _gap_at(form1: Sequence[int], form2: Sequence[int], x: Pair) -> Pair:
 
 
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
-    """Total variation of the profile over the open interval (a, b): the
-    ``variation_pair`` as an enclosure of width zero, one Fraction for both
-    ends."""
-    total = variation_pair(profile, a, b)
-    return VariationEnclosure.from_pairs(total, total)
-
-
-def variation_pair(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Pair:
     """Total variation of the profile over the open interval (a, b), as an
-    int pair (num, den), den != 0 of either sign, not reduced.
+    enclosure of width zero: the one pair twice.
 
     Each piece is monotone, its direction the sign of its int form's det
     b*g - a*d (0 for a constant), so the variation is a sum over the values
@@ -927,7 +934,8 @@ def variation_pair(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Pair:
         value = None
     if before:
         turns.append((before, _form_at(forms[last], hi) if value is None else value))
-    return _sum_at_turns(turns)
+    total = _sum_at_turns(turns)
+    return VariationEnclosure(total, total)
 
 
 def variation_of_difference(
@@ -988,16 +996,21 @@ def variation_of_difference(
     the two int forms.  The two pieces move the same way, so each is lowest
     at one end of the bracket and highest at the other.  The round's peak
     terms are int pairs, summed like the turning points, and its width is
-    compared with the precision on ints; the enclosure ends are the only
-    Fractions.  A rational root's bracket is the point itself, so its peak
+    compared with the precision on ints; the enclosure's ends are int
+    pairs too.  A rational root's bracket is the point itself, so its peak
     term is exact from the first round on.
     """
-    return VariationEnclosure.from_pairs(*_difference_ends(p1, p2, precision))
+    return VariationEnclosure(*_difference_ends(p1, p2, precision, 0))
 
 
-def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple[Pair, Pair]:
-    """The ends of ``variation_of_difference``'s enclosure as int pairs with
-    den > 0, not reduced: one pair, twice, when the variation is exact."""
+def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision, before: int) -> Tuple[Pair, Pair]:
+    """The ends of the enclosure of the variation of d = p1 - p2, as int
+    pairs with den > 0, not reduced: one pair, twice, when it is exact.
+
+    The walk of d's values starts with the direction ``before``: 0 for the
+    variation over the whole line, the sign of d(-oo) for the walk that
+    comes from 0 before -oo, whose first turn, at d(-oo), adds |d(-oo)|.
+    From then on ``before`` is the direction of d on the last cell."""
     precision = rat(precision)
     if precision.numerator <= 0:
         raise ValueError("precision must be positive")
@@ -1012,7 +1025,6 @@ def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision) -> Tuple
     # (root, level, form1, form2, d(s), d(t), sign of d' left of the root).
     turns: List[Tuple[int, Pair]] = []
     peaks: List[list] = []
-    before = 0  # the direction of d on the last cell
     while True:
         # The cell's right end t = tn/td: the nearer of the two pieces' right
         # ends, and whether each pointer steps past it (both, at a shared
@@ -1129,21 +1141,11 @@ def bv_distance(
     p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
     """BV distance between two maximal functions, given by their profiles:
-    the ``bv_distance_ends`` as an enclosure, one Fraction per end (one for
-    both when the distance is exact)."""
-    return VariationEnclosure.from_pairs(*bv_distance_ends(p1, p2, precision))
-
-
-def bv_distance_ends(p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)) -> Tuple[Pair, Pair]:
-    """The ends of the BV distance's enclosure, as int pairs with den > 0,
-    not reduced, the one pair twice when the distance is exact: the gap of
-    the two maximal functions' limits at infinity plus the variation of
-    their difference.  Only a peak of the difference can be irrational, so
-    the precision bounds the enclosure's width.  The gap, an int pair with
-    den > 0 whatever the signs of the forms' dens, is added to the
-    variation's int-pair ends."""
-    num, below = _gap_at(p1.int_forms[0], p2.int_forms[0], _NEG_END)
-    gap = abs(num)
-    lo, hi = _difference_ends(p1, p2, precision)
-    low = (gap * lo[1] + lo[0] * below, below * lo[1])
-    return low, low if hi is lo else (gap * hi[1] + hi[0] * below, below * hi[1])
+    the gap |d(-oo)| of their limits at -oo plus the variation of their
+    difference d = p1 - p2.  That is the variation of d's walk as if d came
+    from 0 before -oo, so ``_difference_ends`` starts it with the sign of
+    d(-oo), an int pair with den > 0 whatever the signs of the forms' dens.
+    Only a peak of the difference can be irrational, so the precision
+    bounds the enclosure's width."""
+    num, _ = _gap_at(p1.int_forms[0], p2.int_forms[0], _NEG_END)
+    return VariationEnclosure(*_difference_ends(p1, p2, precision, (num > 0) - (num < 0)))

@@ -4,8 +4,9 @@ Rationals are ``fractions.Fraction``: canonical form (positive denominator,
 reduced), exact total arithmetic, arbitrary-precision integers.  Their text
 form goes through ints both ways: ``parse_rat`` takes p and q from the groups
 of its one regex match, and ``format_pair`` prints an int pair num/den in
-lowest terms, checked against the pair, through ``decimal`` past Python's
-limit on the digits of an int's text; ``format_rat`` prints a Fraction
+lowest terms, reduced by ``lowest_pair`` and checked there against the pair,
+through ``decimal`` past Python's limit on the digits of an int's text;
+``format_rat`` prints a Fraction
 straight from its numerator and denominator, already in lowest terms, with
 the same fallback past that limit.
 ``AlgebraicValue`` adds the real roots of int quadratics, the critical
@@ -64,12 +65,16 @@ def _digits(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-def _lowest(num: int, den: int) -> Tuple[int, int]:
-    """num/den, den != 0, in lowest terms with a positive denominator."""
+def lowest_pair(num: int, den: int) -> Tuple[int, int]:
+    """num/den, den != 0, as the int pair (p, q) in lowest terms with q > 0.
+    The way back checks p*den == num*q, so the pair stands for num/den."""
     common = math.gcd(num, den)
     if den < 0:
         common = -common
-    return num // common, den // common
+    p, q = num // common, den // common
+    if p * den != num * q:
+        raise AssertionError("rational text disagrees with its int pair")
+    return p, q
 
 
 def _text(p: int, q: int) -> str:
@@ -82,12 +87,9 @@ def _text(p: int, q: int) -> str:
 
 def format_pair(num: int, den: int) -> str:
     """Canonical text form of the int pair num/den, den != 0: 'p' or 'p/q'
-    in lowest terms with q > 0.  The way back checks p*den == num*q, so
-    the text stands for the pair it was made from."""
-    p, q = _lowest(num, den)
-    if p * den != num * q:
-        raise AssertionError("rational text disagrees with its int pair")
-    return _text(p, q)
+    in lowest terms with q > 0, from ``lowest_pair``, whose way back makes
+    the text stand for the pair it was made from."""
+    return _text(*lowest_pair(num, den))
 
 
 def format_rat(value) -> str:

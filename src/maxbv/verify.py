@@ -282,14 +282,6 @@ def _at_most(x: env.Pair, y: env.Pair) -> bool:
     return x[0] * y[1] <= y[0] * x[1]
 
 
-def _span_text(lo: env.Pair, hi: env.Pair) -> str:
-    """'lo..hi' for the enclosure between two int pairs, as
-    ``VariationEnclosure.__str__`` prints it, each end through
-    ``format_pair``; the one pair twice prints its text twice."""
-    low = format_pair(*lo)
-    return f"{low}..{low if hi is lo else format_pair(*hi)}"
-
-
 @dataclass(frozen=True)
 class ContinuityReport:
     """Per-scale record of BV distances and maximal variations, with verdicts.
@@ -298,24 +290,21 @@ class ContinuityReport:
     being exercised is qualitative, so the harness pins down configured
     scales and tolerances to emit a binary verdict.
 
-    The report holds int pairs (num, den), den != 0, not reduced: each
-    distance's two enclosure ends (one pair twice when it is exact), each
-    variation, the base variation and the perturbation's BV norm.  A
-    distance's dens are positive, a variation's may be negative.  The
-    verdicts compare them with the threshold and the variation gap by
-    cross-multiplication (``_at_most``), a pair with a negative den made
-    positive first, and ``to_tsv`` prints them through ``format_pair``, with
-    the text ``VariationEnclosure.__str__`` gives: neither makes a Fraction.
-    ``rows`` and ``base_variation`` are readers made on first read, with the
-    values ``bv_distance`` and ``variation_of_profile`` return.  Each
+    The report keeps the enclosures that ``bv_distance`` and
+    ``variation_of_profile`` return, and the perturbation's BV norm as an
+    int pair.  The verdicts compare the enclosures' int pairs, in lowest
+    terms with den > 0, with the threshold and the variation gap by
+    cross-multiplication (``_at_most``), and ``to_tsv`` prints each
+    enclosure with ``str``: neither makes a Fraction.  ``rows`` is a view
+    made on first read, which adds each scale's index and delta norm.  Each
     verdict is computed on its first read and kept: the report prints all
     three and its caller reads ``passed`` again.
     """
 
     scales: Tuple[Rat, ...]
-    distances: Tuple[Tuple[env.Pair, env.Pair], ...]
-    variations: Tuple[env.Pair, ...]
-    base: env.Pair
+    distances: Tuple[env.VariationEnclosure, ...]
+    variations: Tuple[env.VariationEnclosure, ...]
+    base_variation: env.VariationEnclosure
     perturbation_norm: env.Pair
     threshold: Rat
     variation_gap: Rat
@@ -329,39 +318,30 @@ class ContinuityReport:
 
     @cached_property
     def rows(self) -> Tuple[ExperimentRow, ...]:
-        enclosure = env.VariationEnclosure.from_pairs
         return tuple([
-            ExperimentRow(index, scale, Fraction(*self._delta_norm(scale)), enclosure(*ends), enclosure(v, v))
-            for index, (scale, ends, v) in enumerate(zip(self.scales, self.distances, self.variations), start=1)
+            ExperimentRow(index, scale, Fraction(*self._delta_norm(scale)), distance, variation)
+            for index, (scale, distance, variation) in enumerate(zip(self.scales, self.distances, self.variations), start=1)
         ])
-
-    @cached_property
-    def base_variation(self) -> env.VariationEnclosure:
-        return env.VariationEnclosure.from_pairs(self.base, self.base)
 
     @cached_property
     def final_distance_ok(self) -> bool:
         threshold = self.threshold
-        return _at_most(self.distances[-1][1], (threshold.numerator, threshold.denominator))
+        return _at_most(self.distances[-1].hi_pair, (threshold.numerator, threshold.denominator))
 
     @cached_property
     def distance_eventually_nonincreasing(self) -> bool:
         tail = self.distances[-self.tail_count:]
-        return all(_at_most(second[0], first[1]) for first, second in zip(tail, tail[1:]))
+        return all(_at_most(second.lo_pair, first.hi_pair) for first, second in zip(tail, tail[1:]))
 
     @cached_property
     def variation_converged(self) -> bool:
         # Variations of profiles are exact (width-zero enclosures), so the gap
         # between two of them and the distance of their midpoints are the same
-        # number, |v_j - v_base|; it must fit inside the configured gap.  A
-        # variation's den may be negative, so the difference's pair is made
-        # positive in both parts before it is compared.
+        # number, |v_j - v_base|; it must fit inside the configured gap.
         gap = (self.variation_gap.numerator, self.variation_gap.denominator)
-        base_num, base_den = self.base
-        return all(
-            _at_most((abs(num * base_den - base_num * den), abs(den * base_den)), gap)
-            for num, den in self.variations[-self.tail_count:]
-        )
+        base_num, base_den = self.base_variation.lo_pair
+        tail = [variation.lo_pair for variation in self.variations[-self.tail_count:]]
+        return all(_at_most((abs(num * base_den - base_num * den), den * base_den), gap) for num, den in tail)
 
     @cached_property
     def passed(self) -> bool:
@@ -373,16 +353,16 @@ class ContinuityReport:
 
     def to_tsv(self) -> str:
         lines = ["j\tscale\tbv_norm_delta\tbv_distance\tvar_maximal_j\tvar_maximal_base"]
-        base = _span_text(self.base, self.base)
-        for index, (scale, ends, variation) in enumerate(zip(self.scales, self.distances, self.variations), start=1):
+        base = str(self.base_variation)
+        for index, (scale, distance, variation) in enumerate(zip(self.scales, self.distances, self.variations), start=1):
             lines.append(
                 "\t".join(
                     (
                         str(index),
                         format_rat(scale),
                         format_pair(*self._delta_norm(scale)),
-                        _span_text(*ends),
-                        _span_text(variation, variation),
+                        str(distance),
+                        str(variation),
                         base,
                     )
                 )
@@ -422,14 +402,13 @@ def continuity_experiment(
     one pass.  E is a positive multiple of the lcm that ``build_profile``
     would take on ``stepfn.combine(f, perturbation, 1, s)``, and every
     reported value is printed in lowest terms, so the report is the same
-    byte for byte.  The distances and variations read only the profiles'
-    junction pairs and int forms, peaks included, through their int-pair
-    cores ``envelope.bv_distance_ends`` and ``envelope.variation_pair``:
-    they make no Fraction of a junction, of a value or of an enclosure end,
-    and no tag.  The perturbation's BV norm n/d is read once, and each
-    row's delta norm is the pair (p*n, q*d): f_j - f = s * perturbation
-    pointwise and s > 0.  The report keeps those pairs (see
-    ``ContinuityReport``).
+    byte for byte.  ``envelope.bv_distance`` and
+    ``envelope.variation_of_profile`` read only the profiles' junction pairs
+    and int forms, peaks included: they make no Fraction of a junction, of
+    a value or of an enclosure end, and no tag.  The perturbation's BV norm
+    n/d is read once, and each row's delta norm is the pair (p*n, q*d):
+    f_j - f = s * perturbation pointwise and s > 0.  The report keeps the
+    enclosures and that pair (see ``ContinuityReport``).
     """
     scales = [rat(s) for s in scales]
     if not scales or any(s.numerator <= 0 for s in scales):
@@ -449,10 +428,10 @@ def continuity_experiment(
     distances, variations = [], []
     for scale in scales:
         profile_j = family.profile(scale)
-        distances.append(env.bv_distance_ends(profile_j, profile_f, precision))
-        variations.append(env.variation_pair(profile_j))
+        distances.append(env.bv_distance(profile_j, profile_f, precision))
+        variations.append(env.variation_of_profile(profile_j))
     return ContinuityReport(
-        tuple(scales), tuple(distances), tuple(variations), env.variation_pair(profile_f),
+        tuple(scales), tuple(distances), tuple(variations), env.variation_of_profile(profile_f),
         (norm.numerator, norm.denominator), rat(threshold), rat(variation_gap), tail_count,
     )
 

@@ -27,7 +27,7 @@ STEP = StepFunction(0, (0,), (1,), (1,))
 # 1 outside (-8, 8) and 0 inside: the maximal function is 1 everywhere, and
 # above |f| on (-8, 8) without a one-sided witness.
 DIP = StepFunction(1, (-8, 8), (0, 1), (0, 1))
-ENCLOSURE = env.VariationEnclosure(Fraction(100), Fraction(100))
+ENCLOSURE = env.VariationEnclosure((100, 1), (100, 1))
 
 
 def shifted(engine, by):

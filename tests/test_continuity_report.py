@@ -1,14 +1,16 @@
 """The continuity report on int pairs, against the enclosure readers.
 
-``continuity_experiment`` keeps each distance's enclosure ends, each
-variation and the base variation as int pairs, decides its verdicts on them
-by cross-multiplication and prints them through ``format_pair``.  The oracle
-here is the Fraction path: ``bv_distance`` and ``variation_of_profile`` on
-the family's profiles, and the verdicts computed on the rows they give.
+``continuity_experiment`` keeps the enclosures of its distances and
+variations, decides its verdicts on their int pairs by cross-multiplication
+and prints them with ``str``.  The oracle here is the Fraction path:
+``bv_distance`` and ``variation_of_profile`` on the family's profiles, read
+through their ``lo`` and ``hi``, and the verdicts computed on the rows they
+give.
 """
 
 import dataclasses
 import io
+import math
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -36,8 +38,25 @@ def _pairs():
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return [(f, g, continuity_experiment(f, g, SCALES)) for f, g in _pairs()]
+def walked():
+    """The reports, and the den of every sum ``_sum_at_turns`` gave while
+    they were made."""
+    sum_at_turns, dens = env._sum_at_turns, []
+
+    def recorded(turns):
+        total = sum_at_turns(turns)
+        dens.append(total[1])
+        return total
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(env, "_sum_at_turns", recorded)
+        reports = [(f, g, continuity_experiment(f, g, SCALES)) for f, g in _pairs()]
+    return reports, dens
+
+
+@pytest.fixture(scope="module")
+def reports(walked):
+    return walked[0]
 
 
 def test_rows_equal_the_enclosure_readers(reports):
@@ -56,11 +75,11 @@ def test_rows_equal_the_enclosure_readers(reports):
             assert row.index == index
             assert row.delta_norm == scale * norm
             assert (row.distance.lo, row.distance.hi) == (distance.lo, distance.hi)
-            assert (row.distance.lo is row.distance.hi) == (distance.lo is distance.hi)
+            assert (row.distance.lo_pair is row.distance.hi_pair) == (distance.lo_pair is distance.hi_pair)
             assert (row.variation.lo, row.variation.hi) == (variation.lo, variation.hi)
             wide += distance.lo < distance.hi
-        # The readers are made once.
-        assert report.rows is report.rows and report.base_variation is report.base_variation
+        # The rows are made once.
+        assert report.rows is report.rows
     assert wide > 0
 
 
@@ -76,14 +95,16 @@ def _fraction_verdicts(report):
     )
 
 
-def test_verdicts_equal_those_on_the_fraction_rows(reports):
+def test_verdicts_equal_those_on_the_fraction_rows(walked):
     # Each report is read again with tail counts 1, 5 and 15 and with the
     # threshold and the variation gap at the exact largest value each verdict
     # compares, and just below it, so that every verdict falls both ways.
-    negative = 0
+    reports, dens = walked
     seen = set()
     for _, _, report in reports:
-        negative += sum(den < 0 for _, den in (*report.variations, report.base))
+        for enclosure in (*report.distances, *report.variations, report.base_variation):
+            for num, den in (enclosure.lo_pair, enclosure.hi_pair):
+                assert den > 0 and math.gcd(num, den) == 1
         for tail_count in (1, 5, 15):
             tail = report.rows[-tail_count:]
             hi = report.rows[-1].distance.hi
@@ -104,9 +125,10 @@ def test_verdicts_equal_those_on_the_fraction_rows(reports):
                 assert verdicts == _fraction_verdicts(variant)
                 assert variant.passed == all(verdicts)
                 seen.update(enumerate(verdicts))
-    # Variation pairs with a negative den were compared, and each verdict
-    # came out both ways.
-    assert negative > 0
+    # The walks summed pairs with a negative den, which the enclosures put
+    # in lowest terms with den > 0 before a verdict compared them, and each
+    # verdict came out both ways.
+    assert any(den < 0 for den in dens)
     assert seen == {(k, v) for k in range(3) for v in (False, True)}
 
 
@@ -123,13 +145,14 @@ def test_tsv_prints_the_rows_as_their_enclosures_print(reports):
 
 
 def _fail(*args, **kwargs):
-    raise AssertionError("an enclosure or a row was made")
+    raise AssertionError("a row or a Fraction view was made")
 
 
-def test_experiment_command_makes_no_enclosure_and_no_row(tmp_path, monkeypatch):
+def test_experiment_command_makes_no_row_and_reads_no_fraction_view(tmp_path, monkeypatch):
     # The golden continuity runs (file mode on the benchmark's kind of pairs,
     # every verdict PASS, some distances wide) and a random-mode run print
-    # the same bytes, and exit 0, with both constructors made to fail.
+    # the same bytes, and exit 0, with the rows' constructor and every
+    # Fraction view of an enclosure made to fail.
     import test_golden
 
     config = tmp_path / "random.cfg"
@@ -143,12 +166,17 @@ def test_experiment_command_makes_no_enclosure_and_no_row(tmp_path, monkeypatch)
 
     expected = random_mode()
     assert expected[0] == 0
-    monkeypatch.setattr(env.VariationEnclosure, "__init__", _fail)
+    for view in ("lo", "hi", "width", "midpoint"):
+        monkeypatch.setattr(env.VariationEnclosure, view, property(_fail))
     monkeypatch.setattr(verify.ExperimentRow, "__init__", _fail)
     golden = test_golden.CONTINUITY.read_text(encoding="utf-8")
     assert "[exit 0]" in golden and "[exit 1]" not in golden
     assert test_golden._fresh(test_golden.continuity_transcript) == golden
     assert random_mode() == expected
-    # The patches bite: a library caller's read of the rows makes both.
-    with pytest.raises(AssertionError, match="an enclosure or a row was made"):
-        continuity_experiment(random_stepfn(4), random_stepfn(5), SCALES).rows
+    # The patches bite: a library caller's read of the rows, or of an
+    # enclosure's ends, makes them.
+    report = continuity_experiment(random_stepfn(4), random_stepfn(5), SCALES)
+    with pytest.raises(AssertionError, match="a row or a Fraction view was made"):
+        report.rows
+    with pytest.raises(AssertionError, match="a row or a Fraction view was made"):
+        report.distances[0].hi

@@ -104,7 +104,7 @@ def reference_variation_of_difference(p1, p2, precision=PRECISION):
                 lo_sum += max(top_lo - d, Fraction(0))
                 hi_sum += max(top_hi - d, Fraction(0))
         if hi_sum - lo_sum <= precision:
-            return VariationEnclosure(lo_sum, hi_sum)
+            return VariationEnclosure(pair(lo_sum), pair(hi_sum))
         bits += 16
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -369,20 +370,24 @@ def test_sum_of_steps_matches_a_fraction_sum():
 
 @pytest.mark.parametrize("part", ["ends", "end_values"])
 def test_self_check_catches_a_skeleton_one_lattice_unit_off(monkeypatch, part):
-    # The first junction, or the limit at -oo (the first end value), one
-    # unit of its lattice pair off: the walk and its lattice checks are
-    # untouched.  A dump prints the first junction from its end pair, and
-    # the limit at -oo as the first piece's beta over delta (alpha over
-    # gamma for a constant) from its int form, and makes no Fraction of the
-    # skeleton: the way back of format_pair sees the pair one unit off.  No
-    # tag prints that pair, so the dump's text is what fails.
-    f = exact_n_stepfn(random.Random(5), 6)
+    # The first junction, or the limit at -oo (the first end value), reduced
+    # by the gcd of its lattice pair one unit off: the walk and its lattice
+    # checks are untouched.  A dump prints the first junction from its end
+    # pair, and the limit at -oo as the first piece's beta over delta (alpha
+    # over gamma for a constant) from its int form, and makes no Fraction of
+    # the skeleton: the way back of lowest_pair sees a pair that is not the
+    # value.  No tag prints that pair, so the dump's text is what fails.  A
+    # pair num/num reduces to p/p by any divisor, so the function is one
+    # whose limit at -oo is not 1.
+    f = exact_n_stepfn(random.Random(6), 6)
     built = build_profile(f)
     assert built.end_pairs
     a, b, g, d = built.int_forms[0]
     target = built.end_pairs[0] if part == "ends" else ((b, d) if d else (a, g))
-    lowest = exact._lowest
-    monkeypatch.setattr(exact, "_lowest", lambda num, den: lowest(num + ((num, den) == target), den))
+    assert target[0] != target[1]
+    gcd = math.gcd
+    faulty = types.SimpleNamespace(**{**vars(math), "gcd": lambda num, den: gcd(num + ((num, den) == target), den)})
+    monkeypatch.setattr(exact, "math", faulty)
     assert len(built.tags) == len(built.int_forms)
     with pytest.raises(AssertionError, match="profile skeleton disagrees with its lattice cells"):
         build_profile(f).dump()
@@ -724,7 +729,7 @@ def test_variation_of_difference_with_rational_critical_point_left_of_the_juncti
 
 def test_an_enclosure_needs_lo_at_most_hi():
     with pytest.raises(ValueError, match="enclosure needs lo <= hi"):
-        envelope.VariationEnclosure(1, 0)
+        envelope.VariationEnclosure((1, 1), (0, 1))
 
 
 @pytest.mark.parametrize("measure", [variation_of_difference, bv_distance])
@@ -889,14 +894,21 @@ def test_bv_distance_examples():
     # its constant end pieces negated (gamma = -1), whose end forms have
     # negative dens: the limit gap and the distance keep their sign.
     hand = skewed_profile()
-    view = pieces(hand)
-    negated = profile_from_pieces((
-        replace(view[0], alpha=-view[0].alpha, gamma=-1), *view[1:-1], replace(view[-1], alpha=-view[-1].alpha, gamma=-1),
-    ))
+    negated = negated_ends(hand)
     assert negated.int_forms[0][2] < 0 and negated.int_forms[-1][2] < 0
     for other in (profile_f, hand):
         assert bv_distance(negated, other, PRECISION) == bv_distance(hand, other, PRECISION) == bv_distance(other, negated, PRECISION)
     assert bv_distance(negated, profile_f, PRECISION).lo > 0
+
+
+def negated_ends(profile):
+    """The hand-built profile with every coefficient of its constant end
+    pieces negated (gamma = -1): the same function, whose end forms have
+    negative dens."""
+    view = pieces(profile)
+    return profile_from_pieces((
+        replace(view[0], alpha=-view[0].alpha, gamma=-1), *view[1:-1], replace(view[-1], alpha=-view[-1].alpha, gamma=-1),
+    ))
 
 
 def test_bv_distance_on_random_pairs_is_symmetric_and_nonnegative():
@@ -922,3 +934,46 @@ def test_bv_distance_base_matches_the_step_function_limits():
         spread = variation_of_difference(pf, pg, PRECISION)
         enc = bv_distance(pf, pg, PRECISION)
         assert (enc.lo, enc.hi) == (base + spread.lo, base + spread.hi)
+
+
+def _distance_cases():
+    """Pairs of profiles with their precision: the benchmark's kind of pairs
+    and the irrational-peak pairs of ``tests/golden/distances.txt``, each f
+    against f + s*g, random corpus pairs, and the hand-built profiles with
+    negated end forms against each other and a built one."""
+    scales = [Fraction(1, 2**j) for j in range(6)]
+    for f, g in bench_pairs():
+        family, profile_f = envelope.PerturbationFamily(f, g), build_profile(f)
+        for scale in scales[::2]:
+            yield family.profile(scale), profile_f, PRECISION
+    for seed in (10, 30):
+        f, g = random_stepfn(seed, n_max=9), random_stepfn(seed + 1000, n_max=9)
+        family, profile_f = envelope.PerturbationFamily(f, g), build_profile(f)
+        for scale in scales:
+            for precision in (PRECISION, Fraction(1, 10**15)):
+                yield family.profile(scale), profile_f, precision
+    for seed in range(0, 40, 2):
+        yield build_profile(random_stepfn(seed)), build_profile(random_stepfn(seed + 1)), PRECISION
+    hand = skewed_profile()
+    built = build_profile(CHI_01)
+    for p1 in (hand, negated_ends(hand)):
+        for p2 in (hand, negated_ends(hand), built):
+            yield p1, p2, PRECISION
+            yield p2, p1, PRECISION
+
+
+def test_bv_distance_is_the_limit_gap_plus_the_difference_variation():
+    # The distance's walk starts as if d came from 0 before -oo: its ends are
+    # |d(-oo)| plus those of the variation of d, lo for lo and hi for hi, and
+    # it is exact when the variation is.  The gap is read off the profiles'
+    # Fraction end values, not off the walk.
+    wide = negative = 0
+    for p1, p2, precision in _distance_cases():
+        gap = abs(end_values(p1)[0] - end_values(p2)[0])
+        spread = variation_of_difference(p1, p2, precision)
+        enc = bv_distance(p1, p2, precision)
+        assert (enc.lo, enc.hi) == (gap + spread.lo, gap + spread.hi)
+        assert (enc.lo_pair is enc.hi_pair) == (spread.lo_pair is spread.hi_pair)
+        wide += enc.lo < enc.hi
+        negative += p1.int_forms[0][2] < 0 and gap > 0
+    assert wide > 0 and negative > 0
