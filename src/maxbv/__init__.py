@@ -45,6 +45,7 @@ def _lazy(name: str):
 
 
 envelope = _lazy("envelope")
+verify = _lazy("verify")
 
 _ENVELOPE_NAMES = frozenset({
     "MaximalProfile",

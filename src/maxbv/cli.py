@@ -16,17 +16,15 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from . import _lazy
+# The profile engine and the oracles load on first use: an eval reads neither
+# (see ``maxbv._lazy``).
+from . import envelope as env, verify
 from . import stepfn as sf
 from .exact import decimal_str, format_rat, parse_rat
 from .maximal import maximal_value
 from .stepfn import StepFunction, StepFunctionParseError
-
-# The profile engine and the oracles load on first use: an eval reads neither.
-env = _lazy("envelope")
-verify = _lazy("verify")
 
 PASS, CHECK_FAILED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -39,22 +37,23 @@ class InputError(Exception):
     pass
 
 
-def _parse_endpoint(text: str):
-    if text == "-inf":
-        return sf.NEG_INF
-    if text == "inf":
-        return sf.POS_INF
+def _rat(text: str) -> Fraction:
     try:
         return parse_rat(text)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
 
+def _parse_endpoint(text: str):
+    if text == "-inf":
+        return sf.NEG_INF
+    if text == "inf":
+        return sf.POS_INF
+    return _rat(text)
+
+
 def _parse_positive(text: str, key: str) -> Fraction:
-    try:
-        value = parse_rat(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    value = _rat(text)
     if value <= 0:
         raise InputError(f"{key} must be positive")
     return value
@@ -108,21 +107,20 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def cmd_eval(args) -> int:
+# A command returns its text and its exit code; main writes the text.
+Outcome = Tuple[str, int]
+
+
+def cmd_eval(args) -> Outcome:
     f = _load(args.file)
-    try:
-        x = parse_rat(args.x)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    result = maximal_value(f, x)
+    result = maximal_value(f, _rat(args.x))
     line = f"{format_rat(result.value)} {result.witness}"
     if args.decimal:
         line += f"\t{decimal_str(result.value, args.decimal)}"
-    _emit(line + "\n", args.out)
-    return PASS
+    return line + "\n", PASS
 
 
-def cmd_var(args) -> int:
+def cmd_var(args) -> Outcome:
     f = _load(args.file)
     a = _parse_endpoint(getattr(args, "from"))
     b = _parse_endpoint(args.to)
@@ -139,18 +137,14 @@ def cmd_var(args) -> int:
         line = format_rat(value)
         if args.decimal:
             line += f"\t{decimal_str(value, args.decimal)}"
-    _emit(line + "\n", args.out)
-    return PASS
+    return line + "\n", PASS
 
 
-def cmd_profile(args) -> int:
-    f = _load(args.file)
-    profile = env.build_profile(f)
-    _emit(profile.dump(), args.out)
-    return PASS
+def cmd_profile(args) -> Outcome:
+    return env.build_profile(_load(args.file)).dump(), PASS
 
 
-def cmd_e_set(args) -> int:
+def cmd_e_set(args) -> Outcome:
     f = _load(args.file)
     profile = env.build_profile(f)
     detached, touching = env.detachment_regions(f, profile)
@@ -158,11 +152,10 @@ def cmd_e_set(args) -> int:
     for name, regions in (("E", detached), ("C", touching)):
         for lo, hi in regions.intervals:
             lines.append(f"{name}\t{format_rat(lo)}\t{format_rat(hi)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return PASS
+    return "\n".join(lines) + "\n", PASS
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Outcome:
     corpus: List[StepFunction] = []
     if args.corpus:
         directory = Path(args.corpus)
@@ -184,8 +177,7 @@ def cmd_check(args) -> int:
             raise InputError("empty seed range")
         corpus = [verify.random_stepfn(seed) for seed in range(first, last)]
     report = verify.invariant_suite(corpus, seed=args.suite_seed)
-    _emit(report.to_tsv(), args.out)
-    return PASS if report.passed else CHECK_FAILED
+    return report.to_tsv(), PASS if report.passed else CHECK_FAILED
 
 
 def _read_config(path: str, keys) -> dict:
@@ -242,14 +234,15 @@ _CONFIG_KEYS = {
 }
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> Outcome:
     """Run the continuity experiment from a key=value config.
 
-    In random mode (no ``file=``), ``pairs`` pairs are drawn from ``seed``
-    and each perturbation is rescaled to BV norm ``perturbation_norm``
-    ("raw" keeps it as drawn).  In fixed-function mode (``file=`` and
-    ``perturbation=``), the perturbation file is used as given: the key is
-    still validated, but it rescales nothing.
+    In random mode (no ``file=`` and no ``perturbation=``), ``pairs`` pairs
+    are drawn from ``seed`` and each perturbation is rescaled to BV norm
+    ``perturbation_norm`` ("raw" keeps it as drawn).  In fixed-function mode
+    (``file=`` and ``perturbation=``, never one alone), the perturbation
+    file is used as given: ``perturbation_norm`` is still validated, but it
+    rescales nothing.
     """
     path = args.config
     config = _read_config(path, _CONFIG_KEYS)
@@ -280,10 +273,11 @@ def cmd_experiment(args) -> int:
     pairs = value("pairs", "1", _parse_int, "pairs", 1)
     target_norm = value("perturbation_norm", "1/8", _parse_norm)
 
+    for key, other in (("file", "perturbation"), ("perturbation", "file")):
+        if key in config and other not in config:
+            raise InputError(f"{path}:{config[key][0]}: {key}= also needs {other}=")
     runs = []
     if "file" in config:
-        if "perturbation" not in config:
-            raise InputError(f"{path}:{config['file'][0]}: file= also needs perturbation=")
         runs.append(("file", value("file", None, _load), value("perturbation", None, _load)))
     else:
         for i in range(pairs):
@@ -301,17 +295,15 @@ def cmd_experiment(args) -> int:
         report = verify.continuity_experiment(f, g, scales, **tuning)
         all_pass = all_pass and report.passed
         blocks.append(f"# run\t{label}\n" + report.to_tsv())
-    _emit("".join(blocks), args.out)
-    return PASS if all_pass else CHECK_FAILED
+    return "".join(blocks), PASS if all_pass else CHECK_FAILED
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> Outcome:
     try:
         report = verify.counterexample(args.n, args.K)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    _emit(report.to_text(), args.out)
-    return PASS if report.passed else CHECK_FAILED
+    return report.to_text(), PASS if report.passed else CHECK_FAILED
 
 
 @functools.cache
@@ -405,7 +397,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return BAD_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        _emit(text, args.out)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -67,12 +67,13 @@ def _digits(n: int) -> str:
 
 def lowest_pair(num: int, den: int) -> Tuple[int, int]:
     """num/den, den != 0, as the int pair (p, q) in lowest terms with q > 0.
-    The way back checks p*den == num*q, so the pair stands for num/den."""
+    The way back checks q > 0 and p*den == num*q, so the pair stands for
+    num/den."""
     common = math.gcd(num, den)
     if den < 0:
         common = -common
     p, q = num // common, den // common
-    if p * den != num * q:
+    if q <= 0 or p * den != num * q:
         raise AssertionError("rational text disagrees with its int pair")
     return p, q
 

@@ -328,6 +328,17 @@ def test_experiment_file_without_perturbation_names_the_file_line(tmp_path, caps
     assert captured.err == f"error: {config}:2: file= also needs perturbation=\n"
 
 
+def test_experiment_perturbation_without_file_names_the_perturbation_line(tmp_path, capsys):
+    # One of the two fixed-function keys alone is bad input, not a random
+    # run: the missing file is never opened and no report is printed.
+    config = tmp_path / "exp.cfg"
+    config.write_text("scales=1,1/2\ntail_count=1\nperturbation=/no/such/file.txt\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:3: perturbation= also needs file=\n"
+
+
 def test_round_trip_through_cli_formats(tmp_path):
     from maxbv.stepfn import load
     from maxbv.verify import random_stepfn

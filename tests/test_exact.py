@@ -1,14 +1,17 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+from maxbv import exact
 from maxbv.exact import (
     AlgebraicValue,
     decimal_str,
     format_rat,
     isolate_quadratic_roots,
+    lowest_pair,
     parse_rat,
     rat,
 )
@@ -25,6 +28,17 @@ def test_rational_arithmetic_examples():
     assert rat(2, 4) == rat(1, 2)
     with pytest.raises(ZeroDivisionError):
         rat(1, 3) / rat(0)
+
+
+def test_lowest_pair_way_back_rejects_a_zero_den(monkeypatch):
+    # A divisor larger than both parts reduces (12, 12) to (0, 0), which
+    # p*den == num*q alone lets through.
+    gcd = math.gcd
+    faulty = types.SimpleNamespace(**{**vars(math), "gcd": lambda num, den: 13 if (num, den) == (12, 12) else gcd(num, den)})
+    monkeypatch.setattr(exact, "math", faulty)
+    assert lowest_pair(12, 18) == (2, 3)
+    with pytest.raises(AssertionError, match="rational text disagrees with its int pair"):
+        lowest_pair(12, 12)
 
 
 def test_rat_rejects_floats():
