@@ -215,13 +215,10 @@ def _parse_scales(text: str) -> List[Fraction]:
         scales = [parse_rat(s) for s in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad scales: {exc}") from None
-    # By cross-multiplication: p2/q2 >= p1/q1 when p2*q1 >= p1*q2, q > 0.
-    if any(s.numerator <= 0 for s in scales) or any(
-        second.numerator * first.denominator >= first.numerator * second.denominator
-        for first, second in zip(scales, scales[1:])
-    ):
-        raise InputError("bad scales: they must be positive and strictly decreasing")
-    return scales
+    try:
+        return verify.checked_scales(scales)
+    except ValueError:
+        raise InputError("bad scales: they must be positive and strictly decreasing") from None
 
 
 def _parse_norm(text: str) -> Optional[Fraction]:

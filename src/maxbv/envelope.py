@@ -108,15 +108,14 @@ each junction is one pair (p, q*D) with q > 0, and each piece's int form is
 the cell's tuple rescaled to the coordinate x, (A, L*D, -X*E, D*E) for an
 anchored cell and (C, 0, E, 0) for a constant, a positive multiple of the
 piece, not reduced, so that every sign of the piece is a sign of its form.
-Of its build a profile keeps only that, and for its tags, made on first
-read, each piece's segment and the lattice (D, X, L, P): an anchored form's
-anchor is its pole, a left one at or before the segment's left end, and a
-constant form's lattice level is C.  These junctions, forms and tags are the
-profile's only representation, and every reader decides on them alone.  A
-value is a form at a bound, an int pair whose den may be negative, as
-``_form_at`` reads it: at a junction either piece's form (the build checks
-that they agree), and at an infinite pair the form's limit there.  Distances and
-variations walk the junctions and read forms only at turning points; point
+Of its build a profile keeps only that and the lattice (D, X, L, P), off
+which, with each piece's form and left junction, ``_tags`` reads its tags
+on first use.  These junctions, forms and tags are the profile's only
+representation, and every reader decides on them alone.  A value is a form
+at a bound, an int pair whose den may be negative, as ``_form_at`` reads
+it: at a junction either piece's form (the build checks that they agree),
+and at an infinite pair the form's limit there.  Distances and variations
+walk the junctions and read forms only at turning points; point
 values and derivatives place x among the junctions with ``_locate``, one
 bisection by cross-multiplication, and read the int form of the piece
 there, as windowed variations place their ends; the detachment walk merges
@@ -185,7 +184,7 @@ itself, so its peak is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -238,22 +237,23 @@ class MaximalProfile:
     positive multiple of the piece, so every sign of the piece is the sign
     of the form.  Every value, the limits at -oo and +oo among them, is a
     form at a bound (``_form_at``).  ``tags`` names the candidate that
-    carries each piece; a build keeps, to make them on first read, each
-    piece's segment and the lattice (D, X, L, P) it was built on.  ``dump``
-    prints from the skeleton's ints and the tags.
+    carries each piece, made on first read by ``_tags`` off each piece's
+    form and left junction and the lattice (D, X, L, P) it was built on,
+    which is all a build keeps besides the skeleton.  ``dump`` prints from
+    the skeleton's ints and the tags.
     """
 
     __slots__ = ("end_pairs", "int_forms", "_tag_source", "_tags")
 
     def __init__(self, end_pairs, int_forms, tag_source):
         self.end_pairs, self.int_forms = end_pairs, int_forms
-        self._tag_source = tag_source  # (segments, D, X, L, P)
+        self._tag_source = tag_source  # the lattice (D, X, L, P)
         self._tags = None
 
     @property
     def tags(self) -> Tuple[str, ...]:
         if self._tags is None:
-            self._tags = _tags(self.int_forms, *self._tag_source)
+            self._tags = _tags(self.end_pairs, self.int_forms, *self._tag_source)
         return self._tags
 
     @property
@@ -537,19 +537,21 @@ def _constant_tag(
 
 
 def _tags(
-    forms: Sequence[Sequence[int]], segments: Sequence[int], scale: int,
+    end_pairs: Sequence[Pair], forms: Sequence[Sequence[int]], scale: int,
     xs: Sequence[int], ls: Sequence[int], ps: Sequence[int],
 ) -> Tuple[str, ...]:
-    """The tag of each piece of a build, from its int form and the segment
-    k of its first cell.  An anchored form (A, B, G, K) has its anchor at
-    its pole -G/K, a left one when that lies at or before the segment's
-    left end, -G*D <= X[k-1]*K; a constant form's lattice level is A."""
+    """The tag of each piece, read off its int form and its left junction
+    p/q, (-1, 0) for the first.  A pole lies strictly outside its piece's
+    closed span, a left anchor before its segment, a right one after it: an
+    anchored form (A, B, G, K) is ``left`` when -G*q < p*K.  A piece starts
+    in or at the start of segment k, the number of points X with X*q <= p*D,
+    the segment a constant form of lattice level A is tagged on."""
     tags = []
-    for (a, _, g, d), k in zip(forms, segments, strict=True):
+    for (a, _, g, d), (p, q) in zip(forms, (_NEG_END, *end_pairs), strict=True):
         if d:
-            side = "left" if k >= 1 and -g * scale <= xs[k - 1] * d else "right"
-            tags.append(f"{side}({format_pair(-g, d)})")
+            tags.append(f"{'left' if -g * q < p * d else 'right'}({format_pair(-g, d)})")
         else:
+            k = bisect_right(xs, 0, key=lambda x: x * q - p * scale)
             tags.append(_constant_tag(xs, ps, ls, k, a, scale))
     return tuple(tags)
 
@@ -579,20 +581,19 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     # The walks' cells are checked on the lattice and read into the
     # skeleton as they come.  Adjacent cells with identical coefficients
     # merge (continuity across breakpoints makes the shared function one
-    # piece), so the open cell, candidate top from segment first on, runs to
-    # end until the next distinct candidate starts there and closes it.  A
-    # candidate (a, b, g, d) is (a*q + b*p, g*q + d*p) at the lattice point
-    # (p, q), in units of 1/E.  Adjacent cells must agree at their shared
-    # point, and the cell holding each breakpoint must match the maximal
-    # function read off the hull chains.  The skeleton: each finite right
-    # end as an int pair with den > 0, and each int form, a positive
-    # multiple of the cell's piece: an anchored (a, b*D, g*E, D*E), a
-    # constant (a, 0, E, 0).
+    # piece), so the open cell, candidate top, runs to end until the next
+    # distinct candidate starts there and closes it.  A candidate
+    # (a, b, g, d) is (a*q + b*p, g*q + d*p) at the lattice point (p, q),
+    # in units of 1/E.  Adjacent cells must agree at their shared point,
+    # and the cell holding each breakpoint must match the maximal function
+    # read off the hull chains.  The skeleton, all a build keeps besides
+    # the lattice: each finite right end as an int pair with den > 0, and
+    # each int form, a positive multiple of the cell's piece: an anchored
+    # (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
     end_pairs: List[Pair] = []
     forms: List[Candidate] = []
-    segments: List[int] = []
     top = end = None
-    first = checked = 0  # checked: the breakpoints checked so far
+    checked = 0  # the breakpoints checked so far
     for k in range(n + 1):
         u = xs[k - 1] if k >= 1 else None
         v = xs[k] if k <= n - 1 else None
@@ -609,22 +610,18 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
         # falls, a right one rises), so one whose average there is at or
         # below c never carries a cell and is left out.  The walk takes them
         # in the order the envelope meets them: the left anchors nearest
-        # first, the constant, the right anchors farthest first.  Anchors
-        # whose average with the segment is the local constant (the segment
-        # ends among them) are already covered.
+        # first, the constant, the right anchors farthest first.  An anchor
+        # so admitted averages above c >= ell at its own end, so none is the
+        # constant ell, alpha + ell*Q = 0, that c covers.
         c = ell if ell > tails else tails
         candidates = []
         if k >= 1:
             for i in _anchors(points, lower, k - 1, lower[k] if k <= n - 1 else -1, c):
-                alpha, q = y0 - ps[i], xs[i]
-                if alpha + ell * q:
-                    candidates.append((alpha, ell, -q, 1))
+                candidates.append((y0 - ps[i], ell, -xs[i], 1))
         candidates.append((c, 0, 1, 0))
         if k <= n - 1:
             for j in reversed(_anchors(backward, upper, n - 1 - k, upper[n - k] if k >= 1 else -1, c)):
-                alpha, q = y0 - ps[n - 1 - j], xs[n - 1 - j]
-                if alpha + ell * q:
-                    candidates.append((alpha, ell, -q, 1))
+                candidates.append((y0 - ps[n - 1 - j], ell, -xs[n - 1 - j], 1))
         for _, hi, cand in _stack_walk(candidates, u, v):
             if cand == top:
                 end = hi
@@ -644,8 +641,7 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
                         raise AssertionError("profile disagrees with the pointwise engine")
                     checked += 1
                 forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
-                segments.append(first)
-            top, end, first = cand, hi, k
+            top, end = cand, hi
 
     # The last cell runs to +oo: the breakpoints past the last junction.
     a, b, g, d = top
@@ -656,8 +652,7 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
             raise AssertionError("profile disagrees with the pointwise engine")
         checked += 1
     forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
-    segments.append(first)
-    return MaximalProfile(tuple(end_pairs), tuple(forms), (segments, scale, xs, ls, ps))
+    return MaximalProfile(tuple(end_pairs), tuple(forms), (scale, xs, ls, ps))
 
 
 # --- the perturbation family f + s*g -----------------------------------------

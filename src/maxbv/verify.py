@@ -374,6 +374,20 @@ class ContinuityReport:
         return "\n".join(lines) + "\n"
 
 
+def checked_scales(scales: Sequence[Rat]) -> List[Fraction]:
+    """The scales as rationals, at least one, checked positive and strictly
+    decreasing: by cross-multiplication, p2/q2 >= p1/q1 when p2*q1 >= p1*q2."""
+    scales = [rat(s) for s in scales]
+    if not scales or any(s.numerator <= 0 for s in scales):
+        raise ValueError("scales must be positive")
+    if any(
+        second.numerator * first.denominator >= first.numerator * second.denominator
+        for first, second in zip(scales, scales[1:])
+    ):
+        raise ValueError("scales must be strictly decreasing")
+    return scales
+
+
 def continuity_experiment(
     f: StepFunction,
     perturbation: StepFunction,
@@ -410,15 +424,7 @@ def continuity_experiment(
     f_j - f = s * perturbation pointwise and s > 0.  The report keeps the
     enclosures and that pair (see ``ContinuityReport``).
     """
-    scales = [rat(s) for s in scales]
-    if not scales or any(s.numerator <= 0 for s in scales):
-        raise ValueError("scales must be positive")
-    # By cross-multiplication: p2/q2 >= p1/q1 when p2*q1 >= p1*q2, q > 0.
-    if any(
-        second.numerator * first.denominator >= first.numerator * second.denominator
-        for first, second in zip(scales, scales[1:])
-    ):
-        raise ValueError("scales must be strictly decreasing")
+    scales = checked_scales(scales)
     if tail_count < 1:
         raise ValueError("tail_count must be at least 1")
 

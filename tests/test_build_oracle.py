@@ -5,8 +5,10 @@ distinct candidate starts, checking and emitting it on the spot.  The
 oracle below is the assembly before that: one pass collects the merged
 cells, a second checks them and reads off the skeleton.  Both call the same
 module-level hull, anchor, walk and breakpoint-value functions, so they
-differ only in how the cells are assembled, and their skeletons and tag
-sources must agree tuple for tuple.
+differ only in how the cells are assembled, and their skeletons and
+lattices must agree tuple for tuple.  The oracle also keeps the segment of
+each piece's first cell, and with it the tag rule that the build used
+before tags were read off each piece's left junction (``segment_tags``).
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ import pytest
 
 from maxbv import envelope
 from maxbv.envelope import MaximalProfile, PerturbationFamily, build_profile
+from maxbv.exact import format_pair
 from maxbv.stepfn import StepFunction
 from maxbv.verify import random_stepfn
 from conftest import bench_pairs
@@ -24,7 +27,8 @@ from test_family import SCALES
 
 def two_pass_build(scale, unit, xs, ls, ps):
     """The profile on a lattice, as ``envelope._build`` assembled it with a
-    list of cells and a second loop over them."""
+    list of cells and a second loop over them, and the segment of each
+    piece's first cell."""
     n = len(xs)
     points = list(zip(xs, ps))
     backward = [(-x, -y) for x, y in reversed(points)]
@@ -80,7 +84,22 @@ def two_pass_build(scale, unit, xs, ls, ps):
             i += 1
         forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
         segments.append(k)
-    return MaximalProfile(tuple(end_pairs), tuple(forms), (segments, scale, xs, ls, ps))
+    return MaximalProfile(tuple(end_pairs), tuple(forms), (scale, xs, ls, ps)), segments
+
+
+def segment_tags(forms, segments, scale, xs, ls, ps):
+    """The tag of each piece from its int form and the segment k of its
+    first cell.  An anchored form (A, B, G, K) has its anchor at its pole
+    -G/K, a left one when that lies at or before the segment's left end,
+    -G*D <= X[k-1]*K; a constant form's lattice level is A."""
+    tags = []
+    for (a, _, g, d), k in zip(forms, segments, strict=True):
+        if d:
+            side = "left" if k >= 1 and -g * scale <= xs[k - 1] * d else "right"
+            tags.append(f"{side}({format_pair(-g, d)})")
+        else:
+            tags.append(envelope._constant_tag(xs, ps, ls, k, a, scale))
+    return tuple(tags)
 
 
 def skeleton(profile):
@@ -89,7 +108,8 @@ def skeleton(profile):
 
 def test_one_pass_build_matches_the_two_pass_assembly(monkeypatch):
     # Every build of the oracle corpus and of the bench-shaped families at
-    # the 15 scales, compared where it is made.  The corpus must hold builds
+    # the 15 scales, compared where it is made, its tags against those the
+    # segments of the two-pass cells give.  The corpus must hold builds
     # whose cells merge across a breakpoint and builds whose last breakpoint
     # lies past the last junction, where the one pass checks it after the walk.
     seen = {"builds": 0, "merged across a breakpoint": 0, "breakpoint past the last junction": 0}
@@ -97,7 +117,9 @@ def test_one_pass_build_matches_the_two_pass_assembly(monkeypatch):
 
     def compared(scale, unit, xs, ls, ps):
         profile = build(scale, unit, xs, ls, ps)
-        assert skeleton(profile) == skeleton(two_pass_build(scale, unit, xs, ls, ps))
+        reference, segments = two_pass_build(scale, unit, xs, ls, ps)
+        assert skeleton(profile) == skeleton(reference)
+        assert profile.tags == segment_tags(reference.int_forms, segments, scale, xs, ls, ps)
         seen["builds"] += 1
         # Each walk ends at its segment's breakpoint: one that is no
         # junction lies inside a merged cell.

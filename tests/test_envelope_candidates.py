@@ -120,6 +120,12 @@ def _upper_envelope(candidates, u, v):
     fixed up to v).  Candidates tied at a finite u likewise keep one order
     on all of (u, v).
     """
+    # An anchored candidate with beta*gamma = alpha*delta is the level ell
+    # identically: |f| averages ell between its anchor and the segment.
+    # Whole chains can hold such an anchor, ``_anchors`` never admits one
+    # (``test_link_ranges_build_the_whole_chain_profile`` checks it), and
+    # the constant c >= ell covers it, so it goes before the walk.
+    candidates = [cand for cand in candidates if not cand[3] or cand[1] * cand[2] != cand[0] * cand[3]]
     crossing = envelope._crossing
     if u is None:
         winner = candidates[0]
@@ -176,18 +182,32 @@ def same_rationals(pairs, others):
 
 def assert_same_profile(built, reference):
     """Piece for piece, the same int form on the same lattice (so the same
-    candidate), the same segment, the same junctions (so the same values at
-    them), the same tags and the same dump."""
-    segments, others = built._tag_source[0], reference._tag_source[0]
-    assert built._tag_source[1:] == reference._tag_source[1:]
+    candidate), the same junctions (so the same values at them), the same
+    tags and the same dump."""
+    assert built._tag_source == reference._tag_source
     assert built.int_forms == reference.int_forms
-    assert list(segments) == list(others)
     assert same_rationals(built.end_pairs, reference.end_pairs)
     assert built.tags == reference.tags
     assert built.dump() == reference.dump()
 
 
 def test_link_ranges_build_the_whole_chain_profile(monkeypatch):
+    # No walk of the build itself gets an anchored candidate that is the
+    # level ell identically, beta*gamma = alpha*delta: an anchor that
+    # ``_anchors`` admits averages above c >= ell at its own end.  So the
+    # build needs no guard against one.
+    seen = {"walks": 0, "anchored": 0}
+    stack_walk = envelope._stack_walk
+
+    def checked(candidates, u, v):
+        anchored = [(a, b, g, d) for a, b, g, d in candidates if d]
+        assert all(b * g != a * d for a, b, g, d in anchored)
+        seen["walks"] += 1
+        seen["anchored"] += len(anchored)
+        return stack_walk(candidates, u, v)
+
+    monkeypatch.setattr(envelope, "_stack_walk", checked)
+
     def general(build, *args):
         """The profile built with whole chains and the general walk."""
         with monkeypatch.context() as patched:
@@ -207,6 +227,7 @@ def test_link_ranges_build_the_whole_chain_profile(monkeypatch):
         family = PerturbationFamily(f, g)
         for s in SCALES:
             assert_same_profile(family.profile(s), general(family.profile, s))
+    assert seen["walks"] > 10**4 and seen["anchored"] > 10**4, seen
 
 
 def test_bench_shaped_family_profiles_build_the_whole_chain_profile(monkeypatch):
