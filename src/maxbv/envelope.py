@@ -150,35 +150,35 @@ turning points only: the sum of |v[k+1] - v[k]| is the sum of
 v[k]*(s[k-1] - s[k]), with s[k] the direction of the step from v[k] and
 s = 0 beyond both ends.
 
-The difference of two profiles has at most one critical point per common
-cell, and exact signs locate it: its derivative has the sign of the int
-critical quadratic q = det1*B**2 - det2*A**2, with A and B the two pieces'
-denominators, neither of which vanishes on the cell.  Where det1*det2 <= 0,
-one piece rises while the other falls or one is flat, q has one sign and no
-root: the cell is exact, its direction that of det1 - det2, and no
-quadratic is formed.  Where the two pieces share their pole, q is its
-leading coefficient times a square that does not vanish on the cell, and
-only that coefficient is formed.  On the other cells, where the pieces move
-the same way about two poles, q changes sign across the cell exactly when
-the cell holds a critical point, and the walk reads the cell's direction
-off q's signs at its ends.  The difference walk is one two-pointer merge of
-the two piece lists, and it decides every sign on ints: the nearer
-junction, the dets, q and its signs at the cell ends are int expressions on
-the loop's locals, and d is read off the two forms, as an int pair, only
-at a turning point or at the ends of a peak cell.  The exact part is one
-sum of int pairs at the turning points, a peak cell counting as flat,
-reduced up a balanced merge tree, so its cost stays near linear in the
-number of cells.  Only the
-critical points (peaks) get brackets, at int levels that grow round by
-round until the sum is a certified rational enclosure of any requested
-precision.  Each round adds its peak terms as int pairs and compares its
-width with the precision on ints, so the enclosure's two ends come out as
-int pairs.  A BV distance is the same walk started as if d came from 0
-before -oo, so its first turn adds the gap of the limits at -oo.  A peak
-cell reduces the int quadratic of its two forms to that of the two pieces,
-in lowest ints: a surd's bracket
-is sized by that scaling.  A rational critical point's bracket is the point
-itself, so its peak is exact.
+Every variation is one walk in two parts.  The sign pass ``_sign_pass``
+merges two piece lists with one pointer each and decides the direction of
+their difference d on every common cell; it uses only +, -, * and
+comparisons, so it runs unchanged over any ordered ring, and on the int
+forms it decides every sign on ints.  The difference of two pieces has at
+most one critical point on a cell, and exact signs locate it: d' has the
+sign of the critical quadratic q = det1*B**2 - det2*A**2, with A and B the
+two pieces' dens, neither of which vanishes on the cell.  Where one piece
+rises while the other falls, or one is flat, q has one sign and no root,
+and no quadratic is formed; where the two share their pole, only q's
+leading coefficient is.  On the other cells q changes sign across the cell
+exactly when it holds a critical point, a peak.  The pass returns the
+turning points, d at each as a form's gap at a bound, and for each peak
+cell its raw quadratic, its two forms, d at its ends and its rise.  The
+int stage ``_int_stage`` sums the turning points as int pairs, a peak cell
+counting as direction 0, up a balanced merge tree, so its cost stays near
+linear in the number of cells.  It reduces each peak's quadratic to that of
+the two pieces in lowest ints, isolates its roots and brackets the one
+inside at int levels that grow round by round, each round's peak terms
+summed as int pairs and its width compared with the precision on ints,
+until the enclosure is certified to the requested precision; a rational
+critical point's bracket is the point itself, so its peak is exact.
+
+``variation_of_difference`` runs the walk from -oo to +oo.  A BV distance
+is the same walk started as if d came from 0 before -oo, so its first turn
+adds the gap of the limits at -oo.  A profile's variation over a window is
+its walk against the zero profile M0 = 0, whose one form is (0, 0, 1, 0):
+the pass runs over the window's slice of the profile, from its start to its
+end, and never meets a peak, so the answer is exact.
 """
 
 from __future__ import annotations
@@ -870,32 +870,34 @@ def _gap(value1: Pair, value2: Pair) -> Pair:
 
 
 def _gap_at(form1: Sequence[int], form2: Sequence[int], x: Pair) -> Pair:
-    """form1 - form2 at the bound x, as an int pair, den > 0: the ``_gap`` of
-    their ``_form_at`` values, read in one call where x is finite."""
+    """form1 - form2 at the bound x, as an int pair, den != 0: the ``_gap``
+    of their ``_form_at`` values, den > 0, at an infinite x, and where x is
+    finite the same difference read in one call, its den the product of the
+    two forms' dens there, of either sign."""
     n, m = x
     if not m:
         return _gap(_form_at(form1, x), _form_at(form2, x))
     a1, b1, g1, d1 = form1
     a2, b2, g2, d2 = form2
     den1, den2 = g1 * m + d1 * n, g2 * m + d2 * n
-    num, den = (a1 * m + b1 * n) * den2 - (a2 * m + b2 * n) * den1, den1 * den2
-    return (num, den) if den > 0 else (-num, -den)
+    return (a1 * m + b1 * n) * den2 - (a2 * m + b2 * n) * den1, den1 * den2
+
+
+# The one form of the zero profile M0 = 0, against which a profile's own
+# variation is walked.
+_ZERO = (0, 0, 1, 0)
 
 
 def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> VariationEnclosure:
     """Total variation of the profile over the open interval (a, b), as an
     enclosure of width zero: the one pair twice.
 
-    Each piece is monotone, its direction the sign of its int form's det
-    b*g - a*d (0 for a constant), so the variation is a sum over the values
-    at the turning points, where the direction changes (``_sum_at_turns``):
-    the answer is exact.  A finite a or b is placed among the end pairs by
-    ``_locate``; the walk's bounds are a, the junctions between and b.  The
-    turns into and out of a run of flat pieces share one value, read once as
-    the run's first piece's limit (a flat piece has one value at every
-    bound), and make one term of the sum; a turn between two monotone pieces
-    reads the later one's form at its left bound, and the last turn the
-    last piece's form at b.
+    It is the walk of the profile against the zero profile M0 = 0: the
+    sign pass ``_sign_pass`` over the slice of the profile's pieces that
+    meet (a, b) against M0's one form (0, 0, 1, 0), from a to b, summed at
+    its turning points by ``_sum_at_turns``.  A finite a or b is placed
+    among the end pairs by ``_locate``.  M0 is flat, so no cell has a peak,
+    and the answer is exact.
     """
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
@@ -909,26 +911,7 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
         first, lo = first + at_a, (a.numerator, a.denominator)
     if not isinstance(b, float):
         last, hi = _locate(pairs, b)[0], (b.numerator, b.denominator)
-    turns = []
-    before = 0  # the direction of the last monotone piece
-    value = None  # the value of the flat pieces after it, the same at every bound
-    for form, left in zip(forms[first : last + 1], (lo, *pairs[first:last])):
-        fa, fb, fg, fd = form
-        det = fb * fg - fa * fd
-        if not det:
-            if value is None:
-                value = _form_at(form, _POS_END)
-            continue
-        direction = 1 if det > 0 else -1
-        if direction != before:  # a turn: at the flat pieces, else at the piece's left bound
-            if value is None:
-                n, m = left
-                value = (fa * m + fb * n, fg * m + fd * n) if m else _form_at(form, left)
-            turns.append((before - direction, value))
-            before = direction
-        value = None
-    if before:
-        turns.append((before, _form_at(forms[last], hi) if value is None else value))
+    turns, _ = _sign_pass((*pairs[first:last], hi), forms[first : last + 1], (hi,), (_ZERO,), lo, 0)
     total = _sum_at_turns(turns)
     return VariationEnclosure(total, total)
 
@@ -936,15 +919,42 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
 def variation_of_difference(
     p1: MaximalProfile, p2: MaximalProfile, precision=Fraction(1, 10**9)
 ) -> VariationEnclosure:
-    """Certified total variation of (p1 - p2) over the whole line.
+    """Certified total variation of (p1 - p2) over the whole line: the sign
+    pass ``_sign_pass`` over the two profiles' pieces, from -oo to +oo,
+    then the int stage ``_int_stage``, which sums its turning points and
+    brackets its peaks until the enclosure is at most ``precision`` wide."""
+    turns, peaks = _sign_pass((*p1.end_pairs, _POS_END), p1.int_forms, (*p2.end_pairs, _POS_END), p2.int_forms, _NEG_END, 0)
+    return VariationEnclosure(*_int_stage(turns, peaks, precision))
 
-    The two piece lists are merged with one pointer each: a common cell
-    (s, t) ends at the nearer of the current pieces' right ends, and each
-    piece that ends there steps on (both, at a shared junction).  On the cell
-    the derivative of d = m1 - m2 has the sign of the critical quadratic
-    q = det1*B**2 - det2*A**2, with A = gamma1 + delta1*x and
-    B = gamma2 + delta2*x.  Neither piece has its pole on the closed cell,
-    so neither A nor B vanishes there.
+
+def _sign_pass(ends1, forms1, ends2, forms2, start: Pair, before: int):
+    """The walk of d = m1 - m2 over the common cells of two piece lists:
+    its turning points and its peaks.
+
+    Piece k of a list has the form ``forms[k]`` and ends at ``ends[k]``;
+    the first starts at the bound ``start``, and both lists close with the
+    same last end, where the walk ends.  The values of d start with the
+    direction ``before``: 0 for a variation, the sign of d(-oo) for the walk
+    that comes from 0 before -oo, whose first turn, at d(-oo), adds |d(-oo)|.
+    It returns the turns, (c, d(s)) at each bound s where the direction
+    changes, c the old direction less the new, a peak cell counting as
+    direction 0 and a cell where d is flat keeping the last direction (its
+    step is 0, so any direction sums alike), and for each peak cell
+    (qa, qb, qc, form1, form2, d(s), d(t), rise): the raw critical
+    quadratic of its forms, the forms, d at its ends and the sign of d'
+    left of its critical point.  Each d is a form's gap at a bound
+    (``_gap_at``), an int pair whose den may be negative at a finite bound.
+
+    The pass uses +, -, * and comparisons only, so it runs unchanged on
+    forms over any ordered ring; on the int forms it decides every sign on
+    ints.  A common cell (s, t) ends at the nearer of the current pieces'
+    right ends, and each piece that ends there steps on (both, at a shared
+    end).  On the cell the derivative of d has the sign of the critical
+    quadratic q = det1*B**2 - det2*A**2, with det = b*g - a*d a form's det
+    and A = gamma1 + delta1*x, B = gamma2 + delta2*x its two dens.  Neither
+    piece has its pole on the closed cell, so neither A nor B vanishes
+    there.  A form is its piece times some k > 0, so q from the forms is
+    k1**2 * k2**2 times the pieces' q, with the same sign everywhere.
 
     Where det1*det2 <= 0, one piece rises while the other falls, or one of
     them is flat: the two terms of q never have opposite signs and do not
@@ -961,89 +971,47 @@ def variation_of_difference(
     with its own sign at most once (a constant r makes q vanish everywhere
     or nowhere on the cell).  Hence q has at most one root on the closed
     cell and changes sign there: the cell splits into at most two monotone
-    stretches.  The walk forms q and its signs at s and t, and checks that q
-    has not both roots in the closed cell (two critical points), testing the
-    two sign conditions before the discriminant.  The cell holds a critical
-    point exactly when q has opposite nonzero signs at its ends (at an
-    infinite end, the sign of q's leading term there), and the sign at s is
-    the sign of d' left of it.  Any other cell is exact, its direction the
-    sign of q at either end where it is nonzero.
-
-    Profiles are continuous, so d is exact at every junction, and the exact
-    cells' variation is the sum of d at their turning points
-    (``_sum_at_turns``), a cell with a critical point counting as direction
-    0: d is an int pair there, read only at a turn, and so is the sum.  The
-    walk reads the profiles' skeletons of ints: their end pairs and each
-    piece's int form, its coefficients times some k > 0, whose value at -oo
-    and +oo is its limit there.  So q from the int forms is k1**2 * k2**2
-    times the pieces' q, with the same sign everywhere.
-
-    Only a cell with a critical point isolates the roots of q and keeps the
-    one inside as a peak.  It first divides q by gcd(q, (k1*k2)**2), with k
-    a form's delta (gamma for a constant), its factor over its piece: that
-    is the critical quadratic of the pieces, which have delta = 1
-    (gamma = 1), times the lcm of its denominators: the int quadratic that
-    ``isolate_quadratic_roots`` takes.  A surd's bracket at level L is
-    1/(2a*2**L) wide, so that scaling fixes every enclosure end.  Round k
-    takes each peak to the least level, not below its last, of width at
-    most 2**-(40 + 16k), two more while either piece's pole is in it, and
-    reads the poles' signs and the values at the bracket's int-pair ends off
-    the two int forms.  The two pieces move the same way, so each is lowest
-    at one end of the bracket and highest at the other.  The round's peak
-    terms are int pairs, summed like the turning points, and its width is
-    compared with the precision on ints; the enclosure's ends are int
-    pairs too.  A rational root's bracket is the point itself, so its peak
-    term is exact from the first round on.
+    stretches.  The pass forms q and its signs at s and t, and checks that
+    q has not both roots in the closed cell (two critical points), testing
+    the two sign conditions before the discriminant.  The cell holds a
+    critical point, a peak, exactly when q has opposite nonzero signs at its
+    ends (at an infinite end, the sign of q's leading term there), and the
+    sign at s is the sign of d' left of it.  Any other cell is exact, its
+    direction the sign of q at either end where it is nonzero.
     """
-    return VariationEnclosure(*_difference_ends(p1, p2, precision, 0))
-
-
-def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision, before: int) -> Tuple[Pair, Pair]:
-    """The ends of the enclosure of the variation of d = p1 - p2, as int
-    pairs with den > 0, not reduced: one pair, twice, when it is exact.
-
-    The walk of d's values starts with the direction ``before``: 0 for the
-    variation over the whole line, the sign of d(-oo) for the walk that
-    comes from 0 before -oo, whose first turn, at d(-oo), adds |d(-oo)|.
-    From then on ``before`` is the direction of d on the last cell."""
-    precision = rat(precision)
-    if precision.numerator <= 0:
-        raise ValueError("precision must be positive")
-
-    # Each list of end pairs closes with the +oo pair, which no finite end
-    # passes and where both pointers step.
-    ends1, ends2 = (*p1.end_pairs, _POS_END), (*p2.end_pairs, _POS_END)
-    forms1, forms2 = p1.int_forms, p2.int_forms
-    i = j = 0
-    sn, sd = _NEG_END
-    # The exact cells' turning points (c, d(s)), and the peaks:
-    # (root, level, form1, form2, d(s), d(t), sign of d' left of the root).
+    last = len(ends1) - 1
+    i = j = -1
+    order = 0
+    sn, sd = start
     turns: List[Tuple[int, Pair]] = []
-    peaks: List[list] = []
+    peaks: List[tuple] = []
     while True:
-        # The cell's right end t = tn/td: the nearer of the two pieces' right
-        # ends, and whether each pointer steps past it (both, at a shared
-        # junction).
-        (tn, td), (rn, rd) = ends1[i], ends2[j]
-        order = tn * rd - rn * td
-        step1, step2 = order <= 0, order >= 0
-        if not step1:
-            tn, td = rn, rd
-        form1, form2 = forms1[i], forms2[j]
-        a1, b1, g1, e1 = form1
-        a2, b2, g2, e2 = form2
-        det1, det2 = b1 * g1 - a1 * e1, b2 * g2 - a2 * e2
+        # Each piece that ended at the last cell's right end steps on (both,
+        # at a shared end), and the cell's right end t = tn/td is the nearer
+        # of the two pieces' right ends u and v.  A piece's det is read once.
+        if order <= 0:
+            i += 1
+            form1, (un, ud) = forms1[i], ends1[i]
+            a1, b1, g1, e1 = form1
+            det1 = b1 * g1 - a1 * e1
+        if order >= 0:
+            j += 1
+            form2, (vn, vd) = forms2[j], ends2[j]
+            a2, b2, g2, e2 = form2
+            det2 = b2 * g2 - a2 * e2
+        order = un * vd - vn * ud
+        tn, td = (un, ud) if order <= 0 else (vn, vd)
         if det1 * det2 <= 0:  # the pieces move apart, or one is flat
-            direction = (det1 > det2) - (det1 < det2)
+            # Where both are flat, so is d: it keeps the last direction.
+            direction = (det1 > det2) - (det1 < det2) or before
         elif g1 * e2 == g2 * e1:  # one pole: q is qa*(x - pole)**2 over e2**2
             at = det1 * e2 * e2 - det2 * e1 * e1
             direction = (at > 0) - (at < 0)
         else:
             # The critical quadratic q = qa*x**2 + qb*x + qc of the two forms,
             # and its signs at s and t.  At an infinite end, the pair (-1, 0)
-            # or (1, 0), the same int expression is qa, and its sign toward
-            # that infinity falls to that of sn*qb (tn*qb), then qc, where qa
-            # is 0.
+            # or (1, 0), the same expression is qa, and its sign toward that
+            # infinity falls to that of sn*qb (tn*qb), then qc, where qa is 0.
             qa = det1 * e2 * e2 - det2 * e1 * e1
             qb = 2 * (det1 * g2 * e2 - det2 * g1 * e1)
             qc = det1 * g2 * g2 - det2 * g1 * g1
@@ -1051,19 +1019,9 @@ def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision, before: 
             rise = (at > 0) - (at < 0)
             at = (qa * tn + qb * td) * tn + qc * td * td or not td and (tn * qb or qc)
             at_t = (at > 0) - (at < 0)
-            if rise * at_t < 0:
-                # One root lies inside.  Left of the low root q has the sign of
-                # its leading coefficient, between the roots the other sign; a
-                # linear q has a single root.  A form is k > 0 times its piece,
-                # k its delta (its gamma for a constant): q over
-                # gcd(q, (k1*k2)**2) is the pieces' own q in lowest ints, which
-                # sizes a surd's bracket.
-                common = math.gcd(qa, qb, qc, ((e1 or g1) * (e2 or g2)) ** 2)
-                q = (qa // common, qb // common, qc // common)
-                roots = isolate_quadratic_roots(q)
-                root = roots[0] if rise == sign(q[0]) else roots[-1]
+            if rise * at_t < 0:  # one root lies inside: a peak
                 d_s, d_t = _gap_at(form1, form2, (sn, sd)), _gap_at(form1, form2, (tn, td))
-                peaks.append([root, 0, form1, form2, d_s, d_t, rise])
+                peaks.append((qa, qb, qc, form1, form2, d_s, d_t, rise))
                 direction = 0
             elif (
                 # Both roots of q (a double root counts twice) in the closed
@@ -1083,22 +1041,56 @@ def _difference_ends(p1: MaximalProfile, p2: MaximalProfile, precision, before: 
         if direction != before:
             turns.append((before - direction, _gap_at(form1, form2, (sn, sd))))
             before = direction
-        if not td:
-            break
         sn, sd = tn, td
-        i += step1
-        j += step2
+        if order <= 0 and i == last:
+            break
     if before:
-        turns.append((before, _gap_at(form1, form2, _POS_END)))
+        turns.append((before, _gap_at(form1, form2, (sn, sd))))
+    return turns, peaks
 
+
+def _int_stage(turns, peaks, precision) -> Tuple[Pair, Pair]:
+    """The ends of the enclosure of a sign pass's variation, as int pairs,
+    not reduced: one pair, twice, when it has no peak.
+
+    The exact part is the sum of d at the turning points
+    (``_sum_at_turns``).  Each peak's raw quadratic is divided by
+    gcd(q, (k1*k2)**2), with k a form's delta (gamma for a constant), its
+    factor over its piece: that is the critical quadratic of the pieces,
+    which have delta = 1 (gamma = 1), times the lcm of its denominators:
+    the int quadratic that ``isolate_quadratic_roots`` takes.  Left of its
+    low root q has the sign of its leading coefficient, between its roots
+    the other sign, so the root inside the cell is the low one where the
+    rise, q's sign at the cell's start, is that sign, else the high one (a
+    linear q has one root).  A surd's bracket at level L is 1/(2a*2**L) wide, so that
+    scaling fixes every enclosure end.  Round k takes each peak to the
+    least level, not below its last, of width at most 2**-(40 + 16k), two
+    more while either piece's pole is in it, and reads the poles' signs and
+    the values at the bracket's int-pair ends off the two int forms.  The
+    two pieces move the same way, so each is lowest at one end of the
+    bracket and highest at the other.  The round's peak terms are int
+    pairs, summed like the turning points, and its width is compared with
+    the precision on ints.  A rational root's bracket is the point itself,
+    so its peak term is exact from the first round on.
+    """
+    precision = rat(precision)
+    if precision.numerator <= 0:
+        raise ValueError("precision must be positive")
     exact = _sum_at_turns(turns)
     if not peaks:
         return exact, exact
+    isolated = []
+    for qa, qb, qc, form1, form2, d_s, d_t, rise in peaks:
+        common = math.gcd(qa, qb, qc, ((form1[3] or form1[2]) * (form2[3] or form2[2])) ** 2)
+        q = (qa // common, qb // common, qc // common)
+        roots = isolate_quadratic_roots(q)
+        root = roots[0] if rise == sign(q[0]) else roots[-1]
+        isolated.append([root, 0, form1, form2, d_s, d_t, rise])
     bits = 40
     while True:
         lo_terms: List[Tuple[int, Pair]] = []
         hi_terms: List[Tuple[int, Pair]] = []
-        for peak in peaks:
+        for peak in isolated:
             root, level, form1, form2, d_s, d_t, rise = peak
             # The least level whose bracket width 1/(2a*2**level) is <= 2**-bits.
             level = max(level, bits + 1 - (2 * root.a).bit_length())
@@ -1138,9 +1130,12 @@ def bv_distance(
     """BV distance between two maximal functions, given by their profiles:
     the gap |d(-oo)| of their limits at -oo plus the variation of their
     difference d = p1 - p2.  That is the variation of d's walk as if d came
-    from 0 before -oo, so ``_difference_ends`` starts it with the sign of
-    d(-oo), an int pair with den > 0 whatever the signs of the forms' dens.
-    Only a peak of the difference can be irrational, so the precision
-    bounds the enclosure's width."""
+    from 0 before -oo: the sign pass ``_sign_pass`` started with the sign of
+    d(-oo), then the int stage ``_int_stage``.  Only a peak of the
+    difference can be irrational, so the precision bounds the enclosure's
+    width."""
     num, _ = _gap_at(p1.int_forms[0], p2.int_forms[0], _NEG_END)
-    return VariationEnclosure(*_difference_ends(p1, p2, precision, (num > 0) - (num < 0)))
+    turns, peaks = _sign_pass(
+        (*p1.end_pairs, _POS_END), p1.int_forms, (*p2.end_pairs, _POS_END), p2.int_forms, _NEG_END, (num > 0) - (num < 0)
+    )
+    return VariationEnclosure(*_int_stage(turns, peaks, precision))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxbv import envelope
 from maxbv.envelope import (
     PerturbationFamily,
     VariationEnclosure,
@@ -252,3 +253,68 @@ def test_each_kind_of_cell_matches_the_reference(kind, swap):
 @given(step_functions(n_max=5), step_functions(n_max=5), st.sampled_from([1, Fraction(1, 2), Fraction(1, 64)]))
 def test_perturbed_pairs_match_the_reference(f, g, scale):
     assert_same_walk(build_profile(combine(f, g, 1, scale)), build_profile(f))
+
+
+def sign_pass_pairs():
+    """The profile pairs of the tests above, and the family profiles of the
+    bench-shaped pairs against f's own."""
+    rng = random.Random(11)
+    for _ in range(12):
+        f, g = rand_stepfn(rng), rand_stepfn(rng)
+        for j in range(0, 15, 2):
+            yield build_profile(combine(f, g, 1, Fraction(1, 2**j))), build_profile(f)
+    for seed in range(0, 120, 2):
+        yield build_profile(random_stepfn(seed)), build_profile(random_stepfn(seed + 1))
+    yield build_profile(random_stepfn(10, n_max=9)), build_profile(random_stepfn(1010, n_max=9))
+    flat = build_profile(StepFunction.constant(Fraction(3, 2)))
+    for seed in range(10):
+        yield flat, build_profile(random_stepfn(seed))
+    for args1, args2 in CELL_PAIRS.values():
+        p1, p2 = [moebius_profile(*[Fraction(v) for v in args]) for args in (args1, args2)]
+        yield p1, p2
+        yield p2, p1
+    for f, g in bench_pairs():
+        profile_f, family = build_profile(f), PerturbationFamily(f, g)
+        for s in SCALES:
+            yield family.profile(s), profile_f
+
+
+def test_the_sign_pass_runs_alike_on_forms_scaled_by_positive_rationals():
+    # The sign pass uses only ring operations and signs, so forms scaled by
+    # any positive factors, a different one per piece, give the same turns
+    # and the same d values as rationals, and peak quadratics scaled by a
+    # positive factor: what a walk over another ordered ring, such as Z[eps]
+    # or Q[s], relies on.
+    rng = random.Random(23)
+
+    def value(pair):
+        return Fraction(pair[0]) / Fraction(pair[1])
+
+    def scaled(forms):
+        out = []
+        for form in forms:
+            k = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+            out.append(tuple(k * c for c in form))
+        return tuple(out)
+
+    peaks = 0
+    for p1, p2 in sign_pass_pairs():
+        ends1, ends2 = (*p1.end_pairs, envelope._POS_END), (*p2.end_pairs, envelope._POS_END)
+        start = sign(Fraction(*envelope._gap_at(p1.int_forms[0], p2.int_forms[0], envelope._NEG_END)))
+        for before in {0, start}:
+            turns, found = envelope._sign_pass(ends1, p1.int_forms, ends2, p2.int_forms, envelope._NEG_END, before)
+            scaled_turns, scaled_found = envelope._sign_pass(
+                ends1, scaled(p1.int_forms), ends2, scaled(p2.int_forms), envelope._NEG_END, before
+            )
+            assert [c for c, _ in scaled_turns] == [c for c, _ in turns]
+            assert [value(d) for _, d in scaled_turns] == [value(d) for _, d in turns]
+            assert len(scaled_found) == len(found)
+            for peak, scaled_peak in zip(found, scaled_found):
+                assert all(type(c) is int for c in peak[:3])
+                lead = next(k for k in range(3) if peak[k])
+                factor = scaled_peak[lead] / peak[lead]
+                assert factor > 0 and scaled_peak[:3] == tuple(factor * c for c in peak[:3])
+                assert [value(d) for d in scaled_peak[5:7]] == [value(d) for d in peak[5:7]]
+                assert scaled_peak[7] == peak[7]
+            peaks += len(found)
+    assert peaks > 0

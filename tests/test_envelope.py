@@ -231,6 +231,45 @@ def piece_variation(profile, a, b):
     return total
 
 
+def skeleton_corpus():
+    """(f, profile of f): the oracle corpus, and the family profiles of the
+    bench-shaped pairs at the scales 1, 2^-7 and 2^-14."""
+    for f in oracle_corpus():
+        yield f, build_profile(f)
+    for f, g in bench_pairs():
+        family = envelope.PerturbationFamily(f, g)
+        for scale in (Fraction(1), Fraction(1, 2**7), Fraction(1, 2**14)):
+            yield combine(f, g, 1, scale), family.profile(scale)
+
+
+def windows_on_the_skeleton(f, profile):
+    """Windows whose ends the slicing of a windowed variation must get
+    right: an end on a junction, an end on a breakpoint, a window inside one
+    piece, and each run of flat pieces whole, infinite ends included."""
+    junctions = ends(profile)
+    los, his = (NEG_INF, *junctions), (*junctions, POS_INF)
+    windows = []
+    for x in (*junctions[:1], *junctions[-1:], *f.breakpoints[:1], *f.breakpoints[-1:]):
+        windows += [(x, x + Fraction(1, 3)), (x - Fraction(5, 2), x), (NEG_INF, x), (x, POS_INF)]
+    if len(junctions) > 1:
+        windows.append((junctions[0], junctions[-1]))
+    for lo, hi in zip(los, his):
+        if lo == NEG_INF:
+            lo = hi - 3 if hi != POS_INF else Fraction(0)
+        if hi == POS_INF:
+            hi = lo + 3
+        windows.append((lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3))
+    flat = [b == d == 0 for _, b, _, d in profile.int_forms]
+    start = None
+    for k, is_flat in enumerate([*flat, False]):
+        if is_flat and start is None:
+            start = k
+        elif not is_flat and start is not None:
+            windows.append((los[start], his[k - 1]))
+            start = None
+    return windows
+
+
 def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkeypatch):
     # The build fills ends, end values and int forms straight from its cells;
     # profile_from_pieces derives them from the pieces.  Both skeletons must
@@ -245,8 +284,7 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
     monkeypatch.setattr(envelope, "isolate_quadratic_roots", counted)
     rng = random.Random(31)
     previous = None
-    for f in oracle_corpus():
-        built = build_profile(f)
+    for f, built in skeleton_corpus():
         view = pieces(built)
         assert ends(built) == tuple(piece.hi for piece in view[:-1])
         assert ends(built) == tuple(piece.lo for piece in view[1:])
@@ -263,6 +301,7 @@ def test_built_skeleton_matches_its_pieces_and_the_hand_built_constructor(monkey
         for a, b in (
             (rng.choice(marks), rng.choice(marks) + Fraction(rng.randint(1, 12), 4)),
             (rng.choice(marks) - Fraction(rng.randint(1, 12), 4), rng.choice(marks) + Fraction(1, 3)),
+            *windows_on_the_skeleton(f, built),
         ):
             if a < b:
                 assert variation_of_profile(built, a, b).lo == piece_variation(built, a, b)
