@@ -85,13 +85,20 @@ def _option(parse, *extra):
     return convert
 
 
-def _load(path: str) -> StepFunction:
+def _read(path: str, reader):
+    """reader(path) on a file named on the command line: a file that cannot
+    be read, or is not UTF-8, is an input error that names it."""
     try:
-        return sf.load(path)
+        return reader(path)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def _load(path: str) -> StepFunction:
+    try:
+        return _read(path, sf.load)
     except StepFunctionParseError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -183,12 +190,7 @@ def cmd_check(args) -> Outcome:
 def _read_config(path: str, keys) -> dict:
     """key -> (line number, value text) from a line-oriented key=value file
     whose keys are among keys; an error names the first bad line."""
-    try:
-        text = sf.read_text(path)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
+    text = _read(path, sf.read_text)
     config = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -85,14 +85,17 @@ cross-multiplication.  The build body takes any lattice (D, E, X, L, P)
 whose D and E are positive multiples of those lcms: ``build_profile`` reads
 f's own, ``StepFunction.lattice``, made once per function, checked there
 and shared with the pointwise engine ``maximal.maximal_value``, and
-``PerturbationFamily`` makes one for the whole family f + s*g.
+``PerturbationFamily`` makes one for the whole family f + s*g out of f's
+and g's.
 
-The family lattice is read once for f and g.  Fixed across scales are the
-merged breakpoints with their scale D (the lcm over all of them) and points
-X, and f's signed int levels a in the unit e_f and g's b in e_g, read in
-one merge of the two functions' points on ints that takes each function's
-constant left of every merged point as it goes; each is checked once
-against the rational it came from.  At a scale s = p/q only the levels
+The family lattice is read off f's and g's own lattices, each cached and
+checked against its function's rationals when it was made.  Fixed across
+scales are the merged breakpoints with their scale D, the lcm of f's and
+g's, and points X, each function's points times the exact quotient of D by
+its scale, and f's signed int levels a in the unit e_f and g's b in e_g,
+each function's L signed as its constant, read in one merge of the two
+functions' points on ints that takes each function's level left of every
+merged point as it goes.  At a scale s = p/q only the levels
 L = |a*e_g*q + b*e_f*p|, the unit E = e_f*e_g*q and the sums P change, and
 a merged breakpoint where the value of f + s*g equals both neighbouring
 constants is dropped, as canonical form drops it.  Only where the two
@@ -129,8 +132,8 @@ form's over delta (gamma for a constant), each through
 ``exact.format_pair``.  ``pieces`` is ``int_forms`` under another name.
 Int passes check the way in and back:
 ``StepFunction.lattice`` that X*den(b) = num(b)*D and L*den(c) = |num(c)|*E
-for f's own rationals b and c when it is made (a family, once, its own
-lattice against the rationals of f and g), and ``format_pair`` that each
+for f's own rationals b and c when it is made (a family's ints are those
+of f and g times exact int quotients), and ``format_pair`` that each
 printed p/q is its pair (num, den), as p*den == num*q.  So every rational a
 dump prints has been checked.
 
@@ -190,7 +193,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import Rat, _text, format_pair, isolate_quadratic_roots, lowest_pair, rat, sign
-from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint, _scaled
+from .stepfn import NEG_INF, POS_INF, StepFunction, _antiderivative, _endpoint
 
 # An interval end: a rational, or NEG_INF/POS_INF (compared, never computed
 # with).  The infinities are the only floats, so the hot loops tell an infinite
@@ -658,41 +661,13 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
 # --- the perturbation family f + s*g -----------------------------------------
 
 
-def _family_lattice(f: StepFunction, g: StepFunction) -> tuple:
-    """f and g on one lattice: the merged breakpoints b, their scale D (the
-    lcm of their denominators) and points X = D*b, then for each of f and g
-    its constants c on the merged segments, its unit e (the lcm of its
-    constant denominators) and its signed levels e*c."""
-    fb, gb, fc, gc = f.breakpoints, g.breakpoints, f.constants, g.constants
-    scale = math.lcm(*[b.denominator for b in fb], *[b.denominator for b in gb])
-    # One merge of the two lists of points on ints, as in ``stepfn.combine``:
-    # with i of f's points below a merged point, f is constants[i] left of it.
-    fx, gx = _scaled(fb, scale), _scaled(gb, scale)
-    points, xs, cf, cg = [], [], [], []
-    i = j = 0
-    nf, ng = len(fx), len(gx)
-    while i < nf or j < ng:
-        on_f = j == ng or i < nf and fx[i] <= gx[j]
-        on_g = i == nf or j < ng and gx[j] <= fx[i]
-        cf.append(fc[i])
-        cg.append(gc[j])
-        xs.append(fx[i] if on_f else gx[j])
-        points.append(fb[i] if on_f else gb[j])
-        i += on_f
-        j += on_g
-    reads = []
-    for h, constants in ((f, cf), (g, cg)):
-        constants.append(h.constants[-1])
-        unit = math.lcm(*[c.denominator for c in h.constants])
-        reads.append((constants, unit, _scaled(constants, unit)))
-    return (points, scale, tuple(xs), *reads)
-
-
 class PerturbationFamily:
     """The profiles of f + s*g for rational s, built on one integer lattice.
 
-    The merged breakpoints and the signed int levels of f and g are read and
-    checked once; ``profile(s)`` forms only the levels, the unit and the
+    The lattice is read off f's and g's own, ``StepFunction.lattice``,
+    cached and checked when made: the merged breakpoints, their points X on
+    the lcm of the two scales and the signed int levels of f and g on each
+    merged segment.  ``profile(s)`` forms only the levels, the unit and the
     sums P at s, and drops the merged breakpoints that canonical form drops
     there, deciding on rationals only where two neighbouring levels are
     equal.  Each profile is that of ``build_profile(stepfn.combine(f, g, 1,
@@ -702,22 +677,32 @@ class PerturbationFamily:
     __slots__ = ("_f", "_g", "_points", "_scale", "_unit", "_xs", "_levels")
 
     def __init__(self, f: StepFunction, g: StepFunction):
-        points, scale, xs, (cf, e_f, a), (cg, e_g, b) = _family_lattice(f, g)
-        # The way back, once for the family: each int against the rational
-        # of f or g that the merge read it from, a point X against its
-        # breakpoint and a level against its constant.
-        for x, t in zip(xs, points, strict=True):
-            if x * t.denominator != t.numerator * scale:
-                raise AssertionError("family lattice disagrees with the merged breakpoints")
-        for constants, unit, levels in ((cf, e_f, a), (cg, e_g, b)):
-            for ell, c in zip(levels, constants, strict=True):
-                if ell * c.denominator != c.numerator * unit:
-                    raise AssertionError("family lattice disagrees with the constants of f and g")
+        (d_f, e_f, fx, fl, _), (d_g, e_g, gx, gl, _) = f.lattice, g.lattice
+        scale = math.lcm(d_f, d_g)
+        fx = [x * (scale // d_f) for x in fx]
+        gx = [x * (scale // d_g) for x in gx]
+        # The signed levels: f's a = e_f*c and g's b = e_g*c, each L signed
+        # as its constant c.  At s = p/q, f + s*g on a merged segment is
+        # a*e_g*q + b*e_f*p in units of 1/(e_f*e_g*q).
+        a = [-ell if c < 0 else ell for ell, c in zip(fl, f.constants)]
+        b = [-ell if c < 0 else ell for ell, c in zip(gl, g.constants)]
+        # One merge of the two lists of points on ints, as in ``stepfn.combine``:
+        # with i of f's points below a merged point, f's level is a[i] left of it.
+        fb, gb = f.breakpoints, g.breakpoints
+        points, xs, levels = [], [], []
+        i = j = 0
+        nf, ng = len(fx), len(gx)
+        while i < nf or j < ng:
+            on_f = j == ng or i < nf and fx[i] <= gx[j]
+            on_g = i == nf or j < ng and gx[j] <= fx[i]
+            levels.append((a[i] * e_g, b[j] * e_f))
+            xs.append(fx[i] if on_f else gx[j])
+            points.append(fb[i] if on_f else gb[j])
+            i += on_f
+            j += on_g
+        levels.append((a[-1] * e_g, b[-1] * e_f))
         self._f, self._g, self._points = f, g, points
-        self._scale, self._unit, self._xs = scale, e_f * e_g, xs
-        # At s = p/q, f + s*g on a merged segment is a*q + b*p in units of
-        # 1/(e_f*e_g*q).
-        self._levels = [(ca * e_g, cb * e_f) for ca, cb in zip(a, b)]
+        self._scale, self._unit, self._xs, self._levels = scale, e_f * e_g, tuple(xs), levels
 
     def profile(self, s) -> MaximalProfile:
         """The profile of f + s*g."""

@@ -405,11 +405,11 @@ def continuity_experiment(
     checked on their ints, by cross-multiplication.  The report's verdicts
     read its last ``tail_count`` rows, so tail_count must be at least 1.
 
-    Every f_j is built on one ``envelope.PerturbationFamily`` lattice.  Read
-    once, in one int merge of the two functions' breakpoints: the merged
-    breakpoints of f and the perturbation, their scale D and points X, and
-    the signed int levels of both functions, each checked against the
-    rational it came from.  Per scale s = p/q: the levels |f + s*g| in the
+    Every f_j is built on one ``envelope.PerturbationFamily`` lattice, read
+    off the cached lattices of f and the perturbation, each made and checked
+    against its function's rationals once, in one int merge of their points:
+    the merged breakpoints, their scale D and points X, and the signed int
+    levels of both functions.  Per scale s = p/q: the levels |f + s*g| in the
     unit E = e_f*e_g*q, the antiderivative values and any breakpoint that
     canonical form would drop there, read on rationals only between two
     equal levels; the build then checks and emits each piece in its walks'

@@ -59,19 +59,22 @@ def test_family_profiles_match_combine_and_build():
 
 
 def test_family_lattice_merges_the_breakpoints_and_reads_the_constants():
-    # The one int merge of f's and g's breakpoints gives the sorted set of
-    # both, and each function's constant left of each merged point, then its
-    # right tail.  The corpus must hold shared breakpoints and functions
-    # with none.
+    # The one int merge of f's and g's lattice points gives the sorted set of
+    # both breakpoints, and each function's signed level left of each merged
+    # point, then on its right tail: over the family's unit e_f*e_g, f's
+    # constant and g's there.  The corpus must hold shared breakpoints and
+    # functions with none.
     seen = {"shared": 0, "none": 0}
     for f, g in family_corpus():
-        points, scale, xs, (cf, _, _), (cg, _, _) = envelope._family_lattice(f, g)
+        family = PerturbationFamily(f, g)
+        points, scale, xs = family._points, family._scale, family._xs
         assert points == sorted({*f.breakpoints, *g.breakpoints})
         seen["shared"] += len(points) < f.n + g.n
         seen["none"] += not (f.n and g.n)
         assert list(xs) == [t * scale for t in points]
-        for h, constants in ((f, cf), (g, cg)):
-            assert constants == [*[h.left_limit(t) for t in points], h.constants[-1]]
+        for side, h in enumerate((f, g)):
+            levels = [Fraction(pair[side], family._unit) for pair in family._levels]
+            assert levels == [*[h.left_limit(t) for t in points], h.constants[-1]]
     assert all(seen.values()), seen
 
 
@@ -152,22 +155,42 @@ def test_continuity_experiment_makes_no_combine_call(monkeypatch):
 
 @pytest.mark.parametrize("part", ["point", "level"])
 def test_family_way_back_catches_a_lattice_one_unit_off(monkeypatch, part):
-    # One merged point or one of f's int levels one unit off still makes a
+    # One of g's points or one of f's int levels one unit off still makes a
     # consistent lattice, so the builds and their checks could pass on it:
-    # the family's way back to f and g sees it.
+    # the way back of ``StepFunction.lattice``, which the family reads, sees
+    # it.  The lattice is cached on each function, so the moved one is made
+    # for fresh copies of f and g.
     f, g = random_stepfn(4), random_stepfn(5)
     assert f.n >= 1 and g.n >= 1
     PerturbationFamily(f, g).profile(Fraction(1, 2))
-    family_lattice = envelope._family_lattice
+    lattice = sf._lattice
 
-    def moved(f, g):
-        points, scale, xs, (cf, e_f, a), g_read = family_lattice(f, g)
-        if part == "point":
-            xs = [xs[0] + 1, *xs[1:]]
-        else:
-            a = [*a[:1], a[1] + 1, *a[2:]]
-        return points, scale, xs, (cf, e_f, a), g_read
+    def moved(h):
+        scale, unit, xs, ls, ps = lattice(h)
+        if part == "point" and h is fresh_g:
+            xs = (xs[0] + 1, *xs[1:])
+        elif part == "level" and h is fresh_f:
+            ls = (*ls[:1], ls[1] + 1, *ls[2:])
+        return scale, unit, xs, ls, ps
 
-    monkeypatch.setattr(envelope, "_family_lattice", moved)
-    with pytest.raises(AssertionError, match="family lattice disagrees"):
-        PerturbationFamily(f, g)
+    monkeypatch.setattr(sf, "_lattice", moved)
+    fresh_f, fresh_g = random_stepfn(4), random_stepfn(5)
+    what = "breakpoints" if part == "point" else "constants"
+    with pytest.raises(AssertionError, match=f"lattice disagrees with the {what} of f"):
+        PerturbationFamily(fresh_f, fresh_g)
+
+
+def test_continuity_experiment_makes_each_lattice_once(monkeypatch):
+    # f and the perturbation each become ints once, in ``StepFunction.lattice``:
+    # the family reads both cached lattices and makes none of its own.
+    made = []
+    lattice = sf._lattice
+
+    def counted(h):
+        made.append(h)
+        return lattice(h)
+
+    monkeypatch.setattr(sf, "_lattice", counted)
+    f, g = random_stepfn(4), random_stepfn(5)  # fresh: no lattice cached yet
+    continuity_experiment(f, g, SCALES)
+    assert len(made) == 2 and made[0] is f and made[1] is g
