@@ -69,8 +69,9 @@ adjacent pieces agree at every junction.  Both checks run in the walks' one
 pass, which also reads off the skeleton (below): a cell stays open while
 the walks repeat its candidate, across breakpoints too, and closes as soon
 as the next distinct candidate starts, with the junction check there, the
-checks of the breakpoints up to it and its skeleton entries; the last cell
-closes after the walks, with the breakpoints past the last junction.
+checks of the breakpoints up to it and its skeleton entries.  The cell that
+reaches +oo closes the same way when the walks end, with no junction: its
+end (1, 0) lies past every breakpoint still to check.
 
 The build runs on an integer lattice.  With D the lcm of the breakpoint
 denominators and E that of the |constant| denominators, the points
@@ -138,12 +139,15 @@ printed p/q is its pair (num, den), as p*den == num*q.  So every rational a
 dump prints has been checked.
 
 An infinite end is ``stepfn.NEG_INF``/``POS_INF`` in variation windows and
-region intervals, compared exactly and never computed with; in the lattice
-walk an unbounded end is None, and in the skeleton walks the pair (-1, 0)
-or (1, 0).  The first piece starts at -oo and the last ends at +oo, and a
-form's value at such a pair is its limit there, (b, d), or (a, g) for a
-constant: the maximal function's limits at infinity, which variations read
-like any other value at a bound.
+region intervals, compared exactly and never computed with, and the pair
+(-1, 0) or (1, 0) in every walk: the build's stack walks, whose finite
+bounds are the pairs (X, 1) of the lattice points, and the skeleton walks.
+A pair (p, q) with q >= 0 stands for p/q, so one cross-multiplication
+orders it against a finite pair whichever end is infinite.  The first
+piece starts at -oo and the last ends at +oo, and a form's value at such a
+pair is its limit there, (b, d), or (a, g) for a constant: the maximal
+function's limits at infinity, which variations read like any other value
+at a bound.
 
 Because each non-constant piece is a Moebius function with its pole strictly
 outside the closed interval it spans, every piece is monotone, its direction
@@ -358,12 +362,11 @@ class VariationEnclosure:
 
 # A candidate is its coefficient tuple (alpha, beta, gamma, delta) of ints: a
 # Moebius function of the lattice coordinate X = D*x, valued in units of 1/E.
-# A lattice point is a pair (p, q) of ints with q > 0, standing for X = p/q.
+# A lattice point is a Pair (p, q) with q > 0, standing for X = p/q.
 Candidate = Tuple[int, int, int, int]
-Point = Tuple[int, int]
 
 
-def _crossing(c1: Candidate, c2: Candidate) -> Optional[Point]:
+def _crossing(c1: Candidate, c2: Candidate) -> Optional[Pair]:
     """The one point where two distinct candidates of a segment meet, if any.
 
     Every candidate has beta = L*delta (L = E*|f| on the segment), so the
@@ -380,18 +383,19 @@ def _crossing(c1: Candidate, c2: Candidate) -> Optional[Point]:
     return (num, slope) if slope > 0 else (-num, -slope)
 
 
-def _stack_walk(
-    candidates: Sequence[Candidate], u: Optional[int], v: Optional[int]
-) -> List[list]:
-    """Envelope over the open lattice segment (u, v) of distinct candidates
-    listed in the order the envelope meets them, in one stack pass (see the
-    module docstring): its cells [lo, hi, candidate], lo and hi lattice
-    points or None for an infinite end.  The top's cell runs to v.  Where
-    the new candidate's ``_crossing`` with the top misses the top's cell,
-    the two are compared at a lattice point p/q inside it: one left of v
-    when the cell starts at -oo, else one past lo (v = +oo) or halfway."""
-    start = None if u is None else (u, 1)
-    end = None if v is None else (v, 1)
+def _stack_walk(candidates: Sequence[Candidate], start: Pair, end: Pair) -> List[list]:
+    """Envelope over the open lattice segment from start to end of distinct
+    candidates listed in the order the envelope meets them, in one stack
+    pass (see the module docstring): its cells [lo, hi, candidate].  The
+    segment's bounds are pairs, (X, 1) at a breakpoint and ``_NEG_END`` or
+    ``_POS_END`` at an infinite end, and a cell's other bounds crossings
+    (p, q), q > 0.  The top's cell runs to end.  A crossing x lies inside
+    the top's cell when lo < x < end, two cross-multiplications that every
+    x passes at an infinite bound.  Where the new candidate's ``_crossing``
+    with the top misses the top's cell, the two are compared at a lattice
+    point p/q inside it: one left of end when the cell starts at -oo, else
+    one past lo (end = +oo) or halfway."""
+    v, w = end
     stack = [[start, end, candidates[0]]]
     for cand in candidates[1:]:
         a, b, g, d = cand
@@ -399,19 +403,15 @@ def _stack_walk(
             cell = stack[-1]
             lo, _, top = cell
             x = _crossing(top, cand)
-            if (
-                x is not None
-                and (lo is None or lo[0] * x[1] < x[0] * lo[1])
-                and (v is None or x[0] < v * x[1])
-            ):
+            if x is not None and lo[0] * x[1] < x[0] * lo[1] and x[0] * w < v * x[1]:
                 cell[1] = x
                 stack.append([x, end, cand])
                 break
             # One of the two is above the other on the whole cell: the new
             # candidate is dropped, or the top popped and the next top tried.
-            if lo is None:
+            if not lo[1]:
                 p, q = v - 1, 1
-            elif v is None:
+            elif not w:
                 p, q = lo[0] + lo[1], lo[1]
             else:
                 p, q = lo[0] + v * lo[1], 2 * lo[1]
@@ -585,7 +585,10 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     # skeleton as they come.  Adjacent cells with identical coefficients
     # merge (continuity across breakpoints makes the shared function one
     # piece), so the open cell, candidate top, runs to end until the next
-    # distinct candidate starts there and closes it.  A candidate
+    # distinct candidate starts there and closes it.  The last walk ends
+    # with one more entry, no candidate, which closes the cell that reaches
+    # +oo in the same place: its end (1, 0) is no junction, and every
+    # breakpoint left lies before it.  A candidate
     # (a, b, g, d) is (a*q + b*p, g*q + d*p) at the lattice point (p, q),
     # in units of 1/E.  Adjacent cells must agree at their shared point,
     # and the cell holding each breakpoint must match the maximal function
@@ -595,11 +598,11 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
     # (a, b*D, g*E, D*E), a constant (a, 0, E, 0).
     end_pairs: List[Pair] = []
     forms: List[Candidate] = []
-    top = end = None
+    top = None  # the open cell's candidate, none before the first cell
     checked = 0  # the breakpoints checked so far
     for k in range(n + 1):
-        u = xs[k - 1] if k >= 1 else None
-        v = xs[k] if k <= n - 1 else None
+        left = (xs[k - 1], 1) if k >= 1 else _NEG_END
+        right = (xs[k], 1) if k <= n - 1 else _POS_END
         ell = ls[k]
         # P(X) = y0 + ell*X on the segment, so the lattice average over the
         # interval between X and an anchor Q is (y0 - P(Q) + ell*X)/(X - Q).
@@ -625,18 +628,22 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
         if k <= n - 1:
             for j in reversed(_anchors(backward, upper, n - 1 - k, upper[n - k] if k >= 1 else -1, c)):
                 candidates.append((y0 - ps[n - 1 - j], ell, -xs[n - 1 - j], 1))
-        for _, hi, cand in _stack_walk(candidates, u, v):
+        cells = _stack_walk(candidates, left, right)
+        if k == n:  # no candidate follows the cell that reaches +oo
+            cells.append((_POS_END, _POS_END, None))
+        for _, hi, cand in cells:
             if cand == top:
                 end = hi
                 continue
             if top is not None:  # the open cell closes at end, where cand starts
                 a, b, g, d = top
                 p, q = end
-                num, den = a * q + b * p, g * q + d * p
-                end_pairs.append((p, q * scale))
-                ra, rb, rg, rd = cand
-                if num * (rg * q + rd * p) != (ra * q + rb * p) * den:
-                    raise AssertionError("profile pieces disagree at a junction")
+                if q:  # a finite end: the junction with cand, checked first
+                    num, den = a * q + b * p, g * q + d * p
+                    end_pairs.append((p, q * scale))
+                    ra, rb, rg, rd = cand
+                    if num * (rg * q + rd * p) != (ra * q + rb * p) * den:
+                        raise AssertionError("profile pieces disagree at a junction")
                 while checked < n and xs[checked] * q <= p:
                     x = xs[checked]
                     at, over = checks[checked]
@@ -645,16 +652,6 @@ def _build(scale: int, unit: int, xs: Sequence[int], ls: Sequence[int], ps: Sequ
                     checked += 1
                 forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
             top, end = cand, hi
-
-    # The last cell runs to +oo: the breakpoints past the last junction.
-    a, b, g, d = top
-    while checked < n:
-        x = xs[checked]
-        at, over = checks[checked]
-        if (a + b * x) * over != at * (g + d * x):
-            raise AssertionError("profile disagrees with the pointwise engine")
-        checked += 1
-    forms.append((a, b * scale, g * unit, scale * unit) if d else (a, 0, unit, 0))
     return MaximalProfile(tuple(end_pairs), tuple(forms), (scale, xs, ls, ps))
 
 

@@ -143,11 +143,6 @@ class StepFunction:
 Lattice = Tuple[int, int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
-def _scaled(values: Sequence[Rat], k: int) -> Tuple[int, ...]:
-    """The ints k*v, for k a common multiple of the values' denominators."""
-    return tuple([v.numerator * (k // v.denominator) for v in values])
-
-
 def _antiderivative(xs: Sequence[int], ls: Sequence[int]) -> Tuple[int, ...]:
     """P = D*E*F at the points X, with F the antiderivative of the levels
     L/E based at the first point."""
@@ -161,7 +156,7 @@ def _lattice(f: StepFunction) -> Lattice:
     """The lattice of ``StepFunction.lattice``, before its way-back check."""
     scale = math.lcm(*[b.denominator for b in f.breakpoints])
     unit = math.lcm(*[c.denominator for c in f.constants])
-    xs = _scaled(f.breakpoints, scale)
+    xs = tuple([b.numerator * (scale // b.denominator) for b in f.breakpoints])
     ls = tuple([abs(c.numerator) * (unit // c.denominator) for c in f.constants])
     return scale, unit, xs, ls, _antiderivative(xs, ls)
 

@@ -320,10 +320,11 @@ def order(c1, c2, x):
     return (diff > 0) - (diff < 0)
 
 
-def after(x, v):
-    """A lattice point inside (x, v); None means +oo."""
+def after(x, hi):
+    """A lattice point between x and the bound hi, (v, 1) or +oo, (1, 0)."""
     p, q = x
-    return (p + q, q) if v is None else (p + v * q, 2 * q)
+    v, w = hi
+    return (p + v * q, 2 * q) if w else (p + q, q)
 
 
 def difference_critical_quadratic(c1, c2):

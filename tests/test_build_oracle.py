@@ -40,8 +40,8 @@ def two_pass_build(scale, unit, xs, ls, ps):
     # identical coefficients merge.
     cells = []
     for k in range(n + 1):
-        u = xs[k - 1] if k >= 1 else None
-        v = xs[k] if k <= n - 1 else None
+        start = (xs[k - 1], 1) if k >= 1 else envelope._NEG_END
+        end = (xs[k], 1) if k <= n - 1 else envelope._POS_END
         ell = ls[k]
         ref = max(k - 1, 0)
         y0 = ps[ref] - ell * xs[ref] if n else 0
@@ -58,7 +58,7 @@ def two_pass_build(scale, unit, xs, ls, ps):
                 alpha, q = y0 - ps[n - 1 - j], xs[n - 1 - j]
                 if alpha + ell * q:
                     candidates.append((alpha, ell, -q, 1))
-        for cell in envelope._stack_walk(candidates, u, v):
+        for cell in envelope._stack_walk(candidates, start, end):
             if cells and cell[2] == cells[-1][2]:
                 cells[-1][1] = cell[1]
             else:
@@ -69,14 +69,15 @@ def two_pass_build(scale, unit, xs, ls, ps):
     end_pairs, forms, segments = [], [], []
     i = 0
     for c, (_, hi, (a, b, g, d), k) in enumerate(cells):
-        if hi is not None:  # not the last cell
+        last = hi[1] == 0  # the last cell ends at +oo, (1, 0)
+        if not last:
             p, q = hi
             num, den = a * q + b * p, g * q + d * p
             end_pairs.append((p, q * scale))
             ra, rb, rg, rd = cells[c + 1][2]
             if num * (rg * q + rd * p) != (ra * q + rb * p) * den:
                 raise AssertionError("profile pieces disagree at a junction")
-        while i < n and (hi is None or xs[i] * hi[1] <= hi[0]):
+        while i < n and (last or xs[i] * hi[1] <= hi[0]):
             x = xs[i]
             at, over = checks[i]
             if (a + b * x) * over != at * (g + d * x):
@@ -111,7 +112,8 @@ def test_one_pass_build_matches_the_two_pass_assembly(monkeypatch):
     # the 15 scales, compared where it is made, its tags against those the
     # segments of the two-pass cells give.  The corpus must hold builds
     # whose cells merge across a breakpoint and builds whose last breakpoint
-    # lies past the last junction, where the one pass checks it after the walk.
+    # lies past the last junction, where the one pass checks it as it closes
+    # the cell that reaches +oo.
     seen = {"builds": 0, "merged across a breakpoint": 0, "breakpoint past the last junction": 0}
     build = envelope._build
 
@@ -148,7 +150,8 @@ def test_one_pass_build_matches_the_two_pass_assembly(monkeypatch):
 def test_self_check_catches_the_last_breakpoint_one_unit_off(monkeypatch, f):
     # Only the last breakpoint's value read off the hull chains is one unit
     # 1/E off, and it lies past the profile's last junction: the one pass
-    # checks it after the walk, in a place of its own.
+    # checks it as it closes the cell that reaches +oo, which records no
+    # junction.
     profile = build_profile(f)
     if profile.end_pairs:
         assert Fraction(*profile.end_pairs[-1]) < f.breakpoints[-1]

@@ -106,19 +106,21 @@ def _largest(candidates, x):
     return winner
 
 
-def _upper_envelope(candidates, u, v):
+def _upper_envelope(candidates, lo, hi):
     """Envelope of distinct candidates, in any order, over the open lattice
-    segment (u, v): the general walk.  Its cells are [lo, hi, candidate].
+    segment from lo to hi, each the pair (X, 1) of a breakpoint or
+    ``_NEG_END``/``_POS_END`` at an infinite end: the general walk.  Its
+    cells are [lo, hi, candidate], and the last one ends at hi.
 
     Two distinct candidates meet at most once (their crossing equation is
     linear), and their difference changes sign there, because no candidate
     has a pole on the closed segment.  So the walk starts from the candidate
-    that is largest just right of u, and each next piece starts at the
+    that is largest just right of lo, and each next piece starts at the
     earliest crossing where another candidate overtakes the current winner;
     of several candidates overtaking at the same point, the one that is
     larger just to its right wins (they all meet there, so their order is
-    fixed up to v).  Candidates tied at a finite u likewise keep one order
-    on all of (u, v).
+    fixed up to hi).  Candidates tied at a finite lo likewise keep one order
+    on the whole segment.
     """
     # An anchored candidate with beta*gamma = alpha*delta is the level ell
     # identically: |f| averages ell between its anchor and the segment.
@@ -127,40 +129,36 @@ def _upper_envelope(candidates, u, v):
     # the constant c >= ell covers it, so it goes before the walk.
     candidates = [cand for cand in candidates if not cand[3] or cand[1] * cand[2] != cand[0] * cand[3]]
     crossing = envelope._crossing
-    if u is None:
+    v, w = hi
+    if not lo[1]:  # lo is -oo, so hi = (v, 1) is finite
         winner = candidates[0]
         for cand in candidates[1:]:
             x = crossing(cand, winner)
             sample = (x[0] - x[1], x[1]) if x is not None and x[0] < v * x[1] else (v - 1, 1)
             if order(cand, winner, sample) > 0:
                 winner = cand
-        start = None
     else:
-        start = (u, 1)
         tied = [candidates[0]]
         for cand in candidates[1:]:
-            sign = order(cand, tied[0], start)
+            sign = order(cand, tied[0], lo)
             if sign > 0:
                 tied = [cand]
             elif sign == 0:
                 tied.append(cand)
-        winner = _largest(tied, after(start, v))
+        winner = _largest(tied, after(lo, hi))
     # A candidate that does not cross the winner after the current start
-    # stays below it, and so below the envelope, up to v: it is dropped.
+    # stays below it, and so below the envelope, up to hi: it is dropped.
     alive = [cand for cand in candidates if cand is not winner]
     cells = []
+    start = lo
     while True:
         ahead = []
         for cand in alive:
             x = crossing(winner, cand)
-            if (
-                x is not None
-                and (start is None or start[0] * x[1] < x[0] * start[1])
-                and (v is None or x[0] < v * x[1])
-            ):
+            if x is not None and start[0] * x[1] < x[0] * start[1] and x[0] * w < v * x[1]:
                 ahead.append((x, cand))
         if not ahead:
-            cells.append([start, None if v is None else (v, 1), winner])
+            cells.append([start, hi, winner])
             return cells
         nearest = ahead[0][0]
         for x, _ in ahead[1:]:
@@ -170,7 +168,7 @@ def _upper_envelope(candidates, u, v):
         # The old winner and the rivals not chosen meet the new winner at
         # `nearest` and stay below it from there on.
         at_nearest = [x[0] * nearest[1] == nearest[0] * x[1] for x, _ in ahead]
-        winner = _largest([cand for (_, cand), hit in zip(ahead, at_nearest) if hit], after(nearest, v))
+        winner = _largest([cand for (_, cand), hit in zip(ahead, at_nearest) if hit], after(nearest, hi))
         alive = [cand for (_, cand), hit in zip(ahead, at_nearest) if not hit]
         start = nearest
 
@@ -199,12 +197,12 @@ def test_link_ranges_build_the_whole_chain_profile(monkeypatch):
     seen = {"walks": 0, "anchored": 0}
     stack_walk = envelope._stack_walk
 
-    def checked(candidates, u, v):
+    def checked(candidates, lo, hi):
         anchored = [(a, b, g, d) for a, b, g, d in candidates if d]
         assert all(b * g != a * d for a, b, g, d in anchored)
         seen["walks"] += 1
         seen["anchored"] += len(anchored)
-        return stack_walk(candidates, u, v)
+        return stack_walk(candidates, lo, hi)
 
     monkeypatch.setattr(envelope, "_stack_walk", checked)
 
@@ -251,9 +249,9 @@ def counted_candidates(monkeypatch):
     counts = []
     stack_walk = envelope._stack_walk
 
-    def counted(candidates, u, v):
+    def counted(candidates, lo, hi):
         counts.append(len(candidates))
-        return stack_walk(candidates, u, v)
+        return stack_walk(candidates, lo, hi)
 
     monkeypatch.setattr(envelope, "_stack_walk", counted)
     return counts

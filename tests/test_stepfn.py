@@ -41,6 +41,8 @@ def test_construction_rejects_bad_shapes():
         StepFunction(0, (0, 0), (1, 1), (1, 0))
     with pytest.raises(ValueError):
         StepFunction(0, (0,), (1, 2), (1,))
+    with pytest.raises(ValueError):
+        StepFunction.indicator(1, 1)
 
 
 def test_constants_are_made_once_and_leave_equality_alone():
@@ -117,6 +119,8 @@ def test_variation_examples():
     assert variation_on(CHI_01, 0, 1) == 0  # boundary breakpoints excluded
     with pytest.raises(ValueError):
         variation_on(CHI_01, 2, 2)
+    with pytest.raises(TypeError):  # a finite endpoint must be exact
+        variation_on(CHI_01, 0.5)
 
 
 def test_variation_oracle_sweep_converges():
@@ -185,6 +189,8 @@ def test_modulus_defect_examples():
     assert modulus_defect(CHI_01) == 0
     through_zero = StepFunction(1, (0,), (0,), (-1,))
     assert modulus_defect(through_zero) == 0
+    with pytest.raises(ValueError):
+        modulus_defect(flip, 2, 2)
 
 
 def test_modulus_identity_on_random_corpus():
@@ -239,6 +245,8 @@ def test_serialize_format_shape():
         ("nope\n", 1),
         ("stepfn/1\n", 2),
         ("stepfn/1\ntail x\n", 2),
+        ("stepfn/1\ntail\n", 2),
+        ("stepfn/1\ntail 0\n\nbp 0 value 1 right 1\n", 3),
         ("stepfn/1\ntail 0\nbp 1 value 0 right 0\nbp 0 value 1 right 1\n", 4),
         ("stepfn/1\ntail 0\nzap 1 value 0 right 0\n", 3),
         ("stepfn/1\ntail 0\nbp 0.5 value 0 right 0\n", 3),

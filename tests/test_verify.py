@@ -252,6 +252,18 @@ def test_shrink_preserves_failure():
     assert small.n == 1
     assert fails(small)
 
+    # A predicate that raises on a reduction counts it as failing: here only
+    # the raise at one breakpoint lets the shrink get below two.
+    def crashes(candidate):
+        if candidate.n == 1:
+            raise RuntimeError("check crashed")
+        return candidate.n >= 2
+
+    small = shrink_failure(target, crashes)
+    assert small.n == 1
+    with pytest.raises(RuntimeError):
+        crashes(small)
+
 
 def test_invariant_suite_reports_a_crashing_check_as_fail(monkeypatch):
     import maxbv.envelope
