@@ -170,9 +170,11 @@ and no quadratic is formed; where the two share their pole, only q's
 leading coefficient is.  On the other cells q changes sign across the cell
 exactly when it holds a critical point, a peak.  The pass returns the
 turning points, d at each as a form's gap at a bound, and for each peak
-cell its raw quadratic, its two forms, d at its ends and its rise.  The
-int stage ``_int_stage`` sums the turning points as int pairs, a peak cell
-counting as direction 0, up a balanced merge tree, so its cost stays near
+cell its raw quadratic, its two forms, d at its ends and its rise; and the
+turning points of its first list's own walk, the list's value at the start
+of each piece that changes direction, which sum to that list's variation.
+The int stage ``_int_stage`` sums the turning points as int pairs, a peak
+cell counting as direction 0, up a balanced merge tree, so its cost stays near
 linear in the number of cells.  It reduces each peak's quadratic to that of
 the two pieces in lowest ints, isolates its roots and brackets the one
 inside at int levels that grow round by round, each round's peak terms
@@ -182,10 +184,14 @@ critical point's bracket is the point itself, so its peak is exact.
 
 ``variation_of_difference`` runs the walk from -oo to +oo.  A BV distance
 is the same walk started as if d came from 0 before -oo, so its first turn
-adds the gap of the limits at -oo.  A profile's variation over a window is
-its walk against the zero profile M0 = 0, whose one form is (0, 0, 1, 0):
-the pass runs over the window's slice of the profile, from its start to its
-end, and never meets a peak, so the answer is exact.
+adds the gap of the limits at -oo; the own turns of the first profile in
+that pass sum to its whole-line variation, which the profile keeps (its
+``_variation``) for a whole-line ``variation_of_profile`` to return without
+a pass, so a continuity experiment walks each perturbed profile once.  A
+profile's variation over a window is its walk against the zero profile
+M0 = 0, whose one form is (0, 0, 1, 0): the pass runs over the window's
+slice of the profile, from its start to its end, and never meets a peak,
+so the answer is exact.
 """
 
 from __future__ import annotations
@@ -247,15 +253,18 @@ class MaximalProfile:
     carries each piece, made on first read by ``_tags`` off each piece's
     form and left junction and the lattice (D, X, L, P) it was built on,
     which is all a build keeps besides the skeleton.  ``dump`` prints from
-    the skeleton's ints and the tags.
+    the skeleton's ints and the tags.  ``_variation`` holds the whole-line
+    variation once a walk has summed it: ``bv_distance`` with the profile
+    first, or a whole-line ``variation_of_profile``, which reads it back.
     """
 
-    __slots__ = ("end_pairs", "int_forms", "_tag_source", "_tags")
+    __slots__ = ("end_pairs", "int_forms", "_tag_source", "_tags", "_variation")
 
     def __init__(self, end_pairs, int_forms, tag_source):
         self.end_pairs, self.int_forms = end_pairs, int_forms
         self._tag_source = tag_source  # the lattice (D, X, L, P)
         self._tags = None
+        self._variation = None  # the whole-line VariationEnclosure, once summed
 
     @property
     def tags(self) -> Tuple[str, ...]:
@@ -880,7 +889,14 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
     its turning points by ``_sum_at_turns``.  A finite a or b is placed
     among the end pairs by ``_locate``.  M0 is flat, so no cell has a peak,
     and the answer is exact.
+
+    The whole-line variation is kept on the profile: called with the
+    default ends, it first returns the one that an earlier walk over the
+    profile summed (``bv_distance`` with the profile first, or an earlier
+    call), and a whole-line pass of its own fills that slot.
     """
+    if a is NEG_INF and b is POS_INF and profile._variation is not None:
+        return profile._variation
     a, b = _endpoint(a), _endpoint(b)
     if not a < b:
         raise ValueError("variation_of_profile needs a < b")
@@ -893,9 +909,12 @@ def variation_of_profile(profile: MaximalProfile, a=NEG_INF, b=POS_INF) -> Varia
         first, lo = first + at_a, (a.numerator, a.denominator)
     if not isinstance(b, float):
         last, hi = _locate(pairs, b)[0], (b.numerator, b.denominator)
-    turns, _ = _sign_pass((*pairs[first:last], hi), forms[first : last + 1], (hi,), (_ZERO,), lo, 0)
+    turns, _, _ = _sign_pass((*pairs[first:last], hi), forms[first : last + 1], (hi,), (_ZERO,), lo, 0)
     total = _sum_at_turns(turns)
-    return VariationEnclosure(total, total)
+    enclosure = VariationEnclosure(total, total)
+    if lo is _NEG_END and hi is _POS_END:
+        profile._variation = enclosure
+    return enclosure
 
 
 def variation_of_difference(
@@ -905,13 +924,14 @@ def variation_of_difference(
     pass ``_sign_pass`` over the two profiles' pieces, from -oo to +oo,
     then the int stage ``_int_stage``, which sums its turning points and
     brackets its peaks until the enclosure is at most ``precision`` wide."""
-    turns, peaks = _sign_pass((*p1.end_pairs, _POS_END), p1.int_forms, (*p2.end_pairs, _POS_END), p2.int_forms, _NEG_END, 0)
+    turns, peaks, _ = _sign_pass((*p1.end_pairs, _POS_END), p1.int_forms, (*p2.end_pairs, _POS_END), p2.int_forms, _NEG_END, 0)
     return VariationEnclosure(*_int_stage(turns, peaks, precision))
 
 
 def _sign_pass(ends1, forms1, ends2, forms2, start: Pair, before: int):
     """The walk of d = m1 - m2 over the common cells of two piece lists:
-    its turning points and its peaks.
+    its turning points and its peaks, and the turning points of m1's own
+    walk.
 
     Piece k of a list has the form ``forms[k]`` and ends at ``ends[k]``;
     the first starts at the bound ``start``, and both lists close with the
@@ -926,6 +946,13 @@ def _sign_pass(ends1, forms1, ends2, forms2, start: Pair, before: int):
     quadratic of its forms, the forms, d at its ends and the sign of d'
     left of its critical point.  Each d is a form's gap at a bound
     (``_gap_at``), an int pair whose den may be negative at a finite bound.
+    Third, it returns the turns of m1's own walk, which starts with
+    direction 0 and reads only the first list: each piece's direction is
+    the sign of its det (a flat piece keeps the last), each turn is
+    (c, m1(s)) at the start s of the piece that changes the direction, read
+    by ``_form_at``, and the walk closes with a turn at the last end.  So
+    their sum is the variation of m1 from start to the last end, and one
+    pass gives both a BV distance and its first profile's variation.
 
     The pass uses +, -, * and comparisons only, so it runs unchanged on
     forms over any ordered ring; on the int forms it decides every sign on
@@ -967,15 +994,22 @@ def _sign_pass(ends1, forms1, ends2, forms2, start: Pair, before: int):
     sn, sd = start
     turns: List[Tuple[int, Pair]] = []
     peaks: List[tuple] = []
+    own: List[Tuple[int, Pair]] = []  # the turns of the first list's own walk
+    heading = 0  # the direction of that walk
     while True:
         # Each piece that ended at the last cell's right end steps on (both,
         # at a shared end), and the cell's right end t = tn/td is the nearer
-        # of the two pieces' right ends u and v.  A piece's det is read once.
+        # of the two pieces' right ends u and v.  A piece's det is read once,
+        # and a first-list piece that turns its own walk is read at its start.
         if order <= 0:
             i += 1
             form1, (un, ud) = forms1[i], ends1[i]
             a1, b1, g1, e1 = form1
             det1 = b1 * g1 - a1 * e1
+            facing = (det1 > 0) - (det1 < 0) or heading
+            if facing != heading:
+                own.append((heading - facing, _form_at(form1, (sn, sd))))
+                heading = facing
         if order >= 0:
             j += 1
             form2, (vn, vd) = forms2[j], ends2[j]
@@ -1028,7 +1062,9 @@ def _sign_pass(ends1, forms1, ends2, forms2, start: Pair, before: int):
             break
     if before:
         turns.append((before, _gap_at(form1, form2, (sn, sd))))
-    return turns, peaks
+    if heading:
+        own.append((heading, _form_at(form1, (sn, sd))))
+    return turns, peaks, own
 
 
 def _int_stage(turns, peaks, precision) -> Tuple[Pair, Pair]:
@@ -1115,9 +1151,17 @@ def bv_distance(
     from 0 before -oo: the sign pass ``_sign_pass`` started with the sign of
     d(-oo), then the int stage ``_int_stage``.  Only a peak of the
     difference can be irrational, so the precision bounds the enclosure's
-    width."""
+    width.
+
+    The same pass walks p1's own pieces: unless p1 already holds its
+    whole-line variation, the sum of that walk's turns is kept on p1, where
+    a whole-line ``variation_of_profile(p1)`` reads it without a pass of
+    its own.  p2 is left as it was."""
     num, _ = _gap_at(p1.int_forms[0], p2.int_forms[0], _NEG_END)
-    turns, peaks = _sign_pass(
+    turns, peaks, own = _sign_pass(
         (*p1.end_pairs, _POS_END), p1.int_forms, (*p2.end_pairs, _POS_END), p2.int_forms, _NEG_END, (num > 0) - (num < 0)
     )
+    if p1._variation is None:
+        total = _sum_at_turns(own)
+        p1._variation = VariationEnclosure(total, total)
     return VariationEnclosure(*_int_stage(turns, peaks, precision))

@@ -279,32 +279,49 @@ def sign_pass_pairs():
             yield family.profile(s), profile_f
 
 
+def own_turns(ends, forms, start):
+    """The turns of one piece list's own walk, as (c, k, bound): each piece's
+    direction the sign of its det, a flat one keeping the last, a turn at
+    the start of piece k where the direction changes and one at the last
+    end."""
+    turns, heading = [], 0
+    for k, (form, bound) in enumerate(zip(forms, (start, *ends[:-1]))):
+        a, b, g, d = form
+        direction = sign(b * g - a * d) or heading
+        if direction != heading:
+            turns.append((heading - direction, k, bound))
+            heading = direction
+    if heading:
+        turns.append((heading, len(forms) - 1, ends[-1]))
+    return turns
+
+
 def test_the_sign_pass_runs_alike_on_forms_scaled_by_positive_rationals():
     # The sign pass uses only ring operations and signs, so forms scaled by
     # any positive factors, a different one per piece, give the same turns
     # and the same d values as rationals, and peak quadratics scaled by a
     # positive factor: what a walk over another ordered ring, such as Z[eps]
-    # or Q[s], relies on.
+    # or Q[s], relies on.  The first list's own turns keep their bounds and
+    # directions, and each value is that piece's value pair times its factor.
     rng = random.Random(23)
 
     def value(pair):
         return Fraction(pair[0]) / Fraction(pair[1])
 
     def scaled(forms):
-        out = []
-        for form in forms:
-            k = Fraction(rng.randint(1, 99), rng.randint(1, 99))
-            out.append(tuple(k * c for c in form))
-        return tuple(out)
+        factors = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in forms]
+        return tuple(tuple(k * c for c in form) for k, form in zip(factors, forms)), factors
 
-    peaks = 0
+    peaks = owns = 0
     for p1, p2 in sign_pass_pairs():
         ends1, ends2 = (*p1.end_pairs, envelope._POS_END), (*p2.end_pairs, envelope._POS_END)
         start = sign(Fraction(*envelope._gap_at(p1.int_forms[0], p2.int_forms[0], envelope._NEG_END)))
+        expected = own_turns(ends1, p1.int_forms, envelope._NEG_END)
         for before in {0, start}:
-            turns, found = envelope._sign_pass(ends1, p1.int_forms, ends2, p2.int_forms, envelope._NEG_END, before)
-            scaled_turns, scaled_found = envelope._sign_pass(
-                ends1, scaled(p1.int_forms), ends2, scaled(p2.int_forms), envelope._NEG_END, before
+            turns, found, own = envelope._sign_pass(ends1, p1.int_forms, ends2, p2.int_forms, envelope._NEG_END, before)
+            forms1, factors = scaled(p1.int_forms)
+            scaled_turns, scaled_found, scaled_own = envelope._sign_pass(
+                ends1, forms1, ends2, scaled(p2.int_forms)[0], envelope._NEG_END, before
             )
             assert [c for c, _ in scaled_turns] == [c for c, _ in turns]
             assert [value(d) for _, d in scaled_turns] == [value(d) for _, d in turns]
@@ -317,4 +334,9 @@ def test_the_sign_pass_runs_alike_on_forms_scaled_by_positive_rationals():
                 assert [value(d) for d in scaled_peak[5:7]] == [value(d) for d in peak[5:7]]
                 assert scaled_peak[7] == peak[7]
             peaks += len(found)
-    assert peaks > 0
+            assert own == [(c, envelope._form_at(p1.int_forms[k], bound)) for c, k, bound in expected]
+            assert len(scaled_own) == len(own)
+            for (c, (num, den)), (scaled_c, scaled_value), (_, k, _) in zip(own, scaled_own, expected):
+                assert scaled_c == c and scaled_value == (factors[k] * num, factors[k] * den)
+            owns += len(own)
+    assert peaks > 0 and owns > 0

@@ -8,10 +8,10 @@ import pytest
 
 import maxbv.stepfn as sf
 from maxbv import envelope
-from maxbv.envelope import PerturbationFamily, build_profile, variation_of_profile
-from maxbv.stepfn import StepFunction, combine
+from maxbv.envelope import PerturbationFamily, build_profile, bv_distance, variation_of_profile
+from maxbv.stepfn import NEG_INF, POS_INF, StepFunction, combine
 from maxbv.verify import continuity_experiment, random_stepfn
-from conftest import end_values, ends, exact_n_stepfn, pieces, rand_stepfn
+from conftest import bench_pairs, end_values, ends, exact_n_stepfn, pieces, rand_stepfn
 
 CHI_01 = StepFunction.indicator(0, 1)
 SCALES = [Fraction(1, 2**j) for j in range(15)]
@@ -194,3 +194,76 @@ def test_continuity_experiment_makes_each_lattice_once(monkeypatch):
     f, g = random_stepfn(4), random_stepfn(5)  # fresh: no lattice cached yet
     continuity_experiment(f, g, SCALES)
     assert len(made) == 2 and made[0] is f and made[1] is g
+
+
+def test_continuity_experiment_walks_each_profile_once(monkeypatch):
+    # One sign pass per scale, the distance's, whose own walk of the
+    # perturbed profile gives that profile's variation, and one for the
+    # variation of f.
+    passes = []
+    sign_pass = envelope._sign_pass
+
+    def counted(*args):
+        passes.append(args)
+        return sign_pass(*args)
+
+    monkeypatch.setattr(envelope, "_sign_pass", counted)
+    f, g = random_stepfn(4), random_stepfn(5)
+    for k in (1, 2, 7, 15):
+        passes.clear()
+        continuity_experiment(f, g, SCALES[:k], tail_count=1)
+        assert len(passes) == k + 1
+
+
+def cached_variation_pairs():
+    """Pairs (make, p2): a function that builds a fresh p1 on each call, and
+    the profile p2 it is measured against."""
+    for f, g in family_corpus():
+        profile_f, family = build_profile(f), PerturbationFamily(f, g)
+        for s in FAMILY_SCALES:
+            yield (lambda family=family, s=s: family.profile(s)), profile_f
+    for f, g in bench_pairs():
+        profile_f, family = build_profile(f), PerturbationFamily(f, g)
+        for s in SCALES:
+            yield (lambda family=family, s=s: family.profile(s)), profile_f
+    for seed in range(0, 24, 2):
+        f, g = random_stepfn(seed), random_stepfn(seed + 1)
+        yield (lambda f=f: build_profile(f)), build_profile(g)
+        yield (lambda g=g: build_profile(g)), build_profile(f)
+    # One-piece profiles, against one another and against many pieces.
+    for c in (0, Fraction(5, 3)):
+        one = StepFunction.constant(c)
+        yield (lambda one=one: build_profile(one)), build_profile(StepFunction.constant(1))
+        yield (lambda one=one: build_profile(one)), build_profile(random_stepfn(3))
+        yield (lambda: build_profile(random_stepfn(3))), build_profile(one)
+    # A profile against a fresh build of itself.
+    for seed in range(6):
+        f = random_stepfn(seed)
+        yield (lambda f=f: build_profile(f)), build_profile(f)
+
+
+def test_a_distance_leaves_its_first_profile_the_variation_of_a_fresh_build():
+    # After bv_distance(p1, p2), p1's whole-line variation comes back off
+    # the distance's pass, and its whole-line and windowed variations equal,
+    # at both ends, those of a fresh p1; p2 is left as it was.
+    pieces_seen = set()
+    for make, p2 in cached_variation_pairs():
+        p1 = make()
+        assert p1._variation is None
+        bv_distance(p1, p2)
+        assert p2._variation is None
+        cached = p1._variation
+        assert cached is not None
+        fresh = variation_of_profile(make())
+        assert (cached.lo_pair, cached.hi_pair) == (fresh.lo_pair, fresh.hi_pair)
+        assert variation_of_profile(p1) is cached
+        for a, b in ((Fraction(-1, 3), Fraction(5, 2)), (NEG_INF, Fraction(1, 2)), (Fraction(1, 2), POS_INF)):
+            windowed, fresh = variation_of_profile(p1, a, b), variation_of_profile(make(), a, b)
+            assert (windowed.lo_pair, windowed.hi_pair) == (fresh.lo_pair, fresh.hi_pair)
+        assert p1._variation is cached
+        pieces_seen.add(len(p1.int_forms))
+    # The same object on both sides: the slot holds its own variation.
+    profile = build_profile(random_stepfn(4))
+    assert bv_distance(profile, profile).hi == 0
+    assert profile._variation == variation_of_profile(build_profile(random_stepfn(4)))
+    assert 1 in pieces_seen and max(pieces_seen) > 5
